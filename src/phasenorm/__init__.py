@@ -21,10 +21,9 @@ from .quadrature import (GaussianTerm, IntegralEstimate, PlanarProfile,
                          integrate_radial_abs_pow, locate_sign_changes)
 from .quantifier import (CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                          NOGO_INSTANCE, FunctionalSpec, QuantifierResult,
-                         baseline, baseline_with_error, classify,
-                         convexity_gap, measure_m, monotonicity_gap_strong,
-                         monotonicity_gap_weak, quantumness_norm,
-                         wigner_negativity)
+                         baseline_with_error, classify, convexity_gap,
+                         measure_m, monotonicity_gap_strong,
+                         monotonicity_gap_weak, norm_value, wigner_negativity)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,7 @@ __all__ = [
     "RootBudgetExceeded", "ToleranceNotReached", "integrate_plane_abs_pow",
     "integrate_radial_abs_pow", "locate_sign_changes", "CERTIFIED_QUANTUM",
     "CLASSICAL_CONSISTENT", "NOGO_INSTANCE", "FunctionalSpec",
-    "QuantifierResult", "baseline", "baseline_with_error", "classify",
-    "convexity_gap", "measure_m", "monotonicity_gap_strong",
-    "monotonicity_gap_weak", "quantumness_norm", "wigner_negativity",
+    "QuantifierResult", "baseline_with_error", "classify", "convexity_gap",
+    "measure_m", "monotonicity_gap_strong", "monotonicity_gap_weak",
+    "norm_value", "wigner_negativity",
 ]

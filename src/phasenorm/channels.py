@@ -7,6 +7,8 @@ Gaussian classicalization channel: a transmittivity-1/2 quantum-limited
 attenuator followed by a gain-2 quantum-limited amplifier.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 
@@ -28,8 +30,8 @@ class Amplifier:
     gain: float
 
     def __post_init__(self):
-        if self.gain < 1.0:
-            raise ValueError(f"gain must be >= 1, got {self.gain}")
+        if not (math.isfinite(self.gain) and self.gain >= 1.0):
+            raise ValueError(f"gain must be finite and >= 1, got {self.gain}")
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,20 @@ class Rotation:
 
     theta: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"rotation angle must be finite, got {self.theta}")
+
 
 @dataclass(frozen=True)
 class Displacement:
     """Displacement by the complex amplitude ``delta`` (alpha-plane)."""
 
     delta: complex
+
+    def __post_init__(self):
+        if not cmath.isfinite(self.delta):
+            raise ValueError(f"displacement must be finite, got {self.delta}")
 
 
 PRIMITIVES = (Attenuator, Amplifier, Rotation, Displacement)

@@ -19,7 +19,7 @@ from .channels import CG
 from .fock import make_mixture
 from .gaussian import make_squeezed_thermal
 from .quantifier import (DEFAULT_TOL, FunctionalSpec, baseline_with_error,
-                         measure_m, _baseline_cached, _norm_value)
+                         measure_m, norm_value)
 from .verify import run_suite
 
 SWEEP_HEADER = "r,n_value,err,baseline,m_value,quantum_by_variance,classification"
@@ -113,9 +113,9 @@ def find_crossing(nbar, tol=1e-5, r_hi=2.0):
     quad_tol = min(tol / 20.0, 1e-6)
 
     def m_of(r):
-        res_n, err_n = _norm_value(make_squeezed_thermal(nbar, r), CG,
-                                   FunctionalSpec(), quad_tol)
-        base, err_b = _baseline_cached(CG, FunctionalSpec(), quad_tol)
+        res_n, err_n = norm_value(make_squeezed_thermal(nbar, r), CG,
+                                  FunctionalSpec(), quad_tol)
+        base, err_b = baseline_with_error(CG, FunctionalSpec(), quad_tol)
         return res_n - base, err_n + err_b
 
     lo = None
@@ -244,6 +244,9 @@ def build_parser():
 
 
 def _validate(parser, args):
+    for name in ("tol", "s", "p", "nbar", "r_min", "r_max"):
+        if not math.isfinite(getattr(args, name, 0.0)):
+            parser.error(f"--{name.replace('_', '-')} must be finite")
     if getattr(args, "tol", 1.0) <= 0.0:
         parser.error("--tol must be positive")
     if args.command == "baseline":

@@ -52,6 +52,8 @@ class FockDiagonalState:
         w = np.array(self.weights, dtype=float).reshape(-1)
         if len(w) == 0:
             raise ValueError("weights must be non-empty")
+        if not (np.all(np.isfinite(w)) and math.isfinite(self.tail_mass_bound)):
+            raise ValueError("weights and tail_mass_bound must be finite")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
         if self.tail_mass_bound < 0.0:
@@ -110,8 +112,8 @@ def wigner_s_fock(state, s, radius):
 
     W_n^(s) = (2/(1-s)) ((s+1)/(s-1))^n e^{-2 rho^2/(1-s)} L_n(4 rho^2/(1-s^2)),
     summed with the state's weights.  Evaluated by the bounded three-term
-    recurrence in the kernel backend (stable at any cutoff; the s = -1
-    Husimi limit is regular in this parametrization).
+    recurrence of :func:`phasenorm.backend.wigner_series` (stable at any
+    cutoff; the s = -1 Husimi limit is regular in this parametrization).
     """
     if s >= 1.0:
         raise ValueError(f"ordering parameter must be < 1, got {s}")
@@ -121,8 +123,7 @@ def wigner_s_fock(state, s, radius):
     tau = (s + 1.0) / (s - 1.0)
     u = -4.0 * rho1**2 / (1.0 - s) ** 2
     pref = (2.0 / (1.0 - s)) * np.exp(-2.0 * rho1**2 / (1.0 - s))
-    out = backend.wigner_series(np.ascontiguousarray(state.weights), tau,
-                                np.ascontiguousarray(u), np.ascontiguousarray(pref))
+    out = backend.wigner_series(state.weights, tau, u, pref)
     return float(out[0]) if scalar else out
 
 

@@ -37,10 +37,10 @@ PHYS_EPS = 1e-12  # physicality slack, absorbs rounding in composed channels
 class GaussianState:
     """Mean vector and 2x2 covariance of a single-mode Gaussian state.
 
-    The constructor enforces physicality: symmetric positive-definite
-    covariance obeying the uncertainty relation det(cov) >= 1/16 (up to
-    ``PHYS_EPS`` slack; equivalently, symplectic eigenvalue >= 1/4).
-    Instances are immutable.
+    The constructor enforces finite entries and physicality: symmetric
+    positive-definite covariance obeying the uncertainty relation
+    det(cov) >= 1/16 (up to ``PHYS_EPS`` slack; equivalently, symplectic
+    eigenvalue >= 1/4).  Instances are immutable.
     """
 
     mean: np.ndarray = field(default_factory=lambda: np.zeros(2))
@@ -49,6 +49,8 @@ class GaussianState:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(2)
         cov = np.array(self.cov, dtype=float).reshape(2, 2)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
         if abs(cov[0, 1] - cov[1, 0]) > PHYS_EPS:
             raise ValueError("covariance must be symmetric")
         eigs = np.linalg.eigvalsh(cov)

@@ -49,6 +49,8 @@ class FunctionalSpec:
     p: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.s) and math.isfinite(self.p)):
+            raise ValueError(f"s and p must be finite, got s={self.s}, p={self.p}")
         if self.s > 0.0:
             raise ValueError(f"ordering parameter must be <= 0, got {self.s}")
         if self.p < 1.0:
@@ -59,8 +61,10 @@ class FunctionalSpec:
 class QuantifierResult:
     """Quantifier value with baseline, measure, witness and classification.
 
-    ``err`` is the total error budget (quadrature bounds of the norm and
-    of the baseline); ``m_value`` is exactly ``n_value - baseline``.
+    ``err`` is the total error budget of the norm and of the baseline.
+    Only its envelope-tail part is certified; the Gauss-Legendre panel
+    part is an estimate (see :class:`~phasenorm.quadrature.IntegralEstimate`).
+    ``m_value`` is exactly ``n_value - baseline``.
     """
 
     n_value: float
@@ -121,8 +125,13 @@ def _integral_once(state, channel, fn, quad_tol):
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
-def _norm_value(state, channel, fn, tol):
-    """(N, err) with err <= tol, retrying when the p-th root inflates it."""
+def norm_value(state, channel, fn, tol):
+    """(N, err) of one state; the integral's error carried through the p-th root.
+
+    When the root inflates err above tol (p > 1) the integral tolerance is
+    tightened and the integral redone, four integrals at most; the last
+    (N, err) is returned even if err still exceeds tol.
+    """
     quad_tol = tol
     for _ in range(4):
         est = _integral_once(state, channel, fn, quad_tol)
@@ -135,28 +144,23 @@ def _norm_value(state, channel, fn, tol):
 
 
 @lru_cache(maxsize=256)
-def _baseline_cached(channel, fn, tol):
+def _vacuum_norm(channel, fn, tol):
     vacuum = GaussianState()
     if channel == CG and fn.s == 0.0 and fn.p == 1.0:
         # closed form for two isotropic Gaussians with per-axis variances
         # 1/4 and 3/4; the quadrature must agree or the engine is broken
-        value, err = _norm_value(vacuum, channel, fn, min(tol, BASELINE_ORACLE_TOL))
+        value, err = norm_value(vacuum, channel, fn, min(tol, BASELINE_ORACLE_TOL))
         if abs(value - BASELINE_CLOSED_CG) > BASELINE_ORACLE_TOL:
             raise RuntimeError(
                 f"baseline quadrature {value!r} disagrees with the closed form "
                 f"{BASELINE_CLOSED_CG!r} beyond {BASELINE_ORACLE_TOL}")
         return BASELINE_CLOSED_CG, err
-    return _norm_value(vacuum, channel, fn, tol)
-
-
-def baseline(channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
-    """N of the vacuum: the subtrahend of the measure M."""
-    return _baseline_cached(channel, fn, tol)[0]
+    return norm_value(vacuum, channel, fn, tol)
 
 
 def baseline_with_error(channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
-    """(baseline, quadrature error bound)."""
-    return _baseline_cached(channel, fn, tol)
+    """(N of the vacuum, its error): the subtrahend of the measure M."""
+    return _vacuum_norm(channel, fn, tol)
 
 
 def wigner_negativity(state, tol=DEFAULT_TOL):
@@ -178,10 +182,10 @@ def _witness(state, tol):
     return WITNESS_WIGNER_NEGATIVITY, neg, neg > NEGATIVITY_WITNESS_MIN
 
 
-def quantumness_norm(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
-    """Full quantifier result for one state under (channel, fn)."""
-    n_value, n_err = _norm_value(state, channel, fn, tol)
-    base, base_err = _baseline_cached(channel, fn, tol)
+def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
+    """The measure M = N(state) - N(vacuum) with witness classification."""
+    n_value, n_err = norm_value(state, channel, fn, tol)
+    base, base_err = _vacuum_norm(channel, fn, tol)
     err = n_err + base_err
     kind, wvalue, wquantum = _witness(state, tol)
     m_value = n_value - base
@@ -189,11 +193,6 @@ def quantumness_norm(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
         n_value=n_value, err=err, baseline=base, m_value=m_value,
         witness_kind=kind, witness_value=wvalue, witness_quantum=wquantum,
         classification=classify(m_value, err, wquantum))
-
-
-def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
-    """The measure M = N(state) - N(vacuum) with witness classification."""
-    return quantumness_norm(state, channel, fn, tol)
 
 
 def convexity_gap(states, weights, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
@@ -205,8 +204,8 @@ def convexity_gap(states, weights, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_
     if any(not isinstance(s, FockDiagonalState) for s in states):
         raise UnsupportedInputError("convex mixtures are formed in the Fock engine only")
     mixed = mix_states(states, weights)
-    avg = sum(w * _norm_value(s, channel, fn, tol)[0] for w, s in zip(weights, states))
-    return avg - _norm_value(mixed, channel, fn, tol)[0]
+    avg = sum(w * norm_value(s, channel, fn, tol)[0] for w, s in zip(weights, states))
+    return avg - norm_value(mixed, channel, fn, tol)[0]
 
 
 def monotonicity_gap_weak(state, transmittivity, channel=CG, fn=FunctionalSpec(),
@@ -226,8 +225,8 @@ def monotonicity_gap_weak(state, transmittivity, channel=CG, fn=FunctionalSpec()
         attenuated = apply_channel_gaussian(state, lossy)
     else:
         attenuated = apply_channel_fock(state, lossy)
-    return (_norm_value(state, channel, fn, tol)[0]
-            - _norm_value(attenuated, channel, fn, tol)[0])
+    return (norm_value(state, channel, fn, tol)[0]
+            - norm_value(attenuated, channel, fn, tol)[0])
 
 
 def monotonicity_gap_strong(state, transmittivity, channel=CG, fn=FunctionalSpec(),
@@ -243,5 +242,5 @@ def monotonicity_gap_strong(state, transmittivity, channel=CG, fn=FunctionalSpec
             "strong monotonicity uses the photon-counting Kraus branches of loss; "
             "only Fock-diagonal states are supported")
     branches = loss_kraus_decomposition(state, transmittivity)
-    avg = sum(pk * _norm_value(rk, channel, fn, tol)[0] for pk, rk in branches)
-    return _norm_value(state, channel, fn, tol)[0] - avg
+    avg = sum(pk * norm_value(rk, channel, fn, tol)[0] for pk, rk in branches)
+    return norm_value(state, channel, fn, tol)[0] - avg

@@ -21,9 +21,9 @@ from .gaussian import (GaussianState, apply_channel_gaussian, channel_affine,
                        wigner_s_gaussian)
 from .quadrature import (GaussianTerm, PlanarProfile, RadialProfile,
                          integrate_plane_abs_pow, integrate_radial_abs_pow)
-from .quantifier import (NOGO_INSTANCE, FunctionalSpec, _norm_value,
-                         baseline_with_error, convexity_gap, measure_m,
-                         monotonicity_gap_strong, monotonicity_gap_weak)
+from .quantifier import (NOGO_INSTANCE, FunctionalSpec, baseline_with_error,
+                         convexity_gap, measure_m, monotonicity_gap_strong,
+                         monotonicity_gap_weak, norm_value)
 
 W1 = FunctionalSpec(s=0.0, p=1.0)
 
@@ -110,8 +110,8 @@ def check_invariance(tol, count=20, seed=7):
         phi = float(rng.uniform(0.0, 2 * math.pi))
         moved = apply_channel_gaussian(
             state, ChannelSpec((Rotation(phi), Displacement(alpha))))
-        n0, _ = _norm_value(state, CG, W1, tol)
-        n1, _ = _norm_value(moved, CG, W1, tol)
+        n0, _ = norm_value(state, CG, W1, tol)
+        n1, _ = norm_value(moved, CG, W1, tol)
         worst = max(worst, abs(n1 - n0))
     return CheckResult("axioms", "displacement_rotation_invariance",
                        worst <= 2.0 * tol, worst,
@@ -221,7 +221,7 @@ def check_cross_engine_thermal(tol):
 
 def check_baseline_closed_form(tol):
     baseline_with_error(CG, W1, tol)  # runs the internal closed-form assertion
-    quad, _ = _norm_value(GaussianState(), CG, W1, min(tol, 1e-8))
+    quad, _ = norm_value(GaussianState(), CG, W1, min(tol, 1e-8))
     dev = abs(quad - 4.0 * math.sqrt(3.0) / 9.0)
     return CheckResult("oracles", "baseline_closed_form", dev <= 1e-7, dev,
                        "|quadrature - 4 sqrt(3)/9| for the vacuum under C_g")
@@ -229,7 +229,7 @@ def check_baseline_closed_form(tol):
 
 def check_thermal_closed_form(tol):
     closed = 2.0 * (0.6**1.5 - 0.6**2.5)
-    value, _ = _norm_value(make_thermal(1.0), CG, W1, min(tol, 1e-8))
+    value, _ = norm_value(make_thermal(1.0), CG, W1, min(tol, 1e-8))
     dev = abs(value - closed)
     return CheckResult("oracles", "thermal_closed_form", dev <= 1e-7, dev,
                        "|quadrature - closed form| for thermal nbar=1 under C_g")
@@ -343,7 +343,7 @@ def check_s_shift_quantifier(tol):
             lambda r, st=state: wigner_s_fock(st, 0.0, r) - wigner_s_fock(st, -2.0, r),
             decay, degree_hint=2 * state.cutoff + 2)
         bypass = integrate_radial_abs_pow(diff, 1.0, tol).value
-        via_channel, _ = _norm_value(state, CG, W1, tol)
+        via_channel, _ = norm_value(state, CG, W1, tol)
         worst = max(worst, abs(bypass - via_channel))
     return CheckResult("oracles", "s_shift_quantifier", worst <= 2.0 * tol + 1e-8,
                        worst, "N via channel vs direct |W^0 - W^(-2)| quadrature")

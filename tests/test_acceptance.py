@@ -13,10 +13,10 @@ from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        FunctionalSpec, GaussianState, NOGO_INSTANCE,
                        baseline_with_error, classicalize_fock,
                        is_quantum_gaussian, make_squeezed_thermal,
-                       make_thermal, make_thermal_fock, number_state,
-                       wigner_negativity, wigner_s_fock, wigner_s_gaussian)
+                       make_thermal, make_thermal_fock, norm_value,
+                       number_state, wigner_negativity, wigner_s_fock,
+                       wigner_s_gaussian)
 from phasenorm.cli import find_crossing, main, run_mixtures, run_sweep
-from phasenorm.quantifier import _norm_value
 from phasenorm.verify import run_suite
 
 BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0
@@ -30,7 +30,7 @@ def report(name, passed, detail):
 def test_criterion_1_baseline_closed_form_vs_quadrature():
     start = time.perf_counter()
     value, err = baseline_with_error(CG, FunctionalSpec(), 1e-7)
-    quad, _ = _norm_value(GaussianState(), CG, FunctionalSpec(), 1e-8)
+    quad, _ = norm_value(GaussianState(), CG, FunctionalSpec(), 1e-8)
     elapsed = time.perf_counter() - start
     dev = abs(quad - BASELINE_CG)
     ok = value == BASELINE_CG and dev <= 1e-7 and elapsed < 1.0

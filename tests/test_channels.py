@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from phasenorm import CG, Amplifier, Attenuator, ChannelSpec, Displacement, Rotation
@@ -8,7 +10,7 @@ def test_cg_is_half_attenuator_then_double_amplifier():
     assert CG == ChannelSpec((Attenuator(0.5), Amplifier(2.0)))
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001])
+@pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001, math.nan])
 def test_attenuator_bounds(bad):
     with pytest.raises(ValueError):
         Attenuator(bad)
@@ -18,10 +20,21 @@ def test_attenuator_allows_unity():
     assert Attenuator(1.0).transmittivity == 1.0
 
 
-@pytest.mark.parametrize("bad", [0.99, 0.0, -2.0])
+@pytest.mark.parametrize("bad", [0.99, 0.0, -2.0, math.nan, math.inf])
 def test_amplifier_bounds(bad):
     with pytest.raises(ValueError):
         Amplifier(bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Rotation(math.nan),
+    lambda: Rotation(-math.inf),
+    lambda: Displacement(complex(math.inf, 0.0)),
+    lambda: Displacement(complex(0.0, math.nan)),
+], ids=["rotation_nan", "rotation_inf", "displacement_inf", "displacement_nan"])
+def test_non_finite_rotation_and_displacement_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_then_concatenates():

@@ -8,9 +8,11 @@ from phasenorm.cli import main
 from phasenorm.quantifier import classify
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args):
+    # the child sees this interpreter's import path, so it runs the same package
     return subprocess.run([sys.executable, "-m", "phasenorm", *args],
-                          capture_output=True, text=True, **kwargs)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 
 
 class TestBaselineCommand:
@@ -38,16 +40,24 @@ class TestBaselineCommand:
     def test_invalid_p_usage_error(self):
         assert run_cli("baseline", "--p", "0.5").returncode == 2
 
-    def test_numpy_fallback_backend(self):
-        env = dict(os.environ, PHASENORM_KERNELS="python")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import phasenorm; print(phasenorm.KERNEL_BACKEND); "
-             "print(phasenorm.wigner_negativity(phasenorm.number_state(1), 1e-7))"],
-            capture_output=True, text=True, env=env)
-        lines = proc.stdout.split()
-        assert lines[0] == "numpy"
-        assert abs(float(lines[1]) - 0.4261226388505319) < 1e-6
+
+@pytest.mark.parametrize("argv", [
+    ["baseline", "--s", "nan"],
+    ["baseline", "--s=-inf"],
+    ["baseline", "--p", "inf"],
+    ["baseline", "--tol", "nan"],
+    ["sweep", "--tol", "nan", "--out", "x.csv"],
+    ["sweep", "--nbar", "inf", "--out", "x.csv"],
+    ["sweep", "--r-min", "nan", "--out", "x.csv"],
+    ["sweep", "--r-max", "inf", "--out", "x.csv"],
+    ["crossing", "--nbar", "nan"],
+    ["mixtures", "--tol", "inf", "--out", "x.csv"],
+])
+def test_non_finite_float_flag_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 class TestSweepCommand:

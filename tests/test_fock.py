@@ -40,6 +40,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             state.weights[0] = 0.5
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_mixture([math.nan, 1.0]),
+        lambda: make_thermal_fock(math.nan),
+        lambda: FockDiagonalState(np.array([math.inf])),
+        lambda: FockDiagonalState(np.array([1.0]), tail_mass_bound=math.nan),
+    ], ids=["mixture_nan", "thermal_nan", "weight_inf", "tail_nan"])
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_thermal_tail_is_exact_geometric_remainder(self):
         state = make_thermal_fock(1.0, cutoff=40)
         assert state.tail_mass_bound == pytest.approx(0.5 ** 41, rel=1e-12)

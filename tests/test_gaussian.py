@@ -52,6 +52,16 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_squeezed_thermal(nbar, r)
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_squeezed_thermal(math.nan, 0.3),
+        lambda: make_squeezed_thermal(1.0, 0.3, math.nan),
+        lambda: make_coherent(math.inf),
+        lambda: GaussianState(np.zeros(2), np.diag([math.inf, 0.25])),
+    ], ids=["nbar_nan", "theta_nan", "coherent_inf", "cov_inf"])
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_unphysical_covariance_rejected(self):
         with pytest.raises(ValueError):
             GaussianState(np.zeros(2), np.diag([0.1, 0.1]))  # det < 1/16

@@ -1,4 +1,4 @@
-"""Kernel backend parity and independent Laguerre-series oracles."""
+"""Independent Laguerre-series oracles for the kernel."""
 
 import math
 
@@ -7,17 +7,6 @@ import numpy.polynomial.laguerre as nplag
 import pytest
 
 from phasenorm import backend
-from phasenorm import _kernels_py
-
-
-BACKENDS = backend.available_backends()
-
-
-def test_compiled_backend_is_available():
-    # the build in this repo compiles the extension; the fallback is for
-    # environments without a compiler
-    assert "numpy" in BACKENDS
-    assert backend.KERNEL_BACKEND in BACKENDS
 
 
 def _reference_series(weights, tau, u, pref):
@@ -34,7 +23,7 @@ def test_series_matches_numpy_laguerre(tau):
     u = rng.uniform(-30.0, 0.0, size=40)
     pref = rng.uniform(0.1, 2.0, size=40)
     expected = _reference_series(weights, tau, u, pref)
-    got = _kernels_py.wigner_series(weights, tau, u, pref)
+    got = backend.wigner_series(weights, tau, u, pref)
     assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
@@ -46,25 +35,10 @@ def test_series_tau_zero_is_poisson_limit():
     pref = np.exp(u / 2.0)
     expected = pref * sum(w * (-u) ** n / math.factorial(n)
                           for n, w in enumerate(weights))
-    got = _kernels_py.wigner_series(weights, 0.0, u, pref)
+    got = backend.wigner_series(weights, 0.0, u, pref)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.skipif("cython" not in BACKENDS, reason="compiled kernel not built")
-def test_backend_parity():
-    rng = np.random.default_rng(7)
-    for nw in (1, 2, 33, 170):
-        weights = rng.uniform(0.0, 1.0, size=nw)
-        weights /= weights.sum()
-        u = -rng.uniform(0.0, 400.0, size=64)
-        pref = np.exp(-np.sqrt(-u))
-        for tau in (-1.0, 0.0, 1.0 / 3.0):
-            a = BACKENDS["cython"](weights, tau, u, pref)
-            b = BACKENDS["numpy"](weights, tau, u, pref)
-            assert np.allclose(a, b, rtol=1e-13, atol=1e-300)
-
-
 def test_length_mismatch_rejected():
-    for fn in BACKENDS.values():
-        with pytest.raises(ValueError):
-            fn(np.ones(3), 0.5, np.zeros(4), np.zeros(3))
+    with pytest.raises(ValueError):
+        backend.wigner_series(np.ones(3), 0.5, np.zeros(4), np.zeros(3))

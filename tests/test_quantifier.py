@@ -5,11 +5,11 @@ import pytest
 
 from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        FunctionalSpec, GaussianState, IDENTITY, NOGO_INSTANCE,
-                       UnsupportedInputError, baseline, baseline_with_error,
-                       classify, convexity_gap, make_coherent, make_mixture,
+                       UnsupportedInputError, baseline_with_error, classify,
+                       convexity_gap, make_coherent, make_mixture,
                        make_squeezed_thermal, make_thermal, measure_m,
                        monotonicity_gap_strong, monotonicity_gap_weak,
-                       number_state, quantumness_norm, wigner_negativity)
+                       number_state, wigner_negativity)
 
 TOL = 1e-6
 
@@ -27,51 +27,52 @@ N_FOCK2 = 1.5870725075
 
 class TestBaseline:
     def test_closed_form_default(self):
-        assert baseline() == BASELINE_CG
+        assert baseline_with_error()[0] == BASELINE_CG
         value, err = baseline_with_error(CG, FunctionalSpec(), 1e-7)
         assert value == BASELINE_CG
         assert err <= 1e-7
 
     def test_husimi_baseline(self):
         # closed form: two isotropic Gaussians with variances 1/2 and 1
-        assert baseline(CG, FunctionalSpec(s=-1.0), 1e-7) == pytest.approx(0.5, abs=1e-7)
+        assert baseline_with_error(CG, FunctionalSpec(s=-1.0), 1e-7)[0] == pytest.approx(
+            0.5, abs=1e-7)
 
     def test_p2_baseline(self):
-        assert baseline(CG, FunctionalSpec(p=2.0), 1e-6) == pytest.approx(
+        assert baseline_with_error(CG, FunctionalSpec(p=2.0), 1e-6)[0] == pytest.approx(
             math.sqrt(1.0 / 3.0), abs=1e-6)
 
     def test_baseline_equals_vacuum_norm(self):
-        res = quantumness_norm(GaussianState(), CG, FunctionalSpec(), TOL)
-        assert res.baseline == baseline()
+        res = measure_m(GaussianState(), CG, FunctionalSpec(), TOL)
+        assert res.baseline == baseline_with_error()[0]
         assert res.n_value == pytest.approx(res.baseline, abs=2 * TOL)
 
 
 class TestNorm:
     def test_vacuum_value(self):
-        res = quantumness_norm(GaussianState(), CG, FunctionalSpec(), TOL)
+        res = measure_m(GaussianState(), CG, FunctionalSpec(), TOL)
         assert res.n_value == pytest.approx(BASELINE_CG, abs=1e-7)
 
     def test_coherent_invariance(self):
-        res = quantumness_norm(make_coherent(2 - 1j), CG, FunctionalSpec(), TOL)
+        res = measure_m(make_coherent(2 - 1j), CG, FunctionalSpec(), TOL)
         assert res.n_value == pytest.approx(BASELINE_CG, abs=2 * TOL)
 
     def test_thermal_closed_form(self):
-        res = quantumness_norm(make_thermal(1.0), CG, FunctionalSpec(), TOL)
+        res = measure_m(make_thermal(1.0), CG, FunctionalSpec(), TOL)
         assert res.n_value == pytest.approx(THERMAL1_CG, abs=1e-6)
 
     def test_fock_golden_values(self):
-        res1 = quantumness_norm(number_state(1), CG, FunctionalSpec(), TOL)
-        res2 = quantumness_norm(number_state(2), CG, FunctionalSpec(), TOL)
+        res1 = measure_m(number_state(1), CG, FunctionalSpec(), TOL)
+        res2 = measure_m(number_state(2), CG, FunctionalSpec(), TOL)
         assert res1.n_value == pytest.approx(N_FOCK1, abs=1e-6)
         assert res2.n_value == pytest.approx(N_FOCK2, abs=1e-6)
 
     def test_identity_channel_gives_zero(self):
-        res = quantumness_norm(make_thermal(0.7), IDENTITY, FunctionalSpec(), TOL)
+        res = measure_m(make_thermal(0.7), IDENTITY, FunctionalSpec(), TOL)
         assert res.n_value == 0.0
 
     def test_unsupported_state_type(self):
         with pytest.raises(TypeError):
-            quantumness_norm(np.zeros(3), CG, FunctionalSpec(), TOL)
+            measure_m(np.zeros(3), CG, FunctionalSpec(), TOL)
 
 
 class TestMeasure:
@@ -188,3 +189,9 @@ class TestFunctionalSpec:
             FunctionalSpec(s=0.5)
         with pytest.raises(ValueError):
             FunctionalSpec(p=0.9)
+
+    @pytest.mark.parametrize("s,p", [(math.nan, 1.0), (-math.inf, 1.0),
+                                     (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_rejected(self, s, p):
+        with pytest.raises(ValueError):
+            FunctionalSpec(s, p)
