@@ -156,7 +156,11 @@ def _cmd_baseline(args):
 
 
 def _cmd_sweep(args):
-    rows = run_sweep(args.nbar, args.r_min, args.r_max, args.steps, args.tol)
+    try:
+        rows = run_sweep(args.nbar, args.r_min, args.r_max, args.steps, args.tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         _write_rows(args.out, SWEEP_HEADER, rows)
     except OSError as exc:

@@ -23,6 +23,7 @@ rather than assumed.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from .channels import CG, Amplifier, Attenuator, Displacement, Rotation
 
 VACUUM_VARIANCE = 0.25
 PHYS_EPS = 1e-12  # physicality slack, absorbs rounding in composed channels
+MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,10 @@ class GaussianState:
     The constructor enforces finite entries and physicality: symmetric
     positive-definite covariance obeying the uncertainty relation
     det(cov) >= 1/16 (up to ``PHYS_EPS`` slack; equivalently, symplectic
-    eigenvalue >= 1/4).  Instances are immutable.
+    eigenvalue >= 1/4).  Symmetry is checked relative to the largest
+    entry, since rotating a strongly squeezed covariance leaves rounding
+    of that size between the off-diagonal entries; the stored covariance
+    carries their mean in both places.  Instances are immutable.
     """
 
     mean: np.ndarray = field(default_factory=lambda: np.zeros(2))
@@ -51,8 +56,9 @@ class GaussianState:
         cov = np.array(self.cov, dtype=float).reshape(2, 2)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("mean and covariance must be finite")
-        if abs(cov[0, 1] - cov[1, 0]) > PHYS_EPS:
+        if abs(cov[0, 1] - cov[1, 0]) > PHYS_EPS * float(np.max(np.abs(cov))):
             raise ValueError("covariance must be symmetric")
+        cov[0, 1] = cov[1, 0] = cov[0, 1] + 0.5 * (cov[1, 0] - cov[0, 1])
         eigs = np.linalg.eigvalsh(cov)
         if eigs[0] <= 0.0:
             raise ValueError("covariance must be positive definite")
@@ -83,12 +89,19 @@ def make_squeezed_thermal(nbar, r, theta=0.0):
     the squeezed (minor) axis rotated by ``theta``.  Quantum iff
     r > ln(2*nbar + 1)/2 (minor variance below vacuum).
     """
+    if not all(math.isfinite(x) for x in (nbar, r, theta)):
+        raise ValueError(f"nbar, r and theta must be finite, got {nbar}, {r}, {theta}")
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     if r < 0:
         raise ValueError(f"squeezing strength must be >= 0, got {r}")
+    if 2.0 * r > MAX_EXP_ARG:
+        raise ValueError(f"squeezing strength {r} overflows e^(2r)")
     v = (2.0 * nbar + 1.0) / 4.0
-    base = np.diag([v * math.exp(-2.0 * r), v * math.exp(2.0 * r)])
+    wide = v * math.exp(2.0 * r)
+    if not math.isfinite(wide):
+        raise ValueError(f"major variance of nbar={nbar}, r={r} overflows")
+    base = np.diag([v * math.exp(-2.0 * r), wide])
     rot = _rotation_matrix(theta)
     return GaussianState(np.zeros(2), rot @ base @ rot.T)
 

@@ -5,16 +5,20 @@ d^2alpha/pi measure.  Two integrators are provided:
 
 * :func:`integrate_radial_abs_pow` for rotation-symmetric profiles
   (photon-number-diagonal states), computing  int_0^inf 2 rho |f(rho)|^p drho;
-* :func:`integrate_plane_abs_pow` for anisotropic Gaussian-sum profiles,
-  using adaptive polar quadrature in coordinates aligned with the
-  profile's principal axes.
+* :func:`integrate_plane_abs_pow` for one- or two-term signed-Gaussian
+  profiles, using adaptive polar quadrature in coordinates aligned with
+  the profile's principal axes.
 
 Both share the same machinery: the improper integral is truncated at a
 radius where the profile's declared Gaussian decay certifies a tail bound
-below tol/10, the integrand is cut at every sign change of f (located by
-bracketing and bisection to 1e-12) so |f|^p is smooth on each panel, and
-panels are refined worst-first with fixed-order Gauss-Legendre rules until
-the accumulated error estimate fits the tolerance.
+below tol/10, the integrand is cut at every sign change of f so |f|^p is
+smooth on each panel, and panels are refined worst-first with fixed-order
+Gauss-Legendre rules until the accumulated error estimate fits the
+tolerance.  Radial profiles find their sign changes by bracketing and
+bisection to 1e-12.  Along a ray of a planar profile the log-magnitude of
+each Gaussian term is quadratic in the radius, so its sign change is
+found in closed form; for p = 1 with a shared center the whole ray
+integral is closed form, and only the angle is integrated numerically.
 """
 
 import heapq
@@ -87,9 +91,13 @@ class GaussianTerm:
 
 @dataclass(frozen=True)
 class PlanarProfile:
-    """Sum of signed 2-D Gaussians; the terms double as the decay hint."""
+    """Sum of one or two signed 2-D Gaussians; the terms double as the decay hint."""
 
     terms: tuple
+
+    def __post_init__(self):
+        if not 1 <= len(self.terms) <= 2:
+            raise ValueError(f"a planar profile has one or two terms, got {len(self.terms)}")
 
     def evaluate(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -231,13 +239,13 @@ def _truncation_radius(decay, p, tail_tol):
     return radius, math.exp(min(log_tail, 0.0))
 
 
-def _core_abs_pow(evaluator, decay, p, tol, degree_hint, max_panels=8192):
-    """Shared core: int_0^R 2r |f|^p dr with sign cuts and tail bound."""
+def _core_abs_pow(evaluator, decay, p, tol, find_cuts, max_panels=8192):
+    """Shared core: int_0^R 2r |f|^p dr with sign cuts and tail bound.
+
+    ``find_cuts(radius)`` returns the sign changes of f on (0, radius).
+    """
     radius, tail = _truncation_radius(decay, p, tol * 0.1)
-    samples = min(int(max(513, 32 * (degree_hint + 1) + 1)), 40001)
-    cuts = locate_sign_changes(evaluator, (0.0, radius),
-                               max_roots=degree_hint + 16, samples=samples,
-                               rel_floor=SIGN_SCAN_FLOOR)
+    cuts = sorted(find_cuts(radius))
     edges = [0.0] + [c for c in cuts if MIN_PANEL_WIDTH < c < radius - MIN_PANEL_WIDTH] + [radius]
 
     def g(r):
@@ -257,8 +265,15 @@ def integrate_radial_abs_pow(profile, p, tol):
     """
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
+    samples = min(int(max(513, 32 * (profile.degree_hint + 1) + 1)), 40001)
+
+    def find_cuts(radius):
+        return locate_sign_changes(profile.evaluator, (0.0, radius),
+                                   max_roots=profile.degree_hint + 16,
+                                   samples=samples, rel_floor=SIGN_SCAN_FLOOR)
+
     value, err, count, radius = _core_abs_pow(
-        profile.evaluator, profile.decay, p, tol, profile.degree_hint)
+        profile.evaluator, profile.decay, p, tol, find_cuts)
     return IntegralEstimate(value, err, count, radius)
 
 
@@ -273,16 +288,67 @@ def _aligned_frame(terms):
     return vecs
 
 
+def _quadratic_roots(qa, qb, qc):
+    """Real roots of qa x^2 + qb x + qc = 0, free of cancellation."""
+    if qa == 0.0:
+        return [] if qb == 0.0 else [-qc / qb]
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return []
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    if q == 0.0:
+        return [0.0]
+    return [q / qa, qc / q]
+
+
+def _exact_rays_l1(amps, rates):
+    """int_0^inf r |sum_i A_i exp(-k_i r^2)| dr for one or two terms.
+
+    ``amps`` holds the A_i, ``rates`` one array of k_i per term (one entry
+    per ray).  With F(R) = sum_i A_i (1 - exp(-k_i R^2)) / (2 k_i), a ray
+    whose terms cancel at r0^2 = ln|A_1/A_2| / (k_1 - k_2) > 0 integrates
+    to sgn(A_1 + A_2) (2 F(r0) - F(inf)); a ray without a cut to |F(inf)|.
+    """
+    whole = sum(a / (2.0 * k) for a, k in zip(amps, rates))
+    if len(amps) == 1 or amps[0] * amps[1] > 0.0:
+        return np.abs(whole)
+    (a1, a2), (k1, k2) = amps, rates
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r0sq = math.log(abs(a1 / a2)) / (k1 - k2)
+    cut = (k1 != k2) & np.isfinite(r0sq) & (r0sq > 0.0)
+    r0sq = np.where(cut, r0sq, 0.0)
+    head = sum(a * -np.expm1(-k * r0sq) / (2.0 * k) for a, k in zip(amps, rates))
+    return np.where(cut, math.copysign(1.0, a1 + a2) * (2.0 * head - whole),
+                    np.abs(whole))
+
+
 def integrate_plane_abs_pow(profile, p, tol, max_outer=2048):
-    """int d^2z/pi |f(z)|^p for a signed-Gaussian-sum profile.
+    """int d^2z/pi |f(z)|^p for a one- or two-term signed-Gaussian profile.
 
     Polar quadrature about the common center in coordinates aligned with
-    the principal axes of the summed covariances and scaled per axis:
-    along each ray the integrand is a sum of Gaussians in the radius, so
-    the radial core (sign cuts + certified truncation) applies ray by ray,
-    while the angle is integrated by the same adaptive panel scheme.  When
-    every term shares the center the integrand is even and only [0, pi]
-    is integrated.
+    the principal axes of the summed covariances and scaled per axis; the
+    angle is integrated by the adaptive panel scheme, all the angles of
+    one GL16 rule in one call.  When every term shares the center the
+    integrand is even and only [0, pi] is integrated.
+
+    Along a ray each term is amp_i exp(g_i + b_i r - a_i r^2), so the sign
+    change of a two-term profile is a root of a quadratic in r and is
+    found in closed form; no sign scan runs.  Two routes, chosen by the
+    input:
+
+    * p = 1 with a shared center: b_i = 0, and every ray integral is
+      exact, split where the terms cancel at
+      r0^2 = ln|A_1/A_2| / (a_1 - a_2) with A_i = amp_i e^{g_i}; one NumPy
+      expression covers all the angles of a rule.  ``subdivisions``
+      counts the angular panels only and ``truncation_radius`` is inf,
+      since no ray is truncated.
+    * otherwise: each ray runs the radial core (certified truncation,
+      adaptive GL16 panels with the closed-form cuts as edges).
+      ``subdivisions`` counts angular and radial panels, and
+      ``truncation_radius`` is the largest ray radius.
+
+    On both routes the error budget is prefactor * (outer_err + phi_range
+    * inner_tol), with inner_tol the tolerance granted to each ray.
     """
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
@@ -292,7 +358,6 @@ def integrate_plane_abs_pow(profile, p, tol, max_outer=2048):
     covs_al = [frame.T @ t.cov @ frame for t in terms]
     s1 = math.sqrt(max(c[0, 0] for c in covs_al))
     s2 = math.sqrt(max(c[1, 1] for c in covs_al))
-    invs = [np.linalg.inv(t.cov) for t in terms]
     offsets = [center - t.mean for t in terms]
     symmetric = all(np.linalg.norm(o) < 1e-13 for o in offsets)
     phi_range = math.pi if symmetric else 2.0 * math.pi
@@ -301,25 +366,19 @@ def integrate_plane_abs_pow(profile, p, tol, max_outer=2048):
     inner_tol = tol / (4.0 * prefactor * phi_range)
     outer_budget = tol / (2.0 * prefactor)
 
-    state = {"panels": 0, "radius": 0.0}
+    live = [(t.amp, np.linalg.inv(t.cov), off)
+            for t, off in zip(terms, offsets) if t.amp != 0.0]
+    amps = [amp for amp, _, _ in live]
+    gs = [-0.5 * float(off @ inv @ off) for _, inv, off in live]
+    slopes = [inv @ off for _, inv, off in live]
+    logs = [math.log(abs(amp)) + g for amp, g in zip(amps, gs)]
+    exact = p == 1.0 and symmetric
+    peaks = [amp * math.exp(g) for amp, g in zip(amps, gs)]
+    state = {"panels": 0, "radius": math.inf if exact else 0.0}
 
-    def ray_integral(phi):
-        direction = frame @ np.array([s1 * math.cos(phi), s2 * math.sin(phi)])
-        amps, a_coef, b_coef, g_coef, decay = [], [], [], [], []
-        for t, inv, off in zip(terms, invs, offsets):
-            a_i = 0.5 * float(direction @ inv @ direction)
-            b_i = -float(direction @ inv @ off)
-            g_i = -0.5 * float(off @ inv @ off)
-            if t.amp == 0.0:
-                continue
-            amps.append(t.amp)
-            a_coef.append(a_i)
-            b_coef.append(b_i)
-            g_coef.append(g_i)
-            decay.append((math.log(abs(t.amp)) + g_i + max(b_i, 0.0) ** 2 / (2.0 * a_i),
-                          0.5 * a_i))
-        if not amps:
-            return 0.0
+    def ray_panels(a_coef, b_coef):
+        decay = tuple((c + max(b, 0.0) ** 2 / (2.0 * a), 0.5 * a)
+                      for c, a, b in zip(logs, a_coef, b_coef))
 
         def f(r):
             # term-by-term accumulation (not a BLAS dot): opposite equal
@@ -327,18 +386,38 @@ def integrate_plane_abs_pow(profile, p, tol, max_outer=2048):
             # evaluates to exactly zero instead of FMA rounding noise
             r = np.atleast_1d(np.asarray(r, dtype=float))
             out = np.zeros_like(r)
-            for amp_i, a_i, b_i, g_i in zip(amps, a_coef, b_coef, g_coef):
-                out += amp_i * np.exp(-a_i * r**2 + b_i * r + g_i)
+            for amp, a, b, g in zip(amps, a_coef, b_coef, gs):
+                out += amp * np.exp(-a * r**2 + b * r + g)
             return out
 
-        value, err, count, radius = _core_abs_pow(
-            f, tuple(decay), p, 2.0 * inner_tol, degree_hint=4 * len(amps))
+        def find_cuts(radius):
+            # where the two log-magnitudes c_i + b_i r - a_i r^2 meet
+            if len(amps) < 2 or amps[0] * amps[1] > 0.0:
+                return []
+            return _quadratic_roots(a_coef[1] - a_coef[0], b_coef[0] - b_coef[1],
+                                    logs[0] - logs[1])
+
+        value, _, count, radius = _core_abs_pow(f, decay, p, 2.0 * inner_tol, find_cuts)
         state["panels"] += count
         state["radius"] = max(state["radius"], radius)
         return 0.5 * value
 
     def outer(phis):
-        return np.array([ray_integral(ph) for ph in np.atleast_1d(phis)])
+        phis = np.atleast_1d(phis)
+        if not live:
+            return np.zeros(len(phis))
+        dirs = frame @ np.array([s1 * np.cos(phis), s2 * np.sin(phis)])
+        a_rays = [0.5 * np.einsum("in,ij,jn->n", dirs, inv, dirs) for _, inv, _ in live]
+        # a covariance too ill-conditioned for double precision can invert
+        # to a form that is not positive along some ray
+        if not all(np.all(a > 0.0) for a in a_rays):
+            raise ValueError("a profile term does not decay along every ray")
+        if exact:
+            return _exact_rays_l1(peaks, a_rays)
+        b_rays = [-(slope @ dirs) for slope in slopes]
+        return np.array([ray_panels([float(a[j]) for a in a_rays],
+                                    [float(b[j]) for b in b_rays])
+                         for j in range(len(phis))])
 
     try:
         outer_val, outer_err, outer_count = _adaptive_panels(

@@ -82,6 +82,12 @@ class TestSweepCommand:
         assert proc.returncode == 1
         assert "cannot write" in proc.stderr
 
+    def test_unrepresentable_squeezing_fails_cleanly(self, tmp_path):
+        proc = run_cli("sweep", "--r-min", "399", "--r-max", "400", "--steps", "2",
+                       "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
     def test_bad_steps_usage_error(self):
         proc = run_cli("sweep", "--steps", "1", "--out", "/tmp/x.csv")
         assert proc.returncode == 2

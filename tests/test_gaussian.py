@@ -52,15 +52,28 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_squeezed_thermal(nbar, r)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("build", [
         lambda: make_squeezed_thermal(math.nan, 0.3),
         lambda: make_squeezed_thermal(1.0, 0.3, math.nan),
         lambda: make_coherent(math.inf),
         lambda: GaussianState(np.zeros(2), np.diag([math.inf, 0.25])),
-    ], ids=["nbar_nan", "theta_nan", "coherent_inf", "cov_inf"])
+        lambda: make_squeezed_thermal(1.0, math.inf),
+        lambda: make_squeezed_thermal(math.inf, 0.3),
+        lambda: make_squeezed_thermal(1.0, 400.0),
+        lambda: make_squeezed_thermal(1e308, 1.0),
+    ], ids=["nbar_nan", "theta_nan", "coherent_inf", "cov_inf", "r_inf", "nbar_inf",
+            "r_overflows", "variance_overflows"])
     def test_non_finite_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    def test_large_squeezing_builds_symmetric(self):
+        # entries near 1e5 carry rounding far above an absolute 1e-12
+        state = make_squeezed_thermal(1.0, 6.0, 0.3)
+        assert state.cov[0, 1] == state.cov[1, 0]
+        assert min_quadrature_variance(state) == pytest.approx(0.75 * math.exp(-12.0),
+                                                               rel=1e-6)
 
     def test_unphysical_covariance_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import phasenorm.quadrature
 from phasenorm import (GaussianTerm, PlanarProfile, RadialProfile,
                        RootBudgetExceeded, ToleranceNotReached,
                        integrate_plane_abs_pow, integrate_radial_abs_pow,
@@ -135,3 +138,82 @@ class TestPlanar:
         pts = np.array([[0.0, 0.0], [0.5, -0.25]])
         want0 = 2.0 - 2.0 / 3.0
         assert profile.evaluate(pts)[0] == pytest.approx(want0, abs=1e-14)
+
+    def test_term_without_decay_rejected(self):
+        # an indefinite covariance would give negative closed-form rays
+        profile = PlanarProfile((iso_term(1.0, 1.0),
+                                 GaussianTerm(-0.5, np.zeros(2), np.array([[1.0, 2.0],
+                                                                           [2.0, 1.0]]))))
+        with pytest.raises(ValueError):
+            integrate_plane_abs_pow(profile, 1.0, 1e-6)
+
+    def test_one_or_two_terms(self):
+        with pytest.raises(ValueError):
+            PlanarProfile(())
+        with pytest.raises(ValueError):
+            PlanarProfile((iso_term(2.0, 0.25),) * 3)
+
+
+def squeezed_difference(center_out=(0.0, 0.0)):
+    """A squeezed, rotated Gaussian minus its broadened copy."""
+    c, s = math.cos(0.4), math.sin(0.4)
+    rot = np.array([[c, -s], [s, c]])
+    cov = rot @ np.diag([0.1, 2.5]) @ rot.T
+    cov_out = cov + 0.5 * np.eye(2)
+    return PlanarProfile((
+        GaussianTerm(1.0 / (2.0 * math.sqrt(np.linalg.det(cov))), np.zeros(2), cov),
+        GaussianTerm(-1.0 / (2.0 * math.sqrt(np.linalg.det(cov_out))),
+                     np.array(center_out), cov_out)))
+
+
+@pytest.mark.parametrize("profile,p", [
+    (squeezed_difference(), 1.0),
+    (squeezed_difference(), 2.0),
+    (squeezed_difference((0.7, -0.3)), 1.0),
+], ids=["shared_center_p1", "shared_center_p2", "off_center_p1"])
+def test_planar_route_runs_no_sign_scan(profile, p, monkeypatch):
+    # the planar cuts are closed form: a sign scan here is a regression
+    def scan(*args, **kwargs):
+        raise AssertionError("planar route called locate_sign_changes")
+
+    monkeypatch.setattr(phasenorm.quadrature, "locate_sign_changes", scan)
+    est = integrate_plane_abs_pow(profile, p, 1e-7)
+    assert est.value > 0.0 and est.abs_error_bound <= 1e-7
+
+
+def test_off_center_cuts_keep_radial_panels_few():
+    # at p = 1 a cut off the true sign change leaves a kink inside a panel:
+    # 802 panels with the closed-form cuts, 2444 with cuts moved by 1 %,
+    # 4137 with none; the value converges either way, so only the count shows it
+    est = integrate_plane_abs_pow(squeezed_difference((0.7, -0.3)), 1.0, 1e-7)
+    assert est.subdivisions <= 1200
+
+
+def overlap(t1, t2):
+    """int d^2z/pi of the product of two Gaussian terms, in closed form."""
+    prec = np.linalg.inv(t1.cov) + np.linalg.inv(t2.cov)
+    delta = t1.mean - t2.mean
+    quad = delta @ np.linalg.solve(t1.cov + t2.cov, delta)
+    return 2.0 * t1.amp * t2.amp / math.sqrt(np.linalg.det(prec)) * math.exp(-0.5 * quad)
+
+
+def random_term(sign, amp, var1, var2, angle, x, y):
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return GaussianTerm(sign * amp, np.array([x, y]), rot @ np.diag([var1, var2]) @ rot.T)
+
+
+TERMS = st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 2.0), st.floats(0.1, 2.0),
+                  st.floats(0.0, math.pi), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(TERMS, TERMS)
+def test_l2_matches_pairwise_overlaps(first, second):
+    # opposite signs and unequal centers: the ray cuts solve quadratics
+    # with a linear term, the case the shared-center route never sees
+    t1, t2 = random_term(1.0, *first), random_term(-1.0, *second)
+    want = overlap(t1, t1) + 2.0 * overlap(t1, t2) + overlap(t2, t2)
+    tol = 1e-8
+    est = integrate_plane_abs_pow(PlanarProfile((t1, t2)), 2.0, tol)
+    assert abs(est.value - want) <= 10 * tol

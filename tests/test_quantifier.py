@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,7 +10,7 @@ from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        convexity_gap, make_coherent, make_mixture,
                        make_squeezed_thermal, make_thermal, measure_m,
                        monotonicity_gap_strong, monotonicity_gap_weak,
-                       number_state, wigner_negativity)
+                       norm_value, number_state, wigner_negativity)
 
 TOL = 1e-6
 
@@ -47,6 +48,41 @@ class TestBaseline:
         assert res.n_value == pytest.approx(res.baseline, abs=2 * TOL)
 
 
+def mpmath_squeezed_norm(nbar, r):
+    """N of a squeezed thermal state under CG at (s, p) = (0, 1), by mpmath.
+
+    Nested quadrature of |W_in - W_out| in polar coordinates scaled by the
+    output's axes, the radial integral split where mpmath.findroot puts the
+    sign change; no closed form of the ray integral is used.
+    """
+    with mp.workdps(10):
+        v = mp.mpf(2 * nbar + 1) / 4
+        var_in = (v * mp.exp(-2 * r), v * mp.exp(2 * r))
+        var_out = (var_in[0] + mp.mpf(1) / 2, var_in[1] + mp.mpf(1) / 2)
+        amp_in = 1 / (2 * mp.sqrt(var_in[0] * var_in[1]))
+        amp_out = 1 / (2 * mp.sqrt(var_out[0] * var_out[1]))
+
+        def ray(phi):
+            # along the scaled ray W_out decays as exp(-rho^2/2)
+            rate = (var_out[0] * mp.cos(phi) ** 2 / var_in[0]
+                    + var_out[1] * mp.sin(phi) ** 2 / var_in[1]) / 2
+
+            def diff(rho):
+                return amp_in * mp.exp(-rate * rho**2) - amp_out * mp.exp(-rho**2 / 2)
+
+            def ratio(rho):
+                return amp_in / amp_out * mp.exp((mp.mpf(1) / 2 - rate) * rho**2) - 1
+
+            cut = mp.findroot(ratio, (mp.mpf(0), mp.mpf(4)), solver="anderson")
+            return (mp.quad(lambda rho: rho * diff(rho), [0, cut], method="gauss-legendre")
+                    - mp.quad(lambda rho: rho * diff(rho), [cut, mp.inf],
+                              method="gauss-legendre"))
+
+        # W is even in both axes: four quarter turns
+        scale = mp.sqrt(var_out[0] * var_out[1])
+        return float(4 * scale / mp.pi * mp.quad(ray, [0, mp.pi / 2]))
+
+
 class TestNorm:
     def test_vacuum_value(self):
         res = measure_m(GaussianState(), CG, FunctionalSpec(), TOL)
@@ -65,6 +101,11 @@ class TestNorm:
         res2 = measure_m(number_state(2), CG, FunctionalSpec(), TOL)
         assert res1.n_value == pytest.approx(N_FOCK1, abs=1e-6)
         assert res2.n_value == pytest.approx(N_FOCK2, abs=1e-6)
+
+    @pytest.mark.parametrize("nbar,r", [(0.5, 0.3), (1.0, 1.0), (0.0, 1.5)])
+    def test_squeezed_thermal_matches_mpmath(self, nbar, r):
+        value, err = norm_value(make_squeezed_thermal(nbar, r), CG, FunctionalSpec(), TOL)
+        assert abs(value - mpmath_squeezed_norm(nbar, r)) <= err
 
     def test_identity_channel_gives_zero(self):
         res = measure_m(make_thermal(0.7), IDENTITY, FunctionalSpec(), TOL)
@@ -92,6 +133,12 @@ class TestMeasure:
     def test_squeezed_thermal_certified(self):
         res = measure_m(make_squeezed_thermal(1.0, 1.2), CG, FunctionalSpec(), TOL)
         assert res.m_value > res.err
+        assert res.classification == CERTIFIED_QUANTUM
+
+    def test_large_squeezing_certified(self):
+        # rotating a covariance with entries near 1e5 leaves rounding above
+        # any absolute symmetry slack; the state is valid and far from classical
+        res = measure_m(make_squeezed_thermal(1.0, 6.0, 0.3), CG, FunctionalSpec(), TOL)
         assert res.classification == CERTIFIED_QUANTUM
 
     def test_fock_mixture_nogo(self):
