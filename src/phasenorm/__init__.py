@@ -6,14 +6,13 @@ demonstrations (quantum states the distance fails to certify).
 from .backend import KERNEL_BACKEND
 from .channels import (CG, IDENTITY, Amplifier, Attenuator, ChannelSpec,
                        Displacement, Rotation)
-from .fock import (FockDiagonalState, TailBoundError, UnsupportedInputError,
-                   amplify_fock, apply_channel_fock, attenuate_fock,
-                   classicalize_fock, loss_kraus_decomposition, make_mixture,
-                   make_thermal_fock, mean_photons, mix_states, number_state,
-                   radial_profile, wigner_s_fock)
+from .fock import (FockDiagonalState, UnsupportedInputError, amplify_fock,
+                   apply_channel_fock, attenuate_fock, loss_kraus_decomposition,
+                   make_mixture, make_thermal_fock, mean_photons, mix_states,
+                   number_state, radial_profile, wigner_s_fock)
 from .gaussian import (GaussianState, apply_channel_gaussian, channel_affine,
-                       classicalize_gaussian, is_quantum_gaussian,
-                       make_coherent, make_squeezed_thermal, make_thermal,
+                       is_quantum_gaussian, make_coherent,
+                       make_squeezed_thermal, make_thermal,
                        min_quadrature_variance, wigner_s_gaussian)
 from .quadrature import (GaussianTerm, IntegralEstimate, PlanarProfile,
                          RadialProfile, RootBudgetExceeded,
@@ -30,12 +29,11 @@ __version__ = "0.1.0"
 __all__ = [
     "KERNEL_BACKEND", "CG", "IDENTITY", "Amplifier", "Attenuator",
     "ChannelSpec", "Displacement", "Rotation", "FockDiagonalState",
-    "TailBoundError", "UnsupportedInputError", "amplify_fock",
-    "apply_channel_fock", "attenuate_fock", "classicalize_fock",
-    "loss_kraus_decomposition", "make_mixture", "make_thermal_fock",
-    "mean_photons", "mix_states", "number_state", "radial_profile",
-    "wigner_s_fock", "GaussianState", "apply_channel_gaussian",
-    "channel_affine", "classicalize_gaussian", "is_quantum_gaussian",
+    "UnsupportedInputError", "amplify_fock", "apply_channel_fock",
+    "attenuate_fock", "loss_kraus_decomposition", "make_mixture",
+    "make_thermal_fock", "mean_photons", "mix_states", "number_state",
+    "radial_profile", "wigner_s_fock", "GaussianState",
+    "apply_channel_gaussian", "channel_affine", "is_quantum_gaussian",
     "make_coherent", "make_squeezed_thermal", "make_thermal",
     "min_quadrature_variance", "wigner_s_gaussian", "GaussianTerm",
     "IntegralEstimate", "PlanarProfile", "RadialProfile",

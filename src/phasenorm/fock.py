@@ -6,7 +6,9 @@ probability t); the quantum-limited amplifier through the negative-binomial
 law P(m|n) = C(m, n) (1/g)^{n+1} (1-1/g)^{m-n}, m >= n.  Neither law is
 assumed: the test suite validates both against the Gaussian covariance
 engine and against the ordering-shift identity of the classicalization
-channel (its output Wigner function equals the input W^(s-2)).
+channel (its output Wigner function equals the input W^(s-2)).  The
+quantifier applies channels through that identity instead; these laws
+serve loss monotonicity, the Kraus branches and the oracles.
 
 Amplification grows the cutoff; the mass pushed beyond the chosen cutoff is
 bounded exactly from the transition columns and carried in the state's
@@ -27,14 +29,6 @@ from .quadrature import RadialProfile
 MASS_EPS = 1e-12        # invariant slack on sum(weights) + tail == 1
 USER_NORM_EPS = 1e-9    # acceptance slack for user-supplied weights
 TAIL_BOUND_MAX = 1e-10  # certified truncation mass per channel application
-
-
-class TailBoundError(ValueError):
-    """Requested amplifier margin cannot certify the tail bound."""
-
-    def __init__(self, message, required_margin):
-        super().__init__(message)
-        self.required_margin = required_margin
 
 
 class UnsupportedInputError(TypeError):
@@ -194,28 +188,16 @@ def _amplifier_columns(weights, gain, out_cutoff):
     return out, truncated
 
 
-def amplify_fock(state, gain, margin=None):
+def amplify_fock(state, gain):
     """Quantum-limited amplifier; output cutoff ceil(gain*(N+1)) + margin.
 
-    With ``margin=None`` the smallest margin certifying truncated mass
-    <= 1e-10 is chosen.  An explicit insufficient margin raises
-    :class:`TailBoundError` carrying the required margin.
+    The margin is the smallest one certifying truncated mass <= 1e-10.
     """
     if gain < 1.0:
         raise ValueError(f"gain must be >= 1, got {gain}")
     if gain == 1.0:
         return state
     base = math.ceil(gain * (state.cutoff + 1))
-
-    if margin is not None:
-        out, truncated = _amplifier_columns(state.weights, gain, base + margin)
-        if truncated > TAIL_BOUND_MAX:
-            required = _required_margin(state, gain, base)
-            raise TailBoundError(
-                f"margin {margin} leaves truncated mass {truncated:.3e} > "
-                f"{TAIL_BOUND_MAX:.0e}; margin >= {required} required", required)
-        return FockDiagonalState(out, state.tail_mass_bound + truncated)
-
     m = _required_margin(state, gain, base)
     out, truncated = _amplifier_columns(state.weights, gain, base + m)
     return FockDiagonalState(out, state.tail_mass_bound + truncated)
@@ -240,11 +222,6 @@ def _required_margin(state, gain, base):
         else:
             lo = mid + 1
     return lo
-
-
-def classicalize_fock(state, margin=None):
-    """Gaussian classicalization: attenuate to 1/2, then amplify by 2."""
-    return amplify_fock(attenuate_fock(state, 0.5), 2.0, margin)
 
 
 def apply_channel_fock(state, channel):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CG, Amplifier, Attenuator, Displacement, Rotation
+from .channels import Amplifier, Attenuator, Displacement, Rotation
 
 VACUUM_VARIANCE = 0.25
 PHYS_EPS = 1e-12  # physicality slack, absorbs rounding in composed channels
@@ -201,8 +201,3 @@ def min_quadrature_variance(state):
 def is_quantum_gaussian(state):
     """Sub-vacuum quadrature variance witness (min eigenvalue < 1/4)."""
     return min_quadrature_variance(state) < VACUUM_VARIANCE - 1e-12
-
-
-def classicalize_gaussian(state):
-    """Apply the Gaussian classicalization channel: cov += I/2, mean fixed."""
-    return apply_channel_gaussian(state, CG)

@@ -12,13 +12,14 @@ d^2alpha/pi measure.  Two integrators are provided:
 Both share the same machinery: the improper integral is truncated at a
 radius where the profile's declared Gaussian decay certifies a tail bound
 below tol/10, the integrand is cut at every sign change of f so |f|^p is
-smooth on each panel, and panels are refined worst-first with fixed-order
-Gauss-Legendre rules until the accumulated error estimate fits the
-tolerance.  Radial profiles find their sign changes by bracketing and
-bisection to 1e-12.  Along a ray of a planar profile the log-magnitude of
-each Gaussian term is quadratic in the radius, so its sign change is
-found in closed form; for p = 1 with a shared center the whole ray
-integral is closed form, and only the angle is integrated numerically.
+smooth on each panel (no cut for even integer p: f^p is smooth), and
+panels are refined worst-first with fixed-order Gauss-Legendre rules
+until the accumulated error estimate fits the tolerance.  Radial profiles
+find their sign changes by bracketing and bisection to 1e-12.  Along a
+ray of a planar profile the log-magnitude of each Gaussian term is
+quadratic in the radius, so its sign change is found in closed form; for
+p = 1 with a shared center the whole ray integral is closed form, and
+only the angle is integrated numerically.
 """
 
 import heapq
@@ -53,9 +54,10 @@ class IntegralEstimate:
     ``abs_error_bound`` is the sum of two parts.  The truncation tail is
     certified: the declared decay envelope bounds it.  The panel part, the
     summed difference between GL16 on each panel and GL16 on its two
-    halves, is an estimate and can undershoot the true error (the thermal
-    Fock state nbar 0.5730622834396575, cutoff 66, misses its ``err``
-    under ``CG`` by 1.7e-9).
+    halves, is an estimate and can undershoot the true error (the squeezed
+    thermal state nbar 1, r 20 gives N = 1.5000005 with err 7.3e-7 under
+    ``CG``, against a limit of 2: no GL16 node of the angular panels
+    samples its needle-thin input term).
     """
 
     value: float
@@ -245,7 +247,7 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts, max_panels=8192):
     ``find_cuts(radius)`` returns the sign changes of f on (0, radius).
     """
     radius, tail = _truncation_radius(decay, p, tol * 0.1)
-    cuts = sorted(find_cuts(radius))
+    cuts = [] if p % 2.0 == 0.0 else sorted(find_cuts(radius))
     edges = [0.0] + [c for c in cuts if MIN_PANEL_WIDTH < c < radius - MIN_PANEL_WIDTH] + [radius]
 
     def g(r):

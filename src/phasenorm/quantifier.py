@@ -19,14 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import CG, Attenuator, ChannelSpec
+from .channels import CG, Amplifier, Attenuator, ChannelSpec, Displacement
 from .fock import (FockDiagonalState, UnsupportedInputError, apply_channel_fock,
                    loss_kraus_decomposition, mix_states, radial_profile,
                    wigner_s_fock)
 from .gaussian import (GaussianState, apply_channel_gaussian, is_quantum_gaussian,
                        min_quadrature_variance, ordered_cov)
-from .quadrature import (GaussianTerm, PlanarProfile, RadialProfile,
-                         integrate_plane_abs_pow, integrate_radial_abs_pow)
+from .quadrature import (SIGN_SCAN_FLOOR, GaussianTerm, PlanarProfile,
+                         RadialProfile, integrate_plane_abs_pow,
+                         integrate_radial_abs_pow)
 
 DEFAULT_TOL = 1e-6
 NEGATIVITY_WITNESS_MIN = 1e-3  # separates genuine negativity from quadrature noise
@@ -107,6 +108,21 @@ def _pow_and_error(integral, p):
     return value, upper - value
 
 
+def _fold_fock_channel(channel):
+    """(k, y) of cov -> k cov + y I, folded in scalars: C_g gives exactly (1, 1/2)."""
+    k, y = 1.0, 0.0
+    for el in channel.elements:
+        if isinstance(el, Attenuator):
+            t = el.transmittivity
+            k, y = t * k, t * y + (1.0 - t) / 4.0
+        elif isinstance(el, Amplifier):
+            g = el.gain
+            k, y = g * k, g * y + (g - 1.0) / 4.0
+        elif isinstance(el, Displacement) and el.delta != 0:
+            raise UnsupportedInputError("displacement breaks photon-number diagonality")
+    return k, y
+
+
 def _integral_once(state, channel, fn, quad_tol):
     if isinstance(state, GaussianState):
         out = apply_channel_gaussian(state, channel)
@@ -114,14 +130,24 @@ def _integral_once(state, channel, fn, quad_tol):
                                  _negated(_gaussian_term(out, fn.s))))
         return integrate_plane_abs_pow(profile, fn.p, quad_tol)
     if isinstance(state, FockDiagonalState):
-        out = apply_channel_fock(state, channel)
-        prof_in = radial_profile(state, fn.s)
-        prof_out = radial_profile(out, fn.s)
-        diff = RadialProfile(
-            lambda r: wigner_s_fock(state, fn.s, r) - wigner_s_fock(out, fn.s, r),
-            prof_in.decay + prof_out.decay,
-            degree_hint=state.cutoff + out.cutoff + 2)
-        return integrate_radial_abs_pow(diff, fn.p, quad_tol)
+        # W^(s) of the output is W^(s')(r / sqrt k) / k of the input with
+        # s' = (s - 4y)/k: for C_g the ordering shift s -> s - 2
+        k, y = _fold_fock_channel(channel)
+        s_out, root_k = (fn.s - 4.0 * y) / k, math.sqrt(k)
+
+        def diff(r):
+            # zero below the terms' rounding, or a state the channel fixes
+            # (the vacuum under loss) floods the sign scan with noise flips
+            w_in = wigner_s_fock(state, fn.s, r)
+            w_out = wigner_s_fock(state, s_out, r / root_k) / k
+            noise = SIGN_SCAN_FLOOR * (np.abs(w_in) + np.abs(w_out))
+            return np.where(np.abs(w_in - w_out) > noise, w_in - w_out, 0.0)
+
+        decay_out = tuple((log_a - math.log(k), rate / k)
+                          for log_a, rate in radial_profile(state, s_out).decay)
+        profile = RadialProfile(diff, radial_profile(state, fn.s).decay + decay_out,
+                                degree_hint=2 * state.cutoff + 2)
+        return integrate_radial_abs_pow(profile, fn.p, quad_tol)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        FunctionalSpec, GaussianState, NOGO_INSTANCE,
-                       baseline_with_error, classicalize_fock,
+                       apply_channel_fock, baseline_with_error,
                        is_quantum_gaussian, make_squeezed_thermal,
                        make_thermal, make_thermal_fock, norm_value,
                        number_state, wigner_negativity, wigner_s_fock,
@@ -100,7 +100,7 @@ def test_criterion_5_oracle_equivalence():
     worst_shift = 0.0
     for n in range(6):
         state = number_state(n)
-        out = classicalize_fock(state)
+        out = apply_channel_fock(state, CG)
         assert out.tail_mass_bound <= 1e-10
         diff = np.max(np.abs(wigner_s_fock(out, 0.0, grid)
                              - wigner_s_fock(state, -2.0, grid)))

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from phasenorm import (Amplifier, Attenuator, ChannelSpec, Displacement,
+from phasenorm import (CG, Amplifier, Attenuator, ChannelSpec, Displacement,
                        GaussianState, Rotation, apply_channel_gaussian,
-                       channel_affine, classicalize_gaussian,
-                       is_quantum_gaussian, make_coherent,
+                       channel_affine, is_quantum_gaussian, make_coherent,
                        make_squeezed_thermal, make_thermal,
                        min_quadrature_variance, wigner_s_gaussian)
 
@@ -100,7 +99,7 @@ class TestChannels:
             nu = rng.uniform(0.25, 1.5)
             state = make_squeezed_thermal((4 * nu - 1) / 2, rng.uniform(0, 1.2),
                                           rng.uniform(0, math.pi))
-            out = classicalize_gaussian(state)
+            out = apply_channel_gaussian(state, CG)
             assert np.max(np.abs(out.cov - state.cov - np.diag([0.5, 0.5]))) <= 1e-15
             assert np.array_equal(out.mean, state.mean)
 
@@ -142,7 +141,7 @@ class TestWigner:
         assert wigner_s_gaussian(vac, -1.0, 0j) == pytest.approx(1.0, abs=1e-14)
 
     def test_classicalized_vacuum_at_origin(self):
-        out = classicalize_gaussian(GaussianState())
+        out = apply_channel_gaussian(GaussianState(), CG)
         assert wigner_s_gaussian(out, 0.0, 0j) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_vacuum_radial_profile(self):
@@ -157,7 +156,7 @@ class TestWigner:
         for _ in range(10):
             state = make_squeezed_thermal(rng.uniform(0, 2), rng.uniform(0, 1),
                                           rng.uniform(0, math.pi))
-            out = classicalize_gaussian(state)
+            out = apply_channel_gaussian(state, CG)
             for s in (0.0, -1.0):
                 assert np.allclose(wigner_s_gaussian(out, s, pts),
                                    wigner_s_gaussian(state, s - 2.0, pts),

@@ -217,3 +217,20 @@ def test_l2_matches_pairwise_overlaps(first, second):
     tol = 1e-8
     est = integrate_plane_abs_pow(PlanarProfile((t1, t2)), 2.0, tol)
     assert abs(est.value - want) <= 10 * tol
+
+
+def test_even_p_rays_are_not_cut():
+    # |f|^2 = f^2 is smooth at a sign change, so a cut only adds panels:
+    # 278 with the closed-form cuts, 206 without
+    est = integrate_plane_abs_pow(squeezed_difference(), 2.0, 1e-7)
+    assert est.subdivisions <= 230
+
+
+def test_even_p_radial_route_runs_no_sign_scan(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("radial route scanned for sign changes at p = 2")
+
+    monkeypatch.setattr(phasenorm.quadrature, "locate_sign_changes", scan)
+    # int W^2 d^2alpha/pi is the purity, 1 for a number state
+    est = integrate_radial_abs_pow(radial_profile(number_state(2), 0.0), 2.0, 1e-9)
+    assert est.value == pytest.approx(1.0, abs=1e-9)

@@ -3,14 +3,21 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import phasenorm.fock
+import phasenorm.quantifier
 from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
+                       Amplifier, Attenuator, ChannelSpec, Displacement,
                        FunctionalSpec, GaussianState, IDENTITY, NOGO_INSTANCE,
-                       UnsupportedInputError, baseline_with_error, classify,
-                       convexity_gap, make_coherent, make_mixture,
-                       make_squeezed_thermal, make_thermal, measure_m,
-                       monotonicity_gap_strong, monotonicity_gap_weak,
-                       norm_value, number_state, wigner_negativity)
+                       RadialProfile, Rotation, UnsupportedInputError,
+                       apply_channel_fock, baseline_with_error, classify,
+                       convexity_gap, integrate_radial_abs_pow, make_coherent,
+                       make_mixture, make_squeezed_thermal, make_thermal,
+                       make_thermal_fock, measure_m, monotonicity_gap_strong,
+                       monotonicity_gap_weak, norm_value, number_state,
+                       radial_profile, wigner_negativity, wigner_s_fock)
 
 TOL = 1e-6
 
@@ -114,6 +121,88 @@ class TestNorm:
     def test_unsupported_state_type(self):
         with pytest.raises(TypeError):
             measure_m(np.zeros(3), CG, FunctionalSpec(), TOL)
+
+
+def channel_route_integral(state, channel, s, tol):
+    """int |W^(s)(rho) - W^(s)(channel(rho))| with the output built by the
+    Fock transition laws (binomial and negative-binomial columns)."""
+    out = apply_channel_fock(state, channel)
+    diff = RadialProfile(
+        lambda r: wigner_s_fock(state, s, r) - wigner_s_fock(out, s, r),
+        radial_profile(state, s).decay + radial_profile(out, s).decay,
+        degree_hint=state.cutoff + out.cutoff + 2)
+    return integrate_radial_abs_pow(diff, 1.0, tol)
+
+
+class TestFockOrderingShift:
+    def test_no_transition_law_at_runtime(self, monkeypatch):
+        # the quantifier applies a channel to a diagonal state as an ordering
+        # shift; building the amplified state is left to the oracles
+        def refuse(*args, **kwargs):
+            raise AssertionError("quantifier applied a Fock transition law")
+
+        monkeypatch.setattr(phasenorm.fock, "amplify_fock", refuse)
+        monkeypatch.setattr(phasenorm.quantifier, "apply_channel_fock", refuse)
+        nogo = measure_m(make_mixture([0.38, 0.57, 0.05]), CG, FunctionalSpec(), TOL)
+        assert nogo.classification == NOGO_INSTANCE
+        thermal = measure_m(make_thermal_fock(1.0), CG, FunctionalSpec(), TOL)
+        assert abs(thermal.n_value - THERMAL1_CG) <= thermal.err
+        assert thermal.classification == CLASSICAL_CONSISTENT
+
+    def test_identity_channel_gives_zero(self):
+        assert measure_m(number_state(3), IDENTITY).n_value == 0.0
+
+    def test_loss_fixes_the_vacuum(self):
+        # the two terms agree only to rounding; noise flips must not be
+        # counted as sign changes (they exceeded the root budget)
+        loss = ChannelSpec((Attenuator(0.3), Rotation(1.0), Attenuator(0.7)))
+        for s in (0.0, -1.0, -3.0):
+            assert norm_value(make_mixture([1.0, 0.0, 0.0]), loss,
+                              FunctionalSpec(s=s), TOL)[0] == 0.0
+
+    def test_displacement_rejected(self):
+        with pytest.raises(UnsupportedInputError):
+            measure_m(number_state(1), ChannelSpec((Displacement(1 + 0j),)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=13).filter(
+               lambda w: sum(w) > 0.01),
+           st.lists(st.one_of(st.floats(0.1, 1.0).map(Attenuator),
+                              st.floats(1.0, 2.0).map(Amplifier),
+                              st.floats(0.0, 2.0 * math.pi).map(Rotation)),
+                    min_size=1, max_size=4),
+           st.sampled_from([0.0, -0.5, -1.0]))
+    def test_matches_transition_law_route(self, weights, elements, s):
+        state = make_mixture(np.array(weights) / sum(weights))
+        channel = ChannelSpec(tuple(elements))
+        value, err = norm_value(state, channel, FunctionalSpec(s=s), TOL)
+        oracle = channel_route_integral(state, channel, s, TOL)
+        assert abs(value - oracle.value) <= err + oracle.abs_error_bound + 1e-8
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 120), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.05, 1.0]),
+           st.sampled_from([0.0, -0.5, -1.0, -2.0, -3.0, -5.0]),
+           st.floats(0.1, 9.0))
+    def test_rescaled_decay_envelope_holds(self, cutoff, seed, alpha, s, k):
+        # the ordering-shift route integrates W^(s)(r / sqrt(k)) / k, bounded
+        # by the envelope of radial_profile with log amplitude - ln k and
+        # rate / k; checked out to the radius where that envelope's tail
+        # drops below 1e-7 (a tol 1e-6 integral truncates there)
+        rng = np.random.default_rng(seed)
+        state = make_mixture(rng.dirichlet(np.full(cutoff + 1, alpha)))
+        decay = [(log_a - math.log(k), rate / k)
+                 for log_a, rate in radial_profile(state, s).decay]
+        log_amp = np.logaddexp.reduce([log_a for log_a, _ in decay])
+        rate_min = min(rate for _, rate in decay)
+        radius = math.sqrt(max(
+            (log_amp - math.log(rate_min) - math.log(1e-7)) / rate_min, 1.0))
+        r = np.linspace(0.0, radius, 2001)
+        values = wigner_s_fock(state, s, r / math.sqrt(k)) / k
+        envelope = np.logaddexp.reduce([log_a - rate * r**2 for log_a, rate in decay])
+        with np.errstate(divide="ignore"):
+            excess = np.log(np.abs(values)) - envelope
+        assert np.max(excess) <= 1e-12
 
 
 class TestMeasure:
