@@ -101,6 +101,19 @@ def mean_photons(state):
 
 # ------------------------------------------------------------------ Wigner
 
+def _series(weights, s, radius):
+    """sum_m weights[m] W_m^(s)(radius) by the kernel recurrence; scalar in, scalar out."""
+    if s >= 1.0:
+        raise ValueError(f"ordering parameter must be < 1, got {s}")
+    rho = np.asarray(radius, dtype=float)
+    rho1 = np.atleast_1d(rho)
+    tau = (s + 1.0) / (s - 1.0)
+    u = -4.0 * rho1**2 / (1.0 - s) ** 2
+    pref = (2.0 / (1.0 - s)) * np.exp(-2.0 * rho1**2 / (1.0 - s))
+    out = backend.wigner_series(weights, tau, u, pref)
+    return float(out[0]) if rho.ndim == 0 else out
+
+
 def wigner_s_fock(state, s, radius):
     """s-ordered Wigner function at radius |alpha|, s < 1.
 
@@ -109,20 +122,30 @@ def wigner_s_fock(state, s, radius):
     recurrence of :func:`phasenorm.backend.wigner_series` (stable at any
     cutoff; the s = -1 Husimi limit is regular in this parametrization).
     """
+    return _series(state.weights, s, radius)
+
+
+def wigner_mass_outside(state, s, radius):
+    """T_s(r) = int_{|alpha| > r} W^(s) d^2alpha/pi, the mass outside radius r.
+
+    With x = r^2, beta = 2/(1-s), tau = (s+1)/(s-1) and h_n = W_n^(s),
+    int_x^inf h_n dx' = (1/beta) sum_{m<=n} (h_m(x) - tau h_{m-1}(x)), which
+    follows from L_n' - L_{n-1}' = -L_{n-1} (DLMF 18.9).  Summed over the
+    state it is one kernel call with the weights w'_m = P_m - tau P_{m+1},
+    where P_m = sum_{n>=m} p_n, divided by beta.
+    """
     if s >= 1.0:
         raise ValueError(f"ordering parameter must be < 1, got {s}")
-    rho = np.asarray(radius, dtype=float)
-    scalar = rho.ndim == 0
-    rho1 = np.atleast_1d(rho).astype(float)
     tau = (s + 1.0) / (s - 1.0)
-    u = -4.0 * rho1**2 / (1.0 - s) ** 2
-    pref = (2.0 / (1.0 - s)) * np.exp(-2.0 * rho1**2 / (1.0 - s))
-    out = backend.wigner_series(state.weights, tau, u, pref)
-    return float(out[0]) if scalar else out
+    upper = np.cumsum(state.weights[::-1])[::-1]
+    return _series(upper - tau * np.append(upper[1:], 0.0), s, radius) / (2.0 / (1.0 - s))
 
 
 def radial_profile(state, s):
     """RadialProfile of W^(s) with a certified Gaussian-decay envelope.
+
+    Its ``mass`` is :func:`wigner_mass_outside`, so the p = 1 integral of
+    the profile is computed exactly from the masses at its sign cuts.
 
     The envelope uses |sum_n p_n tau^n L_n| <= (1 + |u|)^N and splits off
     half the exponential rate to absorb the polynomial factor, all in log
@@ -144,7 +167,8 @@ def radial_profile(state, s):
         else:
             log_poly = 0.0
         decay = ((log_pref + log_poly, b),)
-    return RadialProfile(lambda r: wigner_s_fock(state, s, r), decay, degree_hint=n)
+    return RadialProfile(lambda r: wigner_s_fock(state, s, r), decay, degree_hint=n,
+                         mass=lambda r: wigner_mass_outside(state, s, r))
 
 
 # ---------------------------------------------------------------- channels

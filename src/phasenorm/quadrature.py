@@ -15,11 +15,22 @@ below tol/10, the integrand is cut at every sign change of f so |f|^p is
 smooth on each panel (no cut for even integer p: f^p is smooth), and
 panels are refined worst-first with fixed-order Gauss-Legendre rules
 until the accumulated error estimate fits the tolerance.  Radial profiles
-find their sign changes by bracketing and bisection to 1e-12.  Along a
-ray of a planar profile the log-magnitude of each Gaussian term is
-quadratic in the radius, so its sign change is found in closed form; for
-p = 1 with a shared center the whole ray integral is closed form, and
-only the angle is integrated numerically.
+find their sign changes by a scan over [0, R] and Illinois (modified
+regula falsi) refinement to 1e-12.  Along a ray of a planar profile the
+log-magnitude of each Gaussian term is quadratic in the radius, so its
+sign change is found in closed form; for p = 1 with a shared center the
+whole ray integral is closed form, and only the angle is integrated
+numerically.
+
+A radial profile that carries its ``mass`` (the integral of f outside a
+radius) skips the panels at p = 1: the integral is the sum of the mass
+differences between consecutive sign cuts, and the truncation radius R
+only bounds the scan.  Its error is certified in three parts: the
+envelope tail beyond R (a sign change missed there), the root placement
+(final bracket widths) and rounding.  What it does not certify is that
+the scan found every sign change inside R: two cuts closer than the scan
+step go unseen.  On every other route (p != 1, a profile without a mass,
+the planar angle) the panel part of the error is an estimate.
 """
 
 import heapq
@@ -31,12 +42,18 @@ import numpy as np
 LEG_NODES, LEG_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 ROOT_XTOL = 1e-12
+ROOT_MAX_STEPS = 200
 MIN_PANEL_WIDTH = 1e-13
+EPS = float(np.finfo(float).eps)
 SIGN_SCAN_FLOOR = 1e-13  # relative magnitude below which sign flips are noise
 
 
 class ToleranceNotReached(RuntimeError):
-    """Subdivision budget exhausted; ``estimate`` holds the best result."""
+    """Error bound above tolerance; ``estimate`` holds the best result.
+
+    The integrators attach an :class:`IntegralEstimate`,
+    :func:`~phasenorm.quantifier.norm_value` the pair (N, err).
+    """
 
     def __init__(self, message, estimate):
         super().__init__(message)
@@ -51,13 +68,22 @@ class RootBudgetExceeded(RuntimeError):
 class IntegralEstimate:
     """Quadrature result with its error budget.
 
-    ``abs_error_bound`` is the sum of two parts.  The truncation tail is
-    certified: the declared decay envelope bounds it.  The panel part, the
-    summed difference between GL16 on each panel and GL16 on its two
-    halves, is an estimate and can undershoot the true error (the squeezed
-    thermal state nbar 1, r 20 gives N = 1.5000005 with err 7.3e-7 under
-    ``CG``, against a limit of 2: no GL16 node of the angular panels
-    samples its needle-thin input term).
+    On the panel routes ``abs_error_bound`` is the sum of two parts.  The
+    truncation tail is certified: the declared decay envelope bounds it.
+    The panel part, the summed difference between GL16 on each panel and
+    GL16 on its two halves, is an estimate and can undershoot the true
+    error (the squeezed thermal state nbar 1, r 20 gives N = 1.5000005
+    with err 7.3e-7 under ``CG``, against a limit of 2: no GL16 node of
+    the angular panels samples its needle-thin input term).
+
+    On the exact radial route (p = 1, a profile with a ``mass``) it is
+    twice the envelope tail beyond the scan radius (certified by the
+    envelope), plus the root placement (final bracket width times the
+    larger |f| at its ends, exact for f monotone on the bracket), plus
+    rounding of the masses (the bound the profile declares).  What it
+    assumes is the completeness of the sign scan inside
+    ``truncation_radius``.  ``subdivisions`` then counts the mass
+    intervals between cuts.
     """
 
     value: float
@@ -74,12 +100,16 @@ class RadialProfile:
     (log_amplitude, rate) pairs certifying |f(rho)| <= sum_i exp(log_a_i -
     rate_i * rho^2) for every rho >= 0; it drives the truncation radius.
     ``degree_hint`` bounds the number of sign changes (used to choose the
-    root-scan sampling density).
+    root-scan sampling density).  ``mass``, when given, maps an ndarray of
+    radii r to T(r) = int_{|alpha| > r} f d^2alpha/pi, with T(inf) = 0 and
+    rounding at most eps * (degree_hint + 1) * max(1, |T|); it makes the
+    p = 1 integral exact (see :func:`integrate_radial_abs_pow`).
     """
 
     evaluator: object
     decay: tuple
     degree_hint: int = 8
+    mass: object = None
 
 
 @dataclass(frozen=True)
@@ -111,18 +141,36 @@ class PlanarProfile:
         return out
 
 
+class SignChanges(list):
+    """Sorted sign-change radii with their final brackets.
+
+    ``widths[i]`` is the width of the bracket left around root i (0 for an
+    exact zero) and ``heights[i]`` the larger |f| at its two ends.
+    """
+
+    def __init__(self, roots, widths, heights):
+        order = np.argsort(roots, kind="stable")
+        super().__init__(float(r) for r in np.asarray(roots)[order])
+        self.widths = np.asarray(widths, dtype=float)[order]
+        self.heights = np.asarray(heights, dtype=float)[order]
+
+
 def locate_sign_changes(f, bracket, max_roots=64, samples=513, rel_floor=0.0):
     """Find radii where f changes sign on ``bracket``, each to 1e-12.
 
-    Sign changes are bracketed on a uniform scan grid and refined by
-    bisection (all brackets refined simultaneously, one vectorized call
-    per iteration).  Nodes where f is exactly zero are returned as cuts
-    directly.  Sign flips whose flanking magnitudes are both below
-    ``rel_floor`` times the scan maximum are ignored: such crossings are
-    floating-point noise in regions where f has decayed away, and missing
-    a cut there perturbs no integral of |f|^p (cuts only restore
-    smoothness at genuine kinks).  Raises :class:`RootBudgetExceeded`
+    Sign changes are bracketed on a uniform scan grid and refined by the
+    Illinois step (all brackets refined simultaneously, one vectorized call
+    per iteration on the brackets still open).  Nodes where f is exactly
+    zero are returned as cuts directly.  Sign flips whose flanking
+    magnitudes are both below ``rel_floor`` times the scan maximum are
+    ignored: such crossings are floating-point noise in regions where f has
+    decayed away, and missing a cut there perturbs no integral of |f|^p
+    (cuts only restore smoothness at genuine kinks).  Two sign changes
+    within one scan step are not seen.  Raises :class:`RootBudgetExceeded`
     when the scan finds more than ``max_roots`` relevant changes.
+
+    Returns a :class:`SignChanges` list, whose final bracket widths and end
+    values bound the placement error of each root.
     """
     lo, hi = bracket
     xs = np.linspace(lo, hi, samples)
@@ -135,26 +183,40 @@ def locate_sign_changes(f, bracket, max_roots=64, samples=513, rel_floor=0.0):
     if len(idx) + len(zero_nodes) > max_roots:
         raise RootBudgetExceeded(
             f"found {len(idx) + len(zero_nodes)} sign changes, budget {max_roots}")
-    roots = _bisect_brackets(f, xs[idx].copy(), xs[idx + 1].copy(), ys[idx].copy())
-    return sorted(float(r) for r in np.concatenate([roots, zero_nodes]))
+    roots, widths, heights = _illinois_brackets(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1])
+    zeros = np.zeros(len(zero_nodes))
+    return SignChanges(np.concatenate([roots, zero_nodes]),
+                       np.concatenate([widths, zeros]), np.concatenate([heights, zeros]))
 
 
-def _bisect_brackets(f, a, b, fa):
-    """Refine sign-change brackets simultaneously to ROOT_XTOL."""
-    it = 0
-    while len(a) and np.max(b - a) > ROOT_XTOL and it < 200:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        go_left = fa * fm < 0.0
-        exact = fm == 0.0
-        new_a = np.where(go_left, a, mid)
-        new_fa = np.where(go_left, fa, fm)
-        new_b = np.where(go_left, mid, b)
-        a = np.where(exact, mid, new_a)
-        b = np.where(exact, mid, new_b)
-        fa = new_fa
-        it += 1
-    return 0.5 * (a + b)
+def _illinois_brackets(f, a, b, fa, fb):
+    """Refine sign-change brackets [a, b] simultaneously to ROOT_XTOL.
+
+    The Illinois step (Dowell & Jarratt, BIT 1971): the regula falsi point c
+    replaces b; when f(c) has the sign of f(b) the kept end a is reused with
+    its value halved, so both ends converge.  A bracket closes when its
+    width is at most ROOT_XTOL or f(c) is exactly zero.  Returns the roots
+    (the latest iterate c), the final widths and max(|f|) at the final ends.
+    """
+    a, b = a.astype(float), b.astype(float)
+    ya, yb = fa.astype(float), fb.astype(float)  # f at the ends
+    wa = ya.copy()                               # the kept end's weight
+    width = np.abs(b - a)
+    open_ = np.nonzero(width > ROOT_XTOL)[0]
+    for _ in range(ROOT_MAX_STEPS):
+        if not len(open_):
+            break
+        ao, bo, wo, yo = a[open_], b[open_], wa[open_], yb[open_]
+        c = bo - yo * (bo - ao) / (yo - wo)
+        yc = f(c)
+        flip = yc * yo < 0.0
+        a[open_] = np.where(flip, bo, ao)
+        ya[open_] = np.where(flip, yo, ya[open_])
+        wa[open_] = np.where(flip, yo, 0.5 * wo)
+        b[open_], yb[open_] = c, yc
+        width[open_] = np.where(yc == 0.0, 0.0, np.abs(c - a[open_]))
+        open_ = open_[width[open_] > ROOT_XTOL]
+    return b, width, np.maximum(np.abs(ya), np.abs(yb))
 
 
 def _gl16(g, a, b):
@@ -257,13 +319,44 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts, max_panels=8192):
     return value, panel_err + tail, count, radius
 
 
+def _mass_l1(profile, tol, find_cuts):
+    """int_0^inf 2r |f| dr = sum_i |T(c_i) - T(c_{i+1})| over 0 = c_0 < cuts < inf."""
+    radius, tail = _truncation_radius(profile.decay, 1.0, tol * 0.1)
+    cuts = find_cuts(radius)
+    edges = np.array([0.0] + list(cuts))
+    masses = np.append(profile.mass(edges), 0.0)
+    value = float(np.sum(np.abs(np.diff(masses))))
+    # moving a cut inside its bracket changes the two masses beside it by at
+    # most the integral of 2r |f| over the bracket
+    right = edges[1:] + cuts.widths
+    placement = float(np.sum(4.0 * right * cuts.widths * cuts.heights))
+    rounding = (2.0 * EPS * (profile.degree_hint + 1) * len(edges)
+                * max(1.0, float(np.max(np.abs(masses)))))
+    est = IntegralEstimate(value, 2.0 * tail + placement + rounding, len(edges), radius)
+    if not est.abs_error_bound <= tol:
+        raise ToleranceNotReached(
+            f"error bound {est.abs_error_bound:.3e} of the mass sums above "
+            f"tolerance {tol:.3e}", est)
+    return est
+
+
 def integrate_radial_abs_pow(profile, p, tol):
     """int d^2alpha/pi |f(|alpha|)|^p  =  int_0^inf 2 rho |f(rho)|^p drho.
 
-    The integrand is cut at every sign change of f so |f|^p is smooth on
-    each panel; the returned ``abs_error_bound`` (panel estimates plus the
-    certified tail) is at most ``tol`` or :class:`ToleranceNotReached` is
-    raised with the best estimate attached.
+    Two routes, chosen by the input:
+
+    * p = 1 and a profile with a ``mass``: exact.  The sign cuts c_i are
+      scanned over [0, R], R the truncation radius, and the integral is
+      sum_i |T(c_i) - T(c_{i+1})| over 0 = c_0 < cuts < inf.  No panel
+      runs.  ``abs_error_bound`` is certified except for the scan's
+      completeness inside R: twice the envelope tail beyond R, the root
+      placement within the final brackets, and the rounding of the masses.
+    * otherwise: the integrand is cut at every sign change of f so
+      |f|^p is smooth on each panel, and adaptive GL16 panels run up to R;
+      ``abs_error_bound`` is the panel estimate plus the certified tail.
+
+    The bound is at most ``tol`` or :class:`ToleranceNotReached` is raised
+    with the best estimate attached.
     """
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
@@ -274,6 +367,8 @@ def integrate_radial_abs_pow(profile, p, tol):
                                    max_roots=profile.degree_hint + 16,
                                    samples=samples, rel_floor=SIGN_SCAN_FLOOR)
 
+    if p == 1.0 and profile.mass is not None:
+        return _mass_l1(profile, tol, find_cuts)
     value, err, count, radius = _core_abs_pow(
         profile.evaluator, profile.decay, p, tol, find_cuts)
     return IntegralEstimate(value, err, count, radius)

@@ -22,15 +22,15 @@ import numpy as np
 from .channels import CG, Amplifier, Attenuator, ChannelSpec, Displacement
 from .fock import (FockDiagonalState, UnsupportedInputError, apply_channel_fock,
                    loss_kraus_decomposition, mix_states, radial_profile,
-                   wigner_s_fock)
+                   wigner_mass_outside, wigner_s_fock)
 from .gaussian import (GaussianState, apply_channel_gaussian, is_quantum_gaussian,
                        min_quadrature_variance, ordered_cov)
 from .quadrature import (SIGN_SCAN_FLOOR, GaussianTerm, PlanarProfile,
-                         RadialProfile, integrate_plane_abs_pow,
-                         integrate_radial_abs_pow)
+                         RadialProfile, ToleranceNotReached,
+                         integrate_plane_abs_pow, integrate_radial_abs_pow)
 
 DEFAULT_TOL = 1e-6
-NEGATIVITY_WITNESS_MIN = 1e-3  # separates genuine negativity from quadrature noise
+NEGATIVITY_WITNESS_MIN = 1e-3  # the Fig. 2 witness threshold, far above quadrature noise
 BASELINE_CLOSED_CG = 4.0 * math.sqrt(3.0) / 9.0
 BASELINE_ORACLE_TOL = 1e-7
 
@@ -62,9 +62,15 @@ class FunctionalSpec:
 class QuantifierResult:
     """Quantifier value with baseline, measure, witness and classification.
 
-    ``err`` is the total error budget of the norm and of the baseline.
-    Only its envelope-tail part is certified; the Gauss-Legendre panel
-    part is an estimate (see :class:`~phasenorm.quadrature.IntegralEstimate`).
+    ``err`` is the norm's error bound plus the baseline's: the first is at
+    most ``tol`` (:func:`norm_value` raises otherwise), the second at most
+    ``min(tol, 1e-7)`` for ``CG`` at (s, p) = (0, 1), where the baseline is
+    checked against its closed form, and at most ``tol`` elsewhere.  So
+    ``err`` can exceed ``tol``, up to 2 tol.  How much of the norm's bound
+    is certified depends on the route (see
+    :class:`~phasenorm.quadrature.IntegralEstimate`): on the exact Fock route
+    at p = 1 all of it, given a complete sign scan; on the panel routes
+    only the envelope tail.
     ``m_value`` is exactly ``n_value - baseline``.
     """
 
@@ -143,10 +149,15 @@ def _integral_once(state, channel, fn, quad_tol):
             noise = SIGN_SCAN_FLOOR * (np.abs(w_in) + np.abs(w_out))
             return np.where(np.abs(w_in - w_out) > noise, w_in - w_out, 0.0)
 
+        def mass(r):
+            # the output term's mass outside r is T_{s'}(r / sqrt k)
+            return (wigner_mass_outside(state, fn.s, r)
+                    - wigner_mass_outside(state, s_out, r / root_k))
+
         decay_out = tuple((log_a - math.log(k), rate / k)
                           for log_a, rate in radial_profile(state, s_out).decay)
         profile = RadialProfile(diff, radial_profile(state, fn.s).decay + decay_out,
-                                degree_hint=2 * state.cutoff + 2)
+                                degree_hint=2 * state.cutoff + 2, mass=mass)
         return integrate_radial_abs_pow(profile, fn.p, quad_tol)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
@@ -155,8 +166,9 @@ def norm_value(state, channel, fn, tol):
     """(N, err) of one state; the integral's error carried through the p-th root.
 
     When the root inflates err above tol (p > 1) the integral tolerance is
-    tightened and the integral redone, four integrals at most; the last
-    (N, err) is returned even if err still exceeds tol.
+    tightened and the integral redone, four integrals at most; if err still
+    exceeds tol, :class:`~phasenorm.quadrature.ToleranceNotReached` is
+    raised with the last (N, err) as its ``estimate``.
     """
     quad_tol = tol
     for _ in range(4):
@@ -166,7 +178,9 @@ def norm_value(state, channel, fn, tol):
             return value, err
         # integral tolerance that maps to a norm error of tol
         quad_tol = 0.9 * ((value + tol) ** fn.p - value**fn.p)
-    return value, err
+    raise ToleranceNotReached(
+        f"norm error {err:.3e} above tolerance {tol:.3e} after 4 integrals",
+        (value, err))
 
 
 @lru_cache(maxsize=256)

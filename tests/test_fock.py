@@ -1,8 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phasenorm.fock import MASS_EPS, wigner_mass_outside
 from phasenorm import (CG, FockDiagonalState, GaussianState,
                        UnsupportedInputError, amplify_fock, apply_channel_fock,
                        attenuate_fock, ChannelSpec, Displacement,
@@ -85,6 +89,38 @@ class TestWigner:
             wigner_s_fock(number_state(0), 1.0, 0.0)
 
 
+def mpmath_mass_outside(weights, s, r):
+    """int_{|alpha|>r} W^(s) d^2alpha/pi term by term, at 50 digits.
+
+    W_n^(s) = beta e^{-beta x} sum_k C(n, k) tau^{n-k} (a x)^k / k! with
+    x = r^2, beta = 2/(1-s), a = 4/(1-s)^2, so each power integrates to an
+    upper incomplete gamma function; no Laguerre recurrence is used.
+    """
+    with mp.workdps(50):
+        s, x = mp.mpf(s), mp.mpf(r) ** 2
+        beta, a, tau = 2 / (1 - s), 4 / (1 - s) ** 2, (s + 1) / (s - 1)
+        return float(sum(
+            mp.mpf(p) * mp.binomial(n, k) * tau ** (n - k) * (a / beta) ** k
+            / mp.factorial(k) * mp.gammainc(k + 1, beta * x)
+            for n, p in enumerate(weights) for k in range(n + 1)))
+
+
+class TestMassOutside:
+    @pytest.mark.parametrize("s", [0.0, -0.5, -1.0, -2.0, -3.0])
+    @pytest.mark.parametrize("state", [number_state(7), make_mixture([0.1, 0.2, 0.3, 0.4]),
+                                       make_thermal_fock(1.5, cutoff=20)],
+                             ids=["fock7", "mixture", "thermal"])
+    def test_matches_mpmath(self, state, s):
+        radii = np.array([0.0, 0.3, 0.8, 1.5, 2.4, 4.0])
+        got = wigner_mass_outside(state, s, radii)
+        want = [mpmath_mass_outside(state.weights, s, r) for r in radii]
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_order_one_rejected(self):
+        with pytest.raises(ValueError):
+            wigner_mass_outside(number_state(0), 1.0, 0.0)
+
+
 class TestAttenuator:
     def test_single_photon_half_loss(self):
         out = attenuate_fock(number_state(1), 0.5)
@@ -140,6 +176,19 @@ class TestAmplifier:
         # above the bound (5.6e-11 kept, 1.08e-10 without the last weight)
         out = amplify_fock(number_state(2), 2.0)
         assert out.tail_mass_bound <= 1e-10 < out.tail_mass_bound + out.weights[-1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda w: sum(w) > 0.01),
+       st.lists(st.one_of(st.tuples(st.just(attenuate_fock), st.floats(0.05, 1.0)),
+                          st.tuples(st.just(amplify_fock), st.floats(1.0, 2.5))),
+                min_size=1, max_size=3))
+def test_channels_keep_mass_bookkeeping(weights, chain):
+    # truncated mass moves into tail_mass_bound and is never dropped
+    state = make_mixture(np.array(weights) / sum(weights))
+    for channel, param in chain:
+        state = channel(state, param)
+        assert abs(state.weights.sum() + state.tail_mass_bound - 1.0) <= MASS_EPS
 
 
 class TestClassicalize:

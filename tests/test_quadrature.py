@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,61 @@ class TestRadial:
         with pytest.raises(ValueError):
             integrate_radial_abs_pow(vacuum_diff_profile(), 0.5, 1e-6)
 
+    def test_mass_route_is_exact(self):
+        # one sign cut at rho = 1/2, two mass intervals
+        est = integrate_radial_abs_pow(radial_profile(number_state(1), 0.0), 1.0, 1e-9)
+        assert est.value == pytest.approx(ABS_W1_INTEGRAL, abs=1e-14)
+        assert est.subdivisions == 2
+
+    def test_fock2_abs_integral_matches_mpmath(self):
+        # W_2 = 2 e^{-2x} L_2(4x) in x = rho^2, split at 4x = 2 -+ sqrt(2)
+        with mp.workdps(30):
+            def w2(x):
+                y = 4 * x
+                return 2 * mp.exp(-2 * x) * (1 - 2 * y + y**2 / 2)
+
+            cuts = [0, (2 - mp.sqrt(2)) / 4, (2 + mp.sqrt(2)) / 4, mp.inf]
+            want = float(sum(abs(mp.quad(w2, [a, b])) for a, b in zip(cuts, cuts[1:])))
+        est = integrate_radial_abs_pow(radial_profile(number_state(2), 0.0), 1.0, 1e-9)
+        assert est.value == pytest.approx(want, abs=1e-14)
+
+    def test_mass_route_floor_raises_with_estimate(self):
+        # the tail is below tol/10 by construction; rounding of the masses
+        # (about 1e-15 here) is what cannot reach 1e-16
+        with pytest.raises(ToleranceNotReached) as excinfo:
+            integrate_radial_abs_pow(radial_profile(number_state(1), 0.0), 1.0, 1e-16)
+        est = excinfo.value.estimate
+        assert est.value == pytest.approx(ABS_W1_INTEGRAL, abs=1e-14)
+        assert est.abs_error_bound > 1e-16
+
+    def test_placement_bound_covers_unrefined_cuts(self, monkeypatch):
+        # with no refinement step the cut stays at a scan node near rho = 1/2;
+        # the miss is far above the tail part of err (2e-7), so only the
+        # placement term can cover it, and it pushes err above tol
+        monkeypatch.setattr(phasenorm.quadrature, "ROOT_MAX_STEPS", 0)
+        with pytest.raises(ToleranceNotReached) as excinfo:
+            integrate_radial_abs_pow(radial_profile(number_state(1), 0.0), 1.0, 1e-6)
+        est = excinfo.value.estimate
+        miss = abs(est.value - ABS_W1_INTEGRAL)
+        assert 1e-6 < miss <= est.abs_error_bound
+
+    @pytest.mark.parametrize("p,mass", [(1.0, True), (1.0, False), (3.0, True)],
+                             ids=["p1_mass", "p1_no_mass", "p3_mass"])
+    def test_panels_run_only_without_the_exact_route(self, p, mass, monkeypatch):
+        calls = []
+        panels = phasenorm.quadrature._adaptive_panels
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return panels(*args, **kwargs)
+
+        monkeypatch.setattr(phasenorm.quadrature, "_adaptive_panels", counted)
+        profile = radial_profile(number_state(3), -0.5)
+        if not mass:
+            profile = dataclasses.replace(profile, mass=None)
+        integrate_radial_abs_pow(profile, p, 1e-8)
+        assert bool(calls) == (p != 1.0 or not mass)
+
     def test_unreachable_tolerance_carries_estimate(self):
         with pytest.raises(ToleranceNotReached) as excinfo:
             integrate_radial_abs_pow(radial_profile(number_state(1), 0.0), 1.0, 1e-30)
@@ -74,6 +131,28 @@ class TestSignChanges:
 
     def test_identically_zero_gives_empty(self):
         assert locate_sign_changes(lambda r: np.zeros_like(np.asarray(r)), (0.0, 5.0)) == []
+
+    def test_illinois_refines_in_few_calls(self):
+        # the scan plus five Illinois steps; bisection took 34 calls
+        calls = []
+
+        def f(r):
+            calls.append(np.size(r))
+            r = np.asarray(r)
+            return -2.0 * (1.0 - 4.0 * r**2) * np.exp(-2.0 * r**2)
+
+        roots = locate_sign_changes(f, (0.0, 3.0))
+        assert roots == [pytest.approx(0.5, abs=1e-10)]
+        assert len(calls) <= 8
+        assert roots.widths[0] <= phasenorm.quadrature.ROOT_XTOL
+
+    def test_brackets_close_on_every_root(self):
+        # several roots refined together; each final bracket holds its root
+        roots = locate_sign_changes(lambda r: np.cos(3.0 * np.asarray(r)), (0.0, 6.0))
+        want = (np.arange(6) + 0.5) * math.pi / 3.0
+        assert np.max(np.abs(np.array(roots) - want)) <= 1e-12
+        assert np.all(roots.widths <= phasenorm.quadrature.ROOT_XTOL)
+        assert np.all(np.abs(np.array(roots) - want) <= roots.widths + 1e-15)
 
     def test_root_budget(self):
         with pytest.raises(RootBudgetExceeded):

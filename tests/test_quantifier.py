@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasenorm.fock
+import phasenorm.quadrature
 import phasenorm.quantifier
 from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        Amplifier, Attenuator, ChannelSpec, Displacement,
-                       FunctionalSpec, GaussianState, IDENTITY, NOGO_INSTANCE,
-                       RadialProfile, Rotation, UnsupportedInputError,
+                       FunctionalSpec, GaussianState, IDENTITY, IntegralEstimate,
+                       NOGO_INSTANCE, RadialProfile, Rotation,
+                       ToleranceNotReached, UnsupportedInputError,
                        apply_channel_fock, baseline_with_error, classify,
                        convexity_gap, integrate_radial_abs_pow, make_coherent,
                        make_mixture, make_squeezed_thermal, make_thermal,
@@ -23,7 +26,7 @@ TOL = 1e-6
 
 # closed forms, confirmed independently by quadrature during development
 BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0              # 0.7698003589195010
-THERMAL1_CG = 2.0 * (0.6**1.5 - 0.6**2.5)             # 0.3718064012360424
+THERMAL1_CG = 2.0 * (0.6**1.5 - 0.6**2.5)             # 0.3718064012359120
 NEGATIVITY_FOCK1 = 4.0 * math.exp(-0.5) - 2.0         # 0.4261226388505319
 # piecewise closed form with Laguerre sign cuts at x = 2 +- sqrt(2)
 NEGATIVITY_FOCK2 = 0.7289892577870898
@@ -132,6 +135,82 @@ def channel_route_integral(state, channel, s, tol):
         radial_profile(state, s).decay + radial_profile(out, s).decay,
         degree_hint=state.cutoff + out.cutoff + 2)
     return integrate_radial_abs_pow(diff, 1.0, tol)
+
+
+class TestExactRadialRoute:
+    def test_fock_p1_runs_no_panels(self, monkeypatch):
+        # at p = 1 the radial integral is the sum of masses between sign cuts
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fock p = 1 route ran adaptive panels")
+
+        baseline_with_error(CG, FunctionalSpec(), TOL)  # planar, cached
+        monkeypatch.setattr(phasenorm.quadrature, "_adaptive_panels", refuse)
+        for state in (number_state(1), make_mixture([0.38, 0.57, 0.05]),
+                      make_thermal_fock(2.0, 80)):
+            measure_m(state, CG, FunctionalSpec(), TOL)
+            wigner_negativity(state, TOL)
+        for s in (-0.5, -1.0):
+            norm_value(number_state(4), CG, FunctionalSpec(s=s), TOL)
+
+    def test_thermal_closed_form_to_rounding(self):
+        # the closed form is 0.3718064012359121 to 16 digits (mpmath)
+        value, err = norm_value(make_thermal_fock(1.0, 60), CG, FunctionalSpec(), TOL)
+        assert abs(value - THERMAL1_CG) <= 1e-12
+        assert err <= TOL
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 40), st.integers(0, 2**32 - 1),
+           st.lists(st.one_of(st.floats(0.1, 1.0).map(Attenuator),
+                              st.floats(1.0, 2.0).map(Amplifier),
+                              st.floats(0.0, 2.0 * math.pi).map(Rotation)),
+                    min_size=1, max_size=4),
+           st.sampled_from([0.0, -0.5, -1.0]))
+    def test_matches_panel_route(self, cutoff, seed, elements, s):
+        # the panel route integrates the same profile with its mass removed
+        state = make_mixture(np.random.default_rng(seed).dirichlet(np.ones(cutoff + 1)))
+        channel, fn = ChannelSpec(tuple(elements)), FunctionalSpec(s=s)
+
+        def panel_route(profile, p, tol):
+            return integrate_radial_abs_pow(dataclasses.replace(profile, mass=None), p, tol)
+
+        value, err = norm_value(state, channel, fn, TOL)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(phasenorm.quantifier, "integrate_radial_abs_pow", panel_route)
+            oracle, oracle_err = norm_value(state, channel, fn, TOL)
+        assert abs(value - oracle) <= err + oracle_err
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("state", [make_squeezed_thermal(1.0, 0.7), make_coherent(1 - 1j),
+                                       number_state(2), make_thermal_fock(1.0),
+                                       make_mixture([0.38, 0.57, 0.05])],
+                             ids=["squeezed", "coherent", "fock2", "thermal_fock", "nogo"])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_err_is_norm_bound_plus_baseline_bound(self, state, tol):
+        res = measure_m(state, CG, FunctionalSpec(), tol)
+        n_value, n_err = norm_value(state, CG, FunctionalSpec(), tol)
+        base, base_err = baseline_with_error(CG, FunctionalSpec(), tol)
+        assert (res.n_value, res.baseline) == (n_value, base)
+        assert res.err == n_err + base_err
+        assert n_err <= tol
+        assert base_err <= min(tol, 1e-7)
+
+    def test_exhausted_retries_raise_with_estimate(self, monkeypatch):
+        # an integral that never tightens: at p = 2 its root keeps err at
+        # sqrt(1 + 1e-3) - 1 = 5.0e-4 whatever tolerance is asked for
+        calls = []
+
+        def stuck(state, channel, fn, quad_tol):
+            calls.append(quad_tol)
+            return IntegralEstimate(1.0, 1e-3, 1, 1.0)
+
+        monkeypatch.setattr(phasenorm.quantifier, "_integral_once", stuck)
+        with pytest.raises(ToleranceNotReached) as excinfo:
+            norm_value(number_state(1), CG, FunctionalSpec(p=2.0), TOL)
+        value, err = excinfo.value.estimate
+        assert len(calls) == 4
+        assert value == 1.0
+        assert err == pytest.approx(math.sqrt(1.001) - 1.0, rel=1e-12)
 
 
 class TestFockOrderingShift:
