@@ -10,7 +10,7 @@ from .fock import (FockDiagonalState, UnsupportedInputError, amplify_fock,
                    apply_channel_fock, attenuate_fock, loss_kraus_decomposition,
                    make_mixture, make_thermal_fock, mean_photons, mix_states,
                    number_state, radial_profile, wigner_s_fock)
-from .gaussian import (GaussianState, apply_channel_gaussian, channel_affine,
+from .gaussian import (GaussianState, apply_channel_gaussian,
                        is_quantum_gaussian, make_coherent,
                        make_squeezed_thermal, make_thermal,
                        min_quadrature_variance, wigner_s_gaussian)
@@ -33,7 +33,7 @@ __all__ = [
     "attenuate_fock", "loss_kraus_decomposition", "make_mixture",
     "make_thermal_fock", "mean_photons", "mix_states", "number_state",
     "radial_profile", "wigner_s_fock", "GaussianState",
-    "apply_channel_gaussian", "channel_affine", "is_quantum_gaussian",
+    "apply_channel_gaussian", "is_quantum_gaussian",
     "make_coherent", "make_squeezed_thermal", "make_thermal",
     "min_quadrature_variance", "wigner_s_gaussian", "GaussianTerm",
     "IntegralEstimate", "PlanarProfile", "RadialProfile",

@@ -24,6 +24,7 @@ from .verify import run_suite
 
 SWEEP_HEADER = "r,n_value,err,baseline,m_value,quantum_by_variance,classification"
 MIXTURE_HEADER = "p0,p1,p2,n_value,m_value,wigner_negativity,classification,seed_index"
+CROSSING_R_HI = 2.0  # upper end of the crossing bracket
 
 
 def _fmt(x):
@@ -102,12 +103,12 @@ def run_mixtures(count, seed, include_corners=False, tol=DEFAULT_TOL):
     return rows
 
 
-def find_crossing(nbar, tol=1e-5, r_hi=2.0):
+def find_crossing(nbar, tol=1e-5):
     """Bisect for r* with M(rho_st(r*)) = 0 above the quantumness onset.
 
     Returns (r_star, m_lo, m_hi, onset).  Raises RuntimeError when M has
-    no certified sign change on [onset, r_hi] (for some nbar the measure
-    is positive for every r past the onset and no crossing exists).
+    no certified sign change on [onset, CROSSING_R_HI] (for some nbar the
+    measure is positive for every r past the onset and no crossing exists).
     """
     onset = 0.5 * math.log(2.0 * nbar + 1.0)
     quad_tol = min(tol / 20.0, 1e-6)
@@ -124,12 +125,12 @@ def find_crossing(nbar, tol=1e-5, r_hi=2.0):
         if m_probe < -err_probe:
             lo, m_lo = probe, m_probe
             break
-    m_hi, err_hi = m_of(r_hi)
+    m_hi, err_hi = m_of(CROSSING_R_HI)
     if lo is None or m_hi < err_hi:
         raise RuntimeError(
-            f"no certified sign change of M on [{onset:.4g}, {r_hi:.4g}] "
+            f"no certified sign change of M on [{onset:.4g}, {CROSSING_R_HI:.4g}] "
             f"for nbar={nbar:.4g}; measure does not cross the baseline there")
-    hi = r_hi
+    hi = CROSSING_R_HI
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         m_mid, _ = m_of(mid)

@@ -9,17 +9,10 @@ Conventions (used consistently across the package):
 * s-ordered Wigner functions are normalized to unit integral under the
   measure above (vacuum: W^(0)(0) = 2, W^(-1)(0) = 1).
 
-Channel actions on (mean, cov):
-
-* attenuator, transmittivity t:  mean -> sqrt(t) mean,
-  cov -> t cov + (1-t)/4 I
-* amplifier, gain g:             mean -> sqrt(g) mean,
-  cov -> g cov + (g-1)/4 I
-* rotation / displacement:       symplectic rotation / mean shift.
-
-These are the standard quantum-limited transcriptions; they are validated
-against the independent Fock-engine transition laws in the test suite
-rather than assumed.
+Channels act on (mean, cov) through :meth:`ChannelSpec.fold
+<phasenorm.channels.ChannelSpec.fold>`, the same fold the Fock engine
+uses; the independent Fock-engine transition laws validate it in the test
+suite.
 """
 
 import math
@@ -28,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Amplifier, Attenuator, Displacement, Rotation
+from .quadrature import GaussianTerm
 
 VACUUM_VARIANCE = 0.25
 PHYS_EPS = 1e-12  # physicality slack, absorbs rounding in composed channels
@@ -112,84 +105,38 @@ def _rotation_matrix(theta):
 
 
 def apply_channel_gaussian(state, channel):
-    """Apply a :class:`ChannelSpec` to a Gaussian state, element by element."""
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-    eye4 = np.diag([VACUUM_VARIANCE] * 2)
-    for el in channel.elements:
-        if isinstance(el, Attenuator):
-            t = el.transmittivity
-            mean = math.sqrt(t) * mean
-            cov = t * cov + (1.0 - t) * eye4
-        elif isinstance(el, Amplifier):
-            g = el.gain
-            mean = math.sqrt(g) * mean
-            cov = g * cov + (g - 1.0) * eye4
-        elif isinstance(el, Rotation):
-            rot = _rotation_matrix(el.theta)
-            mean = rot @ mean
-            cov = rot @ cov @ rot.T
-        elif isinstance(el, Displacement):
-            mean = mean + np.array([el.delta.real, el.delta.imag])
-    return GaussianState(mean, cov)
+    """Apply a :class:`ChannelSpec` to a Gaussian state through its fold."""
+    k, y, theta, d = channel.fold()
+    rot = _rotation_matrix(theta)
+    return GaussianState(math.sqrt(k) * (rot @ state.mean) + [d.real, d.imag],
+                         k * (rot @ state.cov @ rot.T) + y * np.eye(2))
 
 
-def channel_affine(channel):
-    """Affine form of a channel on (mean, cov): returns (X, Y, d) with
+def wigner_term(state, s):
+    """The :class:`GaussianTerm` of W^(s): C = cov - s/4 I, amp = 1/(2 sqrt(det C)).
 
-    mean -> X mean + d,   cov -> X cov X^T + Y.
-
-    Used to check that element-wise application matches matrix algebra.
+    Raises if C is not positive definite (s too large for the state).
     """
-    X = np.eye(2)
-    Y = np.zeros((2, 2))
-    d = np.zeros(2)
-    eye4 = np.diag([VACUUM_VARIANCE] * 2)
-    for el in channel.elements:
-        if isinstance(el, Attenuator):
-            A = math.sqrt(el.transmittivity) * np.eye(2)
-            N = (1.0 - el.transmittivity) * eye4
-        elif isinstance(el, Amplifier):
-            A = math.sqrt(el.gain) * np.eye(2)
-            N = (el.gain - 1.0) * eye4
-        elif isinstance(el, Rotation):
-            A = _rotation_matrix(el.theta)
-            N = np.zeros((2, 2))
-        elif isinstance(el, Displacement):
-            A = np.eye(2)
-            N = np.zeros((2, 2))
-        X = A @ X
-        Y = A @ Y @ A.T + N
-        d = A @ d
-        if isinstance(el, Displacement):
-            d = d + np.array([el.delta.real, el.delta.imag])
-    return X, Y, d
-
-
-def ordered_cov(state, s):
-    """Covariance of the s-ordered Wigner function: cov - s/4 I."""
-    return state.cov + np.diag([-s / 4.0, -s / 4.0])
+    cov_s = state.cov + np.diag([-s / 4.0, -s / 4.0])
+    det = float(np.linalg.det(cov_s))
+    if det <= 0.0 or cov_s[0, 0] <= 0.0:
+        raise ValueError(f"s = {s} too large: ordered covariance not positive definite")
+    return GaussianTerm(1.0 / (2.0 * math.sqrt(det)), state.mean, cov_s)
 
 
 def wigner_s_gaussian(state, s, point):
     """s-ordered Wigner function at complex point(s), unit d^2alpha/pi mass.
 
-    W^(s)(z) = exp(-(z-mu)^T C^{-1} (z-mu)/2) / (2 sqrt(det C)) with
-    C = cov - s/4 I.  Raises if C is not positive definite (s too large
-    for the state).
+    W^(s)(z) = amp exp(-(z-mu)^T C^{-1} (z-mu)/2) with C and amp those of
+    :func:`wigner_term`, which raises if C is not positive definite.
     """
-    cov_s = ordered_cov(state, s)
-    det = cov_s[0, 0] * cov_s[1, 1] - cov_s[0, 1] * cov_s[1, 0]
-    if det <= 0.0 or cov_s[0, 0] <= 0.0:
-        raise ValueError(f"s = {s} too large: ordered covariance not positive definite")
+    term = wigner_term(state, s)
     z = np.asarray(point, dtype=complex)
     scalar = z.ndim == 0
     pts = np.column_stack([np.atleast_1d(z).real, np.atleast_1d(z).imag])
     d = pts - state.mean
-    inv = np.array([[cov_s[1, 1], -cov_s[0, 1]],
-                    [-cov_s[1, 0], cov_s[0, 0]]]) / det
-    q = np.einsum("ij,jk,ik->i", d, inv, d)
-    out = np.exp(-0.5 * q) / (2.0 * math.sqrt(det))
+    q = np.einsum("ij,jk,ik->i", d, np.linalg.inv(term.cov), d)
+    out = term.amp * np.exp(-0.5 * q)
     return float(out[0]) if scalar else out
 
 

@@ -46,6 +46,8 @@ ROOT_MAX_STEPS = 200
 MIN_PANEL_WIDTH = 1e-13
 EPS = float(np.finfo(float).eps)
 SIGN_SCAN_FLOOR = 1e-13  # relative magnitude below which sign flips are noise
+MAX_PANELS = 8192  # radial panels per integral
+MAX_OUTER = 2048   # angular panels per planar integral
 
 
 class ToleranceNotReached(RuntimeError):
@@ -130,15 +132,6 @@ class PlanarProfile:
     def __post_init__(self):
         if not 1 <= len(self.terms) <= 2:
             raise ValueError(f"a planar profile has one or two terms, got {len(self.terms)}")
-
-    def evaluate(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(pts))
-        for t in self.terms:
-            inv = np.linalg.inv(t.cov)
-            d = pts - t.mean
-            out += t.amp * np.exp(-0.5 * np.einsum("ij,jk,ik->i", d, inv, d))
-        return out
 
 
 class SignChanges(list):
@@ -303,7 +296,7 @@ def _truncation_radius(decay, p, tail_tol):
     return radius, math.exp(min(log_tail, 0.0))
 
 
-def _core_abs_pow(evaluator, decay, p, tol, find_cuts, max_panels=8192):
+def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
     """Shared core: int_0^R 2r |f|^p dr with sign cuts and tail bound.
 
     ``find_cuts(radius)`` returns the sign changes of f on (0, radius).
@@ -315,7 +308,7 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts, max_panels=8192):
     def g(r):
         return 2.0 * r * np.abs(evaluator(r)) ** p
 
-    value, panel_err, count = _adaptive_panels(g, edges, tol - tail, max_panels)
+    value, panel_err, count = _adaptive_panels(g, edges, tol - tail, MAX_PANELS)
     return value, panel_err + tail, count, radius
 
 
@@ -419,7 +412,7 @@ def _exact_rays_l1(amps, rates):
                     np.abs(whole))
 
 
-def integrate_plane_abs_pow(profile, p, tol, max_outer=2048):
+def integrate_plane_abs_pow(profile, p, tol):
     """int d^2z/pi |f(z)|^p for a one- or two-term signed-Gaussian profile.
 
     Polar quadrature about the common center in coordinates aligned with
@@ -518,7 +511,7 @@ def integrate_plane_abs_pow(profile, p, tol, max_outer=2048):
 
     try:
         outer_val, outer_err, outer_count = _adaptive_panels(
-            outer, [0.0, phi_range], outer_budget, max_outer)
+            outer, [0.0, phi_range], outer_budget, MAX_OUTER)
     except ToleranceNotReached as exc:
         est = exc.estimate
         raise ToleranceNotReached(

@@ -19,12 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import CG, Amplifier, Attenuator, ChannelSpec, Displacement
+from .channels import CG, Attenuator, ChannelSpec
 from .fock import (FockDiagonalState, UnsupportedInputError, apply_channel_fock,
                    loss_kraus_decomposition, mix_states, radial_profile,
                    wigner_mass_outside, wigner_s_fock)
 from .gaussian import (GaussianState, apply_channel_gaussian, is_quantum_gaussian,
-                       min_quadrature_variance, ordered_cov)
+                       min_quadrature_variance, wigner_term)
 from .quadrature import (SIGN_SCAN_FLOOR, GaussianTerm, PlanarProfile,
                          RadialProfile, ToleranceNotReached,
                          integrate_plane_abs_pow, integrate_radial_abs_pow)
@@ -93,14 +93,6 @@ def classify(m_value, err, witness_quantum):
     return CLASSICAL_CONSISTENT
 
 
-def _gaussian_term(state, s):
-    cov_s = ordered_cov(state, s)
-    det = float(np.linalg.det(cov_s))
-    if det <= 0.0:
-        raise ValueError("ordered covariance not positive definite")
-    return GaussianTerm(1.0 / (2.0 * math.sqrt(det)), state.mean, cov_s)
-
-
 def _negated(term):
     return GaussianTerm(-term.amp, term.mean, term.cov)
 
@@ -114,31 +106,19 @@ def _pow_and_error(integral, p):
     return value, upper - value
 
 
-def _fold_fock_channel(channel):
-    """(k, y) of cov -> k cov + y I, folded in scalars: C_g gives exactly (1, 1/2)."""
-    k, y = 1.0, 0.0
-    for el in channel.elements:
-        if isinstance(el, Attenuator):
-            t = el.transmittivity
-            k, y = t * k, t * y + (1.0 - t) / 4.0
-        elif isinstance(el, Amplifier):
-            g = el.gain
-            k, y = g * k, g * y + (g - 1.0) / 4.0
-        elif isinstance(el, Displacement) and el.delta != 0:
-            raise UnsupportedInputError("displacement breaks photon-number diagonality")
-    return k, y
-
-
 def _integral_once(state, channel, fn, quad_tol):
     if isinstance(state, GaussianState):
         out = apply_channel_gaussian(state, channel)
-        profile = PlanarProfile((_gaussian_term(state, fn.s),
-                                 _negated(_gaussian_term(out, fn.s))))
+        profile = PlanarProfile((wigner_term(state, fn.s),
+                                 _negated(wigner_term(out, fn.s))))
         return integrate_plane_abs_pow(profile, fn.p, quad_tol)
     if isinstance(state, FockDiagonalState):
         # W^(s) of the output is W^(s')(r / sqrt k) / k of the input with
-        # s' = (s - 4y)/k: for C_g the ordering shift s -> s - 2
-        k, y = _fold_fock_channel(channel)
+        # s' = (s - 4y)/k: for C_g the ordering shift s -> s - 2; theta
+        # drops out, since a diagonal state is rotation invariant
+        k, y, _, d = channel.fold()
+        if d != 0:
+            raise UnsupportedInputError("displacement breaks photon-number diagonality")
         s_out, root_k = (fn.s - 4.0 * y) / k, math.sqrt(k)
 
         def diff(r):

@@ -2,12 +2,29 @@ import math
 
 import pytest
 
-from phasenorm import CG, Amplifier, Attenuator, ChannelSpec, Displacement, Rotation
+from phasenorm import (CG, IDENTITY, Amplifier, Attenuator, ChannelSpec, Displacement,
+                       Rotation)
 
 
 def test_cg_is_half_attenuator_then_double_amplifier():
     assert CG.elements == (Attenuator(0.5), Amplifier(2.0))
     assert CG == ChannelSpec((Attenuator(0.5), Amplifier(2.0)))
+
+
+def test_cg_folds_exactly():
+    k, y, theta, d = CG.fold()
+    assert (k, y, theta, d) == (1.0, 0.5, 0.0, 0j)
+    assert isinstance(d, complex)
+    assert IDENTITY.fold() == (1.0, 0.0, 0.0, 0j)
+
+
+def test_fold_scales_and_turns_the_displacement():
+    # 1j, shrunk by sqrt(1/4), turned by pi/2, then shifted by 2
+    ch = ChannelSpec((Displacement(1j), Attenuator(0.25), Rotation(math.pi / 2),
+                      Displacement(2)))
+    k, y, theta, d = ch.fold()
+    assert (k, y, theta) == (0.25, 0.1875, math.pi / 2)
+    assert d == pytest.approx(1.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001, math.nan])

@@ -2,14 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasenorm import (CG, Amplifier, Attenuator, ChannelSpec, Displacement,
                        GaussianState, Rotation, apply_channel_gaussian,
-                       channel_affine, is_quantum_gaussian, make_coherent,
+                       is_quantum_gaussian, make_coherent,
                        make_squeezed_thermal, make_thermal,
                        min_quadrature_variance, wigner_s_gaussian)
 
 VAC = np.diag([0.25, 0.25])
+
+PRIMITIVE = st.one_of(
+    st.floats(0.05, 1.0).map(Attenuator),
+    st.floats(1.0, 3.0).map(Amplifier),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi).map(Rotation),
+    st.complex_numbers(max_magnitude=2.0).map(Displacement))
 
 
 class TestConstructors:
@@ -109,20 +117,20 @@ class TestChannels:
         # (1, 0) -> (3, -1) -> rotated 90 degrees -> (1, 3)
         assert np.allclose(out.mean, [1.0, 3.0])
 
-    def test_composition_matches_affine_form(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            ch = ChannelSpec((
-                Attenuator(rng.uniform(0.1, 1.0)),
-                Rotation(rng.uniform(0, 2 * math.pi)),
-                Amplifier(rng.uniform(1.0, 3.0)),
-                Displacement(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))),
-            ))
-            state = make_squeezed_thermal(rng.uniform(0, 2), rng.uniform(0, 1))
-            seq = apply_channel_gaussian(state, ch)
-            X, Y, d = channel_affine(ch)
-            assert np.max(np.abs(seq.cov - (X @ state.cov @ X.T + Y))) <= 1e-14
-            assert np.max(np.abs(seq.mean - (X @ state.mean + d))) <= 1e-14
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(PRIMITIVE, min_size=1, max_size=6),
+           st.floats(0.0, 2.0), st.floats(0.0, 1.2), st.floats(0.0, math.pi))
+    def test_composition_matches_affine_form(self, elements, nbar, r, theta):
+        # the one-shot fold against the oracle of applying each element
+        # as its own channel; entries are compared on their own scale
+        state = make_squeezed_thermal(nbar, r, theta)
+        once = apply_channel_gaussian(state, ChannelSpec(tuple(elements)))
+        seq = state
+        for el in elements:
+            seq = apply_channel_gaussian(seq, ChannelSpec((el,)))
+        for got, want in ((once.cov, seq.cov), (once.mean, seq.mean)):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     def test_split_application_equals_composite(self):
         first = ChannelSpec((Attenuator(0.3),))

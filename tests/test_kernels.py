@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import numpy.polynomial.laguerre as nplag
 import pytest
 
-from phasenorm import backend
+from phasenorm import backend, number_state, wigner_s_fock
 
 
 def _reference_series(weights, tau, u, pref):
@@ -42,3 +43,27 @@ def test_series_tau_zero_is_poisson_limit():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         backend.wigner_series(np.ones(3), 0.5, np.zeros(4), np.zeros(3))
+
+
+@pytest.mark.parametrize("n", [256, 320])
+@pytest.mark.parametrize("s", [0.0, -1.0, -3.0])
+def test_high_cutoff_matches_mpmath(n, s):
+    # the recurrence stays bounded by 2 and accurate to rounding at high
+    # cutoff and out to radius 25, far past the last oscillation of |n>
+    radii = np.linspace(0.0, 25.0, 101)
+    got = wigner_s_fock(number_state(n), s, radii)
+    with mp.workdps(40):
+        sm = mp.mpf(s)
+        want = []
+        for r in radii:
+            r = mp.mpf(float(r))
+            if s == -1.0:
+                # the Husimi function Q_n = e^(-r^2) r^(2n) / n!
+                want.append(mp.exp(-r**2) * r ** (2 * n) / mp.factorial(n))
+            else:
+                want.append(2 / (1 - sm) * ((sm + 1) / (sm - 1)) ** n
+                            * mp.exp(-2 * r**2 / (1 - sm))
+                            * mp.laguerre(n, 0, 4 * r**2 / (1 - sm**2)))
+    want = np.array([float(w) for w in want])
+    assert np.max(np.abs(got)) <= 2.0
+    assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps * (n + 1)

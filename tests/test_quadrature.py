@@ -212,12 +212,6 @@ class TestPlanar:
         assert est.value == 0.0
         assert est.abs_error_bound <= 1e-9
 
-    def test_evaluate_matches_terms(self):
-        profile = PlanarProfile((iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75)))
-        pts = np.array([[0.0, 0.0], [0.5, -0.25]])
-        want0 = 2.0 - 2.0 / 3.0
-        assert profile.evaluate(pts)[0] == pytest.approx(want0, abs=1e-14)
-
     def test_term_without_decay_rejected(self):
         # an indefinite covariance would give negative closed-form rays
         profile = PlanarProfile((iso_term(1.0, 1.0),

@@ -28,8 +28,11 @@ TOL = 1e-6
 BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0              # 0.7698003589195010
 THERMAL1_CG = 2.0 * (0.6**1.5 - 0.6**2.5)             # 0.3718064012359120
 NEGATIVITY_FOCK1 = 4.0 * math.exp(-0.5) - 2.0         # 0.4261226388505319
-# piecewise closed form with Laguerre sign cuts at x = 2 +- sqrt(2)
-NEGATIVITY_FOCK2 = 0.7289892577870898
+# W of |2> has the mass e^(-x/2) (2 + x^2) / 2 outside x = 4 rho^2 and
+# changes sign at the roots x1, x2 = 2 -+ sqrt(2) of L_2, so its negativity
+# is e^(-x2/2) (2 + x2^2) - e^(-x1/2) (2 + x1^2)
+NEGATIVITY_FOCK2 = (math.exp(-1.0 - math.sqrt(0.5)) * (8.0 + 4.0 * math.sqrt(2.0))
+                    - math.exp(-1.0 + math.sqrt(0.5)) * (8.0 - 4.0 * math.sqrt(2.0)))
 
 # quadrature-pinned golden values (radial integrator, tol 1e-9)
 N_FOCK1 = 1.2316448502
@@ -242,6 +245,15 @@ class TestFockOrderingShift:
     def test_displacement_rejected(self):
         with pytest.raises(UnsupportedInputError):
             measure_m(number_state(1), ChannelSpec((Displacement(1 + 0j),)))
+
+    def test_cancelling_displacements_fold_away(self):
+        # the fold nets the displacements: D(-1) D(1) is the identity, so
+        # only a net shift breaks photon-number diagonality
+        state = number_state(3)
+        undone = ChannelSpec((Displacement(1), Displacement(-1)))
+        assert measure_m(state, undone).n_value == measure_m(state, IDENTITY).n_value == 0.0
+        with pytest.raises(UnsupportedInputError):
+            measure_m(state, ChannelSpec((Displacement(1), Displacement(-0.5))))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=13).filter(
