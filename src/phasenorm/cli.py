@@ -18,8 +18,7 @@ import numpy as np
 from .channels import CG
 from .fock import make_mixture
 from .gaussian import make_squeezed_thermal
-from .quantifier import (DEFAULT_TOL, FunctionalSpec, baseline_with_error,
-                         measure_m, norm_value)
+from .quantifier import DEFAULT_TOL, FunctionalSpec, baseline_with_error, measure_m
 from .verify import run_suite
 
 SWEEP_HEADER = "r,n_value,err,baseline,m_value,quantum_by_variance,classification"
@@ -114,10 +113,8 @@ def find_crossing(nbar, tol=1e-5):
     quad_tol = min(tol / 20.0, 1e-6)
 
     def m_of(r):
-        res_n, err_n = norm_value(make_squeezed_thermal(nbar, r), CG,
-                                  FunctionalSpec(), quad_tol)
-        base, err_b = baseline_with_error(CG, FunctionalSpec(), quad_tol)
-        return res_n - base, err_n + err_b
+        res = measure_m(make_squeezed_thermal(nbar, r), CG, FunctionalSpec(), quad_tol)
+        return res.m_value, res.err
 
     lo = None
     for probe in (onset + 0.05, onset + 0.1, onset + 0.2):

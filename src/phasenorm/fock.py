@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .channels import Amplifier, Attenuator, Displacement, Rotation
+from .channels import Amplifier, Attenuator
 from .quadrature import RadialProfile
 
 MASS_EPS = 1e-12        # invariant slack on sum(weights) + tail == 1
@@ -251,20 +251,18 @@ def _required_margin(state, gain, base):
 def apply_channel_fock(state, channel):
     """Apply a :class:`ChannelSpec` to a diagonal state.
 
-    Rotations are the identity on diagonal states; displacements would
-    break diagonality and are rejected (unless zero).
+    Loss and gain scale a displacement and a rotation turns it, so the
+    chain is its attenuators and amplifiers, then a rotation (the identity
+    on a diagonal state), then the net displacement d of the fold, which
+    is rejected unless zero: it would break diagonality.
     """
+    if channel.fold()[3] != 0:
+        raise UnsupportedInputError("displacement breaks photon-number diagonality")
     for el in channel.elements:
         if isinstance(el, Attenuator):
             state = attenuate_fock(state, el.transmittivity)
         elif isinstance(el, Amplifier):
             state = amplify_fock(state, el.gain)
-        elif isinstance(el, Rotation):
-            pass
-        elif isinstance(el, Displacement):
-            if el.delta != 0:
-                raise UnsupportedInputError(
-                    "displacement breaks photon-number diagonality")
     return state
 
 

@@ -53,8 +53,8 @@ MAX_OUTER = 2048   # angular panels per planar integral
 class ToleranceNotReached(RuntimeError):
     """Error bound above tolerance; ``estimate`` holds the best result.
 
-    The integrators attach an :class:`IntegralEstimate`,
-    :func:`~phasenorm.quantifier.norm_value` the pair (N, err).
+    The estimate is always an :class:`IntegralEstimate`; its bound is
+    infinite when none can be given (a planar ray missed its share).
     """
 
     def __init__(self, message, estimate):
@@ -83,15 +83,14 @@ class IntegralEstimate:
     envelope), plus the root placement (final bracket width times the
     larger |f| at its ends, exact for f monotone on the bracket), plus
     rounding of the masses (the bound the profile declares).  What it
-    assumes is the completeness of the sign scan inside
-    ``truncation_radius``.  ``subdivisions`` then counts the mass
-    intervals between cuts.
+    assumes is the completeness of the sign scan inside the truncation
+    radius.  ``subdivisions`` then counts the mass intervals between cuts.
+    Every route returns a bound within tol or raises it attached.
     """
 
     value: float
     abs_error_bound: float
     subdivisions: int
-    truncation_radius: float
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class RadialProfile:
 
     evaluator: object
     decay: tuple
-    degree_hint: int = 8
+    degree_hint: int
     mass: object = None
 
 
@@ -148,27 +147,28 @@ class SignChanges(list):
         self.heights = np.asarray(heights, dtype=float)[order]
 
 
-def locate_sign_changes(f, bracket, max_roots=64, samples=513, rel_floor=0.0):
+def locate_sign_changes(f, bracket, degree_hint):
     """Find radii where f changes sign on ``bracket``, each to 1e-12.
 
-    Sign changes are bracketed on a uniform scan grid and refined by the
-    Illinois step (all brackets refined simultaneously, one vectorized call
-    per iteration on the brackets still open).  Nodes where f is exactly
-    zero are returned as cuts directly.  Sign flips whose flanking
-    magnitudes are both below ``rel_floor`` times the scan maximum are
-    ignored: such crossings are floating-point noise in regions where f has
-    decayed away, and missing a cut there perturbs no integral of |f|^p
-    (cuts only restore smoothness at genuine kinks).  Two sign changes
-    within one scan step are not seen.  Raises :class:`RootBudgetExceeded`
-    when the scan finds more than ``max_roots`` relevant changes.
+    Sign changes are bracketed on a uniform grid of
+    min(max(513, 32 (degree_hint + 1) + 1), 40001) samples and refined by
+    the Illinois step (all brackets at once, one vectorized call per
+    iteration on the brackets still open).  Nodes where f is exactly zero
+    are returned as cuts directly.  Sign flips whose flanking magnitudes
+    are both below SIGN_SCAN_FLOOR times the scan maximum are ignored: such
+    crossings are floating-point noise where f has decayed away, and missing
+    a cut there perturbs no integral of |f|^p (cuts only restore smoothness
+    at genuine kinks).  Two sign changes within one scan step are not seen.
+    Raises :class:`RootBudgetExceeded` above degree_hint + 16 changes.
 
     Returns a :class:`SignChanges` list, whose final bracket widths and end
     values bound the placement error of each root.
     """
     lo, hi = bracket
-    xs = np.linspace(lo, hi, samples)
+    max_roots = degree_hint + 16
+    xs = np.linspace(lo, hi, min(max(513, 32 * (degree_hint + 1) + 1), 40001))
     ys = f(xs)
-    floor = rel_floor * float(np.max(np.abs(ys)))
+    floor = SIGN_SCAN_FLOOR * float(np.max(np.abs(ys)))
     flank = np.maximum(np.abs(ys[:-1]), np.abs(ys[1:]))
     idx = np.nonzero((ys[:-1] * ys[1:] < 0.0) & (flank > floor))[0]
     zmask = (ys[1:-1] == 0.0) & (np.maximum(np.abs(ys[:-2]), np.abs(ys[2:])) > floor)
@@ -222,9 +222,9 @@ def _adaptive_panels(g, edges, budget, max_panels):
     """Worst-first adaptive refinement over the initial panels ``edges``.
 
     Each panel carries the bisected value (sum over halves) and the
-    difference to the unbisected rule as its error estimate.  Returns
-    (value, error_sum, panel_count); raises ToleranceNotReached with the
-    best estimate attached when ``max_panels`` is hit first.
+    difference to the unbisected rule as its error estimate.  Stops within
+    ``budget``, at ``max_panels`` or at a panel below MIN_PANEL_WIDTH, and
+    returns (value, error_sum, panel_count) for the caller to judge.
     """
 
     def make(a, b, coarse=None):
@@ -248,17 +248,10 @@ def _adaptive_panels(g, edges, budget, max_panels):
         heapq.heappush(heap, (-p[6], seq, p))
         seq += 1
         count += 1
-    while err > budget:
-        if count >= max_panels or not heap:
-            raise ToleranceNotReached(
-                f"error bound {err:.3e} above budget {budget:.3e} "
-                f"after {count} panels",
-                IntegralEstimate(total, err, count, float(edges[-1])))
+    while err > budget and count < max_panels and heap:
         _, _, (a0, b0, mid0, left0, right0, v0, e0) = heapq.heappop(heap)
         if b0 - a0 < MIN_PANEL_WIDTH:
-            raise ToleranceNotReached(
-                "panel width collapsed before reaching the tolerance",
-                IntegralEstimate(total, err, count, float(edges[-1])))
+            break
         total -= v0
         err -= e0
         for aa, bb, coarse in ((a0, mid0, left0), (mid0, b0, right0)):
@@ -271,12 +264,20 @@ def _adaptive_panels(g, edges, budget, max_panels):
     return total, err, count
 
 
+def _checked(est, tol):
+    """``est`` when its bound is at most ``tol``; else raise it attached."""
+    if not est.abs_error_bound <= tol:
+        raise ToleranceNotReached(
+            f"error bound {est.abs_error_bound:.3e} above tolerance {tol:.3e}", est)
+    return est
+
+
 def _logsumexp(vals):
     m = max(vals)
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
-def _truncation_radius(decay, p, tail_tol):
+def _tail_radius(decay, p, tail_tol):
     """Smallest radius R with int_R^inf 2r (decay bound)^p dr <= tail_tol.
 
     Uses |f| <= exp(LA - cmin r^2) with LA the log of the summed term
@@ -300,8 +301,9 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
     """Shared core: int_0^R 2r |f|^p dr with sign cuts and tail bound.
 
     ``find_cuts(radius)`` returns the sign changes of f on (0, radius).
+    The estimate is unchecked: its bound is panel error plus tail.
     """
-    radius, tail = _truncation_radius(decay, p, tol * 0.1)
+    radius, tail = _tail_radius(decay, p, tol * 0.1)
     cuts = [] if p % 2.0 == 0.0 else sorted(find_cuts(radius))
     edges = [0.0] + [c for c in cuts if MIN_PANEL_WIDTH < c < radius - MIN_PANEL_WIDTH] + [radius]
 
@@ -309,12 +311,12 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
         return 2.0 * r * np.abs(evaluator(r)) ** p
 
     value, panel_err, count = _adaptive_panels(g, edges, tol - tail, MAX_PANELS)
-    return value, panel_err + tail, count, radius
+    return IntegralEstimate(value, panel_err + tail, count)
 
 
 def _mass_l1(profile, tol, find_cuts):
     """int_0^inf 2r |f| dr = sum_i |T(c_i) - T(c_{i+1})| over 0 = c_0 < cuts < inf."""
-    radius, tail = _truncation_radius(profile.decay, 1.0, tol * 0.1)
+    radius, tail = _tail_radius(profile.decay, 1.0, tol * 0.1)
     cuts = find_cuts(radius)
     edges = np.array([0.0] + list(cuts))
     masses = np.append(profile.mass(edges), 0.0)
@@ -325,12 +327,7 @@ def _mass_l1(profile, tol, find_cuts):
     placement = float(np.sum(4.0 * right * cuts.widths * cuts.heights))
     rounding = (2.0 * EPS * (profile.degree_hint + 1) * len(edges)
                 * max(1.0, float(np.max(np.abs(masses)))))
-    est = IntegralEstimate(value, 2.0 * tail + placement + rounding, len(edges), radius)
-    if not est.abs_error_bound <= tol:
-        raise ToleranceNotReached(
-            f"error bound {est.abs_error_bound:.3e} of the mass sums above "
-            f"tolerance {tol:.3e}", est)
-    return est
+    return IntegralEstimate(value, 2.0 * tail + placement + rounding, len(edges))
 
 
 def integrate_radial_abs_pow(profile, p, tol):
@@ -353,18 +350,15 @@ def integrate_radial_abs_pow(profile, p, tol):
     """
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
-    samples = min(int(max(513, 32 * (profile.degree_hint + 1) + 1)), 40001)
 
     def find_cuts(radius):
-        return locate_sign_changes(profile.evaluator, (0.0, radius),
-                                   max_roots=profile.degree_hint + 16,
-                                   samples=samples, rel_floor=SIGN_SCAN_FLOOR)
+        return locate_sign_changes(profile.evaluator, (0.0, radius), profile.degree_hint)
 
     if p == 1.0 and profile.mass is not None:
-        return _mass_l1(profile, tol, find_cuts)
-    value, err, count, radius = _core_abs_pow(
-        profile.evaluator, profile.decay, p, tol, find_cuts)
-    return IntegralEstimate(value, err, count, radius)
+        est = _mass_l1(profile, tol, find_cuts)
+    else:
+        est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, find_cuts)
+    return _checked(est, tol)
 
 
 def _aligned_frame(terms):
@@ -430,15 +424,16 @@ def integrate_plane_abs_pow(profile, p, tol):
       exact, split where the terms cancel at
       r0^2 = ln|A_1/A_2| / (a_1 - a_2) with A_i = amp_i e^{g_i}; one NumPy
       expression covers all the angles of a rule.  ``subdivisions``
-      counts the angular panels only and ``truncation_radius`` is inf,
-      since no ray is truncated.
+      counts the angular panels only.
     * otherwise: each ray runs the radial core (certified truncation,
       adaptive GL16 panels with the closed-form cuts as edges).
-      ``subdivisions`` counts angular and radial panels, and
-      ``truncation_radius`` is the largest ray radius.
+      ``subdivisions`` counts angular and radial panels.
 
-    On both routes the error budget is prefactor * (outer_err + phi_range
-    * inner_tol), with inner_tol the tolerance granted to each ray.
+    On both routes the error bound is prefactor * (outer_err + phi_range
+    * inner_tol), with inner_tol the tolerance granted to each ray, and at
+    most ``tol`` or :class:`ToleranceNotReached` is raised.  A ray that
+    misses its share stops the plane at once with (nan, inf, panels so
+    far) attached: no bound for the plane exists then.
     """
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
@@ -464,9 +459,10 @@ def integrate_plane_abs_pow(profile, p, tol):
     logs = [math.log(abs(amp)) + g for amp, g in zip(amps, gs)]
     exact = p == 1.0 and symmetric
     peaks = [amp * math.exp(g) for amp, g in zip(amps, gs)]
-    state = {"panels": 0, "radius": math.inf if exact else 0.0}
+    panels = 0  # radial panels over all rays
 
     def ray_panels(a_coef, b_coef):
+        nonlocal panels
         decay = tuple((c + max(b, 0.0) ** 2 / (2.0 * a), 0.5 * a)
                       for c, a, b in zip(logs, a_coef, b_coef))
 
@@ -487,10 +483,13 @@ def integrate_plane_abs_pow(profile, p, tol):
             return _quadratic_roots(a_coef[1] - a_coef[0], b_coef[0] - b_coef[1],
                                     logs[0] - logs[1])
 
-        value, _, count, radius = _core_abs_pow(f, decay, p, 2.0 * inner_tol, find_cuts)
-        state["panels"] += count
-        state["radius"] = max(state["radius"], radius)
-        return 0.5 * value
+        est = _core_abs_pow(f, decay, p, 2.0 * inner_tol, find_cuts)
+        panels += est.subdivisions
+        if not est.abs_error_bound <= 2.0 * inner_tol:
+            raise ToleranceNotReached(
+                f"ray error {est.abs_error_bound:.3e} above its share {2.0 * inner_tol:.3e}",
+                IntegralEstimate(math.nan, math.inf, panels))
+        return 0.5 * est.value
 
     def outer(phis):
         phis = np.atleast_1d(phis)
@@ -509,17 +508,8 @@ def integrate_plane_abs_pow(profile, p, tol):
                                     [float(b[j]) for b in b_rays])
                          for j in range(len(phis))])
 
-    try:
-        outer_val, outer_err, outer_count = _adaptive_panels(
-            outer, [0.0, phi_range], outer_budget, MAX_OUTER)
-    except ToleranceNotReached as exc:
-        est = exc.estimate
-        raise ToleranceNotReached(
-            str(exc),
-            IntegralEstimate(prefactor * est.value,
-                             prefactor * (est.abs_error_bound + phi_range * inner_tol),
-                             est.subdivisions + state["panels"],
-                             state["radius"])) from None
-    value = prefactor * outer_val
-    err = prefactor * (outer_err + phi_range * inner_tol)
-    return IntegralEstimate(value, err, outer_count + state["panels"], state["radius"])
+    outer_val, outer_err, outer_count = _adaptive_panels(
+        outer, [0.0, phi_range], outer_budget, MAX_OUTER)
+    return _checked(IntegralEstimate(prefactor * outer_val,
+                                     prefactor * (outer_err + phi_range * inner_tol),
+                                     outer_count + panels), tol)

@@ -25,8 +25,8 @@ from .fock import (FockDiagonalState, UnsupportedInputError, apply_channel_fock,
                    wigner_mass_outside, wigner_s_fock)
 from .gaussian import (GaussianState, apply_channel_gaussian, is_quantum_gaussian,
                        min_quadrature_variance, wigner_term)
-from .quadrature import (SIGN_SCAN_FLOOR, GaussianTerm, PlanarProfile,
-                         RadialProfile, ToleranceNotReached,
+from .quadrature import (SIGN_SCAN_FLOOR, GaussianTerm, IntegralEstimate,
+                         PlanarProfile, RadialProfile, ToleranceNotReached,
                          integrate_plane_abs_pow, integrate_radial_abs_pow)
 
 DEFAULT_TOL = 1e-6
@@ -148,7 +148,8 @@ def norm_value(state, channel, fn, tol):
     When the root inflates err above tol (p > 1) the integral tolerance is
     tightened and the integral redone, four integrals at most; if err still
     exceeds tol, :class:`~phasenorm.quadrature.ToleranceNotReached` is
-    raised with the last (N, err) as its ``estimate``.
+    raised with ``IntegralEstimate(N, err, subdivisions)`` of the last
+    integral as its ``estimate`` (an integral that misses raises its own).
     """
     quad_tol = tol
     for _ in range(4):
@@ -160,7 +161,7 @@ def norm_value(state, channel, fn, tol):
         quad_tol = 0.9 * ((value + tol) ** fn.p - value**fn.p)
     raise ToleranceNotReached(
         f"norm error {err:.3e} above tolerance {tol:.3e} after 4 integrals",
-        (value, err))
+        IntegralEstimate(value, err, est.subdivisions))
 
 
 @lru_cache(maxsize=256)

@@ -3,9 +3,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phasenorm.cli import main
-from phasenorm.quantifier import classify
+from phasenorm.cli import main, run_mixtures, run_sweep
+from phasenorm.quantifier import (CERTIFIED_QUANTUM, NEGATIVITY_WITNESS_MIN,
+                                  NOGO_INSTANCE, classify)
 
 
 def run_cli(*args):
@@ -150,6 +153,41 @@ class TestMixturesCommand:
 
     def test_bad_count_usage_error(self):
         assert run_cli("mixtures", "--count", "0", "--out", "/tmp/x.csv").returncode == 2
+
+
+def tied(x, y):
+    """True when x and y, each printed to 7 significant digits, cannot be ordered.
+
+    Against 0 nothing is tied: the printed value keeps its sign and exact zeros.
+    """
+    return abs(x - y) <= 5e-7 * (abs(x) + abs(y))
+
+
+class TestClassificationFromCsv:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 2.0), st.floats(0.0, 1.5), st.floats(0.05, 1.5),
+           st.integers(2, 4))
+    def test_sweep_rows_recompute_every_class(self, nbar, r_min, span, steps):
+        for row in run_sweep(nbar, r_min, r_min + span, steps):
+            r, n, err, base, m, flag, cls = row.csv().split(",")
+            m, err = float(m), float(err)
+            if tied(m, err):
+                continue
+            assert classify(m, err, bool(int(flag))) == cls
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(0, 2**16), st.booleans())
+    def test_mixture_rows_recompute_nogo(self, count, seed, corners):
+        # no err column: only nogo_instance is recomputable, and a
+        # certified row has m > err >= 0
+        for row in run_mixtures(count, seed, corners):
+            fields = row.csv().split(",")
+            m, negativity, cls = float(fields[4]), float(fields[5]), fields[6]
+            if tied(negativity, NEGATIVITY_WITNESS_MIN):
+                continue
+            nogo = negativity > NEGATIVITY_WITNESS_MIN and m <= 0.0
+            assert (cls == NOGO_INSTANCE) == nogo
+            assert cls != CERTIFIED_QUANTUM or m > 0.0
 
 
 class TestVerifyCommand:

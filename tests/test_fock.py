@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from phasenorm.fock import MASS_EPS, wigner_mass_outside
 from phasenorm import (CG, FockDiagonalState, GaussianState,
                        UnsupportedInputError, amplify_fock, apply_channel_fock,
-                       attenuate_fock, ChannelSpec, Displacement,
+                       attenuate_fock, Attenuator, ChannelSpec, Displacement,
                        loss_kraus_decomposition, make_mixture, make_thermal,
                        make_thermal_fock, mean_photons, number_state,
                        wigner_s_fock, wigner_s_gaussian)
@@ -218,6 +218,24 @@ class TestClassicalize:
     def test_displacement_rejected(self):
         with pytest.raises(UnsupportedInputError):
             apply_channel_fock(number_state(1), ChannelSpec((Displacement(1 + 0j),)))
+
+    def test_cancelling_displacements_leave_weights(self):
+        state = make_mixture([0.2, 0.3, 0.5])
+        out = apply_channel_fock(state, ChannelSpec((Displacement(1), Displacement(-1))))
+        assert np.array_equal(out.weights, state.weights)
+
+    def test_displacement_through_loss_cancels(self):
+        # D(1) passes the attenuator as D(sqrt(t)), so D(-sqrt(t)) undoes it
+        state = make_mixture([0.2, 0.3, 0.5])
+        chain = ChannelSpec((Displacement(1), Attenuator(0.5),
+                             Displacement(-math.sqrt(0.5))))
+        out = apply_channel_fock(state, chain)
+        assert np.array_equal(out.weights, attenuate_fock(state, 0.5).weights)
+
+    def test_net_displacement_rejected(self):
+        chain = ChannelSpec((Displacement(1), Attenuator(0.5), Displacement(-1)))
+        with pytest.raises(UnsupportedInputError):
+            apply_channel_fock(number_state(1), chain)
 
 
 class TestLossKraus:

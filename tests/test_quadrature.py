@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasenorm.quadrature
-from phasenorm import (GaussianTerm, PlanarProfile, RadialProfile,
+from phasenorm import (GaussianTerm, IntegralEstimate, PlanarProfile, RadialProfile,
                        RootBudgetExceeded, ToleranceNotReached,
                        integrate_plane_abs_pow, integrate_radial_abs_pow,
                        locate_sign_changes, number_state, radial_profile)
@@ -117,20 +117,20 @@ class TestRadial:
 class TestSignChanges:
     def test_fock1_root_at_half(self):
         f = lambda r: -2.0 * (1.0 - 4.0 * np.asarray(r) ** 2) * np.exp(-2.0 * np.asarray(r) ** 2)
-        roots = locate_sign_changes(f, (0.0, 3.0))
+        roots = locate_sign_changes(f, (0.0, 3.0), 1)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_vacuum_difference_root(self):
-        roots = locate_sign_changes(vacuum_diff_profile().evaluator, (0.0, 4.0))
+        roots = locate_sign_changes(vacuum_diff_profile().evaluator, (0.0, 4.0), 2)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(VACUUM_DIFF_ROOT, abs=1e-10)
 
     def test_strictly_positive_gives_empty(self):
-        assert locate_sign_changes(lambda r: np.exp(-np.asarray(r)), (0.0, 5.0)) == []
+        assert locate_sign_changes(lambda r: np.exp(-np.asarray(r)), (0.0, 5.0), 0) == []
 
     def test_identically_zero_gives_empty(self):
-        assert locate_sign_changes(lambda r: np.zeros_like(np.asarray(r)), (0.0, 5.0)) == []
+        assert locate_sign_changes(lambda r: np.zeros_like(np.asarray(r)), (0.0, 5.0), 0) == []
 
     def test_illinois_refines_in_few_calls(self):
         # the scan plus five Illinois steps; bisection took 34 calls
@@ -141,14 +141,14 @@ class TestSignChanges:
             r = np.asarray(r)
             return -2.0 * (1.0 - 4.0 * r**2) * np.exp(-2.0 * r**2)
 
-        roots = locate_sign_changes(f, (0.0, 3.0))
+        roots = locate_sign_changes(f, (0.0, 3.0), 1)
         assert roots == [pytest.approx(0.5, abs=1e-10)]
         assert len(calls) <= 8
         assert roots.widths[0] <= phasenorm.quadrature.ROOT_XTOL
 
     def test_brackets_close_on_every_root(self):
         # several roots refined together; each final bracket holds its root
-        roots = locate_sign_changes(lambda r: np.cos(3.0 * np.asarray(r)), (0.0, 6.0))
+        roots = locate_sign_changes(lambda r: np.cos(3.0 * np.asarray(r)), (0.0, 6.0), 6)
         want = (np.arange(6) + 0.5) * math.pi / 3.0
         assert np.max(np.abs(np.array(roots) - want)) <= 1e-12
         assert np.all(roots.widths <= phasenorm.quadrature.ROOT_XTOL)
@@ -156,8 +156,8 @@ class TestSignChanges:
 
     def test_root_budget(self):
         with pytest.raises(RootBudgetExceeded):
-            locate_sign_changes(lambda r: np.cos(40.0 * np.asarray(r)), (0.0, 3.0),
-                                max_roots=10)
+            # budget 2 + 16 = 18 against the 38 roots of cos 40r on [0, 3]
+            locate_sign_changes(lambda r: np.cos(40.0 * np.asarray(r)), (0.0, 3.0), 2)
 
 
 def iso_term(amp, variance):
@@ -307,3 +307,25 @@ def test_even_p_radial_route_runs_no_sign_scan(monkeypatch):
     # int W^2 d^2alpha/pi is the purity, 1 for a number state
     est = integrate_radial_abs_pow(radial_profile(number_state(2), 0.0), 2.0, 1e-9)
     assert est.value == pytest.approx(1.0, abs=1e-9)
+
+
+VACUUM_PAIR = PlanarProfile((iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75)))
+FOCK1 = radial_profile(number_state(1), 0.0)
+
+
+@pytest.mark.parametrize("integrate,p,reference", [
+    (lambda p, tol: integrate_plane_abs_pow(VACUUM_PAIR, p, tol), 1.0, VACUUM_CG_L1),
+    (lambda p, tol: integrate_plane_abs_pow(VACUUM_PAIR, p, tol), 2.0, 1.0 / 3.0),
+    (lambda p, tol: integrate_radial_abs_pow(FOCK1, p, tol), 1.0, ABS_W1_INTEGRAL),
+    (lambda p, tol: integrate_radial_abs_pow(FOCK1, p, tol), 3.0, None),
+], ids=["planar_exact_p1", "planar_rays_p2", "radial_exact_p1", "radial_panels_p3"])
+def test_every_route_raises_an_honest_estimate(integrate, p, reference):
+    # 1e-20 is out of reach of double precision on every route; what is
+    # raised must be near the integral, or admit that it has no bound
+    if reference is None:
+        reference = integrate(p, 1e-12).value
+    with pytest.raises(ToleranceNotReached) as excinfo:
+        integrate(p, 1e-20)
+    est = excinfo.value.estimate
+    assert isinstance(est, IntegralEstimate)
+    assert abs(est.value - reference) <= 1e-12 or est.abs_error_bound == math.inf
