@@ -146,15 +146,22 @@ def radial_profile(state, s):
 
     Its ``mass`` is :func:`wigner_mass_outside`, so the p = 1 integral of
     the profile is computed exactly from the masses at its sign cuts.
+    Every zero of L_n lies below 4n + 2 (Szego, Orthogonal Polynomials,
+    6.31), so for s > -1 each W_n^(s), n <= N, is positive beyond
+    rho_t = sqrt((N + 3/4)(1 - s^2)); for s <= -1 it is positive
+    everywhere.  Its ``reach`` is max(rho_t, sqrt((N + 1)(1 - s)/2)) plus
+    sqrt((1 - s)/2 ln(1 + 10/tol)) + 1/2, where the Gaussian factor has
+    fallen to about tol/10.
 
     The envelope uses |sum_n p_n tau^n L_n| <= (1 + |u|)^N and splits off
     half the exponential rate to absorb the polynomial factor, all in log
-    space (the envelope amplitude is astronomically large for big cutoffs
-    but only its logarithm is ever used).
+    space (only its logarithm is ever used).  It sets the scan step and
+    the panel routes' tail.
     """
     if s >= 1.0:
         raise ValueError(f"ordering parameter must be < 1, got {s}")
     n = state.cutoff
+    bulk = max(math.sqrt((n + 1) * (1.0 - s) / 2.0), math.sqrt((n + 0.75) * max(1.0 - s * s, 0.0)))
     full_rate = 2.0 / (1.0 - s)
     log_pref = math.log(2.0 / (1.0 - s))
     if n == 0:
@@ -168,7 +175,8 @@ def radial_profile(state, s):
             log_poly = 0.0
         decay = ((log_pref + log_poly, b),)
     return RadialProfile(lambda r: wigner_s_fock(state, s, r), decay, degree_hint=n,
-                         mass=lambda r: wigner_mass_outside(state, s, r))
+                         mass=lambda r: wigner_mass_outside(state, s, r),
+                         reach=lambda t: bulk + math.sqrt((1 - s) / 2 * math.log1p(10 / t)) + 0.5)
 
 
 # ---------------------------------------------------------------- channels

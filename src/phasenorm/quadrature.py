@@ -15,22 +15,25 @@ below tol/10, the integrand is cut at every sign change of f so |f|^p is
 smooth on each panel (no cut for even integer p: f^p is smooth), and
 panels are refined worst-first with fixed-order Gauss-Legendre rules
 until the accumulated error estimate fits the tolerance.  Radial profiles
-find their sign changes by a scan over [0, R] and Illinois (modified
-regula falsi) refinement to 1e-12.  Along a ray of a planar profile the
-log-magnitude of each Gaussian term is quadratic in the radius, so its
-sign change is found in closed form; for p = 1 with a shared center the
-whole ray integral is closed form, and only the angle is integrated
-numerically.
+find their sign changes by a scan and ladder refinement (regula falsi
+points flanked by geometric rungs, one call of f per round) to 1e-12.
+Along a ray of a planar profile the log-magnitude of each Gaussian term
+is quadratic in the radius, so its sign change is found in closed form;
+for p = 1 with a shared center the whole ray integral is closed form, and
+only the angle is integrated numerically.
 
 A radial profile that carries its ``mass`` (the integral of f outside a
 radius) skips the panels at p = 1: the integral is the sum of the mass
-differences between consecutive sign cuts, and the truncation radius R
-only bounds the scan.  Its error is certified in three parts: the
-envelope tail beyond R (a sign change missed there), the root placement
-(final bracket widths) and rounding.  What it does not certify is that
-the scan found every sign change inside R: two cuts closer than the scan
-step go unseen.  On every other route (p != 1, a profile without a mass,
-the planar angle) the panel part of the error is an estimate.
+differences between consecutive sign cuts.  The scan stops at the
+profile's ``reach``, beyond which each term is of one sign, so the masses
+of the terms there bound the tail; the envelope only sets the scan step
+and the radius of a widened scan, should that tail miss tol/10.  The
+error is certified in three parts: the tail (a sign change missed beyond
+the scan), the root placement (final bracket widths) and rounding.  What
+it does not certify is that the scan found every sign change: two cuts
+closer than the scan step go unseen.  On every other route (p != 1, a
+profile without a mass, the planar angle) the panel part of the error is
+an estimate.
 """
 
 import heapq
@@ -43,6 +46,10 @@ LEG_NODES, LEG_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 ROOT_XTOL = 1e-12
 ROOT_MAX_STEPS = 200
+LADDER = 0.5 * ROOT_XTOL * 4.0 ** np.arange(20)  # rungs around the regula falsi point
+# a round's offsets with the k narrowest rungs; the infinite ones clip to the ends
+LADDER_OFFSETS = [np.concatenate([[-np.inf], -LADDER[:k][::-1], [0.0], LADDER[:k], [np.inf]])
+                  for k in range(len(LADDER) + 1)]
 MIN_PANEL_WIDTH = 1e-13
 EPS = float(np.finfo(float).eps)
 SIGN_SCAN_FLOOR = 1e-13  # relative magnitude below which sign flips are noise
@@ -63,29 +70,31 @@ class ToleranceNotReached(RuntimeError):
 
 
 class RootBudgetExceeded(RuntimeError):
-    """More sign changes found than ``max_roots`` allows."""
+    """More sign changes found than the scan's budget, degree_hint + 16."""
 
 
 @dataclass(frozen=True)
 class IntegralEstimate:
     """Quadrature result with its error budget.
 
-    On the panel routes ``abs_error_bound`` is the sum of two parts.  The
-    truncation tail is certified: the declared decay envelope bounds it.
-    The panel part, the summed difference between GL16 on each panel and
-    GL16 on its two halves, is an estimate and can undershoot the true
-    error (the squeezed thermal state nbar 1, r 20 gives N = 1.5000005
-    with err 7.3e-7 under ``CG``, against a limit of 2: no GL16 node of
-    the angular panels samples its needle-thin input term).
+    On the panel routes ``abs_error_bound`` is the sum of three parts.
+    The truncation tail is certified: the declared decay envelope bounds
+    it.  Rounding of the panel sum of g = |f|^p >= 0 is eps |value| per
+    panel.  The panel part, the summed difference between GL16 on each
+    panel and GL16 on its two halves, is an estimate and can undershoot
+    the true error (the squeezed thermal state nbar 1, r 20 gives N =
+    1.5000005 with err 7.3e-7 under ``CG``, against a limit of 2: no GL16
+    node of the angular panels samples its needle-thin input term).
 
     On the exact radial route (p = 1, a profile with a ``mass``) it is
-    twice the envelope tail beyond the scan radius (certified by the
-    envelope), plus the root placement (final bracket width times the
+    twice the tail beyond the scan radius (certified by the masses of the
+    profile's terms at its ``reach``, or by the envelope when the scan had
+    to widen), plus the root placement (final bracket width times the
     larger |f| at its ends, exact for f monotone on the bracket), plus
     rounding of the masses (the bound the profile declares).  What it
-    assumes is the completeness of the sign scan inside the truncation
-    radius.  ``subdivisions`` then counts the mass intervals between cuts.
-    Every route returns a bound within tol or raises it attached.
+    assumes is the completeness of the sign scan.  ``subdivisions`` then
+    counts the mass intervals between cuts.  Every route returns a bound
+    within tol or raises it attached.
     """
 
     value: float
@@ -103,14 +112,19 @@ class RadialProfile:
     ``degree_hint`` bounds the number of sign changes (used to choose the
     root-scan sampling density).  ``mass``, when given, maps an ndarray of
     radii r to T(r) = int_{|alpha| > r} f d^2alpha/pi, with T(inf) = 0 and
-    rounding at most eps * (degree_hint + 1) * max(1, |T|); it makes the
-    p = 1 integral exact (see :func:`integrate_radial_abs_pow`).
+    rounding at most eps * (degree_hint + 1) * max(1, |T|), or to one row
+    T_i(r) per term of f = sum_i f_i; it makes the p = 1 integral exact
+    (see :func:`integrate_radial_abs_pow`).  ``reach``, when given, maps
+    tol to a radius R beyond which every term is of one sign, so that
+    sum_i |T_i(R)| bounds int_{|alpha| > R} |f|, and is expected below
+    tol/10 there; the exact route scans for sign cuts only up to it.
     """
 
     evaluator: object
     decay: tuple
     degree_hint: int
     mass: object = None
+    reach: object = None
 
 
 @dataclass(frozen=True)
@@ -147,18 +161,19 @@ class SignChanges(list):
         self.heights = np.asarray(heights, dtype=float)[order]
 
 
-def locate_sign_changes(f, bracket, degree_hint):
+def locate_sign_changes(f, bracket, degree_hint, stop=None):
     """Find radii where f changes sign on ``bracket``, each to 1e-12.
 
     Sign changes are bracketed on a uniform grid of
-    min(max(513, 32 (degree_hint + 1) + 1), 40001) samples and refined by
-    the Illinois step (all brackets at once, one vectorized call per
-    iteration on the brackets still open).  Nodes where f is exactly zero
-    are returned as cuts directly.  Sign flips whose flanking magnitudes
-    are both below SIGN_SCAN_FLOOR times the scan maximum are ignored: such
-    crossings are floating-point noise where f has decayed away, and missing
-    a cut there perturbs no integral of |f|^p (cuts only restore smoothness
-    at genuine kinks).  Two sign changes within one scan step are not seen.
+    min(max(513, 32 (degree_hint + 1) + 1), 40001) samples over
+    ``bracket``, cut after its first node at or beyond ``stop`` if given,
+    and refined by the ladder (all open brackets in one call of f per
+    round).  Nodes where f is exactly zero are returned as cuts directly.
+    Sign flips whose flanking magnitudes are both below SIGN_SCAN_FLOOR
+    times the scan maximum are ignored: such crossings are floating-point
+    noise where f has decayed away, and missing a cut there perturbs no
+    integral of |f|^p (cuts only restore smoothness at genuine kinks).  Two
+    sign changes within one scan step are not seen.
     Raises :class:`RootBudgetExceeded` above degree_hint + 16 changes.
 
     Returns a :class:`SignChanges` list, whose final bracket widths and end
@@ -167,6 +182,8 @@ def locate_sign_changes(f, bracket, degree_hint):
     lo, hi = bracket
     max_roots = degree_hint + 16
     xs = np.linspace(lo, hi, min(max(513, 32 * (degree_hint + 1) + 1), 40001))
+    if stop is not None:
+        xs = xs[:np.searchsorted(xs, stop) + 1]
     ys = f(xs)
     floor = SIGN_SCAN_FLOOR * float(np.max(np.abs(ys)))
     flank = np.maximum(np.abs(ys[:-1]), np.abs(ys[1:]))
@@ -176,40 +193,46 @@ def locate_sign_changes(f, bracket, degree_hint):
     if len(idx) + len(zero_nodes) > max_roots:
         raise RootBudgetExceeded(
             f"found {len(idx) + len(zero_nodes)} sign changes, budget {max_roots}")
-    roots, widths, heights = _illinois_brackets(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1])
+    roots, widths, heights = _ladder_brackets(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1])
     zeros = np.zeros(len(zero_nodes))
     return SignChanges(np.concatenate([roots, zero_nodes]),
                        np.concatenate([widths, zeros]), np.concatenate([heights, zeros]))
 
 
-def _illinois_brackets(f, a, b, fa, fb):
+def _ladder_brackets(f, a, b, fa, fb):
     """Refine sign-change brackets [a, b] simultaneously to ROOT_XTOL.
 
-    The Illinois step (Dowell & Jarratt, BIT 1971): the regula falsi point c
-    replaces b; when f(c) has the sign of f(b) the kept end a is reused with
-    its value halved, so both ends converge.  A bracket closes when its
-    width is at most ROOT_XTOL or f(c) is exactly zero.  Returns the roots
-    (the latest iterate c), the final widths and max(|f|) at the final ends.
+    Each round evaluates, in one call of f, the regula falsi point c of
+    every open bracket and the rungs c -+ LADDER narrower than the widest
+    bracket, clipped to it: NumPy's per-call overhead dominates the kernel,
+    so these points cost about what c alone does.  The narrowest pair of
+    neighbours whose values change sign becomes the bracket; c within 0.5
+    ROOT_XTOL of the root closes it.  A bracket closes at width ROOT_XTOL
+    or at an exact zero, after at most ROOT_MAX_STEPS rounds.  Returns the
+    roots (right ends), the final widths and max(|f|) at the final ends.
     """
     a, b = a.astype(float), b.astype(float)
-    ya, yb = fa.astype(float), fb.astype(float)  # f at the ends
-    wa = ya.copy()                               # the kept end's weight
-    width = np.abs(b - a)
-    open_ = np.nonzero(width > ROOT_XTOL)[0]
+    ya, yb = fa.astype(float), fb.astype(float)
+    open_ = np.nonzero(b - a > ROOT_XTOL)[0]
     for _ in range(ROOT_MAX_STEPS):
         if not len(open_):
             break
-        ao, bo, wo, yo = a[open_], b[open_], wa[open_], yb[open_]
-        c = bo - yo * (bo - ao) / (yo - wo)
-        yc = f(c)
-        flip = yc * yo < 0.0
-        a[open_] = np.where(flip, bo, ao)
-        ya[open_] = np.where(flip, yo, ya[open_])
-        wa[open_] = np.where(flip, yo, 0.5 * wo)
-        b[open_], yb[open_] = c, yc
-        width[open_] = np.where(yc == 0.0, 0.0, np.abs(c - a[open_]))
-        open_ = open_[width[open_] > ROOT_XTOL]
-    return b, width, np.maximum(np.abs(ya), np.abs(yb))
+        lo, hi, ylo, yhi = a[open_, None], b[open_, None], ya[open_, None], yb[open_, None]
+        width = hi - lo
+        c = hi - yhi * width / (yhi - ylo)
+        offsets = LADDER_OFFSETS[np.searchsorted(LADDER, width.max())]
+        xs = np.minimum(np.maximum(c + offsets, lo), hi)
+        ys = f(xs.ravel()).reshape(xs.shape)
+        gap = np.where(ys[:, :-1] * ys[:, 1:] < 0.0, xs[:, 1:] - xs[:, :-1], np.inf)
+        zero = ys == 0.0
+        hit = zero.any(axis=1)
+        left = np.where(hit, zero.argmax(axis=1), gap.argmin(axis=1))
+        right = left + ~hit
+        rows = np.arange(len(open_))
+        a[open_], ya[open_] = xs[rows, left], ys[rows, left]
+        b[open_], yb[open_] = xs[rows, right], ys[rows, right]
+        open_ = open_[b[open_] - a[open_] > ROOT_XTOL]
+    return b, b - a, np.maximum(np.abs(ya), np.abs(yb))
 
 
 def _gl16(g, a, b):
@@ -301,7 +324,8 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
     """Shared core: int_0^R 2r |f|^p dr with sign cuts and tail bound.
 
     ``find_cuts(radius)`` returns the sign changes of f on (0, radius).
-    The estimate is unchecked: its bound is panel error plus tail.
+    The estimate is unchecked: its bound is panel error plus tail plus
+    rounding, eps |value| per panel (g >= 0, see :class:`IntegralEstimate`).
     """
     radius, tail = _tail_radius(decay, p, tol * 0.1)
     cuts = [] if p % 2.0 == 0.0 else sorted(find_cuts(radius))
@@ -311,22 +335,34 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
         return 2.0 * r * np.abs(evaluator(r)) ** p
 
     value, panel_err, count = _adaptive_panels(g, edges, tol - tail, MAX_PANELS)
-    return IntegralEstimate(value, panel_err + tail, count)
+    return IntegralEstimate(value, panel_err + tail + EPS * count * abs(value), count)
 
 
-def _mass_l1(profile, tol, find_cuts):
-    """int_0^inf 2r |f| dr = sum_i |T(c_i) - T(c_{i+1})| over 0 = c_0 < cuts < inf."""
-    radius, tail = _tail_radius(profile.decay, 1.0, tol * 0.1)
-    cuts = find_cuts(radius)
-    edges = np.array([0.0] + list(cuts))
-    masses = np.append(profile.mass(edges), 0.0)
+def _mass_l1(profile, tol):
+    """int_0^inf 2r |f| dr = sum_i |T(c_i) - T(c_{i+1})| over 0 = c_0 < cuts < inf.
+
+    The scan stops at the ``reach``, where the terms' masses bound the tail;
+    a tail above tol/10 widens it to the envelope radius and its bound.
+    """
+    envelope, tail = _tail_radius(profile.decay, 1.0, tol * 0.1)
+    reach = envelope if profile.reach is None else min(profile.reach(tol), envelope)
+    for radius in sorted({reach, envelope}):
+        cuts = locate_sign_changes(profile.evaluator, (0.0, envelope), profile.degree_hint,
+                                   stop=radius)
+        edges = np.array([0.0] + list(cuts))
+        # one mass pass gives T at the cuts and, per term, at the scan radius
+        rows = np.atleast_2d(profile.mass(np.append(edges, radius)))
+        if radius < envelope and np.sum(np.abs(rows[:, -1])) <= 0.1 * tol:
+            tail = float(np.sum(np.abs(rows[:, -1])))
+            break
+    masses = np.append(np.sum(rows[:, :-1], axis=0), 0.0)
     value = float(np.sum(np.abs(np.diff(masses))))
     # moving a cut inside its bracket changes the two masses beside it by at
     # most the integral of 2r |f| over the bracket
     right = edges[1:] + cuts.widths
     placement = float(np.sum(4.0 * right * cuts.widths * cuts.heights))
-    rounding = (2.0 * EPS * (profile.degree_hint + 1) * len(edges)
-                * max(1.0, float(np.max(np.abs(masses)))))
+    rounding = (2.0 * EPS * (profile.degree_hint + 1) * (len(edges) + 1)
+                * max(1.0, float(np.max(np.abs(rows)))))
     return IntegralEstimate(value, 2.0 * tail + placement + rounding, len(edges))
 
 
@@ -336,14 +372,15 @@ def integrate_radial_abs_pow(profile, p, tol):
     Two routes, chosen by the input:
 
     * p = 1 and a profile with a ``mass``: exact.  The sign cuts c_i are
-      scanned over [0, R], R the truncation radius, and the integral is
-      sum_i |T(c_i) - T(c_{i+1})| over 0 = c_0 < cuts < inf.  No panel
-      runs.  ``abs_error_bound`` is certified except for the scan's
-      completeness inside R: twice the envelope tail beyond R, the root
-      placement within the final brackets, and the rounding of the masses.
+      scanned over [0, R], R the profile's ``reach`` or the envelope
+      radius, and the integral is sum_i |T(c_i) - T(c_{i+1})| over
+      0 = c_0 < cuts < inf.  No panel runs.  ``abs_error_bound`` is
+      certified except for the scan's completeness: twice the tail beyond
+      R, the root placement and the rounding of the masses.
     * otherwise: the integrand is cut at every sign change of f so
-      |f|^p is smooth on each panel, and adaptive GL16 panels run up to R;
-      ``abs_error_bound`` is the panel estimate plus the certified tail.
+      |f|^p is smooth on each panel, and adaptive GL16 panels run up to
+      the envelope radius; ``abs_error_bound`` is the panel estimate plus
+      the certified tail plus rounding.
 
     The bound is at most ``tol`` or :class:`ToleranceNotReached` is raised
     with the best estimate attached.
@@ -351,13 +388,11 @@ def integrate_radial_abs_pow(profile, p, tol):
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
 
-    def find_cuts(radius):
-        return locate_sign_changes(profile.evaluator, (0.0, radius), profile.degree_hint)
-
     if p == 1.0 and profile.mass is not None:
-        est = _mass_l1(profile, tol, find_cuts)
+        est = _mass_l1(profile, tol)
     else:
-        est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, find_cuts)
+        est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
+            locate_sign_changes(profile.evaluator, (0.0, radius), profile.degree_hint)))
     return _checked(est, tol)
 
 
@@ -510,6 +545,6 @@ def integrate_plane_abs_pow(profile, p, tol):
 
     outer_val, outer_err, outer_count = _adaptive_panels(
         outer, [0.0, phi_range], outer_budget, MAX_OUTER)
-    return _checked(IntegralEstimate(prefactor * outer_val,
-                                     prefactor * (outer_err + phi_range * inner_tol),
+    bound = outer_err + phi_range * inner_tol + EPS * outer_count * abs(outer_val)
+    return _checked(IntegralEstimate(prefactor * outer_val, prefactor * bound,
                                      outer_count + panels), tol)

@@ -21,8 +21,7 @@ import numpy as np
 
 from .channels import CG, Attenuator, ChannelSpec
 from .fock import (FockDiagonalState, UnsupportedInputError, apply_channel_fock,
-                   loss_kraus_decomposition, mix_states, radial_profile,
-                   wigner_mass_outside, wigner_s_fock)
+                   loss_kraus_decomposition, mix_states, radial_profile, wigner_s_fock)
 from .gaussian import (GaussianState, apply_channel_gaussian, is_quantum_gaussian,
                        min_quadrature_variance, wigner_term)
 from .quadrature import (SIGN_SCAN_FLOOR, GaussianTerm, IntegralEstimate,
@@ -129,15 +128,13 @@ def _integral_once(state, channel, fn, quad_tol):
             noise = SIGN_SCAN_FLOOR * (np.abs(w_in) + np.abs(w_out))
             return np.where(np.abs(w_in - w_out) > noise, w_in - w_out, 0.0)
 
-        def mass(r):
-            # the output term's mass outside r is T_{s'}(r / sqrt k)
-            return (wigner_mass_outside(state, fn.s, r)
-                    - wigner_mass_outside(state, s_out, r / root_k))
-
-        decay_out = tuple((log_a - math.log(k), rate / k)
-                          for log_a, rate in radial_profile(state, s_out).decay)
-        profile = RadialProfile(diff, radial_profile(state, fn.s).decay + decay_out,
-                                degree_hint=2 * state.cutoff + 2, mass=mass)
+        inner, outer = radial_profile(state, fn.s), radial_profile(state, s_out)
+        decay_out = tuple((log_a - math.log(k), rate / k) for log_a, rate in outer.decay)
+        # one mass row per term; the output term's mass outside r is T_{s'}(r / sqrt k)
+        profile = RadialProfile(
+            diff, inner.decay + decay_out, degree_hint=2 * state.cutoff + 2,
+            mass=lambda r: np.array([inner.mass(r), -outer.mass(r / root_k)]),
+            reach=lambda tol: max(inner.reach(tol), root_k * outer.reach(tol)))
         return integrate_radial_abs_pow(profile, fn.p, quad_tol)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 

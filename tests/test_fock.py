@@ -12,7 +12,7 @@ from phasenorm import (CG, FockDiagonalState, GaussianState,
                        attenuate_fock, Attenuator, ChannelSpec, Displacement,
                        loss_kraus_decomposition, make_mixture, make_thermal,
                        make_thermal_fock, mean_photons, number_state,
-                       wigner_s_fock, wigner_s_gaussian)
+                       radial_profile, wigner_s_fock, wigner_s_gaussian)
 
 
 class TestConstruction:
@@ -279,3 +279,52 @@ class TestLossKraus:
         if lossy.tail_mass_bound > 1e-12:
             with pytest.raises(UnsupportedInputError):
                 loss_kraus_decomposition(lossy, 0.5)
+
+
+# ------------------------------------------------- turning-point bracket
+
+def test_laguerre_zeros_lie_below_4n_plus_2():
+    # the zeros of L_n are the eigenvalues of its Jacobi matrix (diagonal
+    # 2k + 1, off-diagonal k); Szego 6.31 puts them all below 4n + 2
+    for n in range(1, 321):
+        k = np.arange(n, dtype=float)
+        jacobi = np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1)
+        assert np.linalg.eigvalsh(jacobi)[-1] < 4 * n + 2
+
+
+def mpmath_abs_mass_outside(weights, s, r):
+    """int_{|alpha|>r} |W^(s)| d^2alpha/pi by mpmath quadrature in x = rho^2.
+
+    W_n^(s) = beta tau^n e^{-beta x} L_n(4x / (1 - s^2)), with L_n from its
+    three-term recurrence at 30 digits.
+    """
+    with mp.workdps(30):
+        s = mp.mpf(s)
+        beta, tau = 2 / (1 - s), (s + 1) / (s - 1)
+
+        def w(x):
+            y = 4 * x / (1 - s**2)
+            prev, cur, total = mp.mpf(0), mp.mpf(1), mp.mpf(weights[0])
+            for n in range(1, len(weights)):
+                prev, cur = cur, ((2 * n - 1 - y) * cur - (n - 1) * prev) / n
+                total += weights[n] * tau**n * cur
+            return abs(beta * mp.exp(-beta * x) * total)
+
+        x0 = mp.mpf(r) ** 2
+        return float(mp.quad(w, [x0, x0 + 2 / beta, x0 + 10 / beta, x0 + 40 / beta, mp.inf]))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=41).filter(lambda w: sum(w) > 0.1),
+       st.sampled_from([0.0, -0.5, -0.9]))
+def test_wigner_is_positive_beyond_the_turning_point(weights, s):
+    # beyond rho_t every W_n^(s), n <= N, is positive, so the mass outside
+    # a radius there is the integral of |W| outside it
+    state = make_mixture(np.array(weights) / sum(weights))
+    rho_t = math.sqrt((state.cutoff + 0.75) * (1.0 - s * s))
+    assert np.all(wigner_s_fock(state, s, rho_t + np.linspace(0.0, 4.0, 81)) > 0.0)
+    reach = radial_profile(state, s).reach(1e-6)
+    assert reach >= rho_t
+    for r in (rho_t, reach):
+        want = mpmath_abs_mass_outside(state.weights, s, r)
+        assert abs(wigner_mass_outside(state, s, r) - want) <= 1e-12

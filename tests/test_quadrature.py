@@ -329,3 +329,38 @@ def test_every_route_raises_an_honest_estimate(integrate, p, reference):
     est = excinfo.value.estimate
     assert isinstance(est, IntegralEstimate)
     assert abs(est.value - reference) <= 1e-12 or est.abs_error_bound == math.inf
+
+
+def abs_w1_cubed_integral():
+    """int_0^inf 2r |W_1|^3 dr at 30 digits, split at the sign change r = 1/2."""
+    with mp.workdps(30):
+        w1 = lambda r: -2 * (1 - 4 * r**2) * mp.exp(-2 * r**2)
+        return float(mp.quad(lambda r: 2 * r * abs(w1(r)) ** 3, [0, 0.5, mp.inf]))
+
+
+@pytest.mark.parametrize("integrate,reference", [
+    (lambda tol: integrate_plane_abs_pow(VACUUM_PAIR, 1.0, tol), VACUUM_CG_L1),
+    (lambda tol: integrate_radial_abs_pow(FOCK1, 3.0, tol), abs_w1_cubed_integral()),
+], ids=["planar_exact_p1", "radial_panels_p3"])
+def test_panel_routes_bound_their_rounding(integrate, reference):
+    # at tol 1e-20 the panels run to their cap (2048 angular, 8192 radial)
+    # and the running sum's rounding (misses 8.9e-16 and 3.9e-15) outgrows
+    # the panel estimate (3.0e-18 and 2.1e-18); eps |value| per panel holds it
+    with pytest.raises(ToleranceNotReached) as excinfo:
+        integrate(1e-20)
+    est = excinfo.value.estimate
+    assert abs(est.value - reference) <= est.abs_error_bound < 1e-11
+
+
+def test_scan_stops_on_the_grid_of_its_bracket():
+    # the grid keeps the bracket's step and ends at its first node past stop
+    seen = []
+
+    def f(r):
+        seen.append(np.array(r))
+        return np.cos(3.0 * np.asarray(r))
+
+    roots = locate_sign_changes(f, (0.0, 6.0), 6, stop=2.0)
+    full = np.linspace(0.0, 6.0, 513)  # max(513, 32 (6 + 1) + 1) nodes
+    assert np.array_equal(seen[0], full[full < 2.0 + full[1]])
+    assert np.allclose(roots, [math.pi / 6, math.pi / 2], atol=1e-12)

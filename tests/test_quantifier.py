@@ -422,3 +422,36 @@ class TestFunctionalSpec:
     def test_non_finite_rejected(self, s, p):
         with pytest.raises(ValueError):
             FunctionalSpec(s, p)
+
+
+def test_fock_p1_err_is_certified_by_the_masses():
+    # the tail is the terms' exact mass at the reach, not the (1 + |u|)^N
+    # envelope's bound: |40> had err 2.25e-7 with it, now the baseline's
+    # 2.5e-8 dominates
+    assert measure_m(number_state(40), tol=TOL).err <= 5e-8
+
+
+def test_scan_widens_when_the_reach_is_too_short(monkeypatch):
+    # a reach of 1 leaves most of |40>'s mass outside the scan, so the
+    # route must rescan up to the envelope radius and agree within err
+    want, want_err = norm_value(number_state(40), CG, FunctionalSpec(), TOL)
+    profile_of = phasenorm.quantifier.radial_profile
+    monkeypatch.setattr(phasenorm.quantifier, "radial_profile", lambda state, s: (
+        dataclasses.replace(profile_of(state, s), reach=lambda tol: 1.0)))
+    scans = []
+    locate = phasenorm.quadrature.locate_sign_changes
+
+    def counted(*args, **kwargs):
+        scans.append(kwargs.get("stop"))
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(phasenorm.quadrature, "locate_sign_changes", counted)
+    got, err = norm_value(number_state(40), CG, FunctionalSpec(), TOL)
+    assert len(scans) == 2 and scans[0] == 1.0
+    assert abs(got - want) <= err + want_err
+
+
+def test_loose_tolerance_keeps_the_reach_finite():
+    # the reach's ln(1 + 10/tol) stays positive above tol = 10
+    value, err = norm_value(number_state(2), CG, FunctionalSpec(), 50.0)
+    assert abs(value - N_FOCK2) <= err
