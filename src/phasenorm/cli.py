@@ -4,8 +4,9 @@ seeded Fock-mixture scan, and the verification suites.
 All CSV artifacts are deterministic: quadrature is deterministic, the
 simplex sampler uses a counter-based Philox generator, and floats are
 written with fixed 7-significant-digit formatting, so identical flags
-yield byte-identical files.  Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+yield byte-identical files.  Exit codes: 0 success, 1 runtime failure
+(a quadrature that misses its tolerance or root budget among them), 2
+usage error.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import numpy as np
 from .channels import CG
 from .fock import make_mixture
 from .gaussian import make_squeezed_thermal
+from .quadrature import RootBudgetExceeded, ToleranceNotReached
 from .quantifier import DEFAULT_TOL, FunctionalSpec, baseline_with_error, measure_m
 from .verify import run_suite
 
@@ -275,7 +277,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ToleranceNotReached, RootBudgetExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

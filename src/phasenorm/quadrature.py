@@ -14,9 +14,10 @@ radius where the profile's declared Gaussian decay certifies a tail bound
 below tol/10, the integrand is cut at every sign change of f so |f|^p is
 smooth on each panel (no cut for even integer p: f^p is smooth), and
 panels are refined worst-first with fixed-order Gauss-Legendre rules
-until the accumulated error estimate fits the tolerance.  Radial profiles
-find their sign changes by a scan and ladder refinement (regula falsi
-points flanked by geometric rungs, one call of f per round) to 1e-12.
+until the accumulated error estimate fits the tolerance, each refinement
+step's GL16 rules in one call of the integrand.  Radial profiles find
+their sign changes by a scan and ladder refinement (regula falsi points
+flanked by geometric rungs, one call of f per round) to 1e-12.
 Along a ray of a planar profile the log-magnitude of each Gaussian term
 is quadratic in the radius, so its sign change is found in closed form;
 for p = 1 with a shared center the whole ray integral is closed form, and
@@ -235,54 +236,57 @@ def _ladder_brackets(f, a, b, fa, fb):
     return b, b - a, np.maximum(np.abs(ya), np.abs(yb))
 
 
-def _gl16(g, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(LEG_WEIGHTS, g(mid + half * LEG_NODES)))
-
-
 def _adaptive_panels(g, edges, budget, max_panels):
     """Worst-first adaptive refinement over the initial panels ``edges``.
 
     Each panel carries the bisected value (sum over halves) and the
-    difference to the unbisected rule as its error estimate.  Stops within
-    ``budget``, at ``max_panels`` or at a panel below MIN_PANEL_WIDTH, and
-    returns (value, error_sum, panel_count) for the caller to judge.
+    difference to the unbisected rule as its error estimate.  Each step
+    evaluates all of its GL16 rules in one call of ``g`` (NumPy's per-call
+    overhead, not arithmetic, sets the cost of 16 nodes): every initial
+    panel's rule and half-rules, then per split its children's half-rules.
+    Stops within ``budget``, at ``max_panels`` or at a panel below
+    MIN_PANEL_WIDTH, and returns (value, error_sum, panel_count) for the
+    caller to judge.
     """
 
-    def make(a, b, coarse=None):
-        whole = _gl16(g, a, b) if coarse is None else coarse
-        mid = 0.5 * (a + b)
-        left = _gl16(g, a, mid)
-        right = _gl16(g, mid, b)
-        return (a, b, mid, left, right, left + right, abs(left + right - whole))
+    def rules(spans):
+        # GL16 on each (a, b) of spans, summed rule by rule
+        a, b = np.array(spans).T
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        ys = g((mid[:, None] + half[:, None] * LEG_NODES).ravel())
+        return [h * float(np.dot(LEG_WEIGHTS, ys[16 * i:16 * i + 16]))
+                for i, h in enumerate(half.tolist())]
+
+    def halves(a, b):
+        return [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
 
     heap = []
     seq = 0
-    total = 0.0
-    err = 0.0
-    count = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < MIN_PANEL_WIDTH:
-            continue
-        p = make(a, b)
-        total += p[5]
-        err += p[6]
-        heapq.heappush(heap, (-p[6], seq, p))
+    total = err = 0.0
+
+    def push(a, b, whole, left, right):
+        nonlocal seq, total, err
+        diff = abs(left + right - whole)
+        total += left + right
+        err += diff
+        heapq.heappush(heap, (-diff, seq, a, b, left, right))
         seq += 1
-        count += 1
+
+    spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a >= MIN_PANEL_WIDTH]
+    values = rules([s for a, b in spans for s in [(a, b)] + halves(a, b)]) if spans else []
+    for i, (a, b) in enumerate(spans):
+        push(a, b, *values[3 * i:3 * i + 3])
+    count = len(spans)
     while err > budget and count < max_panels and heap:
-        _, _, (a0, b0, mid0, left0, right0, v0, e0) = heapq.heappop(heap)
-        if b0 - a0 < MIN_PANEL_WIDTH:
+        neg_err, _, a, b, left, right = heapq.heappop(heap)
+        if b - a < MIN_PANEL_WIDTH:
             break
-        total -= v0
-        err -= e0
-        for aa, bb, coarse in ((a0, mid0, left0), (mid0, b0, right0)):
-            p = make(aa, bb, coarse)
-            total += p[5]
-            err += p[6]
-            heapq.heappush(heap, (-p[6], seq, p))
-            seq += 1
+        total -= left + right
+        err += neg_err
+        mid = 0.5 * (a + b)
+        values = rules(halves(a, mid) + halves(mid, b))
+        push(a, mid, left, *values[:2])
+        push(mid, b, right, *values[2:])
         count += 1
     return total, err, count
 
@@ -447,7 +451,7 @@ def integrate_plane_abs_pow(profile, p, tol):
     Polar quadrature about the common center in coordinates aligned with
     the principal axes of the summed covariances and scaled per axis; the
     angle is integrated by the adaptive panel scheme, all the angles of
-    one GL16 rule in one call.  When every term shares the center the
+    one refinement step in one call.  When every term shares the center the
     integrand is even and only [0, pi] is integrated.
 
     Along a ray each term is amp_i exp(g_i + b_i r - a_i r^2), so the sign
@@ -458,7 +462,7 @@ def integrate_plane_abs_pow(profile, p, tol):
     * p = 1 with a shared center: b_i = 0, and every ray integral is
       exact, split where the terms cancel at
       r0^2 = ln|A_1/A_2| / (a_1 - a_2) with A_i = amp_i e^{g_i}; one NumPy
-      expression covers all the angles of a rule.  ``subdivisions``
+      expression covers all the angles of a step.  ``subdivisions``
       counts the angular panels only.
     * otherwise: each ray runs the radial core (certified truncation,
       adaptive GL16 panels with the closed-form cuts as edges).

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasenorm.cli
+from phasenorm import RootBudgetExceeded, ToleranceNotReached
 from phasenorm.cli import main, run_mixtures, run_sweep
 from phasenorm.quantifier import (CERTIFIED_QUANTUM, NEGATIVITY_WITNESS_MIN,
                                   NOGO_INSTANCE, classify)
@@ -90,6 +92,23 @@ class TestSweepCommand:
                        "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command,target,exc", [
+        (["baseline"], "baseline_with_error", ToleranceNotReached("missed", None)),
+        (["sweep", "--steps", "2"], "measure_m", ToleranceNotReached("missed", None)),
+        (["mixtures", "--count", "2"], "measure_m", RootBudgetExceeded("too many")),
+    ], ids=["baseline", "sweep", "mixtures"])
+    def test_quadrature_failure_fails_cleanly(self, command, target, exc, tmp_path,
+                                              monkeypatch, capsys):
+        # a missed tolerance or root budget is a runtime failure (exit 1)
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(phasenorm.cli, target, fail)
+        out = [] if command == ["baseline"] else ["--out", str(tmp_path / "x.csv")]
+        assert main(command + out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_bad_steps_usage_error(self):
         proc = run_cli("sweep", "--steps", "1", "--out", "/tmp/x.csv")

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import math
 
 import mpmath as mp
@@ -132,8 +133,8 @@ class TestSignChanges:
     def test_identically_zero_gives_empty(self):
         assert locate_sign_changes(lambda r: np.zeros_like(np.asarray(r)), (0.0, 5.0), 0) == []
 
-    def test_illinois_refines_in_few_calls(self):
-        # the scan plus five Illinois steps; bisection took 34 calls
+    def test_ladder_refines_in_few_calls(self):
+        # the scan plus the ladder rounds, 4 calls of f; bisection took 34 calls
         calls = []
 
         def f(r):
@@ -364,3 +365,99 @@ def test_scan_stops_on_the_grid_of_its_bracket():
     full = np.linspace(0.0, 6.0, 513)  # max(513, 32 (6 + 1) + 1) nodes
     assert np.array_equal(seen[0], full[full < 2.0 + full[1]])
     assert np.allclose(roots, [math.pi / 6, math.pi / 2], atol=1e-12)
+
+
+def one_rule_per_call(g, edges, budget, max_panels):
+    """The worst-first panel loop with one call of g per GL16 rule (oracle)."""
+    quad = phasenorm.quadrature
+
+    def gl16(a, b):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        return half * float(np.dot(quad.LEG_WEIGHTS, g(mid + half * quad.LEG_NODES)))
+
+    def make(a, b, coarse=None):
+        whole = gl16(a, b) if coarse is None else coarse
+        mid = 0.5 * (a + b)
+        left, right = gl16(a, mid), gl16(mid, b)
+        return (a, b, mid, left, right, left + right, abs(left + right - whole))
+
+    heap, seq, total, err, count = [], 0, 0.0, 0.0, 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a < quad.MIN_PANEL_WIDTH:
+            continue
+        p = make(a, b)
+        total, err, count, seq = total + p[5], err + p[6], count + 1, seq + 1
+        heapq.heappush(heap, (-p[6], seq, p))
+    while err > budget and count < max_panels and heap:
+        _, _, (a0, b0, mid0, left0, right0, v0, e0) = heapq.heappop(heap)
+        if b0 - a0 < quad.MIN_PANEL_WIDTH:
+            break
+        total, err = total - v0, err - e0
+        for aa, bb, coarse in ((a0, mid0, left0), (mid0, b0, right0)):
+            p = make(aa, bb, coarse)
+            total, err, seq = total + p[5], err + p[6], seq + 1
+            heapq.heappush(heap, (-p[6], seq, p))
+        count += 1
+    return total, err, count
+
+
+def panel_runs(monkeypatch):
+    """Record (g, edges, budget, max_panels, sizes of the calls of g, result)
+    of every _adaptive_panels run."""
+    runs = []
+    panels = phasenorm.quadrature._adaptive_panels
+
+    def spied(g, edges, budget, max_panels):
+        sizes = []
+
+        def counted(x):
+            sizes.append(len(x))
+            return g(x)
+
+        result = panels(counted, edges, budget, max_panels)
+        runs.append((g, edges, budget, max_panels, sizes, result))
+        return result
+
+    monkeypatch.setattr(phasenorm.quadrature, "_adaptive_panels", spied)
+    return runs
+
+
+def unreachable(integrate):
+    # at tol 1e-20 the panels run to their cap before the bound is judged
+    with pytest.raises(ToleranceNotReached):
+        integrate()
+
+
+FOCK6 = radial_profile(number_state(6), 0.0)  # six sign cuts
+PANEL_ROUTES = {
+    "vacuum_pair_p1": lambda: unreachable(
+        lambda: integrate_plane_abs_pow(VACUUM_PAIR, 1.0, 1e-20)),
+    "squeezed_p1": lambda: integrate_plane_abs_pow(squeezed_difference(), 1.0, 1e-12),
+    "fock6_p1.5": lambda: integrate_radial_abs_pow(FOCK6, 1.5, 1e-10),
+    "fock6_p2": lambda: integrate_radial_abs_pow(FOCK6, 2.0, 1e-12),
+    "fock6_p3": lambda: integrate_radial_abs_pow(FOCK6, 3.0, 1e-12),
+}
+
+
+@pytest.mark.parametrize("route", ["vacuum_pair_p1", "fock6_p1.5", "fock6_p3"])
+def test_one_call_of_the_integrand_per_step(route, monkeypatch):
+    # the first call holds every initial panel's rule and two half-rules,
+    # each later call the four half-rules of one split
+    runs = panel_runs(monkeypatch)
+    PANEL_ROUTES[route]()
+    (_, edges, _, _, sizes, (_, _, count)), = runs
+    initial = len(edges) - 1
+    assert len(sizes) == 1 + (count - initial)
+    assert sizes == [48 * initial] + [64] * (count - initial)
+    assert count > initial
+
+
+@pytest.mark.parametrize("route", sorted(PANEL_ROUTES))
+def test_batched_rules_match_one_rule_per_call(route, monkeypatch):
+    # summing each rule on its own keeps every value, error and count bitwise
+    runs = panel_runs(monkeypatch)
+    PANEL_ROUTES[route]()
+    (g, edges, budget, max_panels, _, result), = runs
+    assert result[2] > len(edges) - 1
+    assert one_rule_per_call(g, edges, budget, max_panels) == result
