@@ -141,27 +141,78 @@ def wigner_mass_outside(state, s, radius):
     return _series(upper - tau * np.append(upper[1:], 0.0), s, radius) / (2.0 / (1.0 - s))
 
 
-def radial_profile(state, s):
+def term_l1_bound(s, n):
+    """B_s(n) >= int |W_n^(s)| d^2alpha/pi for s <= 0; n may be an array.
+
+    Inside rho_t = sqrt((n + 3/4)(1 - s^2)) |W_n^(s)| <= 2, and outside it
+    W_n^(s) >= 0 with mass at most 1 + 2 rho_t^2 (Szego 6.31), so B_s(n) =
+    1 + 4 rho_t^2; for s <= -1 every W_n^(s) >= 0 and B_s(n) = 1.
+    """
+    return 1.0 + 4.0 * (n + 0.75) * max(1.0 - s * s, 0.0)
+
+
+def leading_cutoff(state, orderings, budget):
+    """Smallest N_eff with sum_{n > N_eff} p_n sum_s B_s(n) <= budget.
+
+    The sum runs over the ``orderings`` s <= 0 in play (see
+    :func:`term_l1_bound`); an ordering s > 0 keeps every weight.  The
+    cutoff itself is returned, with scalar work only, when the top weight
+    alone exceeds the budget.
+    """
+    top = len(state.weights) - 1
+    bound = 0.0
+    for s in orderings:
+        if s > 0.0:
+            return top
+        bound += term_l1_bound(s, top)
+    if float(state.weights[top]) * bound > budget:
+        return top
+    n = np.arange(top + 1)
+    bounds = state.weights * sum(term_l1_bound(s, n) for s in orderings)
+    # tail[m] = sum_{n >= m}, nonincreasing in m and within budget at m = top
+    tail = np.cumsum(bounds[::-1])[::-1]
+    return max(int(np.argmax(tail <= budget)) - 1, 0)
+
+
+def radial_profile(state, s, leading=None):
     """RadialProfile of W^(s) with a certified Gaussian-decay envelope.
 
     Its ``mass`` is :func:`wigner_mass_outside`, so the p = 1 integral of
     the profile is computed exactly from the masses at its sign cuts.
     Every zero of L_n lies below 4n + 2 (Szego, Orthogonal Polynomials,
-    6.31), so for s > -1 each W_n^(s), n <= N, is positive beyond
-    rho_t = sqrt((N + 3/4)(1 - s^2)); for s <= -1 it is positive
-    everywhere.  Its ``reach`` is max(rho_t, sqrt((N + 1)(1 - s)/2)) plus
-    sqrt((1 - s)/2 ln(1 + 10/tol)) + 1/2, where the Gaussian factor has
-    fallen to about tol/10.
+    6.31), so for s > -1 each W_n^(s), n <= N, is positive beyond its
+    ``sign_radius`` rho_t = sqrt((N + 3/4)(1 - s^2)); for s <= -1 it is
+    positive everywhere.  Its ``reach`` is max(rho_t, sqrt((N + 1)(1 -
+    s)/2)) plus sqrt((1 - s)/2 ln(1 + 10/tol)) + 1/2, where the Gaussian
+    factor has fallen to about tol/10.
 
     The envelope uses |sum_n p_n tau^n L_n| <= (1 + |u|)^N and splits off
     half the exponential rate to absorb the polynomial factor, all in log
     space (only its logarithm is ever used).  It sets the scan step and
     the panel routes' tail.
+
+    With ``leading`` = N_eff below the cutoff (see :func:`leading_cutoff`,
+    s <= 0) the sign search runs on the leading weights p_0..p_N_eff: the
+    evaluator, envelope, reach, sign radius and ``degree_hint`` take N =
+    N_eff, while ``mass`` and its rounding keep every weight.  ``dropped``
+    is then (sum_{n > N_eff} p_n B_s(n), 2 sum_{n > N_eff} p_n), since
+    every |W_n^(s)| <= 2 for s <= 0.
     """
     if s >= 1.0:
         raise ValueError(f"ordering parameter must be < 1, got {s}")
-    n = state.cutoff
-    bulk = max(math.sqrt((n + 1) * (1.0 - s) / 2.0), math.sqrt((n + 0.75) * max(1.0 - s * s, 0.0)))
+    weights, dropped = state.weights, (0.0, 0.0)
+    n = top = len(weights) - 1
+    if leading is not None and leading != top:
+        if not 0 <= leading < top:
+            raise ValueError(f"leading cutoff must lie in [0, {top}], got {leading}")
+        if s > 0.0:
+            raise ValueError(f"weights are dropped only for s <= 0, got {s}")
+        n, rest = leading, weights[leading + 1:]
+        weights = weights[:n + 1]
+        dropped = (float(rest @ term_l1_bound(s, np.arange(n + 1, top + 1))),
+                   2.0 * float(rest.sum()))
+    rho_t = math.sqrt((n + 0.75) * max(1.0 - s * s, 0.0))
+    bulk = max(math.sqrt((n + 1) * (1.0 - s) / 2.0), rho_t)
     full_rate = 2.0 / (1.0 - s)
     log_pref = math.log(2.0 / (1.0 - s))
     if n == 0:
@@ -174,9 +225,10 @@ def radial_profile(state, s):
         else:
             log_poly = 0.0
         decay = ((log_pref + log_poly, b),)
-    return RadialProfile(lambda r: wigner_s_fock(state, s, r), decay, degree_hint=n,
+    return RadialProfile(lambda r: _series(weights, s, r), decay, degree_hint=n,
                          mass=lambda r: wigner_mass_outside(state, s, r),
-                         reach=lambda t: bulk + math.sqrt((1 - s) / 2 * math.log1p(10 / t)) + 0.5)
+                         reach=lambda t: bulk + math.sqrt((1 - s) / 2 * math.log1p(10 / t)) + 0.5,
+                         sign_radius=rho_t, dropped=dropped, mass_degree=top)
 
 
 # ---------------------------------------------------------------- channels

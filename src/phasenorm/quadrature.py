@@ -29,12 +29,15 @@ differences between consecutive sign cuts.  The scan stops at the
 profile's ``reach``, beyond which each term is of one sign, so the masses
 of the terms there bound the tail; the envelope only sets the scan step
 and the radius of a widened scan, should that tail miss tol/10.  The
-error is certified in three parts: the tail (a sign change missed beyond
-the scan), the root placement (final bracket widths) and rounding.  What
-it does not certify is that the scan found every sign change: two cuts
-closer than the scan step go unseen.  On every other route (p != 1, a
-profile without a mass, the planar angle) the panel part of the error is
-an estimate.
+cut search may run on a truncation g of f (a Fock state's leading
+weights) while the masses keep f; the value is then a lower estimate
+within four times the declared bound on int |f - g|.  The error is
+certified in four parts: the tail (a sign change missed beyond the
+scan), the root placement (final bracket widths), rounding and that
+truncation bound.  What it does not certify is that the scan found every
+sign change: two cuts closer than the scan step go unseen.  On every
+other route (p != 1, a profile without a mass, the planar angle) the
+panel part of the error is an estimate.
 """
 
 import heapq
@@ -89,13 +92,20 @@ class IntegralEstimate:
 
     On the exact radial route (p = 1, a profile with a ``mass``) it is
     twice the tail beyond the scan radius (certified by the masses of the
-    profile's terms at its ``reach``, or by the envelope when the scan had
-    to widen), plus the root placement (final bracket width times the
-    larger |f| at its ends, exact for f monotone on the bracket), plus
-    rounding of the masses (the bound the profile declares).  What it
-    assumes is the completeness of the sign scan.  ``subdivisions`` then
-    counts the mass intervals between cuts.  Every route returns a bound
-    within tol or raises it attached.
+    profile's terms there when it lies past their sign radius, as the
+    ``reach`` does, else by the envelope), plus the root placement (final
+    bracket width times the larger |f| at its ends, exact for f monotone
+    on the bracket), plus rounding of the masses (the bound the profile
+    declares).  When the cuts are those of a truncation g of f (the
+    profile's ``dropped`` = (l1, sup), the cut search on a Fock state's
+    leading weights), it adds 2 l1, since on each mass interval where g
+    keeps one sign int |f| - |int f| <= 2 int |f - g|, and 2 l1 to the
+    tail, whose dropped terms need not be of one sign; the brackets'
+    heights gain sup.  The value is then a lower estimate within the bound
+    and in practice exact to rounding.  What it assumes is the
+    completeness of the sign scan.  ``subdivisions`` then counts the mass
+    intervals between cuts.  Every route returns a bound within tol or
+    raises it attached.
     """
 
     value: float
@@ -113,12 +123,20 @@ class RadialProfile:
     ``degree_hint`` bounds the number of sign changes (used to choose the
     root-scan sampling density).  ``mass``, when given, maps an ndarray of
     radii r to T(r) = int_{|alpha| > r} f d^2alpha/pi, with T(inf) = 0 and
-    rounding at most eps * (degree_hint + 1) * max(1, |T|), or to one row
+    rounding at most eps * (mass_degree + 1) * max(1, |T|), or to one row
     T_i(r) per term of f = sum_i f_i; it makes the p = 1 integral exact
-    (see :func:`integrate_radial_abs_pow`).  ``reach``, when given, maps
-    tol to a radius R beyond which every term is of one sign, so that
-    sum_i |T_i(R)| bounds int_{|alpha| > R} |f|, and is expected below
-    tol/10 there; the exact route scans for sign cuts only up to it.
+    (see :func:`integrate_radial_abs_pow`).  ``mass_degree`` defaults to
+    ``degree_hint``.  Beyond ``sign_radius`` every term is of one sign, so
+    sum_i |T_i(R)| bounds int_{|alpha| > R} |f| at any R past it.
+    ``reach``, when given, maps tol to a radius past ``sign_radius`` where
+    that sum is expected below tol/10; the exact route scans for sign cuts
+    only up to it.
+
+    ``dropped`` = (l1, sup) lets the sign search run on a truncation g of
+    f: the evaluator, decay, reach, sign_radius and degree_hint then
+    describe g, while ``mass`` keeps f, and l1 >= int |f - g| d^2alpha/pi
+    and sup >= max |f - g| bound the dropped part.  Its default (0, 0)
+    says g = f.  Only p = 1 accepts a nonzero l1.
     """
 
     evaluator: object
@@ -126,6 +144,9 @@ class RadialProfile:
     degree_hint: int
     mass: object = None
     reach: object = None
+    sign_radius: float = math.inf
+    dropped: tuple = (0.0, 0.0)
+    mass_degree: int = None
 
 
 @dataclass(frozen=True)
@@ -345,10 +366,12 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
 def _mass_l1(profile, tol):
     """int_0^inf 2r |f| dr = sum_i |T(c_i) - T(c_{i+1})| over 0 = c_0 < cuts < inf.
 
-    The scan stops at the ``reach``, where the terms' masses bound the tail;
-    a tail above tol/10 widens it to the envelope radius and its bound.
+    The cuts are those of the evaluator g.  The scan stops at the
+    ``reach``, where the terms' masses bound the tail; a tail above tol/10
+    widens it to the envelope radius, where the smaller of the masses (if
+    past the sign radius) and the envelope's bound is taken.
     """
-    envelope, tail = _tail_radius(profile.decay, 1.0, tol * 0.1)
+    envelope, envelope_tail = _tail_radius(profile.decay, 1.0, tol * 0.1)
     reach = envelope if profile.reach is None else min(profile.reach(tol), envelope)
     for radius in sorted({reach, envelope}):
         cuts = locate_sign_changes(profile.evaluator, (0.0, envelope), profile.degree_hint,
@@ -356,18 +379,27 @@ def _mass_l1(profile, tol):
         edges = np.array([0.0] + list(cuts))
         # one mass pass gives T at the cuts and, per term, at the scan radius
         rows = np.atleast_2d(profile.mass(np.append(edges, radius)))
-        if radius < envelope and np.sum(np.abs(rows[:, -1])) <= 0.1 * tol:
-            tail = float(np.sum(np.abs(rows[:, -1])))
+        tail = float(np.sum(np.abs(rows[:, -1]))) if radius >= profile.sign_radius else math.inf
+        if tail <= 0.1 * tol:
             break
+    if radius == envelope:
+        tail = min(tail, envelope_tail)
     masses = np.append(np.sum(rows[:, :-1], axis=0), 0.0)
     value = float(np.sum(np.abs(np.diff(masses))))
     # moving a cut inside its bracket changes the two masses beside it by at
-    # most the integral of 2r |f| over the bracket
+    # most the integral of 2r |f| over the bracket, and |f| <= |g| + sup
+    l1, sup = profile.dropped
     right = edges[1:] + cuts.widths
-    placement = float(np.sum(4.0 * right * cuts.widths * cuts.heights))
-    rounding = (2.0 * EPS * (profile.degree_hint + 1) * (len(edges) + 1)
+    heights = cuts.heights + sup if sup else cuts.heights
+    placement = float(np.sum(4.0 * right * cuts.widths * heights))
+    degree = profile.degree_hint if profile.mass_degree is None else profile.mass_degree
+    rounding = (2.0 * EPS * (degree + 1) * (len(edges) + 1)
                 * max(1.0, float(np.max(np.abs(rows)))))
-    return IntegralEstimate(value, 2.0 * tail + placement + rounding, len(edges))
+    # on a mass interval where g keeps one sign, int |f| - |int f| <= 2 int |f - g|;
+    # past the scan the dropped terms need not be of one sign, so the tail
+    # gains l1 as well
+    return IntegralEstimate(value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding,
+                            len(edges))
 
 
 def integrate_radial_abs_pow(profile, p, tol):
@@ -375,16 +407,19 @@ def integrate_radial_abs_pow(profile, p, tol):
 
     Two routes, chosen by the input:
 
-    * p = 1 and a profile with a ``mass``: exact.  The sign cuts c_i are
-      scanned over [0, R], R the profile's ``reach`` or the envelope
-      radius, and the integral is sum_i |T(c_i) - T(c_{i+1})| over
-      0 = c_0 < cuts < inf.  No panel runs.  ``abs_error_bound`` is
+    * p = 1 and a profile with a ``mass``: exact.  The sign cuts c_i of
+      the evaluator are scanned over [0, R], R the profile's ``reach`` or
+      the envelope radius, and the integral is sum_i |T(c_i) - T(c_{i+1})|
+      over 0 = c_0 < cuts < inf.  No panel runs.  ``abs_error_bound`` is
       certified except for the scan's completeness: twice the tail beyond
-      R, the root placement and the rounding of the masses.
+      R, the root placement, the rounding of the masses and, when the
+      evaluator is a truncation of the integrand, four times its declared
+      ``dropped`` l1 (see :class:`IntegralEstimate`).
     * otherwise: the integrand is cut at every sign change of f so
       |f|^p is smooth on each panel, and adaptive GL16 panels run up to
       the envelope radius; ``abs_error_bound`` is the panel estimate plus
-      the certified tail plus rounding.
+      the certified tail plus rounding, plus l1 at p = 1 (a profile that
+      drops terms is refused at p != 1).
 
     The bound is at most ``tol`` or :class:`ToleranceNotReached` is raised
     with the best estimate attached.
@@ -392,11 +427,16 @@ def integrate_radial_abs_pow(profile, p, tol):
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
 
+    l1 = profile.dropped[0]
+    if l1 and p != 1.0:
+        raise ValueError(f"a profile with dropped terms is integrated at p = 1 only, got p = {p}")
     if p == 1.0 and profile.mass is not None:
         est = _mass_l1(profile, tol)
     else:
-        est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
+        # the panels integrate |g|, within l1 of int |f| at p = 1
+        est = _core_abs_pow(profile.evaluator, profile.decay, p, tol - l1, lambda radius: (
             locate_sign_changes(profile.evaluator, (0.0, radius), profile.degree_hint)))
+        est = IntegralEstimate(est.value, est.abs_error_bound + l1, est.subdivisions)
     return _checked(est, tol)
 
 

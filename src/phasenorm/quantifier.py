@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import CG, Attenuator, ChannelSpec
 from .fock import (FockDiagonalState, UnsupportedInputError, apply_channel_fock,
-                   loss_kraus_decomposition, mix_states, radial_profile, wigner_s_fock)
+                   leading_cutoff, loss_kraus_decomposition, mix_states, radial_profile)
 from .gaussian import (GaussianState, apply_channel_gaussian, is_quantum_gaussian,
                        min_quadrature_variance, wigner_term)
 from .quadrature import (SIGN_SCAN_FLOOR, GaussianTerm, IntegralEstimate,
@@ -32,6 +32,9 @@ DEFAULT_TOL = 1e-6
 NEGATIVITY_WITNESS_MIN = 1e-3  # the Fig. 2 witness threshold, far above quadrature noise
 BASELINE_CLOSED_CG = 4.0 * math.sqrt(3.0) / 9.0
 BASELINE_ORACLE_TOL = 1e-7
+# dropped-weight bound per unit tol on the exact p = 1 Fock route: err gains
+# four times it (see quadrature._mass_l1), so at most tol/10
+LEADING_SHARE = 0.025
 
 CLASSICAL_CONSISTENT = "classical_consistent"
 CERTIFIED_QUANTUM = "certified_quantum"
@@ -69,7 +72,12 @@ class QuantifierResult:
     is certified depends on the route (see
     :class:`~phasenorm.quadrature.IntegralEstimate`): on the exact Fock route
     at p = 1 all of it, given a complete sign scan; on the panel routes
-    only the envelope tail.
+    only the envelope tail.  The exact Fock route searches the cuts on the
+    leading weights p_0..p_N_eff, the fewest whose dropped terms obey
+    sum_{n > N_eff} p_n sum_s B_s(n) <= tol/40 over the orderings in play
+    (:func:`~phasenorm.fock.leading_cutoff`), while its value keeps every
+    weight; four times that sum, at most tol/10, is part of the certified
+    bound.
     ``m_value`` is exactly ``n_value - baseline``.
     """
 
@@ -119,22 +127,31 @@ def _integral_once(state, channel, fn, quad_tol):
         if d != 0:
             raise UnsupportedInputError("displacement breaks photon-number diagonality")
         s_out, root_k = (fn.s - 4.0 * y) / k, math.sqrt(k)
+        # at p = 1 the sign search runs on the leading weights (see radial_profile)
+        lead = state.cutoff if fn.p != 1.0 else leading_cutoff(
+            state, (fn.s, s_out), LEADING_SHARE * quad_tol)
+        if lead == state.cutoff:
+            inner, outer = radial_profile(state, fn.s), radial_profile(state, s_out)
+        else:
+            inner, outer = radial_profile(state, fn.s, lead), radial_profile(state, s_out, lead)
 
         def diff(r):
             # zero below the terms' rounding, or a state the channel fixes
             # (the vacuum under loss) floods the sign scan with noise flips
-            w_in = wigner_s_fock(state, fn.s, r)
-            w_out = wigner_s_fock(state, s_out, r / root_k) / k
+            w_in = inner.evaluator(r)
+            w_out = outer.evaluator(r / root_k) / k
             noise = SIGN_SCAN_FLOOR * (np.abs(w_in) + np.abs(w_out))
             return np.where(np.abs(w_in - w_out) > noise, w_in - w_out, 0.0)
 
-        inner, outer = radial_profile(state, fn.s), radial_profile(state, s_out)
         decay_out = tuple((log_a - math.log(k), rate / k) for log_a, rate in outer.decay)
+        (l1_in, sup_in), (l1_out, sup_out) = inner.dropped, outer.dropped
         # one mass row per term; the output term's mass outside r is T_{s'}(r / sqrt k)
         profile = RadialProfile(
-            diff, inner.decay + decay_out, degree_hint=2 * state.cutoff + 2,
+            diff, inner.decay + decay_out, degree_hint=2 * lead + 2,
             mass=lambda r: np.array([inner.mass(r), -outer.mass(r / root_k)]),
-            reach=lambda tol: max(inner.reach(tol), root_k * outer.reach(tol)))
+            reach=lambda tol: max(inner.reach(tol), root_k * outer.reach(tol)),
+            sign_radius=max(inner.sign_radius, root_k * outer.sign_radius),
+            dropped=(l1_in + l1_out, sup_in + sup_out / k), mass_degree=2 * state.cutoff + 2)
         return integrate_radial_abs_pow(profile, fn.p, quad_tol)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
@@ -185,7 +202,9 @@ def wigner_negativity(state, tol=DEFAULT_TOL):
     """int d^2alpha/pi |W^(0)| - 1; zero iff the Wigner function is >= 0."""
     if not isinstance(state, FockDiagonalState):
         raise UnsupportedInputError("Wigner negativity is computed for diagonal states")
-    est = integrate_radial_abs_pow(radial_profile(state, 0.0), 1.0, tol)
+    lead = leading_cutoff(state, (0.0,), LEADING_SHARE * tol)
+    profile = radial_profile(state, 0.0) if lead == state.cutoff else radial_profile(state, 0.0, lead)
+    est = integrate_radial_abs_pow(profile, 1.0, tol)
     value = est.value - 1.0
     if value < -2.0 * tol:
         raise RuntimeError(f"negativity {value} below -2*tol; quadrature inconsistent")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasenorm.fock import MASS_EPS, wigner_mass_outside
+from phasenorm.fock import MASS_EPS, leading_cutoff, term_l1_bound, wigner_mass_outside
 from phasenorm import (CG, FockDiagonalState, GaussianState,
                        UnsupportedInputError, amplify_fock, apply_channel_fock,
                        attenuate_fock, Attenuator, ChannelSpec, Displacement,
@@ -328,3 +328,44 @@ def test_wigner_is_positive_beyond_the_turning_point(weights, s):
     for r in (rho_t, reach):
         want = mpmath_abs_mass_outside(state.weights, s, r)
         assert abs(wigner_mass_outside(state, s, r) - want) <= 1e-12
+
+
+class TestLeadingCutoff:
+    # B_0(1) + B_-2(1) = 1 + 4 (1 + 3/4) + 1 = 9 bounds the L1 norms of W_1
+    # at the two orderings of the norm under CG
+    ORDERINGS = (0.0, -2.0)
+
+    def test_bound(self):
+        assert term_l1_bound(0.0, 1) + term_l1_bound(-2.0, 1) == 9.0
+        assert term_l1_bound(-0.5, 2) == 1.0 + 4.0 * 2.75 * 0.75
+
+    @pytest.mark.parametrize("scale,lead", [(1.0 - 1e-9, 1), (1.0 + 1e-9, 0)])
+    def test_top_weight_at_the_budget(self, scale, lead):
+        # a top bound just above the budget drops nothing, just below drops it
+        top = 1e-9
+        state = make_mixture([1.0 - top, top])
+        assert leading_cutoff(state, self.ORDERINGS, 9.0 * top * scale) == lead
+
+    def test_trailing_zeros_drop_with_bound_zero(self):
+        state = make_mixture([0.3, 0.7, 0.0, 0.0])
+        assert leading_cutoff(state, self.ORDERINGS, 0.0) == 1
+        profile = radial_profile(state, -0.5, 1)
+        assert profile.dropped == (0.0, 0.0)
+        assert profile.degree_hint == 1 and profile.mass_degree == 3
+
+    def test_dropped_bounds(self):
+        state = make_thermal_fock(0.5, 40)
+        lead = leading_cutoff(state, (0.0,), 1e-8)
+        rest = state.weights[lead + 1:]
+        l1, sup = radial_profile(state, 0.0, lead).dropped
+        assert l1 == pytest.approx(sum(p * (4.0 * n + 4.0) for n, p in enumerate(rest, lead + 1)))
+        assert sup == pytest.approx(2.0 * rest.sum())
+        assert 0.0 < l1 <= 1e-8 < l1 + state.weights[lead] * (4.0 * lead + 4.0)
+
+    def test_positive_ordering_keeps_every_weight(self):
+        state = make_thermal_fock(0.5, 40)
+        assert leading_cutoff(state, (0.0, 0.3), 1.0) == state.cutoff
+        with pytest.raises(ValueError):
+            radial_profile(state, 0.3, 10)
+        with pytest.raises(ValueError):
+            radial_profile(state, 0.0, 41)

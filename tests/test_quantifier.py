@@ -455,3 +455,67 @@ def test_loose_tolerance_keeps_the_reach_finite():
     # the reach's ln(1 + 10/tol) stays positive above tol = 10
     value, err = norm_value(number_state(2), CG, FunctionalSpec(), 50.0)
     assert abs(value - N_FOCK2) <= err
+
+
+def geometric_tail_mixture(cutoff, q, seed):
+    # random head weights on a geometric decay, so most stored terms are negligible
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, cutoff + 1) * q ** np.arange(cutoff + 1)
+    return make_mixture(w / w.sum())
+
+
+LEADING_STATES = st.one_of(
+    st.builds(make_thermal_fock, st.floats(0.05, 3.0), st.integers(20, 120)),
+    st.builds(geometric_tail_mixture, st.integers(20, 120), st.floats(0.1, 0.7),
+              st.integers(0, 2**32 - 1)),
+    st.builds(number_state, st.integers(0, 40)))
+LEADING_CHANNELS = st.sampled_from([
+    CG, ChannelSpec((Attenuator(0.6),)), ChannelSpec((Attenuator(0.3), Attenuator(0.5))),
+    ChannelSpec((Amplifier(1.5),)), ChannelSpec((Attenuator(0.8), Amplifier(1.7))),
+    ChannelSpec(CG.elements + (Amplifier(1.3),))])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(LEADING_STATES, LEADING_CHANNELS, st.sampled_from([0.0, -0.5, -1.0]))
+def test_leading_weights_match_all_weights(state, channel, s):
+    # the sign search on the leading weights moves N and the negativity by
+    # rounding only: the masses keep every weight, and the cuts of the
+    # truncated series miss those of the full one by O(dropped) where the
+    # masses are stationary
+    fn = FunctionalSpec(s=s)
+    # the negativity subtracts 1, so a stored tail above 2 tol makes it raise
+    witness = state.tail_mass_bound <= TOL
+
+    def results():
+        negativity = wigner_negativity(state, TOL) if witness else 0.0
+        return norm_value(state, channel, fn, TOL) + (negativity,)
+
+    value, err, negativity = results()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phasenorm.quantifier, "leading_cutoff",
+                      lambda state, orderings, budget: state.cutoff)
+        want, want_err, want_negativity = results()
+    assert abs(value - want) <= 1e-12
+    assert abs(negativity - want_negativity) <= 1e-12
+    assert err <= TOL and want_err <= TOL
+
+
+@pytest.mark.parametrize("lead", [0, 2, 5])
+def test_dropped_bound_covers_a_coarse_search(lead, monkeypatch):
+    # cuts searched on a few leading weights miss N by far more than
+    # rounding: the value stays a lower estimate, and the certified bound,
+    # now far above tol, still covers the miss
+    monkeypatch.setattr(phasenorm.quantifier, "leading_cutoff",
+                        lambda state, orderings, budget: lead)
+    with pytest.raises(ToleranceNotReached) as excinfo:
+        norm_value(make_thermal_fock(1.0, 60), CG, FunctionalSpec(), TOL)
+    est = excinfo.value.estimate
+    assert 0.0 <= THERMAL1_CG - est.value + 1e-12
+    assert THERMAL1_CG - est.value <= est.abs_error_bound
+
+
+def test_cutoff_zero_tail_is_the_exact_mass():
+    # for the vacuum under CG the reach lies past the envelope radius, which
+    # lies past both terms' sign radius, so the terms' exact masses there
+    # (2.6e-8) bound the tail instead of the envelope (1e-7): err 2.0e-7 -> 5e-8
+    value, err = norm_value(number_state(0), CG, FunctionalSpec(), TOL)
+    assert abs(value - BASELINE_CG) <= err <= 6e-8
