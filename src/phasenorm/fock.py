@@ -6,9 +6,11 @@ probability t); the quantum-limited amplifier through the negative-binomial
 law P(m|n) = C(m, n) (1/g)^{n+1} (1-1/g)^{m-n}, m >= n.  Neither law is
 assumed: the test suite validates both against the Gaussian covariance
 engine and against the ordering-shift identity of the classicalization
-channel (its output Wigner function equals the input W^(s-2)).  The
-quantifier applies channels through that identity instead; these laws
-serve loss monotonicity, the Kraus branches and the oracles.
+channel (its output Wigner function equals the input W^(s-2)).
+:func:`radial_profile` applies a channel through that identity instead,
+as an ordering shift, and owns the exact p = 1 route of the quantifier's
+integrals; these laws serve loss monotonicity, the Kraus branches and the
+oracles.
 
 Amplification grows the cutoff; the mass pushed beyond the chosen cutoff is
 bounded exactly from the transition columns and carried in the state's
@@ -18,17 +20,21 @@ evaluated Wigner function by at most 2e-10.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from . import backend, quadrature
 from .channels import Amplifier, Attenuator
-from .quadrature import RadialProfile
+from .quadrature import EPS, SIGN_SCAN_FLOOR, IntegralEstimate, RadialProfile, tail_radius
 
 MASS_EPS = 1e-12        # invariant slack on sum(weights) + tail == 1
 USER_NORM_EPS = 1e-9    # acceptance slack for user-supplied weights
 TAIL_BOUND_MAX = 1e-10  # certified truncation mass per channel application
+# dropped-weight bound per unit tol on the exact p = 1 route: err gains
+# four times it (see radial_profile), so at most tol/10
+LEADING_SHARE = 0.025
 
 
 class UnsupportedInputError(TypeError):
@@ -174,61 +180,157 @@ def leading_cutoff(state, orderings, budget):
     return max(int(np.argmax(tail <= budget)) - 1, 0)
 
 
-def radial_profile(state, s, leading=None):
-    """RadialProfile of W^(s) with a certified Gaussian-decay envelope.
+SignSearch = namedtuple("SignSearch",
+                        "evaluator decay degree reach sign_radius dropped mass_degree")
 
-    Its ``mass`` is :func:`wigner_mass_outside`, so the p = 1 integral of
-    the profile is computed exactly from the masses at its sign cuts.
+
+def sign_search(state, terms, lead):
+    """What the cut search of the exact route sees: f on p_0..p_lead.
+
+    ``terms`` holds one (s_i, k_i) per term f_i(rho) = +-W^(s_i)(rho /
+    sqrt k_i) / k_i of f, the first taken with + and a second with -.
     Every zero of L_n lies below 4n + 2 (Szego, Orthogonal Polynomials,
-    6.31), so for s > -1 each W_n^(s), n <= N, is positive beyond its
-    ``sign_radius`` rho_t = sqrt((N + 3/4)(1 - s^2)); for s <= -1 it is
-    positive everywhere.  Its ``reach`` is max(rho_t, sqrt((N + 1)(1 -
-    s)/2)) plus sqrt((1 - s)/2 ln(1 + 10/tol)) + 1/2, where the Gaussian
-    factor has fallen to about tol/10.
-
-    The envelope uses |sum_n p_n tau^n L_n| <= (1 + |u|)^N and splits off
-    half the exponential rate to absorb the polynomial factor, all in log
-    space (only its logarithm is ever used).  It sets the scan step and
-    the panel routes' tail.
-
-    With ``leading`` = N_eff below the cutoff (see :func:`leading_cutoff`,
-    s <= 0) the sign search runs on the leading weights p_0..p_N_eff: the
-    evaluator, envelope, reach, sign radius and ``degree_hint`` take N =
-    N_eff, while ``mass`` and its rounding keep every weight.  ``dropped``
-    is then (sum_{n > N_eff} p_n B_s(n), 2 sum_{n > N_eff} p_n), since
-    every |W_n^(s)| <= 2 for s <= 0.
+    6.31), so for s > -1 each W_n^(s), n <= N, is positive beyond rho_t =
+    sqrt((N + 3/4)(1 - s^2)); for s <= -1 it is positive everywhere.  The
+    ``sign_radius`` is the largest sqrt k_i rho_t and ``reach(tol)`` the
+    largest sqrt k_i (max(rho_t, sqrt((N + 1)(1 - s_i)/2)) + sqrt((1 -
+    s_i)/2 ln(1 + 10/tol)) + 1/2), where the Gaussian factor has fallen to
+    about tol/10.  The ``decay`` envelope uses |sum_n p_n tau^n L_n| <= (1
+    + |u|)^N and splits off half the exponential rate to absorb the
+    polynomial factor, all in log space.  All of these take N = ``lead``,
+    as does the scan ``degree``; the ``mass_degree`` of the masses, which
+    keep every weight, takes the cutoff.  ``dropped`` = (l1, sup) bounds
+    the rest: sum_i sum_{n > lead} p_n B_{s_i}(n) >= int |f - g| and
+    sum_i 2 sum_{n > lead} p_n / k_i >= max |f - g|, since every
+    |W_n^(s)| <= 2 for s <= 0.
     """
-    if s >= 1.0:
-        raise ValueError(f"ordering parameter must be < 1, got {s}")
-    weights, dropped = state.weights, (0.0, 0.0)
-    n = top = len(weights) - 1
-    if leading is not None and leading != top:
-        if not 0 <= leading < top:
-            raise ValueError(f"leading cutoff must lie in [0, {top}], got {leading}")
-        if s > 0.0:
-            raise ValueError(f"weights are dropped only for s <= 0, got {s}")
-        n, rest = leading, weights[leading + 1:]
-        weights = weights[:n + 1]
-        dropped = (float(rest @ term_l1_bound(s, np.arange(n + 1, top + 1))),
-                   2.0 * float(rest.sum()))
-    rho_t = math.sqrt((n + 0.75) * max(1.0 - s * s, 0.0))
-    bulk = max(math.sqrt((n + 1) * (1.0 - s) / 2.0), rho_t)
-    full_rate = 2.0 / (1.0 - s)
-    log_pref = math.log(2.0 / (1.0 - s))
-    if n == 0:
-        decay = ((log_pref, full_rate),)
+    top, n = state.cutoff, lead
+    weights = state.weights[:n + 1]
+    decay, radii, reaches = [], [], []
+    for s, k in terms:
+        if s >= 1.0:
+            raise ValueError(f"ordering parameter must be < 1, got {s}")
+        root = math.sqrt(k)
+        rho_t = math.sqrt((n + 0.75) * max(1.0 - s * s, 0.0))
+        log_a, rate = math.log(2.0 / (1.0 - s)), 2.0 / (1.0 - s)
+        if n:
+            a, rate = 4.0 / (1.0 - s) ** 2, rate / 2.0
+            if n * a > rate:
+                log_a += n * math.log(n * a / rate) - (n * a - rate) / a
+        decay.append((log_a - math.log(k), rate / k))
+        radii.append(root * rho_t)
+        reaches.append((root, max(math.sqrt((n + 1) * (1.0 - s) / 2.0), rho_t), (1 - s) / 2))
+    if len(terms) == 1:
+        s = terms[0][0]
+        evaluator = lambda r: _series(weights, s, r)
+        degree, mass_degree = n, top
     else:
-        a = 4.0 / (1.0 - s) ** 2
-        b = full_rate / 2.0
-        if n * a > b:
-            log_poly = n * math.log(n * a / b) - (n * a - b) / a
-        else:
-            log_poly = 0.0
-        decay = ((log_pref + log_poly, b),)
-    return RadialProfile(lambda r: _series(weights, s, r), decay, degree_hint=n,
-                         mass=lambda r: wigner_mass_outside(state, s, r),
-                         reach=lambda t: bulk + math.sqrt((1 - s) / 2 * math.log1p(10 / t)) + 0.5,
-                         sign_radius=rho_t, dropped=dropped, mass_degree=top)
+        (s_in, _), (s_out, k) = terms
+        root_k = math.sqrt(k)
+
+        def evaluator(r):
+            # zero below the terms' rounding, or a state the channel fixes
+            # (the vacuum under loss) floods the sign scan with noise flips
+            w_in = _series(weights, s_in, r)
+            w_out = _series(weights, s_out, r / root_k) / k
+            noise = SIGN_SCAN_FLOOR * (np.abs(w_in) + np.abs(w_out))
+            return np.where(np.abs(w_in - w_out) > noise, w_in - w_out, 0.0)
+
+        degree, mass_degree = 2 * n + 2, 2 * top + 2
+    dropped = (0.0, 0.0)
+    if n < top:
+        rest, above = state.weights[n + 1:], np.arange(n + 1, top + 1)
+        dropped = (sum(float(rest @ term_l1_bound(s, above)) for s, _ in terms),
+                   sum(2.0 * float(rest.sum()) / k for _, k in terms))
+    return SignSearch(
+        evaluator, tuple(decay), degree,
+        lambda t: max(root * (bulk + math.sqrt(half * math.log1p(10 / t)) + 0.5)
+                      for root, bulk, half in reaches),
+        max(radii), dropped, mass_degree)
+
+
+def radial_profile(state, s, channel=None):
+    """RadialProfile of W^(s), or of W^(s)_rho - W^(s)_C(rho) given a ``channel``.
+
+    The channel acts as an ordering shift: W^(s) of the output is
+    W^(s')(rho / sqrt k) / k of the input with s' = (s - 4y)/k from its
+    fold (for C_g the shift s -> s - 2), and its mass outside r is T_s'(r
+    / sqrt k); theta drops out, since a diagonal state is rotation
+    invariant, and a displacement is rejected.  The evaluator, decay and
+    degree_hint keep every weight and serve the panel routes.
+
+    ``l1`` is the exact p = 1 route.  The integral of |f| is
+    sum_i |T(c_i) - T(c_{i+1})| over the sign cuts 0 = c_0 < c_i < inf,
+    with T the summed :func:`wigner_mass_outside` of the terms; no panel
+    runs.  The cuts are searched on the leading weights p_0..p_N_eff
+    (:func:`leading_cutoff` with budget LEADING_SHARE tol over the
+    orderings in play, :func:`sign_search`), while the masses keep every
+    weight.  The scan stops at the ``reach``, where every term is of one
+    sign, so the terms' masses there bound the tail; a tail above tol/10
+    widens the scan to the envelope radius, where the smaller of the
+    masses (if past the sign radius) and the envelope's bound is taken.
+
+    Its error contract, given a complete scan: ``abs_error_bound`` is
+    twice the tail beyond the scan, plus the root placement (final
+    bracket width times the larger |f| at its ends, raised by the dropped
+    terms' sup; exact for f monotone on the bracket), plus the rounding
+    of the masses, 2 eps (mass_degree + 1) max(1, |T|) per mass, plus
+    four times the dropped terms' l1, at most tol/10: on a mass interval
+    where the truncation g keeps one sign, int |f| - |int f| <= 2 int
+    |f - g|, and past the scan the dropped terms need not be of one
+    sign.  The value is a lower estimate, in practice exact to rounding.
+    What is not certified is that the scan saw every sign change: two
+    cuts within one scan step go unseen.  ``subdivisions`` counts the
+    mass intervals.
+    """
+    terms = ((s, 1.0),)
+    if channel is not None:
+        k, y, _, d = channel.fold()
+        if d != 0:
+            raise UnsupportedInputError("displacement breaks photon-number diagonality")
+        terms += (((s - 4.0 * y) / k, k),)
+    full = sign_search(state, terms, state.cutoff)
+
+    def l1(tol):
+        lead = leading_cutoff(state, [o for o, _ in terms], LEADING_SHARE * tol)
+        search = full if lead == state.cutoff else sign_search(state, terms, lead)
+        return _exact_l1(state, terms, search, tol)
+
+    return RadialProfile(full.evaluator, full.decay, full.degree, l1)
+
+
+def _exact_l1(state, terms, search, tol):
+    """The unchecked estimate of the exact p = 1 route (see :func:`radial_profile`)."""
+
+    def mass(r):
+        # one row per term, outside r
+        return np.array([sign * wigner_mass_outside(state, s, r / math.sqrt(k))
+                         for sign, (s, k) in zip((1.0, -1.0), terms)])
+
+    envelope, envelope_tail = tail_radius(search.decay, 1.0, tol * 0.1)
+    for radius in sorted({min(search.reach(tol), envelope), envelope}):
+        cuts = quadrature.locate_sign_changes(search.evaluator, (0.0, envelope),
+                                              search.degree, stop=radius)
+        edges = np.array([0.0] + list(cuts))
+        # one mass pass gives T at the cuts and, per term, at the scan radius
+        rows = mass(np.append(edges, radius))
+        tail = float(np.sum(np.abs(rows[:, -1]))) if radius >= search.sign_radius else math.inf
+        if tail <= 0.1 * tol:
+            break
+    if radius == envelope:
+        tail = min(tail, envelope_tail)
+    masses = np.append(np.sum(rows[:, :-1], axis=0), 0.0)
+    value = float(np.sum(np.abs(np.diff(masses))))
+    # moving a cut inside its bracket changes the two masses beside it by at
+    # most the integral of 2r |f| over the bracket, and |f| <= |g| + sup
+    l1, sup = search.dropped
+    right = edges[1:] + cuts.widths
+    heights = cuts.heights + sup if sup else cuts.heights
+    placement = float(np.sum(4.0 * right * cuts.widths * heights))
+    rounding = (2.0 * EPS * (search.mass_degree + 1) * (len(edges) + 1)
+                * max(1.0, float(np.max(np.abs(rows)))))
+    return IntegralEstimate(value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding,
+                            len(edges))
 
 
 # ---------------------------------------------------------------- channels

@@ -23,21 +23,10 @@ is quadratic in the radius, so its sign change is found in closed form;
 for p = 1 with a shared center the whole ray integral is closed form, and
 only the angle is integrated numerically.
 
-A radial profile that carries its ``mass`` (the integral of f outside a
-radius) skips the panels at p = 1: the integral is the sum of the mass
-differences between consecutive sign cuts.  The scan stops at the
-profile's ``reach``, beyond which each term is of one sign, so the masses
-of the terms there bound the tail; the envelope only sets the scan step
-and the radius of a widened scan, should that tail miss tol/10.  The
-cut search may run on a truncation g of f (a Fock state's leading
-weights) while the masses keep f; the value is then a lower estimate
-within four times the declared bound on int |f - g|.  The error is
-certified in four parts: the tail (a sign change missed beyond the
-scan), the root placement (final bracket widths), rounding and that
-truncation bound.  What it does not certify is that the scan found every
-sign change: two cuts closer than the scan step go unseen.  On every
-other route (p != 1, a profile without a mass, the planar angle) the
-panel part of the error is an estimate.
+A radial profile may carry an ``l1`` hook, its producer's exact route
+at p = 1; :func:`phasenorm.fock.radial_profile` states that route's
+error contract.  On every other route (p != 1, a profile without the
+hook, the planar angle) the panel part of the error is an estimate.
 """
 
 import heapq
@@ -90,22 +79,10 @@ class IntegralEstimate:
     1.5000005 with err 7.3e-7 under ``CG``, against a limit of 2: no GL16
     node of the angular panels samples its needle-thin input term).
 
-    On the exact radial route (p = 1, a profile with a ``mass``) it is
-    twice the tail beyond the scan radius (certified by the masses of the
-    profile's terms there when it lies past their sign radius, as the
-    ``reach`` does, else by the envelope), plus the root placement (final
-    bracket width times the larger |f| at its ends, exact for f monotone
-    on the bracket), plus rounding of the masses (the bound the profile
-    declares).  When the cuts are those of a truncation g of f (the
-    profile's ``dropped`` = (l1, sup), the cut search on a Fock state's
-    leading weights), it adds 2 l1, since on each mass interval where g
-    keeps one sign int |f| - |int f| <= 2 int |f - g|, and 2 l1 to the
-    tail, whose dropped terms need not be of one sign; the brackets'
-    heights gain sup.  The value is then a lower estimate within the bound
-    and in practice exact to rounding.  What it assumes is the
-    completeness of the sign scan.  ``subdivisions`` then counts the mass
-    intervals between cuts.  Every route returns a bound within tol or
-    raises it attached.
+    On the exact radial route (p = 1, a profile with an ``l1`` hook) the
+    bound is the one the profile's producer certifies, given a complete
+    sign scan (see :func:`phasenorm.fock.radial_profile`).  Every route
+    returns a bound within tol or raises it attached.
     """
 
     value: float
@@ -121,32 +98,15 @@ class RadialProfile:
     (log_amplitude, rate) pairs certifying |f(rho)| <= sum_i exp(log_a_i -
     rate_i * rho^2) for every rho >= 0; it drives the truncation radius.
     ``degree_hint`` bounds the number of sign changes (used to choose the
-    root-scan sampling density).  ``mass``, when given, maps an ndarray of
-    radii r to T(r) = int_{|alpha| > r} f d^2alpha/pi, with T(inf) = 0 and
-    rounding at most eps * (mass_degree + 1) * max(1, |T|), or to one row
-    T_i(r) per term of f = sum_i f_i; it makes the p = 1 integral exact
-    (see :func:`integrate_radial_abs_pow`).  ``mass_degree`` defaults to
-    ``degree_hint``.  Beyond ``sign_radius`` every term is of one sign, so
-    sum_i |T_i(R)| bounds int_{|alpha| > R} |f| at any R past it.
-    ``reach``, when given, maps tol to a radius past ``sign_radius`` where
-    that sum is expected below tol/10; the exact route scans for sign cuts
-    only up to it.
-
-    ``dropped`` = (l1, sup) lets the sign search run on a truncation g of
-    f: the evaluator, decay, reach, sign_radius and degree_hint then
-    describe g, while ``mass`` keeps f, and l1 >= int |f - g| d^2alpha/pi
-    and sup >= max |f - g| bound the dropped part.  Its default (0, 0)
-    says g = f.  Only p = 1 accepts a nonzero l1.
+    root-scan sampling density).  ``l1``, when given, maps tol to an
+    unchecked :class:`IntegralEstimate` of the p = 1 integral by its
+    producer's exact route (see :func:`phasenorm.fock.radial_profile`).
     """
 
     evaluator: object
     decay: tuple
     degree_hint: int
-    mass: object = None
-    reach: object = None
-    sign_radius: float = math.inf
-    dropped: tuple = (0.0, 0.0)
-    mass_degree: int = None
+    l1: object = None
 
 
 @dataclass(frozen=True)
@@ -325,7 +285,7 @@ def _logsumexp(vals):
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
-def _tail_radius(decay, p, tail_tol):
+def tail_radius(decay, p, tail_tol):
     """Smallest radius R with int_R^inf 2r (decay bound)^p dr <= tail_tol.
 
     Uses |f| <= exp(LA - cmin r^2) with LA the log of the summed term
@@ -352,7 +312,7 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
     The estimate is unchecked: its bound is panel error plus tail plus
     rounding, eps |value| per panel (g >= 0, see :class:`IntegralEstimate`).
     """
-    radius, tail = _tail_radius(decay, p, tol * 0.1)
+    radius, tail = tail_radius(decay, p, tol * 0.1)
     cuts = [] if p % 2.0 == 0.0 else sorted(find_cuts(radius))
     edges = [0.0] + [c for c in cuts if MIN_PANEL_WIDTH < c < radius - MIN_PANEL_WIDTH] + [radius]
 
@@ -363,80 +323,29 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
     return IntegralEstimate(value, panel_err + tail + EPS * count * abs(value), count)
 
 
-def _mass_l1(profile, tol):
-    """int_0^inf 2r |f| dr = sum_i |T(c_i) - T(c_{i+1})| over 0 = c_0 < cuts < inf.
-
-    The cuts are those of the evaluator g.  The scan stops at the
-    ``reach``, where the terms' masses bound the tail; a tail above tol/10
-    widens it to the envelope radius, where the smaller of the masses (if
-    past the sign radius) and the envelope's bound is taken.
-    """
-    envelope, envelope_tail = _tail_radius(profile.decay, 1.0, tol * 0.1)
-    reach = envelope if profile.reach is None else min(profile.reach(tol), envelope)
-    for radius in sorted({reach, envelope}):
-        cuts = locate_sign_changes(profile.evaluator, (0.0, envelope), profile.degree_hint,
-                                   stop=radius)
-        edges = np.array([0.0] + list(cuts))
-        # one mass pass gives T at the cuts and, per term, at the scan radius
-        rows = np.atleast_2d(profile.mass(np.append(edges, radius)))
-        tail = float(np.sum(np.abs(rows[:, -1]))) if radius >= profile.sign_radius else math.inf
-        if tail <= 0.1 * tol:
-            break
-    if radius == envelope:
-        tail = min(tail, envelope_tail)
-    masses = np.append(np.sum(rows[:, :-1], axis=0), 0.0)
-    value = float(np.sum(np.abs(np.diff(masses))))
-    # moving a cut inside its bracket changes the two masses beside it by at
-    # most the integral of 2r |f| over the bracket, and |f| <= |g| + sup
-    l1, sup = profile.dropped
-    right = edges[1:] + cuts.widths
-    heights = cuts.heights + sup if sup else cuts.heights
-    placement = float(np.sum(4.0 * right * cuts.widths * heights))
-    degree = profile.degree_hint if profile.mass_degree is None else profile.mass_degree
-    rounding = (2.0 * EPS * (degree + 1) * (len(edges) + 1)
-                * max(1.0, float(np.max(np.abs(rows)))))
-    # on a mass interval where g keeps one sign, int |f| - |int f| <= 2 int |f - g|;
-    # past the scan the dropped terms need not be of one sign, so the tail
-    # gains l1 as well
-    return IntegralEstimate(value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding,
-                            len(edges))
-
-
 def integrate_radial_abs_pow(profile, p, tol):
     """int d^2alpha/pi |f(|alpha|)|^p  =  int_0^inf 2 rho |f(rho)|^p drho.
 
     Two routes, chosen by the input:
 
-    * p = 1 and a profile with a ``mass``: exact.  The sign cuts c_i of
-      the evaluator are scanned over [0, R], R the profile's ``reach`` or
-      the envelope radius, and the integral is sum_i |T(c_i) - T(c_{i+1})|
-      over 0 = c_0 < cuts < inf.  No panel runs.  ``abs_error_bound`` is
-      certified except for the scan's completeness: twice the tail beyond
-      R, the root placement, the rounding of the masses and, when the
-      evaluator is a truncation of the integrand, four times its declared
-      ``dropped`` l1 (see :class:`IntegralEstimate`).
+    * p = 1 and a profile with an ``l1`` hook: the hook's estimate, with
+      the error contract of its producer (see
+      :func:`phasenorm.fock.radial_profile`).
     * otherwise: the integrand is cut at every sign change of f so
       |f|^p is smooth on each panel, and adaptive GL16 panels run up to
       the envelope radius; ``abs_error_bound`` is the panel estimate plus
-      the certified tail plus rounding, plus l1 at p = 1 (a profile that
-      drops terms is refused at p != 1).
+      the certified tail plus rounding.
 
     The bound is at most ``tol`` or :class:`ToleranceNotReached` is raised
     with the best estimate attached.
     """
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
-
-    l1 = profile.dropped[0]
-    if l1 and p != 1.0:
-        raise ValueError(f"a profile with dropped terms is integrated at p = 1 only, got p = {p}")
-    if p == 1.0 and profile.mass is not None:
-        est = _mass_l1(profile, tol)
+    if p == 1.0 and profile.l1 is not None:
+        est = profile.l1(tol)
     else:
-        # the panels integrate |g|, within l1 of int |f| at p = 1
-        est = _core_abs_pow(profile.evaluator, profile.decay, p, tol - l1, lambda radius: (
+        est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
             locate_sign_changes(profile.evaluator, (0.0, radius), profile.degree_hint)))
-        est = IntegralEstimate(est.value, est.abs_error_bound + l1, est.subdivisions)
     return _checked(est, tol)
 
 

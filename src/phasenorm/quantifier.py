@@ -17,24 +17,18 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .channels import CG, Attenuator, ChannelSpec
 from .fock import (FockDiagonalState, UnsupportedInputError, apply_channel_fock,
-                   leading_cutoff, loss_kraus_decomposition, mix_states, radial_profile)
+                   loss_kraus_decomposition, mix_states, radial_profile)
 from .gaussian import (GaussianState, apply_channel_gaussian, is_quantum_gaussian,
                        min_quadrature_variance, wigner_term)
-from .quadrature import (SIGN_SCAN_FLOOR, GaussianTerm, IntegralEstimate,
-                         PlanarProfile, RadialProfile, ToleranceNotReached,
+from .quadrature import (GaussianTerm, IntegralEstimate, PlanarProfile, ToleranceNotReached,
                          integrate_plane_abs_pow, integrate_radial_abs_pow)
 
 DEFAULT_TOL = 1e-6
 NEGATIVITY_WITNESS_MIN = 1e-3  # the Fig. 2 witness threshold, far above quadrature noise
 BASELINE_CLOSED_CG = 4.0 * math.sqrt(3.0) / 9.0
 BASELINE_ORACLE_TOL = 1e-7
-# dropped-weight bound per unit tol on the exact p = 1 Fock route: err gains
-# four times it (see quadrature._mass_l1), so at most tol/10
-LEADING_SHARE = 0.025
 
 CLASSICAL_CONSISTENT = "classical_consistent"
 CERTIFIED_QUANTUM = "certified_quantum"
@@ -71,13 +65,9 @@ class QuantifierResult:
     ``err`` can exceed ``tol``, up to 2 tol.  How much of the norm's bound
     is certified depends on the route (see
     :class:`~phasenorm.quadrature.IntegralEstimate`): on the exact Fock route
-    at p = 1 all of it, given a complete sign scan; on the panel routes
-    only the envelope tail.  The exact Fock route searches the cuts on the
-    leading weights p_0..p_N_eff, the fewest whose dropped terms obey
-    sum_{n > N_eff} p_n sum_s B_s(n) <= tol/40 over the orderings in play
-    (:func:`~phasenorm.fock.leading_cutoff`), while its value keeps every
-    weight; four times that sum, at most tol/10, is part of the certified
-    bound.
+    at p = 1 all of it, given a complete sign scan (its contract is stated
+    at :func:`~phasenorm.fock.radial_profile`); on the panel routes only
+    the envelope tail.
     ``m_value`` is exactly ``n_value - baseline``.
     """
 
@@ -120,39 +110,7 @@ def _integral_once(state, channel, fn, quad_tol):
                                  _negated(wigner_term(out, fn.s))))
         return integrate_plane_abs_pow(profile, fn.p, quad_tol)
     if isinstance(state, FockDiagonalState):
-        # W^(s) of the output is W^(s')(r / sqrt k) / k of the input with
-        # s' = (s - 4y)/k: for C_g the ordering shift s -> s - 2; theta
-        # drops out, since a diagonal state is rotation invariant
-        k, y, _, d = channel.fold()
-        if d != 0:
-            raise UnsupportedInputError("displacement breaks photon-number diagonality")
-        s_out, root_k = (fn.s - 4.0 * y) / k, math.sqrt(k)
-        # at p = 1 the sign search runs on the leading weights (see radial_profile)
-        lead = state.cutoff if fn.p != 1.0 else leading_cutoff(
-            state, (fn.s, s_out), LEADING_SHARE * quad_tol)
-        if lead == state.cutoff:
-            inner, outer = radial_profile(state, fn.s), radial_profile(state, s_out)
-        else:
-            inner, outer = radial_profile(state, fn.s, lead), radial_profile(state, s_out, lead)
-
-        def diff(r):
-            # zero below the terms' rounding, or a state the channel fixes
-            # (the vacuum under loss) floods the sign scan with noise flips
-            w_in = inner.evaluator(r)
-            w_out = outer.evaluator(r / root_k) / k
-            noise = SIGN_SCAN_FLOOR * (np.abs(w_in) + np.abs(w_out))
-            return np.where(np.abs(w_in - w_out) > noise, w_in - w_out, 0.0)
-
-        decay_out = tuple((log_a - math.log(k), rate / k) for log_a, rate in outer.decay)
-        (l1_in, sup_in), (l1_out, sup_out) = inner.dropped, outer.dropped
-        # one mass row per term; the output term's mass outside r is T_{s'}(r / sqrt k)
-        profile = RadialProfile(
-            diff, inner.decay + decay_out, degree_hint=2 * lead + 2,
-            mass=lambda r: np.array([inner.mass(r), -outer.mass(r / root_k)]),
-            reach=lambda tol: max(inner.reach(tol), root_k * outer.reach(tol)),
-            sign_radius=max(inner.sign_radius, root_k * outer.sign_radius),
-            dropped=(l1_in + l1_out, sup_in + sup_out / k), mass_degree=2 * state.cutoff + 2)
-        return integrate_radial_abs_pow(profile, fn.p, quad_tol)
+        return integrate_radial_abs_pow(radial_profile(state, fn.s, channel), fn.p, quad_tol)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
@@ -199,13 +157,16 @@ def baseline_with_error(channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
 
 
 def wigner_negativity(state, tol=DEFAULT_TOL):
-    """int d^2alpha/pi |W^(0)| - 1; zero iff the Wigner function is >= 0."""
+    """int d^2alpha/pi |W^(0)| minus the stored mass sum_n p_n.
+
+    W^(0) is that of the stored weights, whose integral is sum_n p_n = 1 -
+    ``tail_mass_bound`` (exactly 1 for a state without a stored tail), so
+    the value is zero iff that Wigner function is >= 0.
+    """
     if not isinstance(state, FockDiagonalState):
         raise UnsupportedInputError("Wigner negativity is computed for diagonal states")
-    lead = leading_cutoff(state, (0.0,), LEADING_SHARE * tol)
-    profile = radial_profile(state, 0.0) if lead == state.cutoff else radial_profile(state, 0.0, lead)
-    est = integrate_radial_abs_pow(profile, 1.0, tol)
-    value = est.value - 1.0
+    est = integrate_radial_abs_pow(radial_profile(state, 0.0), 1.0, tol)
+    value = est.value - (1.0 - state.tail_mass_bound)
     if value < -2.0 * tol:
         raise RuntimeError(f"negativity {value} below -2*tol; quadrature inconsistent")
     return value

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasenorm.fock import MASS_EPS, leading_cutoff, term_l1_bound, wigner_mass_outside
+from phasenorm.fock import (MASS_EPS, leading_cutoff, sign_search, term_l1_bound,
+                            wigner_mass_outside)
 from phasenorm import (CG, FockDiagonalState, GaussianState,
                        UnsupportedInputError, amplify_fock, apply_channel_fock,
                        attenuate_fock, Attenuator, ChannelSpec, Displacement,
                        loss_kraus_decomposition, make_mixture, make_thermal,
                        make_thermal_fock, mean_photons, number_state,
-                       radial_profile, wigner_s_fock, wigner_s_gaussian)
+                       wigner_s_fock, wigner_s_gaussian)
 
 
 class TestConstruction:
@@ -323,7 +324,7 @@ def test_wigner_is_positive_beyond_the_turning_point(weights, s):
     state = make_mixture(np.array(weights) / sum(weights))
     rho_t = math.sqrt((state.cutoff + 0.75) * (1.0 - s * s))
     assert np.all(wigner_s_fock(state, s, rho_t + np.linspace(0.0, 4.0, 81)) > 0.0)
-    reach = radial_profile(state, s).reach(1e-6)
+    reach = sign_search(state, ((s, 1.0),), state.cutoff).reach(1e-6)
     assert reach >= rho_t
     for r in (rho_t, reach):
         want = mpmath_abs_mass_outside(state.weights, s, r)
@@ -349,15 +350,15 @@ class TestLeadingCutoff:
     def test_trailing_zeros_drop_with_bound_zero(self):
         state = make_mixture([0.3, 0.7, 0.0, 0.0])
         assert leading_cutoff(state, self.ORDERINGS, 0.0) == 1
-        profile = radial_profile(state, -0.5, 1)
-        assert profile.dropped == (0.0, 0.0)
-        assert profile.degree_hint == 1 and profile.mass_degree == 3
+        search = sign_search(state, ((-0.5, 1.0),), 1)
+        assert search.dropped == (0.0, 0.0)
+        assert search.degree == 1 and search.mass_degree == 3
 
     def test_dropped_bounds(self):
         state = make_thermal_fock(0.5, 40)
         lead = leading_cutoff(state, (0.0,), 1e-8)
         rest = state.weights[lead + 1:]
-        l1, sup = radial_profile(state, 0.0, lead).dropped
+        l1, sup = sign_search(state, ((0.0, 1.0),), lead).dropped
         assert l1 == pytest.approx(sum(p * (4.0 * n + 4.0) for n, p in enumerate(rest, lead + 1)))
         assert sup == pytest.approx(2.0 * rest.sum())
         assert 0.0 < l1 <= 1e-8 < l1 + state.weights[lead] * (4.0 * lead + 4.0)
@@ -365,7 +366,3 @@ class TestLeadingCutoff:
     def test_positive_ordering_keeps_every_weight(self):
         state = make_thermal_fock(0.5, 40)
         assert leading_cutoff(state, (0.0, 0.3), 1.0) == state.cutoff
-        with pytest.raises(ValueError):
-            radial_profile(state, 0.3, 10)
-        with pytest.raises(ValueError):
-            radial_profile(state, 0.0, 41)

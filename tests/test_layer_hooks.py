@@ -1,0 +1,63 @@
+"""The layer boundaries a tracer can wrap from outside the package stay live.
+
+``perfbench/tracer.py`` replaces module attributes with timing wrappers,
+so a layer is counted only while its callers look it up through the
+module the wrapper lives in.  A caller that imported it by name (say
+``fock`` doing ``from .quadrature import locate_sign_changes``) would
+keep the original, and that layer's counters would read zero without a
+word.
+"""
+
+from collections import Counter
+
+import pytest
+
+from phasenorm import (backend, make_squeezed_thermal, make_thermal_fock, number_state,
+                       quadrature, quantifier)
+
+# every attribute the tracer replaces, in its order
+HOOKS = [
+    (quantifier, "measure_m"), (quantifier, "wigner_negativity"),
+    (quantifier, "baseline_with_error"), (quantifier, "integrate_plane_abs_pow"),
+    (quantifier, "integrate_radial_abs_pow"), (quantifier, "apply_channel_fock"),
+    (quantifier, "apply_channel_gaussian"), (quadrature, "locate_sign_changes"),
+    (backend, "wigner_series"),
+]
+FOCK_LAYERS = {"quantifier.integrate_radial_abs_pow", "quantifier.wigner_negativity",
+               "quadrature.locate_sign_changes", "backend.wigner_series"}
+GAUSSIAN_LAYERS = {"quantifier.integrate_plane_abs_pow", "quantifier.apply_channel_gaussian"}
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """Counts of the calls that reach each wrapped attribute."""
+    calls = Counter()
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr in HOOKS:
+        name = f"{module.__name__.rsplit('.', 1)[-1]}.{attr}"
+        monkeypatch.setattr(module, attr, wrap(name, getattr(module, attr)))
+    return calls
+
+
+def test_every_hook_exists():
+    # the tracer reads each one with getattr before it installs anything
+    for module, attr in HOOKS:
+        assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("state", [number_state(3), make_thermal_fock(0.5, 120)],
+                         ids=["number3", "thermal"])
+def test_fock_layers_are_reached(state, reached):
+    quantifier.measure_m(state)
+    assert {name for name in FOCK_LAYERS if reached[name]} == FOCK_LAYERS
+
+
+def test_gaussian_layers_are_reached(reached):
+    quantifier.measure_m(make_squeezed_thermal(0.5, 0.8, 0.3))
+    assert {name for name in GAUSSIAN_LAYERS if reached[name]} == GAUSSIAN_LAYERS

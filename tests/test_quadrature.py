@@ -104,7 +104,7 @@ class TestRadial:
         monkeypatch.setattr(phasenorm.quadrature, "_adaptive_panels", counted)
         profile = radial_profile(number_state(3), -0.5)
         if not mass:
-            profile = dataclasses.replace(profile, mass=None)
+            profile = dataclasses.replace(profile, l1=None)
         integrate_radial_abs_pow(profile, p, 1e-8)
         assert bool(calls) == (p != 1.0 or not mass)
 

@@ -169,12 +169,12 @@ class TestExactRadialRoute:
                     min_size=1, max_size=4),
            st.sampled_from([0.0, -0.5, -1.0]))
     def test_matches_panel_route(self, cutoff, seed, elements, s):
-        # the panel route integrates the same profile with its mass removed
+        # the panel route integrates the same profile without its exact route
         state = make_mixture(np.random.default_rng(seed).dirichlet(np.ones(cutoff + 1)))
         channel, fn = ChannelSpec(tuple(elements)), FunctionalSpec(s=s)
 
         def panel_route(profile, p, tol):
-            return integrate_radial_abs_pow(dataclasses.replace(profile, mass=None), p, tol)
+            return integrate_radial_abs_pow(dataclasses.replace(profile, l1=None), p, tol)
 
         value, err = norm_value(state, channel, fn, TOL)
         with pytest.MonkeyPatch.context() as patch:
@@ -435,9 +435,9 @@ def test_scan_widens_when_the_reach_is_too_short(monkeypatch):
     # a reach of 1 leaves most of |40>'s mass outside the scan, so the
     # route must rescan up to the envelope radius and agree within err
     want, want_err = norm_value(number_state(40), CG, FunctionalSpec(), TOL)
-    profile_of = phasenorm.quantifier.radial_profile
-    monkeypatch.setattr(phasenorm.quantifier, "radial_profile", lambda state, s: (
-        dataclasses.replace(profile_of(state, s), reach=lambda tol: 1.0)))
+    search_of = phasenorm.fock.sign_search
+    monkeypatch.setattr(phasenorm.fock, "sign_search", lambda state, terms, lead: (
+        search_of(state, terms, lead)._replace(reach=lambda tol: 1.0)))
     scans = []
     locate = phasenorm.quadrature.locate_sign_changes
 
@@ -482,16 +482,13 @@ def test_leading_weights_match_all_weights(state, channel, s):
     # truncated series miss those of the full one by O(dropped) where the
     # masses are stationary
     fn = FunctionalSpec(s=s)
-    # the negativity subtracts 1, so a stored tail above 2 tol makes it raise
-    witness = state.tail_mass_bound <= TOL
 
     def results():
-        negativity = wigner_negativity(state, TOL) if witness else 0.0
-        return norm_value(state, channel, fn, TOL) + (negativity,)
+        return norm_value(state, channel, fn, TOL) + (wigner_negativity(state, TOL),)
 
     value, err, negativity = results()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(phasenorm.quantifier, "leading_cutoff",
+        patch.setattr(phasenorm.fock, "leading_cutoff",
                       lambda state, orderings, budget: state.cutoff)
         want, want_err, want_negativity = results()
     assert abs(value - want) <= 1e-12
@@ -499,12 +496,22 @@ def test_leading_weights_match_all_weights(state, channel, s):
     assert err <= TOL and want_err <= TOL
 
 
+@pytest.mark.parametrize("nbar", [2.0, 3.0])
+def test_witness_of_a_stored_tail(nbar):
+    # a thermal state stored to cutoff 20 misses 2.0e-4 (nbar 2) and 2.4e-3
+    # (nbar 3) of its mass; its W >= 0 integrates to the stored mass, which
+    # the negativity subtracts instead of 1
+    res = measure_m(make_thermal_fock(nbar, 20), CG, FunctionalSpec(), TOL)
+    assert res.classification == CLASSICAL_CONSISTENT
+    assert abs(res.witness_value) <= 2.0 * TOL
+
+
 @pytest.mark.parametrize("lead", [0, 2, 5])
 def test_dropped_bound_covers_a_coarse_search(lead, monkeypatch):
     # cuts searched on a few leading weights miss N by far more than
     # rounding: the value stays a lower estimate, and the certified bound,
     # now far above tol, still covers the miss
-    monkeypatch.setattr(phasenorm.quantifier, "leading_cutoff",
+    monkeypatch.setattr(phasenorm.fock, "leading_cutoff",
                         lambda state, orderings, budget: lead)
     with pytest.raises(ToleranceNotReached) as excinfo:
         norm_value(make_thermal_fock(1.0, 60), CG, FunctionalSpec(), TOL)
