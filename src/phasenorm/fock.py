@@ -107,17 +107,35 @@ def mean_photons(state):
 
 # ------------------------------------------------------------------ Wigner
 
-def _series(weights, s, radius):
-    """sum_m weights[m] W_m^(s)(radius) by the kernel recurrence; scalar in, scalar out."""
-    if s >= 1.0:
-        raise ValueError(f"ordering parameter must be < 1, got {s}")
-    rho = np.asarray(radius, dtype=float)
-    rho1 = np.atleast_1d(rho)
-    tau = (s + 1.0) / (s - 1.0)
-    u = -4.0 * rho1**2 / (1.0 - s) ** 2
-    pref = (2.0 / (1.0 - s)) * np.exp(-2.0 * rho1**2 / (1.0 - s))
-    out = backend.wigner_series(weights, tau, u, pref)
-    return float(out[0]) if rho.ndim == 0 else out
+def _wigner_terms(weights, terms, radius):
+    """Rows sum_m w_i[m] W_m^(s_i)(radius / sqrt k_i), one per term (s_i, k_i).
+
+    One kernel pass for every term: ``weights`` is one vector w_i = w for
+    all of them or one column w_i per term, and ``radius`` a 1-D array.
+    """
+    points = len(radius)
+    u, pref = np.empty(len(terms) * points), np.empty(len(terms) * points)
+    for i, (s, k) in enumerate(terms):
+        if s >= 1.0:
+            raise ValueError(f"ordering parameter must be < 1, got {s}")
+        block = slice(i * points, (i + 1) * points)
+        rho2 = (radius if k == 1.0 else radius / math.sqrt(k)) ** 2
+        np.divide(-4.0 * rho2, (1.0 - s) ** 2, u[block])
+        np.multiply(2.0 / (1.0 - s), np.exp(-2.0 * rho2 / (1.0 - s)), pref[block])
+    tau = [(s + 1.0) / (s - 1.0) for s, _ in terms]
+    return backend.wigner_series(weights, tau, u, pref).reshape(len(terms), points)
+
+
+def _masses_outside(weights, terms, radius):
+    """Rows T_{s_i}(radius / sqrt k_i), one per term, in one kernel pass.
+
+    See :func:`wigner_mass_outside`; each term's row takes its own weight
+    column P_m - tau_i P_{m+1}.
+    """
+    upper = np.cumsum(weights[::-1])[::-1]
+    shifted = np.append(upper[1:], 0.0)
+    columns = np.column_stack([upper - (s + 1.0) / (s - 1.0) * shifted for s, _ in terms])
+    return _wigner_terms(columns, terms, radius) / np.array([[2.0 / (1.0 - s)] for s, _ in terms])
 
 
 def wigner_s_fock(state, s, radius):
@@ -128,7 +146,9 @@ def wigner_s_fock(state, s, radius):
     recurrence of :func:`phasenorm.backend.wigner_series` (stable at any
     cutoff; the s = -1 Husimi limit is regular in this parametrization).
     """
-    return _series(state.weights, s, radius)
+    rho = np.asarray(radius, dtype=float)
+    out = _wigner_terms(state.weights, ((s, 1.0),), rho.reshape(-1))[0]
+    return float(out[0]) if rho.ndim == 0 else out.reshape(rho.shape)
 
 
 def wigner_mass_outside(state, s, radius):
@@ -138,13 +158,14 @@ def wigner_mass_outside(state, s, radius):
     int_x^inf h_n dx' = (1/beta) sum_{m<=n} (h_m(x) - tau h_{m-1}(x)), which
     follows from L_n' - L_{n-1}' = -L_{n-1} (DLMF 18.9).  Summed over the
     state it is one kernel call with the weights w'_m = P_m - tau P_{m+1},
-    where P_m = sum_{n>=m} p_n, divided by beta.
+    where P_m = sum_{n>=m} p_n, divided by beta; the exact p = 1 route
+    passes each of its terms such a weight column, all in one call.
     """
     if s >= 1.0:
         raise ValueError(f"ordering parameter must be < 1, got {s}")
-    tau = (s + 1.0) / (s - 1.0)
-    upper = np.cumsum(state.weights[::-1])[::-1]
-    return _series(upper - tau * np.append(upper[1:], 0.0), s, radius) / (2.0 / (1.0 - s))
+    rho = np.asarray(radius, dtype=float)
+    out = _masses_outside(state.weights, ((s, 1.0),), rho.reshape(-1))[0]
+    return float(out[0]) if rho.ndim == 0 else out.reshape(rho.shape)
 
 
 def term_l1_bound(s, n):
@@ -221,20 +242,19 @@ def sign_search(state, terms, lead):
         radii.append(root * rho_t)
         reaches.append((root, max(math.sqrt((n + 1) * (1.0 - s) / 2.0), rho_t), (1 - s) / 2))
     if len(terms) == 1:
-        s = terms[0][0]
-        evaluator = lambda r: _series(weights, s, r)
+        evaluator = lambda r: _wigner_terms(weights, terms, r)[0]
         degree, mass_degree = n, top
     else:
-        (s_in, _), (s_out, k) = terms
-        root_k = math.sqrt(k)
+        k = terms[1][1]
 
         def evaluator(r):
             # zero below the terms' rounding, or a state the channel fixes
             # (the vacuum under loss) floods the sign scan with noise flips
-            w_in = _series(weights, s_in, r)
-            w_out = _series(weights, s_out, r / root_k) / k
+            w_in, w_out = _wigner_terms(weights, terms, r)
+            w_out = w_out / k
             noise = SIGN_SCAN_FLOOR * (np.abs(w_in) + np.abs(w_out))
-            return np.where(np.abs(w_in - w_out) > noise, w_in - w_out, 0.0)
+            diff = w_in - w_out
+            return np.where(np.abs(diff) > noise, diff, 0.0)
 
         degree, mass_degree = 2 * n + 2, 2 * top + 2
     dropped = (0.0, 0.0)
@@ -262,10 +282,11 @@ def radial_profile(state, s, channel=None):
     ``l1`` is the exact p = 1 route.  The integral of |f| is
     sum_i |T(c_i) - T(c_{i+1})| over the sign cuts 0 = c_0 < c_i < inf,
     with T the summed :func:`wigner_mass_outside` of the terms; no panel
-    runs.  The cuts are searched on the leading weights p_0..p_N_eff
-    (:func:`leading_cutoff` with budget LEADING_SHARE tol over the
-    orderings in play, :func:`sign_search`), while the masses keep every
-    weight.  The scan stops at the ``reach``, where every term is of one
+    runs, and every evaluation of f and every mass pass takes all terms
+    in one kernel pass.  The cuts are searched on the leading weights
+    p_0..p_N_eff (:func:`leading_cutoff` with budget LEADING_SHARE tol
+    over the orderings in play, :func:`sign_search`), while the masses
+    keep every weight.  The scan stops at the ``reach``, where every term is of one
     sign, so the terms' masses there bound the tail; a tail above tol/10
     widens the scan to the envelope radius, where the smaller of the
     masses (if past the sign radius) and the envelope's bound is taken.
@@ -302,10 +323,11 @@ def radial_profile(state, s, channel=None):
 def _exact_l1(state, terms, search, tol):
     """The unchecked estimate of the exact p = 1 route (see :func:`radial_profile`)."""
 
+    signs = np.array([[1.0], [-1.0]])[:len(terms)]
+
     def mass(r):
-        # one row per term, outside r
-        return np.array([sign * wigner_mass_outside(state, s, r / math.sqrt(k))
-                         for sign, (s, k) in zip((1.0, -1.0), terms)])
+        # one row per term, outside r, in one kernel pass
+        return signs * _masses_outside(state.weights, terms, r)
 
     envelope, envelope_tail = tail_radius(search.decay, 1.0, tol * 0.1)
     for radius in sorted({min(search.reach(tol), envelope), envelope}):

@@ -1,23 +1,28 @@
 """The Fock p = 1 route in few kernel passes.
 
 Each pass is one call of ``backend.wigner_series`` (one Laguerre
-recurrence over the cutoff), whatever the number of points: the sign
-scan, each refinement round of all brackets at once, and the mass pass.
+recurrence over the cutoff), whatever the number of points or terms: the
+sign scan, each refinement round of all brackets at once, and the mass
+pass, each for every term at once (both orderings of the norm's
+difference).
 """
 
+import numpy as np
 import pytest
 
 import phasenorm.backend
-import phasenorm.fock
 from phasenorm import CG, make_thermal_fock, measure_m, number_state
 
 
-@pytest.mark.parametrize("n,most", [(40, 20), (2, 18)])
-def test_measure_m_kernel_passes(n, most, monkeypatch):
+@pytest.mark.parametrize("state,most", [(number_state(40), 10), (number_state(2), 10),
+                                        (make_thermal_fock(0.5, 120), 7)],
+                         ids=["number40", "number2", "thermal"])
+def test_measure_m_kernel_passes(state, most, monkeypatch):
     # the norm and the witness each take a scan, a few ladder rounds and a
-    # mass pass (the norm's difference two recurrences per step): 15 passes
-    # for both states, where one refinement point per bracket and round
-    # took 31 and 25
+    # mass pass, the norm's two orderings in one recurrence per step: 10
+    # passes for both number states and 7 for the thermal one, where one
+    # recurrence per ordering took 15, 15 and 12, and one refinement point
+    # per bracket and round took 31 and 25 for the number states
     passes = []
     series = phasenorm.backend.wigner_series
 
@@ -26,7 +31,7 @@ def test_measure_m_kernel_passes(n, most, monkeypatch):
         return series(*args)
 
     monkeypatch.setattr(phasenorm.backend, "wigner_series", counted)
-    measure_m(number_state(n), CG, tol=1e-6)
+    measure_m(state, CG, tol=1e-6)
     assert len(passes) <= most
 
 
@@ -35,24 +40,17 @@ def test_measure_m_kernel_passes(n, most, monkeypatch):
 def test_sign_search_runs_on_the_leading_weights(state, scan_terms, monkeypatch):
     # the scan and the ladder evaluate the leading weights (20 of 121 terms
     # for the thermal state), only the mass passes every weight; a number
-    # state has nothing to drop
+    # state has nothing to drop.  A mass pass gives each term its own
+    # weight column P_m - tau_i P_{m+1}, while the search shares the
+    # state's weights among the terms, so the weights' rank tells them apart
     terms = {"search": [], "mass": []}
-    role = ["search"]
-    series, mass = phasenorm.backend.wigner_series, phasenorm.fock.wigner_mass_outside
+    series = phasenorm.backend.wigner_series
 
     def counted(weights, *args):
-        terms[role[0]].append(len(weights))
+        terms["mass" if np.ndim(weights) == 2 else "search"].append(len(weights))
         return series(weights, *args)
 
-    def tagged(*args):
-        role[0] = "mass"
-        try:
-            return mass(*args)
-        finally:
-            role[0] = "search"
-
     monkeypatch.setattr(phasenorm.backend, "wigner_series", counted)
-    monkeypatch.setattr(phasenorm.fock, "wigner_mass_outside", tagged)
     measure_m(state, CG, tol=1e-6)
     assert terms["search"] and max(terms["search"]) <= scan_terms
     assert terms["mass"] and set(terms["mass"]) == {state.cutoff + 1}

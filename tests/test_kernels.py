@@ -6,6 +6,8 @@ import mpmath as mp
 import numpy as np
 import numpy.polynomial.laguerre as nplag
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasenorm import backend, number_state, wigner_s_fock
 
@@ -43,6 +45,49 @@ def test_series_tau_zero_is_poisson_limit():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         backend.wigner_series(np.ones(3), 0.5, np.zeros(4), np.zeros(3))
+
+
+@pytest.mark.parametrize("weights,tau,u,pref", [
+    (np.ones(3), [0.5, -0.2], np.zeros(5), np.zeros(5)),          # 5 points, 2 terms
+    (np.ones(3), [], np.zeros(0), np.zeros(0)),                   # no term
+    (np.ones((3, 3)), [0.5, -0.2], np.zeros(4), np.zeros(4)),     # 3 columns, 2 terms
+    (np.ones((3, 2, 1)), [0.5, -0.2], np.zeros(4), np.zeros(4)),  # weights not 1-D or 2-D
+    (np.ones(3), [0.5, -0.2], np.zeros(4), np.zeros(6)),          # pref and u lengths
+    (np.ones(3), [0.5, -0.2], np.zeros((2, 2)), np.zeros((2, 2))),  # u not flat
+], ids=["uneven-blocks", "no-term", "columns", "weights-rank", "pref-length", "u-2d"])
+def test_stacked_shape_errors_rejected(weights, tau, u, pref):
+    with pytest.raises(ValueError):
+        backend.wigner_series(weights, tau, u, pref)
+
+
+def _kernel_arguments(s, radii):
+    """tau, u and pref of W^(s) at ``radii``, as the Fock engine builds them."""
+    rho2 = np.asarray(radii) ** 2
+    return ((s + 1.0) / (s - 1.0), -4.0 * rho2 / (1.0 - s) ** 2,
+            (2.0 / (1.0 - s)) * np.exp(-2.0 * rho2 / (1.0 - s)))
+
+
+ORDERINGS = st.sampled_from([0.0, -0.5, -1.0, -2.0, -3.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(ORDERINGS, min_size=1, max_size=3), st.integers(0, 120), st.booleans(),
+       st.integers(0, 6), st.integers(0, 2**16))
+def test_stacked_call_is_the_concatenated_single_calls(orderings, cutoff, shared, extra, seed):
+    # every point of a stacked call takes the one-term call's operations in
+    # its order, so the values agree bit for bit, at radius 0 and past the
+    # reach (about 22 for cutoff 120 at s = -3) alike
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(-1.0, 1.0, size=(cutoff + 1, len(orderings)))
+    if shared:
+        weights = weights[:, 0]
+    blocks = [_kernel_arguments(s, np.concatenate([[0.0, 30.0], rng.uniform(0.0, 25.0, extra)]))
+              for s in orderings]
+    singles = [backend.wigner_series(weights if shared else weights[:, i], tau, u, pref)
+               for i, (tau, u, pref) in enumerate(blocks)]
+    taus, us, prefs = zip(*blocks)
+    stacked = backend.wigner_series(weights, list(taus), np.concatenate(us), np.concatenate(prefs))
+    assert np.array_equal(stacked, np.concatenate(singles))
 
 
 @pytest.mark.parametrize("n", [256, 320])

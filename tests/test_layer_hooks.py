@@ -10,9 +10,10 @@ word.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from phasenorm import (backend, make_squeezed_thermal, make_thermal_fock, number_state,
+from phasenorm import (CG, backend, make_squeezed_thermal, make_thermal_fock, number_state,
                        quadrature, quantifier)
 
 # every attribute the tracer replaces, in its order
@@ -61,3 +62,29 @@ def test_fock_layers_are_reached(state, reached):
 def test_gaussian_layers_are_reached(reached):
     quantifier.measure_m(make_squeezed_thermal(0.5, 0.8, 0.3))
     assert {name for name in GAUSSIAN_LAYERS if reached[name]} == GAUSSIAN_LAYERS
+
+
+@pytest.mark.parametrize("state,points,term_points", [
+    (number_state(40), 14_259, 584_619), (make_thermal_fock(0.5, 120), 2_559, 51_988)],
+    ids=["number40", "thermal"])
+def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
+    # the tracer unpacks ``weights, _, u, _ = args`` and counts len(u)
+    # points and len(weights) len(u) term-points; a keyword argument or a
+    # 2-D u would break the trace or silently redefine both counters.  The
+    # sums are those of one recurrence per ordering, so stacking the terms
+    # moves neither
+    calls = []
+    series = backend.wigner_series
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "wigner_series", recorded)
+    quantifier.measure_m(state, CG, tol=1e-6)
+    for args, kwargs in calls:
+        assert len(args) == 4 and not kwargs
+        _, _, u, pref = args
+        assert np.ndim(u) == np.ndim(pref) == 1 and len(u) == len(pref)
+    assert sum(len(args[2]) for args, _ in calls) == points
+    assert sum(len(args[0]) * len(args[2]) for args, _ in calls) == term_points
