@@ -202,31 +202,30 @@ def leading_cutoff(state, orderings, budget):
 
 
 SignSearch = namedtuple("SignSearch",
-                        "evaluator decay degree reach sign_radius dropped mass_degree")
+                        "terms weights decay degree reach sign_radius dropped mass_degree")
 
 
 def sign_search(state, terms, lead):
     """What the cut search of the exact route sees: f on p_0..p_lead.
 
     ``terms`` holds one (s_i, k_i) per term f_i(rho) = +-W^(s_i)(rho /
-    sqrt k_i) / k_i of f, the first taken with + and a second with -.
-    Every zero of L_n lies below 4n + 2 (Szego, Orthogonal Polynomials,
-    6.31), so for s > -1 each W_n^(s), n <= N, is positive beyond rho_t =
-    sqrt((N + 3/4)(1 - s^2)); for s <= -1 it is positive everywhere.  The
-    ``sign_radius`` is the largest sqrt k_i rho_t and ``reach(tol)`` the
-    largest sqrt k_i (max(rho_t, sqrt((N + 1)(1 - s_i)/2)) + sqrt((1 -
-    s_i)/2 ln(1 + 10/tol)) + 1/2), where the Gaussian factor has fallen to
-    about tol/10.  The ``decay`` envelope uses |sum_n p_n tau^n L_n| <= (1
-    + |u|)^N and splits off half the exponential rate to absorb the
-    polynomial factor, all in log space.  All of these take N = ``lead``,
-    as does the scan ``degree``; the ``mass_degree`` of the masses, which
-    keep every weight, takes the cutoff.  ``dropped`` = (l1, sup) bounds
-    the rest: sum_i sum_{n > lead} p_n B_{s_i}(n) >= int |f - g| and
-    sum_i 2 sum_{n > lead} p_n / k_i >= max |f - g|, since every
-    |W_n^(s)| <= 2 for s <= 0.
+    sqrt k_i) / k_i of f, the first taken with + and a second with -;
+    ``weights`` holds p_0..p_lead.  Every zero of L_n lies below 4n + 2
+    (Szego, Orthogonal Polynomials, 6.31), so for s > -1 each W_n^(s),
+    n <= N, is positive beyond rho_t = sqrt((N + 3/4)(1 - s^2)); for s <=
+    -1 it is positive everywhere.  The ``sign_radius`` is the largest
+    sqrt k_i rho_t and ``reach(tol)`` the largest sqrt k_i (max(rho_t,
+    sqrt((N + 1)(1 - s_i)/2)) + sqrt((1 - s_i)/2 ln(1 + 10/tol)) + 1/2),
+    where the Gaussian factor has fallen to about tol/10.  The ``decay``
+    envelope uses |sum_n p_n tau^n L_n| <= (1 + |u|)^N and splits off half
+    the exponential rate to absorb the polynomial factor, all in log
+    space.  All of these take N = ``lead``, as does the scan ``degree``;
+    the ``mass_degree`` of the masses, which keep every weight, takes the
+    cutoff.  ``dropped`` = (l1, sup) bounds the rest: sum_i sum_{n > lead}
+    p_n B_{s_i}(n) >= int |f - g| and sum_i 2 sum_{n > lead} p_n / k_i >=
+    max |f - g|, since every |W_n^(s)| <= 2 for s <= 0.
     """
     top, n = state.cutoff, lead
-    weights = state.weights[:n + 1]
     decay, radii, reaches = [], [], []
     for s, k in terms:
         if s >= 1.0:
@@ -242,20 +241,8 @@ def sign_search(state, terms, lead):
         radii.append(root * rho_t)
         reaches.append((root, max(math.sqrt((n + 1) * (1.0 - s) / 2.0), rho_t), (1 - s) / 2))
     if len(terms) == 1:
-        evaluator = lambda r: _wigner_terms(weights, terms, r)[0]
         degree, mass_degree = n, top
     else:
-        k = terms[1][1]
-
-        def evaluator(r):
-            # zero below the terms' rounding, or a state the channel fixes
-            # (the vacuum under loss) floods the sign scan with noise flips
-            w_in, w_out = _wigner_terms(weights, terms, r)
-            w_out = w_out / k
-            noise = SIGN_SCAN_FLOOR * (np.abs(w_in) + np.abs(w_out))
-            diff = w_in - w_out
-            return np.where(np.abs(diff) > noise, diff, 0.0)
-
         degree, mass_degree = 2 * n + 2, 2 * top + 2
     dropped = (0.0, 0.0)
     if n < top:
@@ -263,13 +250,64 @@ def sign_search(state, terms, lead):
         dropped = (sum(float(rest @ term_l1_bound(s, above)) for s, _ in terms),
                    sum(2.0 * float(rest.sum()) / k for _, k in terms))
     return SignSearch(
-        evaluator, tuple(decay), degree,
+        tuple(terms), state.weights[:n + 1], tuple(decay), degree,
         lambda t: max(root * (bulk + math.sqrt(half * math.log1p(10 / t)) + 0.5)
                       for root, bulk, half in reaches),
         max(radii), dropped, mass_degree)
 
 
-def radial_profile(state, s, channel=None):
+def _signal(terms, rows):
+    """f of one signal from its terms' rows: the row, or the difference."""
+    if len(rows) == 1:
+        return rows[0]
+    # zero below the terms' rounding, or a state the channel fixes
+    # (the vacuum under loss) floods the sign scan with noise flips
+    w_in, w_out = rows[0], rows[1] / terms[1][1]
+    noise = SIGN_SCAN_FLOOR * (np.abs(w_in) + np.abs(w_out))
+    diff = w_in - w_out
+    return np.where(np.abs(diff) > noise, diff, 0.0)
+
+
+def _search_evaluator(searches):
+    """r -> one row of f per search, every term of them in one kernel pass.
+
+    A term that several signals evaluate on the same weights is one row
+    of the pass.  When the weights differ each row takes its own column,
+    zero past its signal's lead, and keeps, bit for bit, the values of
+    its weights alone.
+    """
+    keys = list(dict.fromkeys((term, len(search.weights))
+                              for search in searches for term in search.terms))
+    longest = max((search.weights for search in searches), key=len)
+    weights = longest
+    if any(size < len(longest) for _, size in keys):
+        weights = np.zeros((len(longest), len(keys)))
+        for j, (_, size) in enumerate(keys):
+            weights[:size, j] = longest[:size]
+    terms = [term for term, _ in keys]
+    picks = [[keys.index((term, len(search.weights))) for term in search.terms]
+             for search in searches]
+
+    def evaluator(r):
+        rows = _wigner_terms(weights, terms, r)
+        return np.array([_signal(search.terms, [rows[j] for j in pick])
+                         for search, pick in zip(searches, picks)])
+
+    return evaluator
+
+
+def _signal_terms(s, channel):
+    """The (s_i, k_i) of W^(s), or of W^(s)_rho - W^(s)_C(rho) given a channel."""
+    terms = ((s, 1.0),)
+    if channel is not None:
+        k, y, _, d = channel.fold()
+        if d != 0:
+            raise UnsupportedInputError("displacement breaks photon-number diagonality")
+        terms += (((s - 4.0 * y) / k, k),)
+    return terms
+
+
+def radial_profile(state, s, channel=None, also=()):
     """RadialProfile of W^(s), or of W^(s)_rho - W^(s)_C(rho) given a ``channel``.
 
     The channel acts as an ordering shift: W^(s) of the output is
@@ -279,80 +317,122 @@ def radial_profile(state, s, channel=None):
     invariant, and a displacement is rejected.  The evaluator, decay and
     degree_hint keep every weight and serve the panel routes.
 
-    ``l1`` is the exact p = 1 route.  The integral of |f| is
-    sum_i |T(c_i) - T(c_{i+1})| over the sign cuts 0 = c_0 < c_i < inf,
-    with T the summed :func:`wigner_mass_outside` of the terms; no panel
-    runs, and every evaluation of f and every mass pass takes all terms
-    in one kernel pass.  The cuts are searched on the leading weights
-    p_0..p_N_eff (:func:`leading_cutoff` with budget LEADING_SHARE tol
-    over the orderings in play, :func:`sign_search`), while the masses
-    keep every weight.  The scan stops at the ``reach``, where every term is of one
-    sign, so the terms' masses there bound the tail; a tail above tol/10
-    widens the scan to the envelope radius, where the smaller of the
-    masses (if past the sign radius) and the envelope's bound is taken.
+    ``also`` holds further signals, (s, channel) pairs built the same way
+    (the Wigner-negativity witness is (0.0, None)).  The ``l1`` hook takes
+    one tol per signal, the profile's own first, and returns one estimate
+    per signal, all from one set of kernel passes: every evaluation of
+    the signals and every mass pass takes all their terms in one call.
+    A term two signals share on the same weights is one row of the pass
+    (W^(0) of the norm at s = 0 is the witness); a signal whose terms an
+    earlier signal evaluates on at least its leading weights adopts that
+    signal's lead and rows.
 
-    Its error contract, given a complete scan: ``abs_error_bound`` is
-    twice the tail beyond the scan, plus the root placement (final
-    bracket width times the larger |f| at its ends, raised by the dropped
-    terms' sup; exact for f monotone on the bracket), plus the rounding
-    of the masses, 2 eps (mass_degree + 1) max(1, |T|) per mass, plus
-    four times the dropped terms' l1, at most tol/10: on a mass interval
-    where the truncation g keeps one sign, int |f| - |int f| <= 2 int
-    |f - g|, and past the scan the dropped terms need not be of one
-    sign.  The value is a lower estimate, in practice exact to rounding.
-    What is not certified is that the scan saw every sign change: two
-    cuts within one scan step go unseen.  ``subdivisions`` counts the
-    mass intervals.
+    ``l1`` is the exact p = 1 route.  For each signal f, the integral of
+    |f| is sum_i |T(c_i) - T(c_{i+1})| over its sign cuts 0 = c_0 < c_i <
+    inf, with T the summed :func:`wigner_mass_outside` of its terms; no
+    panel runs.  Per signal, with its own tol:
+
+    * The cuts are searched on the leading weights p_0..p_N_eff
+      (:func:`leading_cutoff` with budget LEADING_SHARE tol over its
+      orderings, :func:`sign_search`), while the masses keep every
+      weight.
+    * The scan stops at its ``reach``, where every term is of one sign,
+      so the terms' masses there bound the tail; a tail above tol/10
+      widens its scan to its envelope radius, where the smaller of the
+      masses (if past the sign radius) and the envelope's bound is
+      taken.  All signals share one scan, on the first signal's grid
+      (see :func:`~phasenorm.quadrature.locate_sign_changes`), each cut at
+      its own radius; a widened scan runs on the grid of the first
+      signal that widens.
+    * ``abs_error_bound`` is twice the tail beyond the scan, plus the
+      root placement (final bracket width times the larger |f| at its
+      ends, raised by the dropped terms' sup; exact for f monotone on
+      the bracket), plus the rounding of the masses, 2 eps (mass_degree
+      + 1) max(1, |T|) per mass, plus four times the dropped terms' l1,
+      at most tol/10: on a mass interval where the truncation g keeps one
+      sign, int |f| - |int f| <= 2 int |f - g|, and past the scan the
+      dropped terms need not be of one sign.
+    * The value is a lower estimate, in practice exact to rounding, and
+      ``subdivisions`` counts the mass intervals.
+
+    The bound is certified given a complete scan: two cuts within one
+    scan step go unseen.  A signal's cuts, value and bound do not depend
+    on the other signals, except through the grid and an adopted lead.
     """
-    terms = ((s, 1.0),)
-    if channel is not None:
-        k, y, _, d = channel.fold()
-        if d != 0:
-            raise UnsupportedInputError("displacement breaks photon-number diagonality")
-        terms += (((s - 4.0 * y) / k, k),)
-    full = sign_search(state, terms, state.cutoff)
+    signals = [_signal_terms(s, channel)] + [_signal_terms(*signal) for signal in also]
+    full = sign_search(state, signals[0], state.cutoff)
 
-    def l1(tol):
-        lead = leading_cutoff(state, [o for o, _ in terms], LEADING_SHARE * tol)
-        search = full if lead == state.cutoff else sign_search(state, terms, lead)
-        return _exact_l1(state, terms, search, tol)
+    def l1(tols):
+        leads = [leading_cutoff(state, [o for o, _ in terms], LEADING_SHARE * tol)
+                 for terms, tol in zip(signals, tols)]
+        for i, terms in enumerate(signals):
+            # a signal whose terms an earlier one holds reads its rows if
+            # they take at least the signal's own leading weights
+            leads[i] = max([leads[i]] + [leads[j] for j in range(i)
+                                         if set(terms) <= set(signals[j])])
+        searches = [full if (terms, lead) == (signals[0], state.cutoff)
+                    else sign_search(state, terms, lead) for terms, lead in zip(signals, leads)]
+        return _exact_l1(state, searches, tols)
 
-    return RadialProfile(full.evaluator, full.decay, full.degree, l1)
+    return RadialProfile(lambda r: _signal(full.terms, _wigner_terms(full.weights, full.terms, r)),
+                         full.decay, full.degree, l1)
 
 
-def _exact_l1(state, terms, search, tol):
-    """The unchecked estimate of the exact p = 1 route (see :func:`radial_profile`)."""
+def _signal_masses(state, searches, points):
+    """Each search's signed rows T_{s_i}(r / sqrt k_i) at its own points, in one pass."""
+    terms = list(dict.fromkeys(term for search in searches for term in search.terms))
+    masses = _masses_outside(state.weights, terms, np.concatenate(points))
+    signs = np.array([[1.0], [-1.0]])
+    rows, start = [], 0
+    for search, at in zip(searches, points):
+        cols = slice(start, start + len(at))
+        start = cols.stop
+        pick = [terms.index(term) for term in search.terms]
+        rows.append(signs[:len(pick)] * masses[pick, cols])
+    return rows
 
-    signs = np.array([[1.0], [-1.0]])[:len(terms)]
 
-    def mass(r):
-        # one row per term, outside r, in one kernel pass
-        return signs * _masses_outside(state.weights, terms, r)
-
-    envelope, envelope_tail = tail_radius(search.decay, 1.0, tol * 0.1)
-    for radius in sorted({min(search.reach(tol), envelope), envelope}):
-        cuts = quadrature.locate_sign_changes(search.evaluator, (0.0, envelope),
-                                              search.degree, stop=radius)
-        edges = np.array([0.0] + list(cuts))
-        # one mass pass gives T at the cuts and, per term, at the scan radius
-        rows = mass(np.append(edges, radius))
-        tail = float(np.sum(np.abs(rows[:, -1]))) if radius >= search.sign_radius else math.inf
-        if tail <= 0.1 * tol:
-            break
-    if radius == envelope:
-        tail = min(tail, envelope_tail)
-    masses = np.append(np.sum(rows[:, :-1], axis=0), 0.0)
-    value = float(np.sum(np.abs(np.diff(masses))))
-    # moving a cut inside its bracket changes the two masses beside it by at
-    # most the integral of 2r |f| over the bracket, and |f| <= |g| + sup
-    l1, sup = search.dropped
-    right = edges[1:] + cuts.widths
-    heights = cuts.heights + sup if sup else cuts.heights
-    placement = float(np.sum(4.0 * right * cuts.widths * heights))
-    rounding = (2.0 * EPS * (search.mass_degree + 1) * (len(edges) + 1)
-                * max(1.0, float(np.max(np.abs(rows)))))
-    return IntegralEstimate(value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding,
-                            len(edges))
+def _exact_l1(state, searches, tols):
+    """The unchecked estimates of the exact p = 1 route (see :func:`radial_profile`)."""
+    envelopes = [tail_radius(search.decay, 1.0, tol * 0.1)
+                 for search, tol in zip(searches, tols)]
+    radii = [min(search.reach(tol), envelope)
+             for search, tol, (envelope, _) in zip(searches, tols, envelopes)]
+    found = [None] * len(searches)
+    pending = list(range(len(searches)))
+    while pending:
+        group = [searches[i] for i in pending]
+        every = quadrature.locate_sign_changes(
+            _search_evaluator(group), (0.0, envelopes[pending[0]][0]),
+            [search.degree for search in group], stop=np.array([radii[i] for i in pending]))
+        edges = [np.array([0.0] + list(cuts)) for cuts in every]
+        # one mass pass gives T at every signal's cuts and, per term, at its scan radius
+        masses = _signal_masses(state, group, [np.append(e, radii[i])
+                                               for e, i in zip(edges, pending)])
+        widened = []
+        for i, search, cuts, edge, rows in zip(pending, group, every, edges, masses):
+            tol, (envelope, envelope_tail), radius = tols[i], envelopes[i], radii[i]
+            tail = float(np.sum(np.abs(rows[:, -1]))) if radius >= search.sign_radius else math.inf
+            if tail > 0.1 * tol and radius < envelope:
+                radii[i] = envelope
+                widened.append(i)
+                continue
+            if radius == envelope:
+                tail = min(tail, envelope_tail)
+            mass = np.append(np.sum(rows[:, :-1], axis=0), 0.0)
+            value = float(np.sum(np.abs(np.diff(mass))))
+            # moving a cut inside its bracket changes the two masses beside it by
+            # at most the integral of 2r |f| over the bracket, and |f| <= |g| + sup
+            l1, sup = search.dropped
+            right = edge[1:] + cuts.widths
+            heights = cuts.heights + sup if sup else cuts.heights
+            placement = float(np.sum(4.0 * right * cuts.widths * heights))
+            rounding = (2.0 * EPS * (search.mass_degree + 1) * (len(edge) + 1)
+                        * max(1.0, float(np.max(np.abs(rows)))))
+            found[i] = IntegralEstimate(
+                value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding, len(edge))
+        pending = widened
+    return tuple(found)
 
 
 # ---------------------------------------------------------------- channels

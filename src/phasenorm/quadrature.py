@@ -17,7 +17,9 @@ panels are refined worst-first with fixed-order Gauss-Legendre rules
 until the accumulated error estimate fits the tolerance, each refinement
 step's GL16 rules in one call of the integrand.  Radial profiles find
 their sign changes by a scan and ladder refinement (regula falsi points
-flanked by geometric rungs, one call of f per round) to 1e-12.
+flanked by geometric rungs, one call of f per round) to 1e-12; an f that
+returns one row per signal has the sign changes of every row found by
+one scan and one ladder.
 Along a ray of a planar profile the log-magnitude of each Gaussian term
 is quadratic in the radius, so its sign change is found in closed form;
 for p = 1 with a shared center the whole ray integral is closed form, and
@@ -43,6 +45,7 @@ LADDER = 0.5 * ROOT_XTOL * 4.0 ** np.arange(20)  # rungs around the regula falsi
 # a round's offsets with the k narrowest rungs; the infinite ones clip to the ends
 LADDER_OFFSETS = [np.concatenate([[-np.inf], -LADDER[:k][::-1], [0.0], LADDER[:k], [np.inf]])
                   for k in range(len(LADDER) + 1)]
+LADDER_LIMITS = np.append(LADDER, np.inf)  # k rungs keep the offsets below LADDER_LIMITS[k]
 MIN_PANEL_WIDTH = 1e-13
 EPS = float(np.finfo(float).eps)
 SIGN_SCAN_FLOOR = 1e-13  # relative magnitude below which sign flips are noise
@@ -98,9 +101,12 @@ class RadialProfile:
     (log_amplitude, rate) pairs certifying |f(rho)| <= sum_i exp(log_a_i -
     rate_i * rho^2) for every rho >= 0; it drives the truncation radius.
     ``degree_hint`` bounds the number of sign changes (used to choose the
-    root-scan sampling density).  ``l1``, when given, maps tol to an
-    unchecked :class:`IntegralEstimate` of the p = 1 integral by its
-    producer's exact route (see :func:`phasenorm.fock.radial_profile`).
+    root-scan sampling density).  ``l1``, when given, is its producer's
+    exact route at p = 1 (see :func:`phasenorm.fock.radial_profile`): it
+    maps a tuple of tolerances, one per signal the profile carries, to a
+    tuple of unchecked :class:`IntegralEstimate` of their p = 1 integrals.
+    The first signal is f; ``evaluator``, ``decay`` and ``degree_hint``
+    describe it alone.
     """
 
     evaluator: object
@@ -160,38 +166,76 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None):
 
     Returns a :class:`SignChanges` list, whose final bracket widths and end
     values bound the placement error of each root.
+
+    ``f`` may instead return one row per signal (shape (signals, points)
+    for a 1-D array of radii).  Then one :class:`SignChanges` is returned
+    per row, and ``degree_hint`` and ``stop`` may each hold one value per
+    row.  The rows share one scan, on the grid of the first row's
+    degree_hint over ``bracket``, continued with the same step past its
+    end up to the largest stop; each row is cut at its own stop and keeps
+    its own floor and budget, and every round of the ladder refines the
+    brackets of all rows in one call of f.  A row finds, bit for bit, the
+    cuts it finds alone on the same grid.
     """
     lo, hi = bracket
-    max_roots = degree_hint + 16
-    xs = np.linspace(lo, hi, min(max(513, 32 * (degree_hint + 1) + 1), 40001))
+    hints = np.atleast_1d(degree_hint)
+    count = min(max(513, 32 * (int(hints[0]) + 1) + 1), 40001)
+    xs = np.linspace(lo, hi, count)
+    ends = count
     if stop is not None:
-        xs = xs[:np.searchsorted(xs, stop) + 1]
+        stops = np.atleast_1d(np.asarray(stop, dtype=float))
+        step = (hi - lo) / (count - 1)
+        if stops.max() > hi and step > 0.0:
+            extra = math.ceil((float(stops.max()) - hi) / step)
+            xs = np.append(xs, hi + step * np.arange(1, extra + 1))
+        ends = np.searchsorted(xs, stops) + 1
+        xs = xs[:ends.max()]
     ys = f(xs)
-    floor = SIGN_SCAN_FLOOR * float(np.max(np.abs(ys)))
-    flank = np.maximum(np.abs(ys[:-1]), np.abs(ys[1:]))
-    idx = np.nonzero((ys[:-1] * ys[1:] < 0.0) & (flank > floor))[0]
-    zmask = (ys[1:-1] == 0.0) & (np.maximum(np.abs(ys[:-2]), np.abs(ys[2:])) > floor)
-    zero_nodes = xs[1:-1][zmask]
-    if len(idx) + len(zero_nodes) > max_roots:
-        raise RootBudgetExceeded(
-            f"found {len(idx) + len(zero_nodes)} sign changes, budget {max_roots}")
-    roots, widths, heights = _ladder_brackets(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1])
-    zeros = np.zeros(len(zero_nodes))
-    return SignChanges(np.concatenate([roots, zero_nodes]),
-                       np.concatenate([widths, zeros]), np.concatenate([heights, zeros]))
+    single = np.ndim(ys) == 1
+    rows = np.atleast_2d(ys)
+    # node j of row i is scanned while j < ends[i]; the rest reads as zero
+    live = np.arange(len(xs)) < np.reshape(ends, (-1, 1))
+    mag = np.where(live, np.abs(rows), 0.0)
+    floor = SIGN_SCAN_FLOOR * mag.max(axis=1, keepdims=True)
+    owner, idx = np.nonzero((rows[:, :-1] * rows[:, 1:] < 0.0) & live[:, 1:]
+                            & (np.maximum(mag[:, :-1], mag[:, 1:]) > floor))
+    zmask = ((rows[:, 1:-1] == 0.0) & live[:, 2:]
+             & (np.maximum(mag[:, :-2], mag[:, 2:]) > floor))
+    brackets = np.bincount(owner, minlength=len(rows))
+    changes, budget = brackets + zmask.sum(axis=1), np.resize(hints, len(rows)) + 16
+    if np.any(changes > budget):
+        i = int(np.argmax(changes > budget))
+        raise RootBudgetExceeded(f"found {changes[i]} sign changes, budget {budget[i]}")
+    roots, widths, heights = _ladder_brackets(
+        (lambda r: f(r)[None]) if single else f,
+        xs[idx], xs[idx + 1], rows[owner, idx], rows[owner, idx + 1], owner)
+    found, start = [], 0
+    for n, zero in zip(brackets, zmask):
+        part = slice(start, start + n)
+        start = part.stop
+        zeros = xs[1:-1][zero]
+        none = np.zeros(len(zeros))
+        found.append(SignChanges(np.concatenate([roots[part], zeros]),
+                                 np.concatenate([widths[part], none]),
+                                 np.concatenate([heights[part], none])))
+    return found[0] if single else found
 
 
-def _ladder_brackets(f, a, b, fa, fb):
+def _ladder_brackets(f, a, b, fa, fb, owner):
     """Refine sign-change brackets [a, b] simultaneously to ROOT_XTOL.
 
     Each round evaluates, in one call of f, the regula falsi point c of
     every open bracket and the rungs c -+ LADDER narrower than the widest
-    bracket, clipped to it: NumPy's per-call overhead dominates the kernel,
-    so these points cost about what c alone does.  The narrowest pair of
-    neighbours whose values change sign becomes the bracket; c within 0.5
-    ROOT_XTOL of the root closes it.  A bracket closes at width ROOT_XTOL
-    or at an exact zero, after at most ROOT_MAX_STEPS rounds.  Returns the
-    roots (right ends), the final widths and max(|f|) at the final ends.
+    open bracket of its row, clipped to it: NumPy's per-call overhead
+    dominates the kernel, so these points cost about what c alone does.
+    ``f`` returns one row per signal and bracket i reads row owner[i]
+    (``owner`` is nondecreasing); the rungs a row does not take are infinite and clip to the ends, so
+    every bracket takes the points it takes in a call of its row alone.
+    The narrowest pair of neighbours whose values change sign becomes the
+    bracket; c within 0.5 ROOT_XTOL of the root closes it.  A bracket
+    closes at width ROOT_XTOL or at an exact zero, after at most
+    ROOT_MAX_STEPS rounds.  Returns the roots (right ends), the final
+    widths and max(|f|) at the final ends.
     """
     a, b = a.astype(float), b.astype(float)
     ya, yb = fa.astype(float), fb.astype(float)
@@ -202,15 +246,22 @@ def _ladder_brackets(f, a, b, fa, fb):
         lo, hi, ylo, yhi = a[open_, None], b[open_, None], ya[open_, None], yb[open_, None]
         width = hi - lo
         c = hi - yhi * width / (yhi - ylo)
+        row = owner[open_]
         offsets = LADDER_OFFSETS[np.searchsorted(LADDER, width.max())]
+        if row[0] != row[-1]:
+            # each row takes the rungs narrower than its own widest bracket
+            taken = np.zeros(row[-1] + 1, dtype=int)
+            np.maximum.at(taken, row, np.searchsorted(LADDER, width[:, 0]))
+            offsets = np.where(np.abs(offsets) < LADDER_LIMITS[taken[row]][:, None],
+                               offsets, np.copysign(np.inf, offsets))
         xs = np.minimum(np.maximum(c + offsets, lo), hi)
-        ys = f(xs.ravel()).reshape(xs.shape)
+        rows = np.arange(len(open_))
+        ys = f(xs.ravel()).reshape(-1, *xs.shape)[row, rows]
         gap = np.where(ys[:, :-1] * ys[:, 1:] < 0.0, xs[:, 1:] - xs[:, :-1], np.inf)
         zero = ys == 0.0
         hit = zero.any(axis=1)
         left = np.where(hit, zero.argmax(axis=1), gap.argmin(axis=1))
         right = left + ~hit
-        rows = np.arange(len(open_))
         a[open_], ya[open_] = xs[rows, left], ys[rows, left]
         b[open_], yb[open_] = xs[rows, right], ys[rows, right]
         open_ = open_[b[open_] - a[open_] > ROOT_XTOL]
@@ -337,15 +388,18 @@ def integrate_radial_abs_pow(profile, p, tol):
       the certified tail plus rounding.
 
     The bound is at most ``tol`` or :class:`ToleranceNotReached` is raised
-    with the best estimate attached.
+    with the best estimate attached.  At p = 1 ``tol`` may be a tuple, one
+    tolerance per signal of the hook: then the hook's tuple of estimates
+    is returned, each checked against its own tolerance in order.
     """
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
     if p == 1.0 and profile.l1 is not None:
-        est = profile.l1(tol)
-    else:
-        est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
-            locate_sign_changes(profile.evaluator, (0.0, radius), profile.degree_hint)))
+        tols = tol if isinstance(tol, tuple) else (tol,)
+        ests = tuple(_checked(est, t) for est, t in zip(profile.l1(tols), tols))
+        return ests if isinstance(tol, tuple) else ests[0]
+    est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
+        locate_sign_changes(profile.evaluator, (0.0, radius), profile.degree_hint)))
     return _checked(est, tol)
 
 

@@ -27,6 +27,7 @@ from .quadrature import (GaussianTerm, IntegralEstimate, PlanarProfile, Toleranc
 
 DEFAULT_TOL = 1e-6
 NEGATIVITY_WITNESS_MIN = 1e-3  # the Fig. 2 witness threshold, far above quadrature noise
+WITNESS_TOL = 1e-6  # the negativity witness runs at min(tol, WITNESS_TOL)
 BASELINE_CLOSED_CG = 4.0 * math.sqrt(3.0) / 9.0
 BASELINE_ORACLE_TOL = 1e-7
 
@@ -69,6 +70,13 @@ class QuantifierResult:
     at :func:`~phasenorm.fock.radial_profile`); on the panel routes only
     the envelope tail.
     ``m_value`` is exactly ``n_value - baseline``.
+
+    For a Fock state the witness is the Wigner negativity at tolerance
+    ``min(tol, 1e-6)``, and ``witness_value`` is within that of the true
+    negativity; at p = 1 it shares the norm's kernel passes (see
+    :func:`measure_m`), and ``n_value`` is then still, bit for bit,
+    :func:`norm_value`'s.  For a Gaussian state it is the smallest
+    quadrature variance, in closed form.
     """
 
     n_value: float
@@ -79,6 +87,13 @@ class QuantifierResult:
     witness_value: float
     witness_quantum: bool
     classification: str
+
+
+def _checked_tol(tol):
+    """``tol`` when it is finite and > 0, else ValueError naming it."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def classify(m_value, err, witness_quantum):
@@ -122,8 +137,9 @@ def norm_value(state, channel, fn, tol):
     exceeds tol, :class:`~phasenorm.quadrature.ToleranceNotReached` is
     raised with ``IntegralEstimate(N, err, subdivisions)`` of the last
     integral as its ``estimate`` (an integral that misses raises its own).
+    A ``tol`` that is not finite and > 0 raises ValueError.
     """
-    quad_tol = tol
+    quad_tol = _checked_tol(tol)
     for _ in range(4):
         est = _integral_once(state, channel, fn, quad_tol)
         value, err = _pow_and_error(est, fn.p)
@@ -153,39 +169,63 @@ def _vacuum_norm(channel, fn, tol):
 
 def baseline_with_error(channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
     """(N of the vacuum, its error): the subtrahend of the measure M."""
-    return _vacuum_norm(channel, fn, tol)
+    return _vacuum_norm(channel, fn, _checked_tol(tol))
 
 
-def wigner_negativity(state, tol=DEFAULT_TOL):
+def wigner_negativity(state, tol=DEFAULT_TOL, integral=None):
     """int d^2alpha/pi |W^(0)| minus the stored mass sum_n p_n.
 
     W^(0) is that of the stored weights, whose integral is sum_n p_n = 1 -
     ``tail_mass_bound`` (exactly 1 for a state without a stored tail), so
-    the value is zero iff that Wigner function is >= 0.
+    the value is zero iff that Wigner function is >= 0.  The integral is
+    the exact p = 1 route's with W^(0) as its one signal, or ``integral``
+    when given: the estimate at ``tol`` that route returned for W^(0)
+    beside another signal (see :func:`measure_m`).
     """
+    _checked_tol(tol)
     if not isinstance(state, FockDiagonalState):
         raise UnsupportedInputError("Wigner negativity is computed for diagonal states")
-    est = integrate_radial_abs_pow(radial_profile(state, 0.0), 1.0, tol)
-    value = est.value - (1.0 - state.tail_mass_bound)
+    if integral is None:
+        integral = integrate_radial_abs_pow(radial_profile(state, 0.0), 1.0, tol)
+    value = integral.value - (1.0 - state.tail_mass_bound)
     if value < -2.0 * tol:
         raise RuntimeError(f"negativity {value} below -2*tol; quadrature inconsistent")
     return value
 
 
-def _witness(state, tol):
+def _witness(state, tol, integral):
     if isinstance(state, GaussianState):
         return (WITNESS_GAUSSIAN_VARIANCE, min_quadrature_variance(state),
                 is_quantum_gaussian(state))
-    neg = wigner_negativity(state, min(tol, 1e-6))
+    neg = wigner_negativity(state, min(tol, WITNESS_TOL), integral)
     return WITNESS_WIGNER_NEGATIVITY, neg, neg > NEGATIVITY_WITNESS_MIN
 
 
 def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
-    """The measure M = N(state) - N(vacuum) with witness classification."""
-    n_value, n_err = norm_value(state, channel, fn, tol)
+    """The measure M = N(state) - N(vacuum) with witness classification.
+
+    A Fock state at p = 1 takes both of its integrals from one exact
+    route (see :func:`~phasenorm.fock.radial_profile`): the norm's
+    difference W^(s) - W^(s')(./sqrt k)/k and the witness's W^(0), each
+    at its own tolerance, share the scan, every ladder round and the mass
+    passes.  At s = 0 W^(0) is the first row of the norm's pass, elsewhere
+    a third row.  N and its err are bit for bit :func:`norm_value`'s, the
+    negativity agrees with :func:`wigner_negativity` alone to rounding
+    (its cuts come from the norm's scan grid), and a witness that misses
+    its tolerance raises :class:`~phasenorm.quadrature.ToleranceNotReached`
+    after the norm is checked.  Other inputs compute the two apart.
+    """
+    _checked_tol(tol)
+    integral = None
+    if isinstance(state, FockDiagonalState) and fn.p == 1.0:
+        profile = radial_profile(state, fn.s, channel, also=((0.0, None),))
+        norm, integral = integrate_radial_abs_pow(profile, 1.0, (tol, min(tol, WITNESS_TOL)))
+        n_value, n_err = norm.value, norm.abs_error_bound
+    else:
+        n_value, n_err = norm_value(state, channel, fn, tol)
     base, base_err = _vacuum_norm(channel, fn, tol)
     err = n_err + base_err
-    kind, wvalue, wquantum = _witness(state, tol)
+    kind, wvalue, wquantum = _witness(state, tol, integral)
     m_value = n_value - base
     return QuantifierResult(
         n_value=n_value, err=err, baseline=base, m_value=m_value,

@@ -1,13 +1,17 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Every tolerance and runtime limit is pinned here; run with ``pytest -s
-tests/test_acceptance.py`` to see the per-criterion lines.
+tests/test_acceptance.py`` to see the per-criterion lines.  The last test
+pins the bytes of the Fig. 2 CSV and of the ``verify`` report, printed by
+the CLI from the rows and results the criteria compute.
 """
 
+import hashlib
 import math
 import time
 
 import numpy as np
+import pytest
 
 from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        FunctionalSpec, GaussianState, NOGO_INSTANCE,
@@ -16,10 +20,34 @@ from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        make_thermal, make_thermal_fock, norm_value,
                        number_state, wigner_negativity, wigner_s_fock,
                        wigner_s_gaussian)
+import phasenorm.cli
 from phasenorm.cli import find_crossing, main, run_mixtures, run_sweep
 from phasenorm.verify import run_suite
 
 BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0
+# sha256 of `mixtures --count 100 --seed 42 --include-corners` and of the
+# stdout of `verify --suite all`, both at their default tol 1e-6
+MIXTURES_SHA256 = "81d1b1fcc36fb6ec52337bba0ad81addc0ed8166081244a6dd83e7f4976e15d5"
+VERIFY_SHA256 = "92938fc4e42fcc9a3d6a79f23bcfe65205b4c2a4273617be0fc8571eae008dc9"
+
+
+def timed(fn, *args, **kwargs):
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def figure2_rows():
+    """The Fig. 2 rows at the CLI's defaults, and their runtime."""
+    return timed(run_mixtures, 100, seed=42, include_corners=True, tol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def suite_results():
+    """The axiom results with their runtime, and the oracle results."""
+    axioms, elapsed = timed(run_suite, "axioms", tol=1e-6)
+    return axioms, elapsed, run_suite("oracles", tol=1e-6)
 
 
 def report(name, passed, detail):
@@ -64,9 +92,8 @@ def test_criterion_2_figure1_reproduction():
            f"runtime {elapsed:.1f}s < 60s")
 
 
-def test_criterion_3_figure2_reproduction():
-    start = time.perf_counter()
-    rows = run_mixtures(100, seed=42, include_corners=True, tol=1e-6)
+def test_criterion_3_figure2_reproduction(figure2_rows):
+    rows, elapsed = figure2_rows
     sampled = [row for row in rows if row.seed_index >= 0]
     corners = {row.seed_index: row for row in rows if row.seed_index < 0}
     nogo_rows = [row for row in sampled
@@ -74,7 +101,6 @@ def test_criterion_3_figure2_reproduction():
     corners_ok = (corners[-1].classification == CLASSICAL_CONSISTENT
                   and corners[-2].classification == CERTIFIED_QUANTUM
                   and corners[-3].classification == CERTIFIED_QUANTUM)
-    elapsed = time.perf_counter() - start
     ok = len(sampled) == 100 and len(nogo_rows) >= 1 and corners_ok and elapsed < 120.0
     report("criterion 3 (Fig. 2, 100 seeded triplets)", ok,
            f"{len(nogo_rows)} no-go rows (negativity > 1e-3, m < -1e-4) among "
@@ -121,10 +147,8 @@ def test_criterion_5_oracle_equivalence():
            f"runtime {elapsed:.1f}s < 30s")
 
 
-def test_criterion_6_axiom_suite():
-    start = time.perf_counter()
-    results = run_suite("axioms", tol=1e-6)
-    elapsed = time.perf_counter() - start
+def test_criterion_6_axiom_suite(suite_results):
+    results, elapsed, _ = suite_results
     failed = [r.name for r in results if not r.passed]
     ok = not failed and elapsed < 120.0
     report("criterion 6 (axiom suite)", ok,
@@ -145,3 +169,22 @@ def test_criterion_7_csv_determinism(tmp_path):
     ok = all(same for _, same in pairs)
     report("criterion 7 (CSV determinism)", ok,
            "; ".join(f"{tag}: byte-identical={same}" for tag, same in pairs))
+
+
+def test_outputs_match_pinned_digests(figure2_rows, suite_results, tmp_path, capsys,
+                                      monkeypatch):
+    # the CLI formats and writes the rows and results computed above, so
+    # every byte of both outputs is pinned without computing them again
+    axioms, _, oracles = suite_results
+    monkeypatch.setattr(phasenorm.cli, "run_mixtures", lambda *args: figure2_rows[0])
+    monkeypatch.setattr(phasenorm.cli, "run_suite", lambda *args: axioms + oracles)
+    path = tmp_path / "mixtures.csv"
+    assert main(["mixtures", "--count", "100", "--seed", "42", "--include-corners",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--suite", "all"]) == 0
+    digests = {"mixtures": hashlib.sha256(path.read_bytes()).hexdigest(),
+               "verify": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    report("outputs byte-identical to the pinned digests",
+           digests == {"mixtures": MIXTURES_SHA256, "verify": VERIFY_SHA256},
+           f"mixtures sha256 {digests['mixtures']}; verify sha256 {digests['verify']}")

@@ -3,8 +3,10 @@
 Each pass is one call of ``backend.wigner_series`` (one Laguerre
 recurrence over the cutoff), whatever the number of points or terms: the
 sign scan, each refinement round of all brackets at once, and the mass
-pass, each for every term at once (both orderings of the norm's
-difference).
+pass, each for every term at once.  ``measure_m`` on a Fock state runs
+the norm's difference and the Wigner-negativity witness as two signals
+of one route, so both orderings of the norm and the witness's W^(0)
+share every pass.
 """
 
 import numpy as np
@@ -14,15 +16,15 @@ import phasenorm.backend
 from phasenorm import CG, make_thermal_fock, measure_m, number_state
 
 
-@pytest.mark.parametrize("state,most", [(number_state(40), 10), (number_state(2), 10),
-                                        (make_thermal_fock(0.5, 120), 7)],
+@pytest.mark.parametrize("state,most", [(number_state(40), 5), (number_state(2), 5),
+                                        (make_thermal_fock(0.5, 120), 5)],
                          ids=["number40", "number2", "thermal"])
 def test_measure_m_kernel_passes(state, most, monkeypatch):
-    # the norm and the witness each take a scan, a few ladder rounds and a
-    # mass pass, the norm's two orderings in one recurrence per step: 10
-    # passes for both number states and 7 for the thermal one, where one
-    # recurrence per ordering took 15, 15 and 12, and one refinement point
-    # per bracket and round took 31 and 25 for the number states
+    # one scan, three ladder rounds and one mass pass for the norm and the
+    # witness together: 5 passes for each state.  A route of its own for
+    # the witness took 10, 10 and 7, one recurrence per ordering 15, 15
+    # and 12, and one refinement point per bracket and round 31 and 25 for
+    # the number states
     passes = []
     series = phasenorm.backend.wigner_series
 

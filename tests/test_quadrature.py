@@ -367,6 +367,23 @@ def test_scan_stops_on_the_grid_of_its_bracket():
     assert np.allclose(roots, [math.pi / 6, math.pi / 2], atol=1e-12)
 
 
+def test_rows_find_the_cuts_they_find_alone():
+    # one scan and one ladder serve both rows; each keeps its own stop,
+    # floor and rungs, so its cuts are bit for bit those of a call of its
+    # own on the same grid, and a stop past the bracket continues the grid
+    rows = [lambda r: np.cos(3.0 * r), lambda r: np.sin(2.0 * r) - 0.3]
+    stops = [4.0, 7.5]
+    joint = locate_sign_changes(lambda r: np.array([g(r) for g in rows]), (0.0, 6.0),
+                                [6, 4], stop=stops)
+    for g, stop, got in zip(rows, stops, joint):
+        alone = locate_sign_changes(g, (0.0, 6.0), 6, stop=stop)
+        assert list(got) == list(alone)
+        assert np.array_equal(got.widths, alone.widths)
+        assert np.array_equal(got.heights, alone.heights)
+    assert len(joint[0]) == 4 and max(joint[1]) == pytest.approx(
+        (4.0 * math.pi + math.asin(0.3)) / 2.0, abs=1e-12)
+
+
 def one_rule_per_call(g, edges, budget, max_panels):
     """The worst-first panel loop with one call of g per GL16 rule (oracle)."""
     quad = phasenorm.quadrature

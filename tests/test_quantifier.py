@@ -526,3 +526,39 @@ def test_cutoff_zero_tail_is_the_exact_mass():
     # (2.6e-8) bound the tail instead of the envelope (1e-7): err 2.0e-7 -> 5e-8
     value, err = norm_value(number_state(0), CG, FunctionalSpec(), TOL)
     assert abs(value - BASELINE_CG) <= err <= 6e-8
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+@pytest.mark.parametrize("call", [
+    lambda tol: norm_value(number_state(2), CG, FunctionalSpec(), tol),
+    lambda tol: measure_m(number_state(2), CG, FunctionalSpec(), tol),
+    lambda tol: wigner_negativity(number_state(2), tol),
+    lambda tol: baseline_with_error(CG, FunctionalSpec(), tol)],
+    ids=["norm_value", "measure_m", "wigner_negativity", "baseline_with_error"])
+def test_tolerance_must_be_finite_and_positive(call, tol):
+    # tol inf gave N = 2.2e-16 with err 54 for |2>, a false no-go row
+    with pytest.raises(ValueError, match="tol"):
+        call(tol)
+
+
+def dirichlet_mixture(cutoff, seed):
+    return make_mixture(np.random.default_rng(seed).dirichlet(np.ones(cutoff + 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(st.builds(make_thermal_fock, st.floats(0.05, 3.0), st.integers(8, 80)),
+                 st.builds(number_state, st.integers(0, 30)),
+                 st.builds(dirichlet_mixture, st.integers(0, 12), st.integers(0, 2**32 - 1))),
+       st.sampled_from([CG, ChannelSpec((Attenuator(0.6),)), ChannelSpec((Attenuator(0.3),)),
+                        ChannelSpec((Amplifier(1.5),)),
+                        ChannelSpec((Attenuator(0.8), Amplifier(1.7)))]),
+       st.sampled_from([0.0, -0.5, -1.0]), st.sampled_from([1e-7, 1e-6, 1e-5]))
+def test_shared_route_matches_each_signal_alone(state, channel, s, tol):
+    # measure_m runs the norm and the witness as two signals of one exact
+    # route; each must read as it does alone: N bitwise, and the witness,
+    # whose cuts come from the norm's scan grid, to rounding.  At tol 1e-5
+    # the witness's own 1e-6 sets its tail and any widened scan
+    fn = FunctionalSpec(s=s)
+    res = measure_m(state, channel, fn, tol)
+    assert res.n_value == norm_value(state, channel, fn, tol)[0]
+    assert abs(res.witness_value - wigner_negativity(state, min(tol, 1e-6))) <= 1e-12
