@@ -5,8 +5,8 @@ All CSV artifacts are deterministic: quadrature is deterministic, the
 simplex sampler uses a counter-based Philox generator, and floats are
 written with fixed 7-significant-digit formatting, so identical flags
 yield byte-identical files.  Exit codes: 0 success, 1 runtime failure
-(a quadrature that misses its tolerance or root budget among them), 2
-usage error.
+(a quadrature that misses its tolerance or root budget, or a parameter
+out of a state's or a search's domain, among them), 2 usage error.
 """
 
 import argparse
@@ -107,11 +107,16 @@ def run_mixtures(count, seed, include_corners=False, tol=DEFAULT_TOL):
 def find_crossing(nbar, tol=1e-5):
     """Bisect for r* with M(rho_st(r*)) = 0 above the quantumness onset.
 
-    Returns (r_star, m_lo, m_hi, onset).  Raises RuntimeError when M has
-    no certified sign change on [onset, CROSSING_R_HI] (for some nbar the
-    measure is positive for every r past the onset and no crossing exists).
+    Returns (r_star, m_lo, m_hi, onset).  Raises ValueError when the onset
+    is not below CROSSING_R_HI (nbar >= (e^4 - 1)/2), before any
+    quadrature, and RuntimeError when M has no certified sign change on
+    [onset, CROSSING_R_HI] (for some nbar the measure is positive for
+    every r past the onset and no crossing exists).
     """
     onset = 0.5 * math.log(2.0 * nbar + 1.0)
+    if not onset < CROSSING_R_HI:
+        raise ValueError(f"onset {onset:.4g} of nbar={nbar:.4g} is not below the "
+                         f"crossing bracket's upper end r = {CROSSING_R_HI:.4g}")
     quad_tol = min(tol / 20.0, 1e-6)
 
     def m_of(r):
@@ -156,11 +161,7 @@ def _cmd_baseline(args):
 
 
 def _cmd_sweep(args):
-    try:
-        rows = run_sweep(args.nbar, args.r_min, args.r_max, args.steps, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rows = run_sweep(args.nbar, args.r_min, args.r_max, args.steps, args.tol)
     try:
         _write_rows(args.out, SWEEP_HEADER, rows)
     except OSError as exc:
@@ -279,7 +280,7 @@ def main(argv=None):
     _validate(parser, args)
     try:
         return args.func(args)
-    except (ToleranceNotReached, RootBudgetExceeded) as exc:
+    except (ToleranceNotReached, RootBudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -345,15 +345,21 @@ def radial_profile(state, s, channel=None, also=()):
       its own radius; a widened scan runs on the grid of the first
       signal that widens.
     * ``abs_error_bound`` is twice the tail beyond the scan, plus the
-      root placement (final bracket width times the larger |f| at its
-      ends, raised by the dropped terms' sup; exact for f monotone on
-      the bracket), plus the rounding of the masses, 2 eps (mass_degree
-      + 1) max(1, |T|) per mass, plus four times the dropped terms' l1,
-      at most tol/10: on a mass interval where the truncation g keeps one
-      sign, int |f| - |int f| <= 2 int |f - g|, and past the scan the
-      dropped terms need not be of one sign.
-    * The value is a lower estimate, in practice exact to rounding, and
-      ``subdivisions`` counts the mass intervals.
+      root placement, 4 b w (h + sup) per cut (b its radius, the right
+      end of its final bracket, w that bracket's width, h the larger
+      |g| at its ends, with g the searched truncation of f, and sup the
+      dropped terms' sup; exact for f monotone on the bracket), plus
+      the rounding of the masses, 2 eps (mass_degree + 1) max(1, |T|)
+      per mass, plus four times the dropped terms' l1, at most tol/10:
+      on a mass interval where g keeps one sign, int |f| - |int f| <= 2
+      int |f - g|, and past the scan the dropped terms need not be of
+      one sign.
+    * A cut's bracket closes at width 1e-12 or once its placement term
+      is at most 2 eps (mass_degree + 1), the least rounding charged per
+      mass, so the placement adds to ``err`` at most what the rounding
+      already charges.  The value, the masses' differences at the right
+      ends of those brackets, is a lower estimate, in practice exact to
+      rounding, and ``subdivisions`` counts the mass intervals.
 
     The bound is certified given a complete scan: two cuts within one
     scan step go unseen.  A signal's cuts, value and bound do not depend
@@ -402,9 +408,12 @@ def _exact_l1(state, searches, tols):
     pending = list(range(len(searches)))
     while pending:
         group = [searches[i] for i in pending]
+        # a bracket closes once its placement term is within one mass's rounding
         every = quadrature.locate_sign_changes(
             _search_evaluator(group), (0.0, envelopes[pending[0]][0]),
-            [search.degree for search in group], stop=np.array([radii[i] for i in pending]))
+            [search.degree for search in group], stop=np.array([radii[i] for i in pending]),
+            close=([2.0 * EPS * (search.mass_degree + 1) for search in group],
+                   [search.dropped[1] for search in group]))
         edges = [np.array([0.0] + list(cuts)) for cuts in every]
         # one mass pass gives T at every signal's cuts and, per term, at its scan radius
         masses = _signal_masses(state, group, [np.append(e, radii[i])
@@ -424,9 +433,7 @@ def _exact_l1(state, searches, tols):
             # moving a cut inside its bracket changes the two masses beside it by
             # at most the integral of 2r |f| over the bracket, and |f| <= |g| + sup
             l1, sup = search.dropped
-            right = edge[1:] + cuts.widths
-            heights = cuts.heights + sup if sup else cuts.heights
-            placement = float(np.sum(4.0 * right * cuts.widths * heights))
+            placement = float(np.sum(4.0 * edge[1:] * cuts.widths * (cuts.heights + sup)))
             rounding = (2.0 * EPS * (search.mass_degree + 1) * (len(edge) + 1)
                         * max(1.0, float(np.max(np.abs(rows)))))
             found[i] = IntegralEstimate(

@@ -16,10 +16,12 @@ smooth on each panel (no cut for even integer p: f^p is smooth), and
 panels are refined worst-first with fixed-order Gauss-Legendre rules
 until the accumulated error estimate fits the tolerance, each refinement
 step's GL16 rules in one call of the integrand.  Radial profiles find
-their sign changes by a scan and ladder refinement (regula falsi points
-flanked by geometric rungs, one call of f per round) to 1e-12; an f that
-returns one row per signal has the sign changes of every row found by
-one scan and one ladder.
+their sign changes by a scan and ladder refinement (a first point
+interpolated through three scan nodes, then regula falsi points, each
+flanked by geometric rungs, one call of f per round); a bracket closes at
+width 1e-12, or sooner once its placement term meets a closing bound the
+caller gives.  An f that returns one row per signal has the sign changes
+of every row found by one scan and one ladder.
 Along a ray of a planar profile the log-magnitude of each Gaussian term
 is quadratic in the radius, so its sign change is found in closed form;
 for p = 1 with a shared center the whole ray integral is closed form, and
@@ -149,14 +151,15 @@ class SignChanges(list):
         self.heights = np.asarray(heights, dtype=float)[order]
 
 
-def locate_sign_changes(f, bracket, degree_hint, stop=None):
-    """Find radii where f changes sign on ``bracket``, each to 1e-12.
+def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
+    """Find radii where f changes sign on ``bracket``, each to 1e-12 or to ``close``.
 
     Sign changes are bracketed on a uniform grid of
     min(max(513, 32 (degree_hint + 1) + 1), 40001) samples over
     ``bracket``, cut after its first node at or beyond ``stop`` if given,
     and refined by the ladder (all open brackets in one call of f per
-    round).  Nodes where f is exactly zero are returned as cuts directly.
+    round), whose first point takes a third scan node.  Nodes where f is
+    exactly zero are returned as cuts directly.
     Sign flips whose flanking magnitudes are both below SIGN_SCAN_FLOOR
     times the scan maximum are ignored: such crossings are floating-point
     noise where f has decayed away, and missing a cut there perturbs no
@@ -164,18 +167,26 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None):
     sign changes within one scan step are not seen.
     Raises :class:`RootBudgetExceeded` above degree_hint + 16 changes.
 
+    ``close``, if given, is a pair (bound, sup): a bracket [a, b] then
+    also closes once its placement term 4 b (b - a) (max(|f(a)|, |f(b)|)
+    + sup) is at most bound.  For f monotone on the bracket and any g
+    within sup of f, that term bounds the change of the integrals of
+    2r g over the intervals on either side of the root when the root
+    moves within the bracket.  Without ``close`` every bracket is refined
+    to ROOT_XTOL.
+
     Returns a :class:`SignChanges` list, whose final bracket widths and end
     values bound the placement error of each root.
 
     ``f`` may instead return one row per signal (shape (signals, points)
     for a 1-D array of radii).  Then one :class:`SignChanges` is returned
-    per row, and ``degree_hint`` and ``stop`` may each hold one value per
-    row.  The rows share one scan, on the grid of the first row's
-    degree_hint over ``bracket``, continued with the same step past its
-    end up to the largest stop; each row is cut at its own stop and keeps
-    its own floor and budget, and every round of the ladder refines the
-    brackets of all rows in one call of f.  A row finds, bit for bit, the
-    cuts it finds alone on the same grid.
+    per row, and ``degree_hint``, ``stop`` and the two parts of ``close``
+    may each hold one value per row.  The rows share one scan, on the grid
+    of the first row's degree_hint over ``bracket``, continued with the
+    same step past its end up to the largest stop; each row is cut at its
+    own stop and keeps its own floor, budget and closing bound, and every
+    round of the ladder refines the brackets of all rows in one call of f.
+    A row finds, bit for bit, the cuts it finds alone on the same grid.
     """
     lo, hi = bracket
     hints = np.atleast_1d(degree_hint)
@@ -193,8 +204,9 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None):
     ys = f(xs)
     single = np.ndim(ys) == 1
     rows = np.atleast_2d(ys)
+    ends = np.full(len(rows), ends)
     # node j of row i is scanned while j < ends[i]; the rest reads as zero
-    live = np.arange(len(xs)) < np.reshape(ends, (-1, 1))
+    live = np.arange(len(xs)) < ends[:, None]
     mag = np.where(live, np.abs(rows), 0.0)
     floor = SIGN_SCAN_FLOOR * mag.max(axis=1, keepdims=True)
     owner, idx = np.nonzero((rows[:, :-1] * rows[:, 1:] < 0.0) & live[:, 1:]
@@ -206,9 +218,16 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None):
     if np.any(changes > budget):
         i = int(np.argmax(changes > budget))
         raise RootBudgetExceeded(f"found {changes[i]} sign changes, budget {budget[i]}")
+    # the third node: the left neighbour, else the right one, whose value
+    # reads nan outside the row's scan
+    near = idx - 1
+    near[idx == 0] = min(2, len(xs) - 1)
+    bound, sup = (-np.inf, 0.0) if close is None else close
     roots, widths, heights = _ladder_brackets(
         (lambda r: f(r)[None]) if single else f,
-        xs[idx], xs[idx + 1], rows[owner, idx], rows[owner, idx + 1], owner)
+        xs[idx], xs[idx + 1], rows[owner, idx], rows[owner, idx + 1], owner,
+        xs[near], np.where(near < ends[owner], rows[owner, near], np.nan),
+        np.full(len(rows), bound)[owner], np.full(len(rows), sup)[owner])
     found, start = [], 0
     for n, zero in zip(brackets, zmask):
         part = slice(start, start + n)
@@ -221,31 +240,62 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None):
     return found[0] if single else found
 
 
-def _ladder_brackets(f, a, b, fa, fb, owner):
-    """Refine sign-change brackets [a, b] simultaneously to ROOT_XTOL.
+def _first_points(a, b, ya, yb, xn, yn):
+    """The ladder's first point in each bracket [a, b], from a third node.
 
-    Each round evaluates, in one call of f, the regula falsi point c of
-    every open bracket and the rungs c -+ LADDER narrower than the widest
-    open bracket of its row, clipped to it: NumPy's per-call overhead
-    dominates the kernel, so these points cost about what c alone does.
+    Inverse quadratic interpolation through (a, ya), (b, yb) and the node
+    (xn, yn) gives the point; where it is not finite or leaves the open
+    bracket (yn nan marks a missing node) regula falsi does.  Written
+    about b with the Lagrange weights at y = 0, so the point keeps the
+    bracket's precision rather than that of the radii.
+    """
+    width, gap = b - a, ya - yb
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        low, high = ya - yn, yb - yn
+        inverse = b + (xn - b) * (ya * yb / (low * high)) - width * (yb * yn / (gap * low))
+    # nan fails both comparisons
+    return np.where((inverse > a) & (inverse < b), inverse, b + yb * width / gap)
+
+
+def _ladder_brackets(f, a, b, fa, fb, owner, xn, yn, bound, sup):
+    """Refine sign-change brackets [a, b] simultaneously.
+
+    Each round evaluates, in one call of f, a point c of every open
+    bracket and the rungs c -+ LADDER narrower than the widest open
+    bracket of its row, clipped to it: NumPy's per-call overhead dominates
+    the kernel, so these points cost about what c alone does.  The first
+    round's c comes from the third node (xn, yn) (see
+    :func:`_first_points`), later rounds' from regula falsi.
     ``f`` returns one row per signal and bracket i reads row owner[i]
-    (``owner`` is nondecreasing); the rungs a row does not take are infinite and clip to the ends, so
-    every bracket takes the points it takes in a call of its row alone.
+    (``owner`` is nondecreasing); the rungs a row does not take are
+    infinite and clip to the ends, so every bracket takes the points it
+    takes in a call of its row alone.
     The narrowest pair of neighbours whose values change sign becomes the
     bracket; c within 0.5 ROOT_XTOL of the root closes it.  A bracket
-    closes at width ROOT_XTOL or at an exact zero, after at most
-    ROOT_MAX_STEPS rounds.  Returns the roots (right ends), the final
-    widths and max(|f|) at the final ends.
+    closes at width ROOT_XTOL, at an exact zero or once its placement term
+    4 b (b - a) (max |f| at the ends + sup) is at most ``bound`` (all per
+    bracket), after at most ROOT_MAX_STEPS rounds.  Returns the roots
+    (right ends), the final widths and max(|f|) at the final ends.
     """
     a, b = a.astype(float), b.astype(float)
     ya, yb = fa.astype(float), fb.astype(float)
-    open_ = np.nonzero(b - a > ROOT_XTOL)[0]
-    for _ in range(ROOT_MAX_STEPS):
+
+    def still_open(lo, hi, ylo, yhi, i):
+        # which of the brackets [lo, hi] (numbers i) stay open
+        width = hi - lo
+        placement = 4.0 * hi * width * (np.maximum(np.abs(ylo), np.abs(yhi)) + sup[i])
+        return (width > ROOT_XTOL) & ~(placement <= bound[i])
+
+    open_ = np.nonzero(still_open(a, b, ya, yb, slice(None)))[0]
+    for step in range(ROOT_MAX_STEPS):
         if not len(open_):
             break
         lo, hi, ylo, yhi = a[open_, None], b[open_, None], ya[open_, None], yb[open_, None]
         width = hi - lo
-        c = hi - yhi * width / (yhi - ylo)
+        if step:
+            c = hi - yhi * width / (yhi - ylo)
+        else:
+            c = _first_points(lo, hi, ylo, yhi, xn[open_, None], yn[open_, None])
         row = owner[open_]
         offsets = LADDER_OFFSETS[np.searchsorted(LADDER, width.max())]
         if row[0] != row[-1]:
@@ -262,9 +312,9 @@ def _ladder_brackets(f, a, b, fa, fb, owner):
         hit = zero.any(axis=1)
         left = np.where(hit, zero.argmax(axis=1), gap.argmin(axis=1))
         right = left + ~hit
-        a[open_], ya[open_] = xs[rows, left], ys[rows, left]
-        b[open_], yb[open_] = xs[rows, right], ys[rows, right]
-        open_ = open_[b[open_] - a[open_] > ROOT_XTOL]
+        lo, ylo, hi, yhi = xs[rows, left], ys[rows, left], xs[rows, right], ys[rows, right]
+        a[open_], ya[open_], b[open_], yb[open_] = lo, ylo, hi, yhi
+        open_ = open_[still_open(lo, hi, ylo, yhi, open_)]
     return b, b - a, np.maximum(np.abs(ya), np.abs(yb))
 
 

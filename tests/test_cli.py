@@ -141,6 +141,24 @@ class TestCrossingCommand:
         err = capsys.readouterr().err
         assert "no certified sign change" in err
 
+    @pytest.mark.parametrize("nbar", ["27", "1e6"])
+    def test_onset_above_bracket_fails_before_quadrature(self, nbar, monkeypatch, capsys):
+        # for nbar >= (e^4 - 1)/2 = 26.80 the onset lies at or above r = 2,
+        # the bracket's upper end, so no crossing can be bracketed
+        def fail(*args, **kwargs):
+            raise AssertionError("measure_m ran")
+
+        monkeypatch.setattr(phasenorm.cli, "measure_m", fail)
+        assert main(["crossing", "--nbar", nbar]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: onset") and "Traceback" not in err
+
+    def test_overflowing_nbar_fails_cleanly(self):
+        # its squeezed state's major variance would overflow at any r
+        proc = run_cli("crossing", "--nbar", "1e300")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
 
 class TestMixturesCommand:
     def test_rows_normalized_and_deterministic(self, tmp_path):

@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 
 import phasenorm.backend
-from phasenorm import CG, make_thermal_fock, measure_m, number_state
+from phasenorm import CG, make_mixture, make_thermal_fock, measure_m, number_state
 
 
 @pytest.mark.parametrize("state,most", [(number_state(40), 5), (number_state(2), 5),
                                         (make_thermal_fock(0.5, 120), 5)],
                          ids=["number40", "number2", "thermal"])
 def test_measure_m_kernel_passes(state, most, monkeypatch):
-    # one scan, three ladder rounds and one mass pass for the norm and the
-    # witness together: 5 passes for each state.  A route of its own for
+    # one scan, at most three ladder rounds and one mass pass for the norm
+    # and the witness together: at most 5 passes for each state (4 now, see
+    # test_measure_m_runs_four_passes).  A route of its own for
     # the witness took 10, 10 and 7, one recurrence per ordering 15, 15
     # and 12, and one refinement point per bracket and round 31 and 25 for
     # the number states
@@ -35,6 +36,26 @@ def test_measure_m_kernel_passes(state, most, monkeypatch):
     monkeypatch.setattr(phasenorm.backend, "wigner_series", counted)
     measure_m(state, CG, tol=1e-6)
     assert len(passes) <= most
+
+
+@pytest.mark.parametrize("state", [number_state(40), make_thermal_fock(0.5, 120),
+                                   make_mixture([0.3, 0.3, 0.4])],
+                         ids=["number40", "thermal", "mixture"])
+def test_measure_m_runs_four_passes(state, monkeypatch):
+    # the scan, two ladder rounds and the mass pass.  The first round's
+    # points come from three scan nodes, and a bracket closes once its
+    # placement term is within one mass's rounding; regula falsi points
+    # refined to ROOT_XTOL took a third round, 5 passes
+    passes = []
+    series = phasenorm.backend.wigner_series
+
+    def counted(*args):
+        passes.append(1)
+        return series(*args)
+
+    monkeypatch.setattr(phasenorm.backend, "wigner_series", counted)
+    measure_m(state, CG, tol=1e-6)
+    assert len(passes) == 4
 
 
 @pytest.mark.parametrize("state,scan_terms", [(make_thermal_fock(0.5, 120), 25),

@@ -65,7 +65,7 @@ def test_gaussian_layers_are_reached(reached):
 
 
 @pytest.mark.parametrize("state,points,term_points", [
-    (number_state(40), 16_282, 667_562), (make_thermal_fock(0.5, 120), 2_004, 41_090)],
+    (number_state(40), 14_210, 582_610), (make_thermal_fock(0.5, 120), 1_970, 40_410)],
     ids=["number40", "thermal"])
 def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
     # the tracer unpacks ``weights, _, u, _ = args`` and counts len(u)
@@ -74,7 +74,8 @@ def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
     # sums are those of one recurrence per ordering, so stacking the terms
     # moves neither; the witness riding in the norm's passes moved them
     # from 14,259 / 584,619 and 2,559 / 51,988 (its ladder points now
-    # evaluate the norm's terms and the norm's the witness's)
+    # evaluate the norm's terms and the norm's the witness's), and closing
+    # the cuts in two ladder rounds from 16,282 / 667,562 and 2,004 / 41,090
     calls = []
     series = backend.wigner_series
 

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasenorm.quadrature
-from phasenorm import (GaussianTerm, IntegralEstimate, PlanarProfile, RadialProfile,
+from phasenorm import (CG, GaussianTerm, IntegralEstimate, PlanarProfile, RadialProfile,
                        RootBudgetExceeded, ToleranceNotReached,
                        integrate_plane_abs_pow, integrate_radial_abs_pow,
-                       locate_sign_changes, number_state, radial_profile)
+                       locate_sign_changes, make_mixture, measure_m, number_state,
+                       radial_profile)
 
 # frozen closed-form oracles (piecewise integration via u = 2 rho^2)
 ABS_W1_INTEGRAL = 4.0 * math.exp(-0.5) - 1.0          # 1.4261226388505319
@@ -382,6 +383,70 @@ def test_rows_find_the_cuts_they_find_alone():
         assert np.array_equal(got.heights, alone.heights)
     assert len(joint[0]) == 4 and max(joint[1]) == pytest.approx(
         (4.0 * math.pi + math.asin(0.3)) / 2.0, abs=1e-12)
+
+
+def test_first_point_from_three_nodes():
+    # f = x^2 - 2 on [1.4, 1.45] with the left neighbour 1.35: the inverse
+    # interpolant misses sqrt 2 by 8.4e-6, regula falsi by 1.8e-4
+    a, b, node = np.array([1.4]), np.array([1.45]), np.array([1.35])
+    c = phasenorm.quadrature._first_points(a, b, a**2 - 2.0, b**2 - 2.0, node, node**2 - 2.0)
+    falsi = b - (b**2 - 2.0) * (b - a) / (b**2 - a**2)
+    assert a[0] < c[0] < b[0]
+    assert abs(c[0] - math.sqrt(2.0)) < 0.1 * abs(falsi[0] - math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("yn", [-1.0 + 1e-12, -1.0, math.nan],
+                         ids=["leaves", "not_finite", "no_node"])
+def test_first_point_falls_back_to_regula_falsi(yn):
+    # a node value at (or next to) the left end's puts the interpolant far
+    # outside [a, b] (or makes it infinite); regula falsi takes its place
+    c = phasenorm.quadrature._first_points(
+        np.array([0.0]), np.array([1.0]), np.array([-1.0]), np.array([3.0]),
+        np.array([-0.5]), np.array([yn]))
+    assert c[0] == 0.25
+
+
+def test_kinked_neighbour_still_finds_the_root():
+    # a kink between the left neighbour and the bracket gives the node the
+    # left end's value, so the first point falls back to regula falsi
+    xs = np.linspace(0.0, 3.0, 513)
+    step = xs[1]
+    kink, depth = xs[200] - 0.5 * step, 0.8 * step
+    roots = locate_sign_changes(lambda r: np.abs(np.asarray(r) - kink) - depth, (0.0, 3.0), 1)
+    assert np.allclose(roots, [kink - depth, kink + depth], rtol=0.0, atol=1e-12)
+    assert np.all(roots.widths <= phasenorm.quadrature.ROOT_XTOL)
+
+
+def test_closing_bound_stops_each_row_at_its_placement_term():
+    # a bracket closes once 4 b w (h + sup) <= bound, each row with its own
+    # bound and sup; without a bound every bracket shrinks to ROOT_XTOL
+    rows = [lambda r: np.cos(3.0 * r), lambda r: np.sin(2.0 * r) - 0.3]
+    bounds, sups = [1e-9, 1e-14], [0.0, 1e-6]
+    joint = locate_sign_changes(lambda r: np.array([g(r) for g in rows]), (0.0, 6.0),
+                                [6, 4], close=(bounds, sups))
+    closed_early = 0
+    for g, bound, sup, got in zip(rows, bounds, sups, joint):
+        widths = np.asarray(got.widths)
+        placement = 4.0 * np.array(got) * widths * (got.heights + sup)
+        assert np.all((placement <= bound) | (widths <= phasenorm.quadrature.ROOT_XTOL))
+        # every root still lies in its bracket, left of its right end
+        lefts = np.array(got) - widths
+        assert np.all(g(lefts) * g(np.array(got)) <= 0.0)
+        closed_early += int(np.sum(widths > phasenorm.quadrature.ROOT_XTOL))
+        alone = locate_sign_changes(g, (0.0, 6.0), 6, close=(bound, sup))
+        assert list(got) == list(alone)
+    assert closed_early
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 40).flatmap(lambda cutoff: st.lists(
+    st.floats(0.0, 1.0), min_size=cutoff + 1, max_size=cutoff + 1)).filter(lambda w: sum(w) > 0.01))
+def test_closing_bound_keeps_n_within_err(weights):
+    # brackets that close on the masses' rounding move N at rounding level,
+    # inside the err of the route at either tolerance
+    state = make_mixture(np.array(weights) / sum(weights))
+    loose, tight = measure_m(state, CG, tol=1e-6), measure_m(state, CG, tol=1e-10)
+    assert abs(loose.n_value - tight.n_value) <= loose.err + tight.err
 
 
 def one_rule_per_call(g, edges, budget, max_panels):
