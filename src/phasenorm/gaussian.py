@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import GaussianTerm
+from .quadrature import EPS, GaussianTerm, symmetric_inverse
 
 VACUUM_VARIANCE = 0.25
+SUB_VACUUM = VACUUM_VARIANCE - 1e-12  # a smaller minor variance witnesses quantumness
 PHYS_EPS = 1e-12  # physicality slack, absorbs rounding in composed channels
+DET_SLACK = 1e-5  # largest relative rounding of det(cov) a state may carry
 MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
@@ -39,6 +41,12 @@ class GaussianState:
     entry, since rotating a strongly squeezed covariance leaves rounding
     of that size between the off-diagonal entries; the stored covariance
     carries their mean in both places.  Instances are immutable.
+
+    The checks take det = a b - c^2 of [[a, c], [c, b]] in closed form,
+    whose rounding is at most 2 eps (a b + c^2).  A covariance with more
+    rounding than ``DET_SLACK`` det is rejected as too ill-conditioned:
+    its minor variance, inverse and Wigner amplitude would carry no
+    reliable digit (nbar 1 squeezed by r = 7 and rotated by 0.3 is one).
     """
 
     mean: np.ndarray = field(default_factory=lambda: np.zeros(2))
@@ -47,20 +55,30 @@ class GaussianState:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(2)
         cov = np.array(self.cov, dtype=float).reshape(2, 2)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        (a, c), (c_low, b) = cov.tolist()
+        if not all(map(math.isfinite, mean.tolist() + [a, c, c_low, b])):
             raise ValueError("mean and covariance must be finite")
-        if abs(cov[0, 1] - cov[1, 0]) > PHYS_EPS * float(np.max(np.abs(cov))):
+        if abs(c - c_low) > PHYS_EPS * max(abs(a), abs(b), abs(c), abs(c_low)):
             raise ValueError("covariance must be symmetric")
-        cov[0, 1] = cov[1, 0] = cov[0, 1] + 0.5 * (cov[1, 0] - cov[0, 1])
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs[0] <= 0.0:
+        c = cov[0, 1] = cov[1, 0] = c + 0.5 * (c_low - c)
+        det, rounding = a * b - c * c, 2.0 * EPS * (a * b + c * c)
+        if not (a + b > 0.0 and det > -rounding):
             raise ValueError("covariance must be positive definite")
-        if eigs[0] * eigs[1] < 1.0 / 16.0 - PHYS_EPS:
+        if not rounding <= DET_SLACK * det:
+            raise ValueError("covariance too ill-conditioned: its determinant is lost to rounding")
+        if det < 1.0 / 16.0 - PHYS_EPS:
             raise ValueError("covariance violates the uncertainty relation det >= 1/16")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+
+def _rotated(a, c, b, cos, sin):
+    """(a, c, b) of R [[a, c], [c, b]] R^T, R the rotation (cos, sin); exact at angle 0."""
+    cc, ss, cs = cos * cos, sin * sin, cos * sin
+    return (cc * a - 2.0 * cs * c + ss * b, cs * (a - b) + (cc - ss) * c,
+            ss * a + 2.0 * cs * c + cc * b)
 
 
 def make_coherent(alpha):
@@ -94,22 +112,21 @@ def make_squeezed_thermal(nbar, r, theta=0.0):
     wide = v * math.exp(2.0 * r)
     if not math.isfinite(wide):
         raise ValueError(f"major variance of nbar={nbar}, r={r} overflows")
-    base = np.diag([v * math.exp(-2.0 * r), wide])
-    rot = _rotation_matrix(theta)
-    return GaussianState(np.zeros(2), rot @ base @ rot.T)
-
-
-def _rotation_matrix(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    a, c, b = _rotated(v * math.exp(-2.0 * r), 0.0, wide, math.cos(theta), math.sin(theta))
+    return GaussianState(np.zeros(2), np.array([[a, c], [c, b]]))
 
 
 def apply_channel_gaussian(state, channel):
-    """Apply a :class:`ChannelSpec` to a Gaussian state through its fold."""
+    """Apply a :class:`ChannelSpec` to a Gaussian state through its fold,
+    k R cov R^T + y I in closed form (every primitive is phase-insensitive)."""
     k, y, theta, d = channel.fold()
-    rot = _rotation_matrix(theta)
-    return GaussianState(math.sqrt(k) * (rot @ state.mean) + [d.real, d.imag],
-                         k * (rot @ state.cov @ rot.T) + y * np.eye(2))
+    (x, p), ((a, c), (_, b)) = state.mean.tolist(), state.cov.tolist()
+    cos, sin = math.cos(theta), math.sin(theta)
+    a, c, b = _rotated(a, c, b, cos, sin)
+    root = math.sqrt(k)
+    return GaussianState(
+        np.array([root * (cos * x - sin * p) + d.real, root * (sin * x + cos * p) + d.imag]),
+        np.array([[k * a + y, k * c], [k * c, k * b + y]]))
 
 
 def wigner_term(state, s):
@@ -117,11 +134,12 @@ def wigner_term(state, s):
 
     Raises if C is not positive definite (s too large for the state).
     """
-    cov_s = state.cov + np.diag([-s / 4.0, -s / 4.0])
-    det = float(np.linalg.det(cov_s))
-    if det <= 0.0 or cov_s[0, 0] <= 0.0:
+    (a, c), (_, b) = state.cov.tolist()
+    a, b = a - s / 4.0, b - s / 4.0
+    det = a * b - c * c
+    if det <= 0.0 or a <= 0.0:
         raise ValueError(f"s = {s} too large: ordered covariance not positive definite")
-    return GaussianTerm(1.0 / (2.0 * math.sqrt(det)), state.mean, cov_s)
+    return GaussianTerm(1.0 / (2.0 * math.sqrt(det)), state.mean, np.array([[a, c], [c, b]]))
 
 
 def wigner_s_gaussian(state, s, point):
@@ -131,20 +149,21 @@ def wigner_s_gaussian(state, s, point):
     :func:`wigner_term`, which raises if C is not positive definite.
     """
     term = wigner_term(state, s)
+    (a, c), (_, b) = term.cov.tolist()
+    ia, ic, ib = symmetric_inverse(a, c, b)
     z = np.asarray(point, dtype=complex)
-    scalar = z.ndim == 0
-    pts = np.column_stack([np.atleast_1d(z).real, np.atleast_1d(z).imag])
-    d = pts - state.mean
-    q = np.einsum("ij,jk,ik->i", d, np.linalg.inv(term.cov), d)
-    out = term.amp * np.exp(-0.5 * q)
-    return float(out[0]) if scalar else out
+    dx, dy = z.real - state.mean[0], z.imag - state.mean[1]
+    out = term.amp * np.exp(-0.5 * (ia * dx * dx + 2.0 * ic * dx * dy + ib * dy * dy))
+    return float(out) if z.ndim == 0 else out
 
 
 def min_quadrature_variance(state):
-    """Smallest variance over all quadrature directions (alpha-plane units)."""
-    return float(np.linalg.eigvalsh(state.cov)[0])
+    """Smallest variance over all quadrature directions (alpha-plane units):
+    det / ((a + b)/2 + hypot((a - b)/2, c)), the minor eigenvalue of the covariance."""
+    (a, c), (_, b) = state.cov.tolist()
+    return (a * b - c * c) / (0.5 * (a + b) + math.hypot(0.5 * (a - b), c))
 
 
 def is_quantum_gaussian(state):
     """Sub-vacuum quadrature variance witness (min eigenvalue < 1/4)."""
-    return min_quadrature_variance(state) < VACUUM_VARIANCE - 1e-12
+    return min_quadrature_variance(state) < SUB_VACUUM

@@ -82,7 +82,11 @@ class IntegralEstimate:
     panel and GL16 on its two halves, is an estimate and can undershoot
     the true error (the squeezed thermal state nbar 1, r 20 gives N =
     1.5000005 with err 7.3e-7 under ``CG``, against a limit of 2: no GL16
-    node of the angular panels samples its needle-thin input term).
+    node of the angular panels samples its needle-thin input term).  On
+    the planar route at p = 1 the rays are exact and the angular panels
+    are the whole estimate; a covariance too ill-conditioned for the
+    closed forms never reaches it, as
+    :class:`~phasenorm.gaussian.GaussianState` rejects it when built.
 
     On the exact radial route (p = 1, a profile with an ``l1`` hook) the
     bound is the one the profile's producer certifies, given a complete
@@ -453,15 +457,26 @@ def integrate_radial_abs_pow(profile, p, tol):
     return _checked(est, tol)
 
 
-def _aligned_frame(terms):
-    """Deterministic principal-axis frame for a set of Gaussian terms."""
-    total = sum((t.cov for t in terms), np.zeros((2, 2)))
-    _, vecs = np.linalg.eigh(total)
-    for j in range(2):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return vecs
+def symmetric_inverse(a, c, b):
+    """Entries (a', c', b') of the inverse of [[a, c], [c, b]], from its adjugate."""
+    det = a * b - c * c
+    return b / det, -c / det, a / det
+
+
+def _principal_axes(a, c, b):
+    """Unit (minor, major) axes of [[a, c], [c, b]], ordered and signed as eigh's:
+    the major one at atan2(2c, a - b)/2, each with its larger component > 0."""
+    if c == 0.0:
+        return ((1.0, 0.0), (0.0, 1.0)) if a <= b else ((0.0, 1.0), (1.0, 0.0))
+    psi = 0.5 * math.atan2(2.0 * c, a - b)
+    cos, sin = math.cos(psi), math.sin(psi)
+    return tuple((x, y) if (x if abs(x) >= abs(y) else y) > 0.0 else (-x, -y)
+                 for x, y in ((-sin, cos), (cos, sin)))
+
+
+def _form(a, c, b, u, v):
+    """u^T [[a, c], [c, b]] v."""
+    return a * u[0] * v[0] + c * (u[0] * v[1] + u[1] * v[0]) + b * u[1] * v[1]
 
 
 def _quadratic_roots(qa, qb, qc):
@@ -481,21 +496,24 @@ def _exact_rays_l1(amps, rates):
     """int_0^inf r |sum_i A_i exp(-k_i r^2)| dr for one or two terms.
 
     ``amps`` holds the A_i, ``rates`` one array of k_i per term (one entry
-    per ray).  With F(R) = sum_i A_i (1 - exp(-k_i R^2)) / (2 k_i), a ray
-    whose terms cancel at r0^2 = ln|A_1/A_2| / (k_1 - k_2) > 0 integrates
-    to sgn(A_1 + A_2) (2 F(r0) - F(inf)); a ray without a cut to |F(inf)|.
+    per ray).  With F(R) = sum_i A_i (1 - exp(-k_i R^2)) / (2 k_i), the
+    terms of a ray cancel at most once, at r0^2 = ln|A_1/A_2| / (k_1 - k_2)
+    when that is > 0, and the ray integrates to |2 F(r0) - F(inf)|; a ray
+    without a cut takes r0 = inf, so |F(inf)|.
     """
-    whole = sum(a / (2.0 * k) for a, k in zip(amps, rates))
-    if len(amps) == 1 or amps[0] * amps[1] > 0.0:
-        return np.abs(whole)
+    if len(amps) == 1:
+        return np.abs(0.5 * amps[0] / rates[0])
     (a1, a2), (k1, k2) = amps, rates
+    half1, half2 = 0.5 * a1 / k1, 0.5 * a2 / k2
+    whole = half1 + half2
+    if a1 * a2 > 0.0:
+        return np.abs(whole)
     with np.errstate(divide="ignore", invalid="ignore"):
         r0sq = math.log(abs(a1 / a2)) / (k1 - k2)
-    cut = (k1 != k2) & np.isfinite(r0sq) & (r0sq > 0.0)
-    r0sq = np.where(cut, r0sq, 0.0)
-    head = sum(a * -np.expm1(-k * r0sq) / (2.0 * k) for a, k in zip(amps, rates))
-    return np.where(cut, math.copysign(1.0, a1 + a2) * (2.0 * head - whole),
-                    np.abs(whole))
+    r0sq = np.where(r0sq > 0.0, r0sq, np.inf)  # equal rates give inf or nan
+    # F(r0) = -rest, so 2 F(r0) - F(inf) = -(whole + 2 rest)
+    rest = half1 * np.expm1(-k1 * r0sq) + half2 * np.expm1(-k2 * r0sq)
+    return np.abs(whole + 2.0 * rest)
 
 
 def integrate_plane_abs_pow(profile, p, tol):
@@ -507,10 +525,15 @@ def integrate_plane_abs_pow(profile, p, tol):
     one refinement step in one call.  When every term shares the center the
     integrand is even and only [0, pi] is integrated.
 
-    Along a ray each term is amp_i exp(g_i + b_i r - a_i r^2), so the sign
-    change of a two-term profile is a root of a quadratic in r and is
-    found in closed form; no sign scan runs.  Two routes, chosen by the
-    input:
+    Every 2x2 quantity is a closed form in the entries (a, c, b) of a
+    covariance: the major axis at atan2(2c, a - b)/2 (minor axis first,
+    signed as ``numpy.linalg.eigh`` would), each term's aligned covariance
+    and its inverse from the adjugate.  Along the ray at angle phi a term
+    is amp_i exp(g_i + b_i r - a_i r^2) with a_i = P_i cos^2 + Q_i sin^2 +
+    2 R_i cos sin, a form that keeps the digits of strongly squeezed
+    terms (the double-angle form cancels).  So the sign change of a
+    two-term profile is a root of a quadratic in r, found in closed form;
+    no sign scan runs.  Two routes, chosen by the input:
 
     * p = 1 with a shared center: b_i = 0, and every ray integral is
       exact, split where the terms cancel at
@@ -525,29 +548,40 @@ def integrate_plane_abs_pow(profile, p, tol):
     * inner_tol), with inner_tol the tolerance granted to each ray, and at
     most ``tol`` or :class:`ToleranceNotReached` is raised.  A ray that
     misses its share stops the plane at once with (nan, inf, panels so
-    far) attached: no bound for the plane exists then.
+    far) attached: no bound for the plane exists then.  A term that does
+    not decay along some sampled ray raises ValueError.
     """
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
     terms = profile.terms
-    center = sum((t.mean for t in terms), np.zeros(2)) / len(terms)
-    frame = _aligned_frame(terms)
-    covs_al = [frame.T @ t.cov @ frame for t in terms]
-    s1 = math.sqrt(max(c[0, 0] for c in covs_al))
-    s2 = math.sqrt(max(c[1, 1] for c in covs_al))
-    offsets = [center - t.mean for t in terms]
-    symmetric = all(np.linalg.norm(o) < 1e-13 for o in offsets)
+    means = [[float(x) for x in t.mean] for t in terms]
+    covs = [(float(t.cov[0][0]), float(t.cov[0][1]), float(t.cov[1][1])) for t in terms]
+    center = [sum(m[j] for m in means) / len(terms) for j in range(2)]
+    u, v = _principal_axes(*(sum(col) for col in zip(*covs)))
+    aligned = [(_form(*cov, u, u), _form(*cov, u, v), _form(*cov, v, v)) for cov in covs]
+    s1 = math.sqrt(max(al[0] for al in aligned))
+    s2 = math.sqrt(max(al[2] for al in aligned))
+    offsets = [(center[0] - m[0], center[1] - m[1]) for m in means]
+    symmetric = all(math.hypot(*o) < 1e-13 for o in offsets)
     phi_range = math.pi if symmetric else 2.0 * math.pi
     prefactor = (2.0 if symmetric else 1.0) * s1 * s2 / math.pi
 
     inner_tol = tol / (4.0 * prefactor * phi_range)
     outer_budget = tol / (2.0 * prefactor)
 
-    live = [(t.amp, np.linalg.inv(t.cov), off)
-            for t, off in zip(terms, offsets) if t.amp != 0.0]
-    amps = [amp for amp, _, _ in live]
-    gs = [-0.5 * float(off @ inv @ off) for _, inv, off in live]
-    slopes = [inv @ off for _, inv, off in live]
+    # per live term, along the scaled axes: the ray rate a(phi) = P cos^2
+    # + Q sin^2 + 2R cos sin from the inverse of the aligned covariance,
+    # and the slope b(phi) = -(U cos + V sin) from the offset
+    amps, gs, rates, slopes = [], [], [], []
+    for t, al, (ox, oy) in zip(terms, aligned, offsets):
+        if t.amp != 0.0:
+            ia, ic, ib = symmetric_inverse(*al)
+            o1, o2 = ox * u[0] + oy * u[1], ox * v[0] + oy * v[1]
+            t1, t2 = ia * o1 + ic * o2, ic * o1 + ib * o2
+            amps.append(t.amp)
+            gs.append(-0.5 * (o1 * t1 + o2 * t2))
+            rates.append((0.5 * s1 * s1 * ia, 0.5 * s2 * s2 * ib, s1 * s2 * ic))
+            slopes.append((s1 * t1, s2 * t2))
     logs = [math.log(abs(amp)) + g for amp, g in zip(amps, gs)]
     exact = p == 1.0 and symmetric
     peaks = [amp * math.exp(g) for amp, g in zip(amps, gs)]
@@ -585,17 +619,18 @@ def integrate_plane_abs_pow(profile, p, tol):
 
     def outer(phis):
         phis = np.atleast_1d(phis)
-        if not live:
+        if not amps:
             return np.zeros(len(phis))
-        dirs = frame @ np.array([s1 * np.cos(phis), s2 * np.sin(phis)])
-        a_rays = [0.5 * np.einsum("in,ij,jn->n", dirs, inv, dirs) for _, inv, _ in live]
+        cos, sin = np.cos(phis), np.sin(phis)
+        cc, ss, cs = cos * cos, sin * sin, cos * sin
+        a_rays = [pp * cc + qq * ss + rr * cs for pp, qq, rr in rates]
         # a covariance too ill-conditioned for double precision can invert
         # to a form that is not positive along some ray
-        if not all(np.all(a > 0.0) for a in a_rays):
+        if not all(a.min() > 0.0 for a in a_rays):
             raise ValueError("a profile term does not decay along every ray")
         if exact:
             return _exact_rays_l1(peaks, a_rays)
-        b_rays = [-(slope @ dirs) for slope in slopes]
+        b_rays = [-(su * cos + sv * sin) for su, sv in slopes]
         return np.array([ray_panels([float(a[j]) for a in a_rays],
                                     [float(b[j]) for b in b_rays])
                          for j in range(len(phis))])

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .channels import CG, Attenuator, ChannelSpec
 from .fock import (FockDiagonalState, UnsupportedInputError, apply_channel_fock,
                    loss_kraus_decomposition, mix_states, radial_profile)
-from .gaussian import (GaussianState, apply_channel_gaussian, is_quantum_gaussian,
+from .gaussian import (SUB_VACUUM, GaussianState, apply_channel_gaussian,
                        min_quadrature_variance, wigner_term)
 from .quadrature import (GaussianTerm, IntegralEstimate, PlanarProfile, ToleranceNotReached,
                          integrate_plane_abs_pow, integrate_radial_abs_pow)
@@ -195,8 +195,8 @@ def wigner_negativity(state, tol=DEFAULT_TOL, integral=None):
 
 def _witness(state, tol, integral):
     if isinstance(state, GaussianState):
-        return (WITNESS_GAUSSIAN_VARIANCE, min_quadrature_variance(state),
-                is_quantum_gaussian(state))
+        variance = min_quadrature_variance(state)
+        return WITNESS_GAUSSIAN_VARIANCE, variance, variance < SUB_VACUUM
     neg = wigner_negativity(state, min(tol, WITNESS_TOL), integral)
     return WITNESS_WIGNER_NEGATIVITY, neg, neg > NEGATIVITY_WITNESS_MIN
 

@@ -28,7 +28,7 @@ BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0
 # sha256 of `mixtures --count 100 --seed 42 --include-corners` and of the
 # stdout of `verify --suite all`, both at their default tol 1e-6
 MIXTURES_SHA256 = "81d1b1fcc36fb6ec52337bba0ad81addc0ed8166081244a6dd83e7f4976e15d5"
-VERIFY_SHA256 = "fafaf4061966880a3c68a58bd9387c1d33c7413039548dab5847042f2dcc06ac"
+VERIFY_SHA256 = "53c59ee8f51d7113fca9034d5c780c969a26f3ebf58c63ac0b7e78a7d95f7d84"
 
 
 def timed(fn, *args, **kwargs):

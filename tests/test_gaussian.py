@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasenorm import (CG, Amplifier, Attenuator, ChannelSpec, Displacement,
-                       GaussianState, Rotation, apply_channel_gaussian,
+from phasenorm import (CG, IDENTITY, Amplifier, Attenuator, ChannelSpec, Displacement,
+                       FunctionalSpec, GaussianState, Rotation, apply_channel_gaussian,
                        is_quantum_gaussian, make_coherent,
                        make_squeezed_thermal, make_thermal,
-                       min_quadrature_variance, wigner_s_gaussian)
+                       min_quadrature_variance, norm_value, wigner_s_gaussian)
+from phasenorm.gaussian import PHYS_EPS, wigner_term
+from phasenorm.quadrature import EPS
 
 VAC = np.diag([0.25, 0.25])
 
@@ -187,3 +189,56 @@ class TestVarianceWitness:
 
     def test_thermal_not_quantum(self):
         assert not is_quantum_gaussian(make_thermal(2.0))
+
+
+def accepted(build):
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(0.0, 2.0), st.floats(0.0, 3.0), st.floats(-math.pi, math.pi),
+       st.floats(0.5, 1.5), st.complex_numbers(max_magnitude=3.0),
+       st.lists(PRIMITIVE, max_size=6), st.floats(-2.0, 0.0))
+def test_closed_forms_match_linalg(nbar, r, theta, scale, mean, elements, s):
+    # numpy.linalg is the oracle of every closed form on the Gaussian route;
+    # a scale below 1 can break the uncertainty relation
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    v = (2.0 * nbar + 1.0) / 4.0
+    cov = scale * (rot @ np.diag([v * math.exp(-2.0 * r), v * math.exp(2.0 * r)]) @ rot.T)
+    cov = 0.5 * (cov + cov.T)
+    eigs = np.linalg.eigvalsh(cov)
+    physical = eigs[0] > 0.0 and eigs[0] * eigs[1] >= 1.0 / 16.0 - PHYS_EPS
+    mu = np.array([mean.real, mean.imag])
+    assert accepted(lambda: GaussianState(mu, cov)) == physical
+    if not physical:
+        return
+    state = GaussianState(mu, cov)
+    assert abs(min_quadrature_variance(state) - eigs[0]) <= 1e-13 * eigs[1]
+
+    # both dets carry rounding up to the bound the constructor judges, so
+    # amp and the exponent may differ by that much beyond 1e-13
+    cov_s = cov - s / 4.0 * np.eye(2)
+    det = np.linalg.det(cov_s)
+    slack = 1e-13 + 2.0 * EPS * (cov_s[0, 0] * cov_s[1, 1] + cov_s[0, 1] ** 2) / det
+    amp = 1.0 / (2.0 * math.sqrt(det))
+    assert wigner_term(state, s).amp == pytest.approx(amp, rel=slack, abs=0.0)
+    pts = mu[0] + 1j * mu[1] + np.array([0.0, 0.3 - 0.2j, -0.5 + 1.1j])
+    d = np.column_stack([pts.real, pts.imag]) - mu
+    quad = np.einsum("ij,jk,ik->i", d, np.linalg.inv(cov_s), d)
+    logs = np.log(wigner_s_gaussian(state, s, pts) / amp) + 0.5 * quad
+    assert np.all(np.abs(logs) <= slack * (1.0 + quad))
+
+    channel = ChannelSpec(tuple(elements))
+    k, y, phi, shift = channel.fold()
+    turn = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    want = k * (turn @ cov @ turn.T) + y * np.eye(2)
+    out = apply_channel_gaussian(state, channel)
+    assert np.max(np.abs(out.cov - want)) <= 1e-14 * np.max(np.abs(want))
+    want_mean = math.sqrt(k) * (turn @ mu) + [shift.real, shift.imag]
+    assert np.max(np.abs(out.mean - want_mean)) <= 1e-14 * max(1.0, np.max(np.abs(want_mean)))
+
+    assert norm_value(state, IDENTITY, FunctionalSpec(), 1e-6)[0] == 0.0

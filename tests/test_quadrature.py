@@ -505,16 +505,11 @@ def panel_runs(monkeypatch):
     return runs
 
 
-def unreachable(integrate):
-    # at tol 1e-20 the panels run to their cap before the bound is judged
-    with pytest.raises(ToleranceNotReached):
-        integrate()
-
-
 FOCK6 = radial_profile(number_state(6), 0.0)  # six sign cuts
+# the vacuum pair is no route here: with closed-form rays its angle
+# integrand varies only in the last bit, so its first rule and half-rules
+# agree exactly and its panels settle in one step at any tol
 PANEL_ROUTES = {
-    "vacuum_pair_p1": lambda: unreachable(
-        lambda: integrate_plane_abs_pow(VACUUM_PAIR, 1.0, 1e-20)),
     "squeezed_p1": lambda: integrate_plane_abs_pow(squeezed_difference(), 1.0, 1e-12),
     "fock6_p1.5": lambda: integrate_radial_abs_pow(FOCK6, 1.5, 1e-10),
     "fock6_p2": lambda: integrate_radial_abs_pow(FOCK6, 2.0, 1e-12),
@@ -522,7 +517,7 @@ PANEL_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("route", ["vacuum_pair_p1", "fock6_p1.5", "fock6_p3"])
+@pytest.mark.parametrize("route", ["squeezed_p1", "fock6_p1.5", "fock6_p3"])
 def test_one_call_of_the_integrand_per_step(route, monkeypatch):
     # the first call holds every initial panel's rule and two half-rules,
     # each later call the four half-rules of one split

@@ -321,6 +321,36 @@ class TestMeasure:
         res = measure_m(make_squeezed_thermal(1.0, 6.0, 0.3), CG, FunctionalSpec(), TOL)
         assert res.classification == CERTIFIED_QUANTUM
 
+    @pytest.mark.parametrize("r", range(6, 21))
+    def test_ill_conditioned_squeezing_is_never_misreported(self, r):
+        # a rotated covariance whose det is lost to rounding is rejected when
+        # built; an accepted one agrees with the exactly diagonal state
+        reference = measure_m(make_squeezed_thermal(1.0, float(r)), CG, FunctionalSpec(), TOL)
+        for theta in (0.3, 0.7, math.pi / 4):
+            try:
+                state = make_squeezed_thermal(1.0, float(r), theta)
+            except ValueError:
+                continue
+            try:
+                res = measure_m(state, CG, FunctionalSpec(), TOL)
+            except (ValueError, ToleranceNotReached):
+                continue
+            assert abs(res.n_value - reference.n_value) <= res.err + reference.err, theta
+
+    def test_gaussian_route_calls_no_linalg(self, monkeypatch):
+        # every 2x2 quantity of the route is closed form: the state checks,
+        # the channel, the Wigner terms, the planar frame and the witness
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called on the Gaussian route")
+
+        for name in ("eigh", "eigvalsh", "inv", "det", "norm", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rotated = GaussianState(np.array([0.4, -0.3]), make_squeezed_thermal(0.8, 1.1, 0.6).cov)
+        for state in (rotated, GaussianState()):
+            # a tol no other test uses, so the baseline is computed here too
+            res = measure_m(state, CG, FunctionalSpec(), 6.5e-7)
+            assert res.err <= 2 * 6.5e-7
+
     def test_fock_mixture_nogo(self):
         res = measure_m(make_mixture([0.38, 0.57, 0.05]), CG, FunctionalSpec(), TOL)
         assert res.witness_kind == "wigner_negativity"
