@@ -53,6 +53,8 @@ EPS = float(np.finfo(float).eps)
 SIGN_SCAN_FLOOR = 1e-13  # relative magnitude below which sign flips are noise
 MAX_PANELS = 8192  # radial panels per integral
 MAX_OUTER = 2048   # angular panels per planar integral
+ANGLE_CACHE_SIZE = 64  # angular span sets whose nodes are kept
+_ANGLE_NODES = {}  # span set -> (angles, half-widths), see _angle_nodes
 
 
 class ToleranceNotReached(RuntimeError):
@@ -322,7 +324,41 @@ def _ladder_brackets(f, a, b, fa, fb, owner, xn, yn, bound, sup):
     return b, b - a, np.maximum(np.abs(ya), np.abs(yb))
 
 
-def _adaptive_panels(g, edges, budget, max_panels):
+def _gl16_nodes(spans):
+    """The GL16 nodes of every (a, b) of ``spans`` in one array, and the half-widths."""
+    a, b = np.array(spans).T
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return (mid[:, None] + half[:, None] * LEG_NODES).ravel(), half.tolist()
+
+
+class _Angles(np.ndarray):
+    """GL16 angles of a span set; ``trig`` holds their cos, sin, cos^2, sin^2
+    and cos sin."""
+
+
+def _angle_nodes(spans):
+    """:func:`_gl16_nodes` of angular spans, the angles carrying their ``trig``.
+
+    Planar spans are dyadic cuts of [0, phi_range], so few span sets
+    recur from state to state; the nodes of the ANGLE_CACHE_SIZE newest
+    of them are kept (about 5 kB each), filled on first use and read-only.
+    """
+    key = tuple(spans)
+    nodes = _ANGLE_NODES.get(key)
+    if nodes is None:
+        if len(_ANGLE_NODES) >= ANGLE_CACHE_SIZE:
+            del _ANGLE_NODES[next(iter(_ANGLE_NODES))]
+        phis, half = _gl16_nodes(spans)
+        cos, sin = np.cos(phis), np.sin(phis)
+        phis = phis.view(_Angles)
+        phis.trig = (cos, sin, cos * cos, sin * sin, cos * sin)
+        for shared in (phis, *phis.trig):
+            shared.setflags(write=False)
+        nodes = _ANGLE_NODES[key] = (phis, half)
+    return nodes
+
+
+def _adaptive_panels(g, edges, budget, max_panels, *, angles=False):
     """Worst-first adaptive refinement over the initial panels ``edges``.
 
     Each panel carries the bisected value (sum over halves) and the
@@ -333,18 +369,29 @@ def _adaptive_panels(g, edges, budget, max_panels):
     Stops within ``budget``, at ``max_panels`` or at a panel below
     MIN_PANEL_WIDTH, and returns (value, error_sum, panel_count) for the
     caller to judge.
+
+    ``angles`` is for an integrand of angles that costs a few array
+    elements per node (the exact planar route): its nodes come from
+    :func:`_angle_nodes`, and the first call also holds the four
+    half-rules of each initial panel's halves, so that panel's first split
+    calls ``g`` no more.  Value, error and count keep their bits either way.
     """
+    nodes = _angle_nodes if angles else _gl16_nodes
 
     def rules(spans):
         # GL16 on each (a, b) of spans, summed rule by rule
-        a, b = np.array(spans).T
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ys = g((mid[:, None] + half[:, None] * LEG_NODES).ravel())
+        xs, half = nodes(spans)
+        ys = g(xs)
         return [h * float(np.dot(LEG_WEIGHTS, ys[16 * i:16 * i + 16]))
-                for i, h in enumerate(half.tolist())]
+                for i, h in enumerate(half)]
 
     def halves(a, b):
         return [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+
+    def quarters(a, b):
+        # the spans of the split of (a, b): its halves' halves
+        mid = 0.5 * (a + b)
+        return halves(a, mid) + halves(mid, b)
 
     heap = []
     seq = 0
@@ -359,9 +406,14 @@ def _adaptive_panels(g, edges, budget, max_panels):
         seq += 1
 
     spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a >= MIN_PANEL_WIDTH]
-    values = rules([s for a, b in spans for s in [(a, b)] + halves(a, b)]) if spans else []
+    per = 7 if angles else 3  # rules per initial panel: itself, halves, its split's
+    values = rules([s for a, b in spans for s in [(a, b)] + halves(a, b)
+                    + (quarters(a, b) if angles else [])]) if spans else []
+    split = {}  # the first split's half-rules of each initial panel, when taken ahead
     for i, (a, b) in enumerate(spans):
-        push(a, b, *values[3 * i:3 * i + 3])
+        push(a, b, *values[per * i:per * i + 3])
+        if angles:
+            split[a, b] = values[per * i + 3:per * i + 7]
     count = len(spans)
     while err > budget and count < max_panels and heap:
         neg_err, _, a, b, left, right = heapq.heappop(heap)
@@ -370,7 +422,7 @@ def _adaptive_panels(g, edges, budget, max_panels):
         total -= left + right
         err += neg_err
         mid = 0.5 * (a + b)
-        values = rules(halves(a, mid) + halves(mid, b))
+        values = split.pop((a, b), None) or rules(quarters(a, b))
         push(a, mid, left, *values[:2])
         push(mid, b, right, *values[2:])
         count += 1
@@ -492,28 +544,28 @@ def _quadratic_roots(qa, qb, qc):
     return [q / qa, qc / q]
 
 
-def _exact_rays_l1(amps, rates):
+def _exact_rays_l1(amps, halves, rates):
     """int_0^inf r |sum_i A_i exp(-k_i r^2)| dr for one or two terms.
 
-    ``amps`` holds the A_i, ``rates`` one array of k_i per term (one entry
-    per ray).  With F(R) = sum_i A_i (1 - exp(-k_i R^2)) / (2 k_i), the
-    terms of a ray cancel at most once, at r0^2 = ln|A_1/A_2| / (k_1 - k_2)
-    when that is > 0, and the ray integrates to |2 F(r0) - F(inf)|; a ray
-    without a cut takes r0 = inf, so |F(inf)|.
+    ``amps`` holds the A_i, ``halves`` the 0.5 A_i as a column and
+    ``rates`` the k_i, one row per term and one column per ray.  With F(R)
+    = sum_i A_i (1 - exp(-k_i R^2)) / (2 k_i), the terms of a ray cancel
+    at most once, at r0^2 = ln|A_1/A_2| / (k_1 - k_2) when that is > 0,
+    and the ray integrates to |2 F(r0) - F(inf)|; a ray without a cut
+    takes r0 = inf, so |F(inf)|.
     """
+    halves = halves / rates
     if len(amps) == 1:
-        return np.abs(0.5 * amps[0] / rates[0])
-    (a1, a2), (k1, k2) = amps, rates
-    half1, half2 = 0.5 * a1 / k1, 0.5 * a2 / k2
-    whole = half1 + half2
-    if a1 * a2 > 0.0:
+        return np.abs(halves[0])
+    whole = halves[0] + halves[1]
+    if amps[0] * amps[1] > 0.0:
         return np.abs(whole)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r0sq = math.log(abs(a1 / a2)) / (k1 - k2)
+        r0sq = math.log(abs(amps[0] / amps[1])) / (rates[0] - rates[1])
     r0sq = np.where(r0sq > 0.0, r0sq, np.inf)  # equal rates give inf or nan
     # F(r0) = -rest, so 2 F(r0) - F(inf) = -(whole + 2 rest)
-    rest = half1 * np.expm1(-k1 * r0sq) + half2 * np.expm1(-k2 * r0sq)
-    return np.abs(whole + 2.0 * rest)
+    rest = halves * np.expm1(-rates * r0sq)
+    return np.abs(whole + 2.0 * (rest[0] + rest[1]))
 
 
 def integrate_plane_abs_pow(profile, p, tol):
@@ -538,8 +590,12 @@ def integrate_plane_abs_pow(profile, p, tol):
     * p = 1 with a shared center: b_i = 0, and every ray integral is
       exact, split where the terms cancel at
       r0^2 = ln|A_1/A_2| / (a_1 - a_2) with A_i = amp_i e^{g_i}; one NumPy
-      expression covers all the angles of a step.  ``subdivisions``
-      counts the angular panels only.
+      expression covers all the angles of a step and both terms, which
+      are stacked on one axis.  The trigonometry of the angles is cached
+      per span set, and the first call of the angle integrand also takes
+      the first split of [0, pi] (see :func:`_adaptive_panels`), so a
+      state that settles in two angular panels makes one call.
+      ``subdivisions`` counts the angular panels only.
     * otherwise: each ray runs the radial core (certified truncation,
       adaptive GL16 panels with the closed-form cuts as edges).
       ``subdivisions`` counts angular and radial panels.
@@ -554,8 +610,8 @@ def integrate_plane_abs_pow(profile, p, tol):
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
     terms = profile.terms
-    means = [[float(x) for x in t.mean] for t in terms]
-    covs = [(float(t.cov[0][0]), float(t.cov[0][1]), float(t.cov[1][1])) for t in terms]
+    means = [t.mean.tolist() for t in terms]
+    covs = [(a, c, b) for (a, c), (_, b) in (t.cov.tolist() for t in terms)]
     center = [sum(m[j] for m in means) / len(terms) for j in range(2)]
     u, v = _principal_axes(*(sum(col) for col in zip(*covs)))
     aligned = [(_form(*cov, u, u), _form(*cov, u, v), _form(*cov, v, v)) for cov in covs]
@@ -585,6 +641,9 @@ def integrate_plane_abs_pow(profile, p, tol):
     logs = [math.log(abs(amp)) + g for amp, g in zip(amps, gs)]
     exact = p == 1.0 and symmetric
     peaks = [amp * math.exp(g) for amp, g in zip(amps, gs)]
+    # the terms stacked on the first axis, each a column: P, Q, R and 0.5 A
+    ray_p, ray_q, ray_r = np.array(rates).reshape(-1, 3).T[:, :, None]
+    half_peaks = 0.5 * np.array(peaks)[:, None]
     panels = 0  # radial panels over all rays
 
     def ray_panels(a_coef, b_coef):
@@ -621,22 +680,25 @@ def integrate_plane_abs_pow(profile, p, tol):
         phis = np.atleast_1d(phis)
         if not amps:
             return np.zeros(len(phis))
-        cos, sin = np.cos(phis), np.sin(phis)
-        cc, ss, cs = cos * cos, sin * sin, cos * sin
-        a_rays = [pp * cc + qq * ss + rr * cs for pp, qq, rr in rates]
+        trig = getattr(phis, "trig", None)  # set on the angles of _angle_nodes
+        if trig is None:
+            cos, sin = np.cos(phis), np.sin(phis)
+            trig = cos, sin, cos * cos, sin * sin, cos * sin
+        cos, sin, cc, ss, cs = trig
+        a_rays = ray_p * cc + ray_q * ss + ray_r * cs
         # a covariance too ill-conditioned for double precision can invert
         # to a form that is not positive along some ray
-        if not all(a.min() > 0.0 for a in a_rays):
+        if not a_rays.min() > 0.0:
             raise ValueError("a profile term does not decay along every ray")
         if exact:
-            return _exact_rays_l1(peaks, a_rays)
-        b_rays = [-(su * cos + sv * sin) for su, sv in slopes]
-        return np.array([ray_panels([float(a[j]) for a in a_rays],
-                                    [float(b[j]) for b in b_rays])
-                         for j in range(len(phis))])
+            return _exact_rays_l1(peaks, half_peaks, a_rays)
+        slope_u, slope_v = np.array(slopes).T[:, :, None]
+        b_rays = -(slope_u * cos + slope_v * sin)
+        return np.array([ray_panels(a, b)
+                         for a, b in zip(a_rays.T.tolist(), b_rays.T.tolist())])
 
     outer_val, outer_err, outer_count = _adaptive_panels(
-        outer, [0.0, phi_range], outer_budget, MAX_OUTER)
+        outer, [0.0, phi_range], outer_budget, MAX_OUTER, angles=exact)
     bound = outer_err + phi_range * inner_tol + EPS * outer_count * abs(outer_val)
     return _checked(IntegralEstimate(prefactor * outer_val, prefactor * bound,
                                      outer_count + panels), tol)

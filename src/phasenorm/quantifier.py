@@ -97,7 +97,13 @@ def _checked_tol(tol):
 
 
 def classify(m_value, err, witness_quantum):
-    """Classification rule shared by the library and the CSV artifacts."""
+    """Classification rule shared by the library and the CSV artifacts.
+
+    A non-finite ``m_value`` or ``err``, or ``err < 0``, raises
+    ValueError: no class follows from it, least of all a classical one.
+    """
+    if not (math.isfinite(m_value) and math.isfinite(err) and err >= 0.0):
+        raise ValueError(f"cannot classify m_value={m_value!r} with err={err!r}")
     if witness_quantum and m_value <= 0.0:
         return NOGO_INSTANCE
     if m_value > err:

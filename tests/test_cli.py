@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import phasenorm.cli
 from phasenorm import RootBudgetExceeded, ToleranceNotReached
 from phasenorm.cli import main, run_mixtures, run_sweep
 from phasenorm.quantifier import (CERTIFIED_QUANTUM, NEGATIVITY_WITNESS_MIN,
-                                  NOGO_INSTANCE, classify)
+                                  NOGO_INSTANCE, baseline_with_error, classify)
 
 
 def run_cli(*args):
@@ -109,6 +110,18 @@ class TestSweepCommand:
         assert main(command + out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("n_value,err", [(math.nan, 1e-7), (0.5, math.inf)],
+                             ids=["nan_n", "inf_err"])
+    def test_unclassifiable_result_fails_cleanly(self, n_value, err, tmp_path, monkeypatch,
+                                                 capsys):
+        # the baseline is cached first, so only the swept states see the bad norm
+        baseline_with_error()
+        monkeypatch.setattr(phasenorm.quantifier, "norm_value",
+                            lambda *args: (n_value, err))
+        assert main(["sweep", "--steps", "2", "--out", str(tmp_path / "x.csv")]) == 1
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("error: cannot classify") and "Traceback" not in err_text
 
     def test_bad_steps_usage_error(self):
         proc = run_cli("sweep", "--steps", "1", "--out", "/tmp/x.csv")

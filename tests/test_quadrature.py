@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasenorm.quadrature
-from phasenorm import (CG, GaussianTerm, IntegralEstimate, PlanarProfile, RadialProfile,
-                       RootBudgetExceeded, ToleranceNotReached,
-                       integrate_plane_abs_pow, integrate_radial_abs_pow,
-                       locate_sign_changes, make_mixture, measure_m, number_state,
-                       radial_profile)
+from phasenorm import (CG, FunctionalSpec, GaussianState, GaussianTerm,
+                       IntegralEstimate, PlanarProfile, RadialProfile, RootBudgetExceeded,
+                       ToleranceNotReached, integrate_plane_abs_pow, integrate_radial_abs_pow,
+                       locate_sign_changes, make_mixture, make_squeezed_thermal, measure_m,
+                       number_state, radial_profile)
 
 # frozen closed-form oracles (piecewise integration via u = 2 rho^2)
 ABS_W1_INTEGRAL = 4.0 * math.exp(-0.5) - 1.0          # 1.4261226388505319
@@ -490,14 +490,14 @@ def panel_runs(monkeypatch):
     runs = []
     panels = phasenorm.quadrature._adaptive_panels
 
-    def spied(g, edges, budget, max_panels):
+    def spied(g, edges, budget, max_panels, **kwargs):
         sizes = []
 
         def counted(x):
             sizes.append(len(x))
             return g(x)
 
-        result = panels(counted, edges, budget, max_panels)
+        result = panels(counted, edges, budget, max_panels, **kwargs)
         runs.append((g, edges, budget, max_panels, sizes, result))
         return result
 
@@ -520,13 +520,17 @@ PANEL_ROUTES = {
 @pytest.mark.parametrize("route", ["squeezed_p1", "fock6_p1.5", "fock6_p3"])
 def test_one_call_of_the_integrand_per_step(route, monkeypatch):
     # the first call holds every initial panel's rule and two half-rules,
-    # each later call the four half-rules of one split
+    # each later call the four half-rules of one split; on the exact planar
+    # route the first call also holds the four of the first split
     runs = panel_runs(monkeypatch)
     PANEL_ROUTES[route]()
     (_, edges, _, _, sizes, (_, _, count)), = runs
     initial = len(edges) - 1
-    assert len(sizes) == 1 + (count - initial)
-    assert sizes == [48 * initial] + [64] * (count - initial)
+    if route == "squeezed_p1":
+        assert initial == 1
+        assert sizes == [112] + [64] * (count - 2)
+    else:
+        assert sizes == [48 * initial] + [64] * (count - initial)
     assert count > initial
 
 
@@ -538,3 +542,101 @@ def test_batched_rules_match_one_rule_per_call(route, monkeypatch):
     (g, edges, budget, max_panels, _, result), = runs
     assert result[2] > len(edges) - 1
     assert one_rule_per_call(g, edges, budget, max_panels) == result
+
+
+@pytest.mark.parametrize("edges", [[0.0, math.pi], [0.0, 1.0, 2.5, math.pi]],
+                         ids=["one_panel", "three_panels"])
+def test_first_split_in_the_first_call(edges, monkeypatch):
+    # taking each initial panel's first split ahead keeps every bit and
+    # saves one call of the integrand per initial panel that splits
+    monkeypatch.setattr(phasenorm.quadrature, "_ANGLE_NODES", {})
+    panels = phasenorm.quadrature._adaptive_panels
+
+    def run(**kwargs):
+        calls = []
+
+        def g(phis):
+            calls.append(len(phis))
+            return np.abs(np.cos(4.0 * np.asarray(phis)))  # a kink in every panel
+
+        return panels(g, edges, 1e-10, 2048, **kwargs), calls
+
+    (value, err, count), calls = run()
+    ahead, ahead_calls = run(angles=True)
+    initial = len(edges) - 1
+    assert count >= 4 * initial
+    assert ahead == (value, err, count)
+    assert len(ahead_calls) == len(calls) - initial
+    assert ahead_calls[0] == 112 * initial
+
+
+def two_term_rays_l1(amps, rates):
+    """The two-term ray integrals as computed term by term (oracle)."""
+    (a1, a2), (k1, k2) = amps, rates
+    half1, half2 = 0.5 * a1 / k1, 0.5 * a2 / k2
+    whole = half1 + half2
+    if a1 * a2 > 0.0:
+        return np.abs(whole)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r0sq = math.log(abs(a1 / a2)) / (k1 - k2)
+    r0sq = np.where(r0sq > 0.0, r0sq, np.inf)
+    rest = half1 * np.expm1(-k1 * r0sq) + half2 * np.expm1(-k2 * r0sq)
+    return np.abs(whole + 2.0 * rest)
+
+
+AMPS = st.tuples(st.floats(1e-3, 1e3), st.booleans()).map(lambda x: x[0] if x[1] else -x[0])
+RATES = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40).map(np.array)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(AMPS, AMPS, RATES, RATES, st.sampled_from(["free", "equal", "far"]))
+def test_stacked_rays_match_the_per_term_rays(a1, a2, k1, k2, relation):
+    # the terms stacked on one axis take the same operations in the same
+    # order, so every ray keeps its bits: either sign, same-sign pairs,
+    # equal rates (no cut) and rates 1e6 apart
+    k2 = {"free": np.resize(k2, len(k1)), "equal": k1, "far": 1e6 * k1}[relation]
+    rates = np.array([k1, k2])
+    stacked = phasenorm.quadrature._exact_rays_l1(
+        [a1, a2], 0.5 * np.array([a1, a2])[:, None], rates)
+    assert stacked.tobytes() == two_term_rays_l1((a1, a2), (k1, k2)).tobytes()
+    alone = phasenorm.quadrature._exact_rays_l1([a1], np.array([[0.5 * a1]]), rates[:1])
+    assert alone.tobytes() == np.abs(0.5 * a1 / k1).tobytes()
+    # a term and its negation (the identity channel) cancel exactly
+    zero = phasenorm.quadrature._exact_rays_l1(
+        [a1, -a1], 0.5 * np.array([a1, -a1])[:, None], np.array([k1, k1]))
+    assert not zero.any()
+
+
+def test_angle_cache_is_bounded_and_planar_only(monkeypatch):
+    # radial spans sit at each state's own cuts and never enter the cache;
+    # the sweep's angular span sets are dyadic cuts of [0, pi] and few
+    quad = phasenorm.quadrature
+    monkeypatch.setattr(quad, "_ANGLE_NODES", {})
+    for p in (1.5, 2.0):
+        measure_m(number_state(6), CG, FunctionalSpec(p=p))
+    assert quad._ANGLE_NODES == {}
+    rng = np.random.default_rng(7)
+    for r, nbar, theta in zip(np.linspace(0.0, 1.5, 31), rng.uniform(0.0, 2.0, 31),
+                              rng.uniform(0.0, math.pi, 31)):
+        state = make_squeezed_thermal(float(nbar), float(r), float(theta))
+        measure_m(GaussianState(rng.uniform(-0.7, 0.7, 2), state.cov))
+    cache = quad._ANGLE_NODES
+    assert 0 < len(cache) <= quad.ANGLE_CACHE_SIZE
+    # every cached span is one that bisecting [0, pi] leaves, bit for bit
+    dyadic, level = set(), [(0.0, math.pi)]
+    for _ in range(14):
+        dyadic.update(level)
+        level = [h for a, b in level for h in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+    assert all(span in dyadic for spans in cache for span in spans)
+
+
+def test_angle_cache_evicts_beyond_its_bound(monkeypatch):
+    # a full cache drops its oldest span set, and the values keep their bits
+    quad = phasenorm.quadrature
+    monkeypatch.setattr(quad, "_ANGLE_NODES", {})
+    want = [integrate_plane_abs_pow(squeezed_difference(), 1.0, tol) for tol in (1e-6, 1e-9)]
+    monkeypatch.setattr(quad, "_ANGLE_NODES", {})
+    monkeypatch.setattr(quad, "ANGLE_CACHE_SIZE", 2)
+    got = [integrate_plane_abs_pow(squeezed_difference(), 1.0, tol) for tol in (1e-6, 1e-9)]
+    assert got == want
+    assert len(quad._ANGLE_NODES) == 2

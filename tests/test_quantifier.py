@@ -367,6 +367,18 @@ class TestMeasure:
         assert classify(0.1, 1e-6, False) == CERTIFIED_QUANTUM
         assert classify(0.1, 1e-6, True) == CERTIFIED_QUANTUM
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("witness", [True, False])
+    def test_classify_rejects_non_finite_input(self, bad, witness):
+        # nan fails every comparison, so it would fall through to classical;
+        # a negative err is no bound either
+        with pytest.raises(ValueError):
+            classify(bad, 1e-6, witness)
+        with pytest.raises(ValueError):
+            classify(0.5, bad, witness)
+        with pytest.raises(ValueError):
+            classify(0.5, -1e-6, witness)
+
 
 class TestNegativity:
     def test_vacuum_zero(self):
