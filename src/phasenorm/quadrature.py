@@ -6,8 +6,7 @@ d^2alpha/pi measure.  Two integrators are provided:
 * :func:`integrate_radial_abs_pow` for rotation-symmetric profiles
   (photon-number-diagonal states), computing  int_0^inf 2 rho |f(rho)|^p drho;
 * :func:`integrate_plane_abs_pow` for one- or two-term signed-Gaussian
-  profiles, using adaptive polar quadrature in coordinates aligned with
-  the profile's principal axes.
+  profiles, in polar coordinates.
 
 Both share the same machinery: the improper integral is truncated at a
 radius where the profile's declared Gaussian decay certifies a tail bound
@@ -24,8 +23,7 @@ caller gives.  An f that returns one row per signal has the sign changes
 of every row found by one scan and one ladder.
 Along a ray of a planar profile the log-magnitude of each Gaussian term
 is quadratic in the radius, so its sign change is found in closed form;
-for p = 1 with a shared center the whole ray integral is closed form, and
-only the angle is integrated numerically.
+for p = 1 with a shared center Imhof's angular form needs no ray at all.
 
 A radial profile may carry an ``l1`` hook, its producer's exact route
 at p = 1; :func:`phasenorm.fock.radial_profile` states that route's
@@ -53,8 +51,7 @@ EPS = float(np.finfo(float).eps)
 SIGN_SCAN_FLOOR = 1e-13  # relative magnitude below which sign flips are noise
 MAX_PANELS = 8192  # radial panels per integral
 MAX_OUTER = 2048   # angular panels per planar integral
-ANGLE_CACHE_SIZE = 64  # angular span sets whose nodes are kept
-_ANGLE_NODES = {}  # span set -> (angles, half-widths), see _angle_nodes
+GRADING = 8.0      # ratio of the graded angular edges of the co-centred p = 1 route
 
 
 class ToleranceNotReached(RuntimeError):
@@ -82,13 +79,9 @@ class IntegralEstimate:
     it.  Rounding of the panel sum of g = |f|^p >= 0 is eps |value| per
     panel.  The panel part, the summed difference between GL16 on each
     panel and GL16 on its two halves, is an estimate and can undershoot
-    the true error (the squeezed thermal state nbar 1, r 20 gives N =
-    1.5000005 with err 7.3e-7 under ``CG``, against a limit of 2: no GL16
-    node of the angular panels samples its needle-thin input term).  On
-    the planar route at p = 1 the rays are exact and the angular panels
-    are the whole estimate; a covariance too ill-conditioned for the
-    closed forms never reaches it, as
-    :class:`~phasenorm.gaussian.GaussianState` rejects it when built.
+    the true error of a feature narrower than the nodes see.  On the planar
+    p = 1 route it is the only estimate, that of the angle integral of the
+    shares of mass; the rest is closed form with a rounding bound.
 
     On the exact radial route (p = 1, a profile with an ``l1`` hook) the
     bound is the one the profile's producer certifies, given a complete
@@ -324,41 +317,7 @@ def _ladder_brackets(f, a, b, fa, fb, owner, xn, yn, bound, sup):
     return b, b - a, np.maximum(np.abs(ya), np.abs(yb))
 
 
-def _gl16_nodes(spans):
-    """The GL16 nodes of every (a, b) of ``spans`` in one array, and the half-widths."""
-    a, b = np.array(spans).T
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return (mid[:, None] + half[:, None] * LEG_NODES).ravel(), half.tolist()
-
-
-class _Angles(np.ndarray):
-    """GL16 angles of a span set; ``trig`` holds their cos, sin, cos^2, sin^2
-    and cos sin."""
-
-
-def _angle_nodes(spans):
-    """:func:`_gl16_nodes` of angular spans, the angles carrying their ``trig``.
-
-    Planar spans are dyadic cuts of [0, phi_range], so few span sets
-    recur from state to state; the nodes of the ANGLE_CACHE_SIZE newest
-    of them are kept (about 5 kB each), filled on first use and read-only.
-    """
-    key = tuple(spans)
-    nodes = _ANGLE_NODES.get(key)
-    if nodes is None:
-        if len(_ANGLE_NODES) >= ANGLE_CACHE_SIZE:
-            del _ANGLE_NODES[next(iter(_ANGLE_NODES))]
-        phis, half = _gl16_nodes(spans)
-        cos, sin = np.cos(phis), np.sin(phis)
-        phis = phis.view(_Angles)
-        phis.trig = (cos, sin, cos * cos, sin * sin, cos * sin)
-        for shared in (phis, *phis.trig):
-            shared.setflags(write=False)
-        nodes = _ANGLE_NODES[key] = (phis, half)
-    return nodes
-
-
-def _adaptive_panels(g, edges, budget, max_panels, *, angles=False):
+def _adaptive_panels(g, edges, budget, max_panels):
     """Worst-first adaptive refinement over the initial panels ``edges``.
 
     Each panel carries the bisected value (sum over halves) and the
@@ -369,33 +328,19 @@ def _adaptive_panels(g, edges, budget, max_panels, *, angles=False):
     Stops within ``budget``, at ``max_panels`` or at a panel below
     MIN_PANEL_WIDTH, and returns (value, error_sum, panel_count) for the
     caller to judge.
-
-    ``angles`` is for an integrand of angles that costs a few array
-    elements per node (the exact planar route): its nodes come from
-    :func:`_angle_nodes`, and the first call also holds the four
-    half-rules of each initial panel's halves, so that panel's first split
-    calls ``g`` no more.  Value, error and count keep their bits either way.
     """
-    nodes = _angle_nodes if angles else _gl16_nodes
 
     def rules(spans):
         # GL16 on each (a, b) of spans, summed rule by rule
-        xs, half = nodes(spans)
-        ys = g(xs)
-        return [h * float(np.dot(LEG_WEIGHTS, ys[16 * i:16 * i + 16]))
-                for i, h in enumerate(half)]
+        mid = np.array([0.5 * (a + b) for a, b in spans])
+        half = [0.5 * (b - a) for a, b in spans]
+        ys = g((mid[:, None] + np.array(half)[:, None] * LEG_NODES).ravel())
+        return [h * float(np.dot(LEG_WEIGHTS, ys[16 * i:16 * i + 16])) for i, h in enumerate(half)]
 
     def halves(a, b):
         return [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
 
-    def quarters(a, b):
-        # the spans of the split of (a, b): its halves' halves
-        mid = 0.5 * (a + b)
-        return halves(a, mid) + halves(mid, b)
-
-    heap = []
-    seq = 0
-    total = err = 0.0
+    heap, seq, total, err = [], 0, 0.0, 0.0
 
     def push(a, b, whole, left, right):
         nonlocal seq, total, err
@@ -406,14 +351,9 @@ def _adaptive_panels(g, edges, budget, max_panels, *, angles=False):
         seq += 1
 
     spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a >= MIN_PANEL_WIDTH]
-    per = 7 if angles else 3  # rules per initial panel: itself, halves, its split's
-    values = rules([s for a, b in spans for s in [(a, b)] + halves(a, b)
-                    + (quarters(a, b) if angles else [])]) if spans else []
-    split = {}  # the first split's half-rules of each initial panel, when taken ahead
+    values = rules([s for a, b in spans for s in [(a, b)] + halves(a, b)]) if spans else []
     for i, (a, b) in enumerate(spans):
-        push(a, b, *values[per * i:per * i + 3])
-        if angles:
-            split[a, b] = values[per * i + 3:per * i + 7]
+        push(a, b, *values[3 * i:3 * i + 3])
     count = len(spans)
     while err > budget and count < max_panels and heap:
         neg_err, _, a, b, left, right = heapq.heappop(heap)
@@ -422,7 +362,7 @@ def _adaptive_panels(g, edges, budget, max_panels, *, angles=False):
         total -= left + right
         err += neg_err
         mid = 0.5 * (a + b)
-        values = split.pop((a, b), None) or rules(quarters(a, b))
+        values = rules(halves(a, mid) + halves(mid, b))
         push(a, mid, left, *values[:2])
         push(mid, b, right, *values[2:])
         count += 1
@@ -544,68 +484,136 @@ def _quadratic_roots(qa, qb, qc):
     return [q / qa, qc / q]
 
 
-def _exact_rays_l1(amps, halves, rates):
-    """int_0^inf r |sum_i A_i exp(-k_i r^2)| dr for one or two terms.
+def _pencil(cov1, cov2):
+    """(nu, lambda, slack), lambda = 1 + nu the roots of det(C_2 - lambda C_1) for
+    C = (a, c, b): nu from C_2 - C_1 (a weak channel keeps its digits) but
+    lambda < 1/2 from C_2, each from its quadratic's sum and product (no
+    overflow).  slack = eps sum_k |d lambda_k| / lambda_k, the whitened
+    change of C_2 that their rounding makes."""
+    (a1, c1, b1), (a2, c2, b2) = cov1, cov2
+    da, dc, db, det1, det2 = a2 - a1, c2 - c1, b2 - b1, a1 * b1 - c1 * c1, a2 * b2 - c2 * c2
+    common = 4.0 + 0.5 * (a1 * b1 + c1 * c1 + det1) / det1  # det1's rounding over eps
 
-    ``amps`` holds the A_i, ``halves`` the 0.5 A_i as a column and
-    ``rates`` the k_i, one row per term and one column per ray.  With F(R)
-    = sum_i A_i (1 - exp(-k_i R^2)) / (2 k_i), the terms of a ray cancel
-    at most once, at r0^2 = ln|A_1/A_2| / (k_1 - k_2) when that is > 0,
-    and the ray integrates to |2 F(r0) - F(inf)|; a ray without a cut
-    takes r0 = inf, so |F(inf)|.
+    def roots(x, y, x_sum, y_err):  # of t^2 - (x t - y) / det1, with their errors over eps
+        total, product = x / det1, y / det1
+        product_err = abs(product) * common + y_err / det1
+        ratio = 4.0 * (product / total) / total if total else -math.inf
+        disc = 1.0 - ratio if 1.0 - ratio > 8.0 * EPS * (1.0 + abs(ratio)) else 0.0
+        big = 0.5 * total * (1.0 + math.sqrt(disc)) if total else math.sqrt(max(-product, 0.0))
+        if not big:
+            return [(0.0, 0.0)] * 2
+        big_err = abs(total) * common + 1.5 * x_sum / det1 + product_err / abs(big)
+        small = product / big
+        return sorted([(big, big_err), (small, (product_err + abs(small) * big_err) / abs(big))])
+
+    pairs = [(nu, 1.0 + nu, err) for nu, err in roots(
+        a1 * db + da * b1 - 2.0 * c1 * dc, da * db - dc * dc,
+        abs(a1 * db) + abs(da * b1) + 2.0 * abs(c1 * dc), 2.0 * (abs(da * db) + dc * dc))]
+    if pairs[0][0] < -0.5:  # 1 + nu cancels: lambda from C_2 itself
+        direct = roots(a1 * b2 + a2 * b1 - 2.0 * c1 * c2, det2, abs(a1 * b2) + abs(a2 * b1)
+                       + 2.0 * abs(c1 * c2), 0.5 * (a2 * b2 + c2 * c2 + det2))
+        pairs = [(lam - 1.0, lam, err) if lam < 0.5 else pair
+                 for pair, (lam, err) in zip(pairs, direct)]
+    nus, lams, errs = zip(*pairs)
+    return nus, lams, EPS * sum(err / lam for err, lam in zip(errs, lams))
+
+
+def _seeds(mu, ell):
+    """Initial panel edges in (0, pi/2) for frac(q), q = mu_0 cos^2 + mu_1 sin^2
+    with |mu_0| <= |mu_1|: frac steps where q crosses 0 (else at or near psi
+    = 0), flat to rounding up to |q| = |ell| / ln(1/eps) on the side where q
+    has ell's sign, then falling off like ell / q.  A step (to that level
+    or to q = 2 mu_0) narrower than the span / GRADING gets the angles where
+    q = ell and q = 0 and edges graded by GRADING from its centre."""
+    m0, m1 = mu
+    flat = math.copysign(abs(ell) / -math.log(EPS), ell)
+
+    def angle(t):
+        return math.atan(math.sqrt((t - m0) / (m1 - t)))
+
+    centre, side = 0.0, 1.0
+    step = math.asin(math.sqrt(min(1.0, max(abs(m0), abs(flat)) / abs(m1 - m0))))
+    if m0 * m1 < 0.0:
+        centre, side = angle(0.0), math.copysign(1.0, m1 * ell)
+        step = abs(angle(flat) - centre) if (flat - m0) * (m1 - flat) > 0.0 else math.pi
+    if step >= 0.5 * math.pi / GRADING:
+        return []
+    seeds = [angle(t) for t in (ell, 0.0) if (t - m0) * (m1 - t) > 0.0]
+    step = max(step, MIN_PANEL_WIDTH)
+    while 0.0 < centre + side * step < 0.5 * math.pi:
+        seeds.append(centre + side * step)
+        step *= GRADING
+    return seeds
+
+
+def _co_centred_l1(amps, covs, tol):
+    """int d^2z/pi |sum_i A_i exp(-z^T C_i^{-1} z/2)| of co-centred terms in
+    Imhof's angular form, unchecked.  With masses m_i = 2 |A_i| sqrt(det C_i)
+    it is sum m_i for one term or two of one sign, and for A_1 > 0 > A_2
+    2 (m_1 P_1 - m_2 P_2) - (m_1 - m_2): f > 0 where z^T (C_1^{-1} -
+    C_2^{-1}) z < 2 ell, ell = ln(A_1/|A_2|), and P_i = (2/pi) int_0^{pi/2}
+    frac(mu_0 cos^2 + mu_1 sin^2) dpsi is term i's share there (frac below),
+    mu = nu / lambda for term 1 and nu for term 2 (:func:`_pencil`).  Constant
+    shares are closed form, the others share the panels of :func:`_seeds`.
+    The bound adds to the panel estimate m_2 slack / 2 and eps (a b + c^2 +
+    det) / (2 det) of each mass (the pencil's and each det's rounding as
+    total variations of the Gaussians) and a few eps of the masses.
     """
-    halves = halves / rates
-    if len(amps) == 1:
-        return np.abs(halves[0])
-    whole = halves[0] + halves[1]
-    if amps[0] * amps[1] > 0.0:
-        return np.abs(whole)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r0sq = math.log(abs(amps[0] / amps[1])) / (rates[0] - rates[1])
-    r0sq = np.where(r0sq > 0.0, r0sq, np.inf)  # equal rates give inf or nan
-    # F(r0) = -rest, so 2 F(r0) - F(inf) = -(whole + 2 rest)
-    rest = halves * np.expm1(-rates * r0sq)
-    return np.abs(whole + 2.0 * (rest[0] + rest[1]))
+    terms = [(amp, cov, cov[0] * cov[2] - cov[1] * cov[1]) for amp, cov in zip(amps, covs) if amp]
+    terms.sort(key=lambda term: term[0] < 0.0)  # the positive term first
+    if not all(cov[0] > 0.0 and det > 0.0 for _, cov, det in terms):
+        raise ValueError("a profile term does not decay along every ray")
+    masses = [2.0 * abs(amp) * math.sqrt(det) for amp, _, det in terms]
+    slacks = EPS * sum(m * (a * b + c * c + det) / (2.0 * det)
+                       for m, (_, (a, c, b), det) in zip(masses, terms))
+    if len(terms) < 2 or terms[0][0] * terms[1][0] > 0.0:
+        return IntegralEstimate(sum(masses), 4.0 * EPS * sum(masses) + slacks, 0)
+    (pos, cov1, _), (neg, cov2, _) = terms
+    (m1, m2), (nus, lams, slack) = masses, _pencil(cov1, cov2)
+    ell = math.log1p((pos + neg) / -neg) if 0.5 <= pos / -neg <= 2.0 else math.log(pos / -neg)
+    # varying shares: q / ell = base + slope sin^2 psi, weight -+ 4 m / pi for -expm1 or exp
+    value, rows, edges = m2 - m1, [], set()
+    for mu, weight in (((nus[0] / lams[0], nus[1] / lams[1]), m1), (nus, -m2)):
+        mu = sorted(mu, key=abs)
+        # frac at both ends: the share of a whitened ray's mass with rho^2 q < 2 ell
+        share, end = ((-math.expm1(-ell / q) if ell > 0.0 else math.exp(-ell / q))
+                      if q * ell > 0.0 else float(q < 0.0 or ell > 0.0) for q in mu)
+        if share == end:  # frac is monotone in psi: constant
+            value += 2.0 * weight * share
+        elif not ell:  # a step where q = 0
+            value += 2.0 * weight * math.atan(math.sqrt(-min(mu) / max(mu))) / (0.5 * math.pi)
+        else:
+            rows.append((mu[0] / ell, (mu[1] - mu[0]) / ell,
+                         math.copysign(4.0 / math.pi, -ell) * weight))
+            edges.update([0.0, 0.5 * math.pi] + _seeds(mu, ell))
+    rows = np.array(rows).reshape(-1, 3).T
+    base, slope, exp = rows[0, :, None], rows[1, :, None], np.expm1 if ell > 0.0 else np.exp
+
+    def h(psi):
+        # q / ell clipped below: q beyond ell's sign reads as frac's limit there
+        return rows[2] @ exp(-1.0 / np.maximum(base + slope * np.sin(psi) ** 2, EPS))
+
+    panels, panel_err, count = _adaptive_panels(h, sorted(edges), 0.5 * tol, MAX_OUTER)
+    rounding = EPS * (m1 + m2) * (16.0 + 2.0 * count) + slacks + 0.5 * m2 * slack
+    return IntegralEstimate(value + panels, panel_err + rounding, count)
 
 
 def integrate_plane_abs_pow(profile, p, tol):
     """int d^2z/pi |f(z)|^p for a one- or two-term signed-Gaussian profile.
 
-    Polar quadrature about the common center in coordinates aligned with
-    the principal axes of the summed covariances and scaled per axis; the
-    angle is integrated by the adaptive panel scheme, all the angles of
-    one refinement step in one call.  When every term shares the center the
-    integrand is even and only [0, pi] is integrated.
-
-    Every 2x2 quantity is a closed form in the entries (a, c, b) of a
-    covariance: the major axis at atan2(2c, a - b)/2 (minor axis first,
-    signed as ``numpy.linalg.eigh`` would), each term's aligned covariance
-    and its inverse from the adjugate.  Along the ray at angle phi a term
-    is amp_i exp(g_i + b_i r - a_i r^2) with a_i = P_i cos^2 + Q_i sin^2 +
-    2 R_i cos sin, a form that keeps the digits of strongly squeezed
-    terms (the double-angle form cancels).  So the sign change of a
-    two-term profile is a root of a quadratic in r, found in closed form;
-    no sign scan runs.  Two routes, chosen by the input:
-
-    * p = 1 with a shared center: b_i = 0, and every ray integral is
-      exact, split where the terms cancel at
-      r0^2 = ln|A_1/A_2| / (a_1 - a_2) with A_i = amp_i e^{g_i}; one NumPy
-      expression covers all the angles of a step and both terms, which
-      are stacked on one axis.  The trigonometry of the angles is cached
-      per span set, and the first call of the angle integrand also takes
-      the first split of [0, pi] (see :func:`_adaptive_panels`), so a
-      state that settles in two angular panels makes one call.
-      ``subdivisions`` counts the angular panels only.
-    * otherwise: each ray runs the radial core (certified truncation,
-      adaptive GL16 panels with the closed-form cuts as edges).
-      ``subdivisions`` counts angular and radial panels.
-
-    On both routes the error bound is prefactor * (outer_err + phi_range
-    * inner_tol), with inner_tol the tolerance granted to each ray, and at
-    most ``tol`` or :class:`ToleranceNotReached` is raised.  A ray that
-    misses its share stops the plane at once with (nan, inf, panels so
-    far) attached: no bound for the plane exists then.  A term that does
-    not decay along some sampled ray raises ValueError.
+    Every 2x2 quantity is closed form.  At p = 1 with a shared center the
+    integral takes Imhof's angular form (Biometrika 48, 419, 1961,
+    :func:`_co_centred_l1`).  Else adaptive panels integrate the angle about
+    the center in the scaled principal axes of the summed covariances ([0,
+    pi] when shared); along a ray a term is amp_i exp(g_i + b_i r - a_i
+    r^2), a_i = P_i cos^2 + Q_i sin^2 + 2 R_i cos sin (which keeps squeezed
+    terms' digits), so a sign change solves a quadratic and edges the radial
+    core.  The bound is then prefactor * (outer_err + phi_range *
+    inner_tol), inner_tol a ray's share; a ray that misses it stops the
+    plane with (nan, inf, panels so far) attached.  ``subdivisions`` counts
+    angular and radial panels.  The bound is at most ``tol`` or
+    :class:`ToleranceNotReached` is raised; a term that does not decay
+    along some ray raises ValueError.
     """
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
@@ -613,21 +621,25 @@ def integrate_plane_abs_pow(profile, p, tol):
     means = [t.mean.tolist() for t in terms]
     covs = [(a, c, b) for (a, c), (_, b) in (t.cov.tolist() for t in terms)]
     center = [sum(m[j] for m in means) / len(terms) for j in range(2)]
+    offsets = [(center[0] - m[0], center[1] - m[1]) for m in means]
+    symmetric = all(math.hypot(*o) < 1e-13 for o in offsets)
+    if p == 1.0 and symmetric:
+        # an offset below 1e-13 enters as the term's value at the center
+        amps = [t.amp * math.exp(-0.5 * _form(*symmetric_inverse(*cov), o, o)) if any(o) else t.amp
+                for t, cov, o in zip(terms, covs, offsets)]
+        return _checked(_co_centred_l1(amps, covs, tol), tol)
     u, v = _principal_axes(*(sum(col) for col in zip(*covs)))
     aligned = [(_form(*cov, u, u), _form(*cov, u, v), _form(*cov, v, v)) for cov in covs]
     s1 = math.sqrt(max(al[0] for al in aligned))
     s2 = math.sqrt(max(al[2] for al in aligned))
-    offsets = [(center[0] - m[0], center[1] - m[1]) for m in means]
-    symmetric = all(math.hypot(*o) < 1e-13 for o in offsets)
     phi_range = math.pi if symmetric else 2.0 * math.pi
     prefactor = (2.0 if symmetric else 1.0) * s1 * s2 / math.pi
 
     inner_tol = tol / (4.0 * prefactor * phi_range)
     outer_budget = tol / (2.0 * prefactor)
 
-    # per live term, along the scaled axes: the ray rate a(phi) = P cos^2
-    # + Q sin^2 + 2R cos sin from the inverse of the aligned covariance,
-    # and the slope b(phi) = -(U cos + V sin) from the offset
+    # per live term, along the scaled axes: the ray rate a(phi) and the
+    # slope b(phi) = -(U cos + V sin) from the offset
     amps, gs, rates, slopes = [], [], [], []
     for t, al, (ox, oy) in zip(terms, aligned, offsets):
         if t.amp != 0.0:
@@ -639,11 +651,7 @@ def integrate_plane_abs_pow(profile, p, tol):
             rates.append((0.5 * s1 * s1 * ia, 0.5 * s2 * s2 * ib, s1 * s2 * ic))
             slopes.append((s1 * t1, s2 * t2))
     logs = [math.log(abs(amp)) + g for amp, g in zip(amps, gs)]
-    exact = p == 1.0 and symmetric
-    peaks = [amp * math.exp(g) for amp, g in zip(amps, gs)]
-    # the terms stacked on the first axis, each a column: P, Q, R and 0.5 A
     ray_p, ray_q, ray_r = np.array(rates).reshape(-1, 3).T[:, :, None]
-    half_peaks = 0.5 * np.array(peaks)[:, None]
     panels = 0  # radial panels over all rays
 
     def ray_panels(a_coef, b_coef):
@@ -680,25 +688,19 @@ def integrate_plane_abs_pow(profile, p, tol):
         phis = np.atleast_1d(phis)
         if not amps:
             return np.zeros(len(phis))
-        trig = getattr(phis, "trig", None)  # set on the angles of _angle_nodes
-        if trig is None:
-            cos, sin = np.cos(phis), np.sin(phis)
-            trig = cos, sin, cos * cos, sin * sin, cos * sin
-        cos, sin, cc, ss, cs = trig
-        a_rays = ray_p * cc + ray_q * ss + ray_r * cs
+        cos, sin = np.cos(phis), np.sin(phis)
+        a_rays = ray_p * (cos * cos) + ray_q * (sin * sin) + ray_r * (cos * sin)
         # a covariance too ill-conditioned for double precision can invert
         # to a form that is not positive along some ray
         if not a_rays.min() > 0.0:
             raise ValueError("a profile term does not decay along every ray")
-        if exact:
-            return _exact_rays_l1(peaks, half_peaks, a_rays)
         slope_u, slope_v = np.array(slopes).T[:, :, None]
         b_rays = -(slope_u * cos + slope_v * sin)
         return np.array([ray_panels(a, b)
                          for a, b in zip(a_rays.T.tolist(), b_rays.T.tolist())])
 
     outer_val, outer_err, outer_count = _adaptive_panels(
-        outer, [0.0, phi_range], outer_budget, MAX_OUTER, angles=exact)
+        outer, [0.0, phi_range], outer_budget, MAX_OUTER)
     bound = outer_err + phi_range * inner_tol + EPS * outer_count * abs(outer_val)
     return _checked(IntegralEstimate(prefactor * outer_val, prefactor * bound,
                                      outer_count + panels), tol)

@@ -111,10 +111,6 @@ def classify(m_value, err, witness_quantum):
     return CLASSICAL_CONSISTENT
 
 
-def _negated(term):
-    return GaussianTerm(-term.amp, term.mean, term.cov)
-
-
 def _pow_and_error(integral, p):
     """(value, err) of I^(1/p) from an IntegralEstimate of I."""
     if p == 1.0:
@@ -126,10 +122,9 @@ def _pow_and_error(integral, p):
 
 def _integral_once(state, channel, fn, quad_tol):
     if isinstance(state, GaussianState):
-        out = apply_channel_gaussian(state, channel)
-        profile = PlanarProfile((wigner_term(state, fn.s),
-                                 _negated(wigner_term(out, fn.s))))
-        return integrate_plane_abs_pow(profile, fn.p, quad_tol)
+        out = wigner_term(apply_channel_gaussian(state, channel), fn.s)
+        terms = (wigner_term(state, fn.s), GaussianTerm(-out.amp, out.mean, out.cov))
+        return integrate_plane_abs_pow(PlanarProfile(terms), fn.p, quad_tol)
     if isinstance(state, FockDiagonalState):
         return integrate_radial_abs_pow(radial_profile(state, fn.s, channel), fn.p, quad_tol)
     raise TypeError(f"unsupported state type {type(state).__name__}")
@@ -219,7 +214,9 @@ def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
     negativity agrees with :func:`wigner_negativity` alone to rounding
     (its cuts come from the norm's scan grid), and a witness that misses
     its tolerance raises :class:`~phasenorm.quadrature.ToleranceNotReached`
-    after the norm is checked.  Other inputs compute the two apart.
+    after the norm is checked.  Other inputs compute the two apart.  M's err
+    adds 2 ``tail_mass_bound`` of a Fock state, its stored tail's mass in it
+    and its image: a bound on the tail's pull on N for s <= -1, else an estimate.
     """
     _checked_tol(tol)
     integral = None
@@ -230,7 +227,7 @@ def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
     else:
         n_value, n_err = norm_value(state, channel, fn, tol)
     base, base_err = _vacuum_norm(channel, fn, tol)
-    err = n_err + base_err
+    err = n_err + base_err + 2.0 * getattr(state, "tail_mass_bound", 0.0)
     kind, wvalue, wquantum = _witness(state, tol, integral)
     m_value = n_value - base
     return QuantifierResult(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import mpmath as mp
@@ -68,7 +69,7 @@ def mpmath_squeezed_norm(nbar, r):
     output's axes, the radial integral split where mpmath.findroot puts the
     sign change; no closed form of the ray integral is used.
     """
-    with mp.workdps(10):
+    with mp.workdps(16):
         v = mp.mpf(2 * nbar + 1) / 4
         var_in = (v * mp.exp(-2 * r), v * mp.exp(2 * r))
         var_out = (var_in[0] + mp.mpf(1) / 2, var_in[1] + mp.mpf(1) / 2)
@@ -96,6 +97,31 @@ def mpmath_squeezed_norm(nbar, r):
         return float(4 * scale / mp.pi * mp.quad(ray, [0, mp.pi / 2]))
 
 
+@functools.lru_cache(maxsize=None)
+def imhof_squeezed_norm(nbar, r):
+    """N of the squeezed thermal state (nbar, r) under CG at (s, p) = (0, 1),
+    by Imhof's angular form in mpmath at 30 digits.
+
+    The input's variances v e^(-+2r), v = (2 nbar + 1)/4, and the output's
+    (+ 1/2 each) give the pencil eigenvalues lambda = 1 + 1/(2 v e^(-+2r)),
+    masses 1 and ell = ln(lambda_1 lambda_2)/2, so N = 2 (P_1 - P_2) with
+    P_i = (2/pi) int_0^(pi/2) (1 - e^(-ell/q_i)) dpsi, q_1 = 1 - 1/lambda
+    and q_2 = lambda - 1 per axis, the squeezed axis on cos^2.  The shares'
+    needle sits at pi/2; breakpoints at pi/2 - 10^-k split it off.
+    """
+    with mp.workdps(30):
+        v = (2 * mp.mpf(nbar) + 1) / 4
+        lam = [1 + 1 / (2 * v * mp.exp(-2 * mp.mpf(r))), 1 + 1 / (2 * v * mp.exp(2 * mp.mpf(r)))]
+        ell = mp.log(lam[0] * lam[1]) / 2
+        cuts = [0] + [mp.pi / 2 - mp.mpf(10) ** -k for k in range(1, 12)] + [mp.pi / 2]
+
+        def share(mu):
+            q = lambda psi: mu[0] * mp.cos(psi) ** 2 + mu[1] * mp.sin(psi) ** 2
+            return 2 / mp.pi * mp.quad(lambda psi: -mp.expm1(-ell / q(psi)), cuts)
+
+        return float(2 * (share([1 - 1 / x for x in lam]) - share([x - 1 for x in lam])))
+
+
 class TestNorm:
     def test_vacuum_value(self):
         res = measure_m(GaussianState(), CG, FunctionalSpec(), TOL)
@@ -119,6 +145,18 @@ class TestNorm:
     def test_squeezed_thermal_matches_mpmath(self, nbar, r):
         value, err = norm_value(make_squeezed_thermal(nbar, r), CG, FunctionalSpec(), TOL)
         assert abs(value - mpmath_squeezed_norm(nbar, r)) <= err
+
+    @pytest.mark.parametrize("nbar,r,want", [
+        (1.0, 5.0, 1.95531253895219), (1.0, 10.0, 1.99958808143489),
+        (1.0, 15.0, 1.99999664108826), (1.0, 20.0, 1.99999997402689),
+        (0.0, 20.0, 1.99999998480746)])
+    def test_strong_squeezing_matches_imhof_oracle(self, nbar, r, want):
+        # the shares' needle near the squeezed axis is 1e-8 wide at r = 20;
+        # a route that misses it returned N = 1.5000005 with err 7.3e-7 there
+        value, err = norm_value(make_squeezed_thermal(nbar, r), CG, FunctionalSpec(), TOL)
+        oracle = imhof_squeezed_norm(nbar, r)
+        assert oracle == pytest.approx(want, abs=1e-14)
+        assert abs(value - oracle) <= err
 
     def test_identity_channel_gives_zero(self):
         res = measure_m(make_thermal(0.7), IDENTITY, FunctionalSpec(), TOL)
@@ -194,9 +232,19 @@ class TestErrorContract:
         n_value, n_err = norm_value(state, CG, FunctionalSpec(), tol)
         base, base_err = baseline_with_error(CG, FunctionalSpec(), tol)
         assert (res.n_value, res.baseline) == (n_value, base)
-        assert res.err == n_err + base_err
+        assert res.err == n_err + base_err + 2.0 * getattr(state, "tail_mass_bound", 0.0)
         assert n_err <= tol
         assert base_err <= min(tol, 1e-7)
+
+    @pytest.mark.parametrize("nbar,cutoff", [(3.0, 40), (0.5, 10), (1.0, 20)])
+    def test_stored_tail_enters_the_err_of_m(self, nbar, cutoff):
+        # a thermal state stored to a small cutoff misses the full state's
+        # closed form by its tail (6.4e-8, 3.8e-7 and 1.2e-8 here), which M's
+        # err carries as twice the stored tail's mass
+        q = (2.0 * nbar + 1.0) / (2.0 * nbar + 3.0)
+        closed = 2.0 * (q ** (q / (1.0 - q)) - q ** (1.0 / (1.0 - q)))
+        res = measure_m(make_thermal_fock(nbar, cutoff), CG, FunctionalSpec(), TOL)
+        assert abs(res.n_value - closed) <= res.err
 
     def test_exhausted_retries_raise_with_estimate(self, monkeypatch):
         # an integral that never tightens: at p = 2 its root keeps err at
@@ -326,6 +374,7 @@ class TestMeasure:
         # a rotated covariance whose det is lost to rounding is rejected when
         # built; an accepted one agrees with the exactly diagonal state
         reference = measure_m(make_squeezed_thermal(1.0, float(r)), CG, FunctionalSpec(), TOL)
+        assert abs(reference.n_value - imhof_squeezed_norm(1.0, float(r))) <= reference.err
         for theta in (0.3, 0.7, math.pi / 4):
             try:
                 state = make_squeezed_thermal(1.0, float(r), theta)
