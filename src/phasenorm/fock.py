@@ -116,8 +116,8 @@ def _wigner_terms(weights, terms, radius):
     points = len(radius)
     u, pref = np.empty(len(terms) * points), np.empty(len(terms) * points)
     for i, (s, k) in enumerate(terms):
-        if s >= 1.0:
-            raise ValueError(f"ordering parameter must be < 1, got {s}")
+        if not -math.inf < s < 1.0:
+            raise ValueError(f"ordering parameter must be finite and < 1, got {s}")
         block = slice(i * points, (i + 1) * points)
         rho2 = (radius if k == 1.0 else radius / math.sqrt(k)) ** 2
         np.divide(-4.0 * rho2, (1.0 - s) ** 2, u[block])
@@ -161,8 +161,8 @@ def wigner_mass_outside(state, s, radius):
     where P_m = sum_{n>=m} p_n, divided by beta; the exact p = 1 route
     passes each of its terms such a weight column, all in one call.
     """
-    if s >= 1.0:
-        raise ValueError(f"ordering parameter must be < 1, got {s}")
+    if not -math.inf < s < 1.0:
+        raise ValueError(f"ordering parameter must be finite and < 1, got {s}")
     rho = np.asarray(radius, dtype=float)
     out = _masses_outside(state.weights, ((s, 1.0),), rho.reshape(-1))[0]
     return float(out[0]) if rho.ndim == 0 else out.reshape(rho.shape)
@@ -228,8 +228,8 @@ def sign_search(state, terms, lead):
     top, n = state.cutoff, lead
     decay, radii, reaches = [], [], []
     for s, k in terms:
-        if s >= 1.0:
-            raise ValueError(f"ordering parameter must be < 1, got {s}")
+        if not -math.inf < s < 1.0:
+            raise ValueError(f"ordering parameter must be finite and < 1, got {s}")
         root = math.sqrt(k)
         rho_t = math.sqrt((n + 0.75) * max(1.0 - s * s, 0.0))
         log_a, rate = math.log(2.0 / (1.0 - s)), 2.0 / (1.0 - s)
@@ -322,10 +322,9 @@ def radial_profile(state, s, channel=None, also=()):
     one tol per signal, the profile's own first, and returns one estimate
     per signal, all from one set of kernel passes: every evaluation of
     the signals and every mass pass takes all their terms in one call.
-    A term two signals share on the same weights is one row of the pass
-    (W^(0) of the norm at s = 0 is the witness); a signal whose terms an
-    earlier signal evaluates on at least its leading weights adopts that
-    signal's lead and rows.
+    A term two signals share is one row of the mass pass, and of the
+    search pass when their leading cutoffs agree (W^(0) of the norm at s
+    = 0 is the witness).
 
     ``l1`` is the exact p = 1 route.  For each signal f, the integral of
     |f| is sum_i |T(c_i) - T(c_{i+1})| over its sign cuts 0 = c_0 < c_i <
@@ -363,19 +362,14 @@ def radial_profile(state, s, channel=None, also=()):
 
     The bound is certified given a complete scan: two cuts within one
     scan step go unseen.  A signal's cuts, value and bound do not depend
-    on the other signals, except through the grid and an adopted lead.
+    on the other signals, except through the grid.
     """
     signals = [_signal_terms(s, channel)] + [_signal_terms(*signal) for signal in also]
     full = sign_search(state, signals[0], state.cutoff)
 
     def l1(tols):
         leads = [leading_cutoff(state, [o for o, _ in terms], LEADING_SHARE * tol)
-                 for terms, tol in zip(signals, tols)]
-        for i, terms in enumerate(signals):
-            # a signal whose terms an earlier one holds reads its rows if
-            # they take at least the signal's own leading weights
-            leads[i] = max([leads[i]] + [leads[j] for j in range(i)
-                                         if set(terms) <= set(signals[j])])
+                 for terms, tol in zip(signals, tols, strict=True)]
         searches = [full if (terms, lead) == (signals[0], state.cutoff)
                     else sign_search(state, terms, lead) for terms, lead in zip(signals, leads)]
         return _exact_l1(state, searches, tols)
@@ -488,8 +482,8 @@ def amplify_fock(state, gain):
 
     The margin is the smallest one certifying truncated mass <= 1e-10.
     """
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
+    if not 1.0 <= gain < math.inf:
+        raise ValueError(f"gain must be finite and >= 1, got {gain}")
     if gain == 1.0:
         return state
     base = math.ceil(gain * (state.cutoff + 1))

@@ -132,13 +132,15 @@ def apply_channel_gaussian(state, channel):
 def wigner_term(state, s):
     """The :class:`GaussianTerm` of W^(s): C = cov - s/4 I, amp = 1/(2 sqrt(det C)).
 
-    Raises if C is not positive definite (s too large for the state).
+    Raises if s is not finite or C is not positive definite (s too large
+    for the state).
     """
     (a, c), (_, b) = state.cov.tolist()
     a, b = a - s / 4.0, b - s / 4.0
     det = a * b - c * c
-    if det <= 0.0 or a <= 0.0:
-        raise ValueError(f"s = {s} too large: ordered covariance not positive definite")
+    if not (0.0 < a < math.inf and det > 0.0):
+        raise ValueError(f"s = {s} not finite or too large: "
+                         "ordered covariance not positive definite")
     return GaussianTerm(1.0 / (2.0 * math.sqrt(det)), state.mean, np.array([[a, c], [c, b]]))
 
 

@@ -42,10 +42,10 @@ LEG_NODES, LEG_WEIGHTS = np.polynomial.legendre.leggauss(16)
 ROOT_XTOL = 1e-12
 ROOT_MAX_STEPS = 200
 LADDER = 0.5 * ROOT_XTOL * 4.0 ** np.arange(20)  # rungs around the regula falsi point
-# a round's offsets with the k narrowest rungs; the infinite ones clip to the ends
+# a round's offsets with the k narrowest rungs; the infinite ones, and every
+# rung at least as wide as its bracket, clip to the bracket's ends
 LADDER_OFFSETS = [np.concatenate([[-np.inf], -LADDER[:k][::-1], [0.0], LADDER[:k], [np.inf]])
                   for k in range(len(LADDER) + 1)]
-LADDER_LIMITS = np.append(LADDER, np.inf)  # k rungs keep the offsets below LADDER_LIMITS[k]
 MIN_PANEL_WIDTH = 1e-13
 EPS = float(np.finfo(float).eps)
 SIGN_SCAN_FLOOR = 1e-13  # relative magnitude below which sign flips are noise
@@ -104,8 +104,8 @@ class RadialProfile:
     ``degree_hint`` bounds the number of sign changes (used to choose the
     root-scan sampling density).  ``l1``, when given, is its producer's
     exact route at p = 1 (see :func:`phasenorm.fock.radial_profile`): it
-    maps a tuple of tolerances, one per signal the profile carries, to a
-    tuple of unchecked :class:`IntegralEstimate` of their p = 1 integrals.
+    maps a tuple of tolerances, one per signal the profile carries (else
+    ValueError), to a tuple of unchecked :class:`IntegralEstimate`.
     The first signal is f; ``evaluator``, ``decay`` and ``degree_hint``
     describe it alone.
     """
@@ -261,14 +261,14 @@ def _ladder_brackets(f, a, b, fa, fb, owner, xn, yn, bound, sup):
 
     Each round evaluates, in one call of f, a point c of every open
     bracket and the rungs c -+ LADDER narrower than the widest open
-    bracket of its row, clipped to it: NumPy's per-call overhead dominates
-    the kernel, so these points cost about what c alone does.  The first
+    bracket, clipped to it: NumPy's per-call overhead dominates the
+    kernel, so these points cost about what c alone does.  The first
     round's c comes from the third node (xn, yn) (see
     :func:`_first_points`), later rounds' from regula falsi.
-    ``f`` returns one row per signal and bracket i reads row owner[i]
-    (``owner`` is nondecreasing); the rungs a row does not take are
-    infinite and clip to the ends, so every bracket takes the points it
-    takes in a call of its row alone.
+    ``f`` returns one row per signal and bracket i reads row owner[i].  A
+    rung at least as wide as its bracket clips to the bracket's ends, as
+    the infinite offsets do, so every bracket takes the points it takes
+    in a call of its row alone.
     The narrowest pair of neighbours whose values change sign becomes the
     bracket; c within 0.5 ROOT_XTOL of the root closes it.  A bracket
     closes at width ROOT_XTOL, at an exact zero or once its placement term
@@ -295,17 +295,10 @@ def _ladder_brackets(f, a, b, fa, fb, owner, xn, yn, bound, sup):
             c = hi - yhi * width / (yhi - ylo)
         else:
             c = _first_points(lo, hi, ylo, yhi, xn[open_, None], yn[open_, None])
-        row = owner[open_]
         offsets = LADDER_OFFSETS[np.searchsorted(LADDER, width.max())]
-        if row[0] != row[-1]:
-            # each row takes the rungs narrower than its own widest bracket
-            taken = np.zeros(row[-1] + 1, dtype=int)
-            np.maximum.at(taken, row, np.searchsorted(LADDER, width[:, 0]))
-            offsets = np.where(np.abs(offsets) < LADDER_LIMITS[taken[row]][:, None],
-                               offsets, np.copysign(np.inf, offsets))
         xs = np.minimum(np.maximum(c + offsets, lo), hi)
         rows = np.arange(len(open_))
-        ys = f(xs.ravel()).reshape(-1, *xs.shape)[row, rows]
+        ys = f(xs.ravel()).reshape(-1, *xs.shape)[owner[open_], rows]
         gap = np.where(ys[:, :-1] * ys[:, 1:] < 0.0, xs[:, 1:] - xs[:, :-1], np.inf)
         zero = ys == 0.0
         hit = zero.any(axis=1)
@@ -367,6 +360,17 @@ def _adaptive_panels(g, edges, budget, max_panels):
         push(mid, b, right, *values[2:])
         count += 1
     return total, err, count
+
+
+def _checked_input(p, tol, several):
+    """``tol``'s tolerances as a tuple; ValueError unless 1 <= p < inf, each is finite
+    and > 0, and ``tol`` is a tuple only where ``several`` are taken."""
+    tols = tol if isinstance(tol, tuple) else (tol,)
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"norm order must be finite and >= 1, got {p}")
+    if tols is tol and not several or not all(0.0 < t < math.inf for t in tols):
+        raise ValueError(f"tol must be finite and > 0 (a tuple needs the p = 1 hook), got {tol!r}")
+    return tols
 
 
 def _checked(est, tol):
@@ -435,14 +439,12 @@ def integrate_radial_abs_pow(profile, p, tol):
 
     The bound is at most ``tol`` or :class:`ToleranceNotReached` is raised
     with the best estimate attached.  At p = 1 ``tol`` may be a tuple, one
-    tolerance per signal of the hook: then the hook's tuple of estimates
-    is returned, each checked against its own tolerance in order.
+    tolerance per signal of the hook, and the estimates are returned each
+    checked against its own; a number is one tolerance, a mismatch ValueError.
     """
-    if p < 1.0:
-        raise ValueError(f"norm order must be >= 1, got {p}")
+    tols = _checked_input(p, tol, p == 1.0 and profile.l1 is not None)
     if p == 1.0 and profile.l1 is not None:
-        tols = tol if isinstance(tol, tuple) else (tol,)
-        ests = tuple(_checked(est, t) for est, t in zip(profile.l1(tols), tols))
+        ests = tuple(_checked(est, t) for est, t in zip(profile.l1(tols), tols, strict=True))
         return ests if isinstance(tol, tuple) else ests[0]
     est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
         locate_sign_changes(profile.evaluator, (0.0, radius), profile.degree_hint)))
@@ -615,8 +617,7 @@ def integrate_plane_abs_pow(profile, p, tol):
     :class:`ToleranceNotReached` is raised; a term that does not decay
     along some ray raises ValueError.
     """
-    if p < 1.0:
-        raise ValueError(f"norm order must be >= 1, got {p}")
+    _checked_input(p, tol, False)
     terms = profile.terms
     means = [t.mean.tolist() for t in terms]
     covs = [(a, c, b) for (a, c), (_, b) in (t.cov.tolist() for t in terms)]

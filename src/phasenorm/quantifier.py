@@ -209,12 +209,14 @@ def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
     route (see :func:`~phasenorm.fock.radial_profile`): the norm's
     difference W^(s) - W^(s')(./sqrt k)/k and the witness's W^(0), each
     at its own tolerance, share the scan, every ladder round and the mass
-    passes.  At s = 0 W^(0) is the first row of the norm's pass, elsewhere
-    a third row.  N and its err are bit for bit :func:`norm_value`'s, the
-    negativity agrees with :func:`wigner_negativity` alone to rounding
-    (its cuts come from the norm's scan grid), and a witness that misses
-    its tolerance raises :class:`~phasenorm.quadrature.ToleranceNotReached`
-    after the norm is checked.  Other inputs compute the two apart.  M's err
+    passes.  At s = 0 W^(0) is the norm's first term, one row of the mass
+    passes and, when the two leading cutoffs agree, of the search passes;
+    elsewhere it is a third row.  N and its err are bit for bit
+    :func:`norm_value`'s, the negativity agrees with
+    :func:`wigner_negativity` alone to rounding (its cuts come from the
+    norm's scan grid), and a witness that misses its tolerance raises
+    :class:`~phasenorm.quadrature.ToleranceNotReached` after the norm is
+    checked.  Other inputs compute the two apart.  M's err
     adds 2 ``tail_mass_bound`` of a Fock state, its stored tail's mass in it
     and its image: a bound on the tail's pull on N for s <= -1, else an estimate.
     """

@@ -8,7 +8,10 @@ keep the original, and that layer's counters would read zero without a
 word.
 """
 
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,3 +94,13 @@ def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
         assert np.ndim(u) == np.ndim(pref) == 1 and len(u) == len(pref)
     assert sum(len(args[2]) for args, _ in calls) == points
     assert sum(len(args[0]) * len(args[2]) for args, _ in calls) == term_points
+
+
+def test_perfbench_selftest_passes():
+    # the hooks above are stubs; the harness's self-test runs the tracer
+    # itself, which wraps locate_sign_changes' f as a one-argument function,
+    # unpacks wigner_series' arguments and reads KERNEL_BACKEND
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=Path(__file__).resolve().parents[1],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

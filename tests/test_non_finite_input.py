@@ -1,4 +1,6 @@
-"""Every constructor rejects NaN and infinities, wherever they sit."""
+"""Every constructor, and every public evaluator and integrator, rejects NaN
+and infinities, wherever they sit; the integrators also reject a tuple of
+tolerances that does not fit a p = 1 hook's signals."""
 
 import math
 
@@ -9,6 +11,10 @@ from hypothesis import strategies as st
 
 from phasenorm import (Amplifier, Attenuator, Displacement, FockDiagonalState,
                        FunctionalSpec, GaussianState, Rotation)
+from phasenorm.fock import (amplify_fock, number_state, radial_profile, sign_search,
+                            wigner_mass_outside, wigner_s_fock)
+from phasenorm.gaussian import wigner_s_gaussian, wigner_term
+from phasenorm.quadrature import PlanarProfile, integrate_plane_abs_pow, integrate_radial_abs_pow
 
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
 FINITE = st.floats(-10.0, 10.0)
@@ -43,3 +49,47 @@ BUILDS = {
 def test_non_finite_input_rejected(kind, bad, index, values):
     with pytest.raises(ValueError):
         BUILDS[kind](bad, index, values)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+RADIAL = radial_profile(number_state(1), 0.0)
+TWO_SIGNALS = radial_profile(number_state(1), 0.0, also=((0.0, None),))
+PLANAR = PlanarProfile((wigner_term(GaussianState(), 0.0),))
+
+# orderings, norm orders, tolerances and gains; a tolerance must also be > 0
+CALLS = {
+    "wigner_s_fock": (lambda bad: wigner_s_fock(number_state(1), bad, 0.5), NON_FINITE),
+    "wigner_mass_outside": (lambda bad: wigner_mass_outside(number_state(1), bad, 0.5),
+                            NON_FINITE),
+    "sign_search": (lambda bad: sign_search(number_state(1), ((bad, 1.0),), 1), NON_FINITE),
+    "radial_profile": (lambda bad: radial_profile(number_state(1), bad), NON_FINITE),
+    "wigner_s_gaussian": (lambda bad: wigner_s_gaussian(GaussianState(), bad, 0j), NON_FINITE),
+    "amplify_fock": (lambda bad: amplify_fock(number_state(1), bad), NON_FINITE),
+    "radial_p": (lambda bad: integrate_radial_abs_pow(RADIAL, bad, 1e-6), NON_FINITE),
+    "radial_tol": (lambda bad: integrate_radial_abs_pow(RADIAL, 1.0, bad), NON_FINITE + (-1.0,)),
+    "radial_tol_entry": (lambda bad: integrate_radial_abs_pow(TWO_SIGNALS, 1.0, (1e-6, bad)),
+                         NON_FINITE + (-1.0,)),
+    "plane_p": (lambda bad: integrate_plane_abs_pow(PLANAR, bad, 1e-6), NON_FINITE),
+    "plane_tol": (lambda bad: integrate_plane_abs_pow(PLANAR, 1.0, bad), NON_FINITE + (-1.0,)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, bad", [(name, bad) for name, (_, bads) in CALLS.items()
+                                       for bad in bads])
+def test_non_finite_argument_rejected(name, bad):
+    with pytest.raises(ValueError):
+        CALLS[name][0](bad)
+
+
+# a tuple tol holds one tolerance per signal of a p = 1 hook, and nothing else
+@pytest.mark.parametrize("call", [
+    lambda: integrate_radial_abs_pow(RADIAL, 2.0, (1e-6,)),
+    lambda: integrate_radial_abs_pow(TWO_SIGNALS, 1.0, 1e-6),
+    lambda: integrate_radial_abs_pow(TWO_SIGNALS, 1.0, (1e-6,)),
+    lambda: integrate_radial_abs_pow(TWO_SIGNALS, 1.0, (1e-6, 1e-6, 1e-6)),
+    lambda: integrate_plane_abs_pow(PLANAR, 1.0, (1e-6,)),
+], ids=["off_hook_route", "number_for_two", "one_for_two", "three_for_two", "plane"])
+def test_tuple_tol_must_match_the_hook(call):
+    with pytest.raises(ValueError):
+        call()

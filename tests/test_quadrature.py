@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import phasenorm.quadrature
@@ -369,21 +369,45 @@ def test_scan_stops_on_the_grid_of_its_bracket():
     assert np.allclose(roots, [math.pi / 6, math.pi / 2], atol=1e-12)
 
 
-def test_rows_find_the_cuts_they_find_alone():
-    # one scan and one ladder serve both rows; each keeps its own stop,
-    # floor and rungs, so its cuts are bit for bit those of a call of its
-    # own on the same grid, and a stop past the bracket continues the grid
-    rows = [lambda r: np.cos(3.0 * r), lambda r: np.sin(2.0 * r) - 0.3]
-    stops = [4.0, 7.5]
-    joint = locate_sign_changes(lambda r: np.array([g(r) for g in rows]), (0.0, 6.0),
-                                [6, 4], stop=stops)
-    for g, stop, got in zip(rows, stops, joint):
-        alone = locate_sign_changes(g, (0.0, 6.0), 6, stop=stop)
+SINE_ROW = st.tuples(st.floats(0.5, 8.0), st.floats(0.0, 2.0 * math.pi), st.floats(-0.9, 0.9))
+CLOSING = st.floats(-16.0, -3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(SINE_ROW, st.floats(1.0, 9.0), CLOSING), min_size=2, max_size=4))
+@example([((3.0, 0.5 * math.pi, 0.0), 4.0, -math.inf), ((2.0, 0.0, -0.3), 7.5, -math.inf)])
+def test_rows_find_the_cuts_they_find_alone(rows):
+    # rows sin(w r + phi) + c share one scan and one ladder; each keeps its
+    # own stop (inside the bracket or past it, where the grid continues),
+    # floor and closing bound, so one row's brackets stay wide while
+    # another's shrink and every row's cuts are still bit for bit those of
+    # a call of its own on the same grid.  One degree_hint for every call
+    # gives the same grid and the same root budget.  No cut is missed: the
+    # roots are at least 2 acos(0.9) / 8 apart, far wider than a scan step.
+    hint = 30
+    step = 6.0 / (32 * (hint + 1))
+    fs = [lambda r, w=w, phi=phi, c=c: np.sin(w * r + phi) + c for (w, phi, c), _, _ in rows]
+    stops = [stop for _, stop, _ in rows]
+    bounds = [bound for _, _, bound in rows]
+    joint = locate_sign_changes(lambda r: np.array([f(r) for f in fs]), (0.0, 6.0), hint,
+                                stop=stops, close=(bounds, 0.0))
+    assert len(joint) == len(rows)
+    for ((w, phi, c), stop, bound), f, got in zip(rows, fs, joint):
+        alone = locate_sign_changes(f, (0.0, 6.0), hint, stop=stop, close=(bound, 0.0))
         assert list(got) == list(alone)
         assert np.array_equal(got.widths, alone.widths)
         assert np.array_equal(got.heights, alone.heights)
-    assert len(joint[0]) == 4 and max(joint[1]) == pytest.approx(
-        (4.0 * math.pi + math.asin(0.3)) / 2.0, abs=1e-12)
+        # each cut lies within its bracket of a root w r + phi = asin(-c) or pi - asin(-c)
+        phase = np.asarray(got) * w + phi
+        miss = [np.abs((phase - t + math.pi) % (2.0 * math.pi) - math.pi) / w
+                for t in (math.asin(-c), math.pi - math.asin(-c))]
+        assert np.all(np.minimum(*miss) <= got.widths + 1e-12)
+        # a row is scanned up to its first node at or past its stop
+        end = phi + w * step * math.ceil(stop / step)
+        roots = sum(math.floor((end - t) / (2.0 * math.pi)) - math.floor((phi - t) / (2.0 * math.pi))
+                    for t in (math.asin(-c), math.pi - math.asin(-c)))
+        assert len(got) == roots
+        assert all(0.0 < r < stop + step for r in got)
 
 
 def test_first_point_from_three_nodes():
