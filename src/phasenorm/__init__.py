@@ -9,15 +9,11 @@ from .channels import (CG, IDENTITY, Amplifier, Attenuator, ChannelSpec,
 from .fock import (FockDiagonalState, UnsupportedInputError, amplify_fock,
                    apply_channel_fock, attenuate_fock, loss_kraus_decomposition,
                    make_mixture, make_thermal_fock, mean_photons, mix_states,
-                   number_state, radial_profile, wigner_s_fock)
-from .gaussian import (GaussianState, apply_channel_gaussian,
-                       is_quantum_gaussian, make_coherent,
+                   number_state, wigner_s_fock)
+from .gaussian import (GaussianState, apply_channel_gaussian, make_coherent,
                        make_squeezed_thermal, make_thermal,
                        min_quadrature_variance, wigner_s_gaussian)
-from .quadrature import (GaussianTerm, IntegralEstimate, PlanarProfile,
-                         RadialProfile, RootBudgetExceeded,
-                         ToleranceNotReached, integrate_plane_abs_pow,
-                         integrate_radial_abs_pow, locate_sign_changes)
+from .quadrature import IntegralEstimate, RootBudgetExceeded, ToleranceNotReached
 from .quantifier import (CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                          NOGO_INSTANCE, FunctionalSpec, QuantifierResult,
                          baseline_with_error, classify, convexity_gap,
@@ -32,13 +28,10 @@ __all__ = [
     "UnsupportedInputError", "amplify_fock", "apply_channel_fock",
     "attenuate_fock", "loss_kraus_decomposition", "make_mixture",
     "make_thermal_fock", "mean_photons", "mix_states", "number_state",
-    "radial_profile", "wigner_s_fock", "GaussianState",
-    "apply_channel_gaussian", "is_quantum_gaussian",
+    "wigner_s_fock", "GaussianState", "apply_channel_gaussian",
     "make_coherent", "make_squeezed_thermal", "make_thermal",
-    "min_quadrature_variance", "wigner_s_gaussian", "GaussianTerm",
-    "IntegralEstimate", "PlanarProfile", "RadialProfile",
-    "RootBudgetExceeded", "ToleranceNotReached", "integrate_plane_abs_pow",
-    "integrate_radial_abs_pow", "locate_sign_changes", "CERTIFIED_QUANTUM",
+    "min_quadrature_variance", "wigner_s_gaussian", "IntegralEstimate",
+    "RootBudgetExceeded", "ToleranceNotReached", "CERTIFIED_QUANTUM",
     "CLASSICAL_CONSISTENT", "NOGO_INSTANCE", "FunctionalSpec",
     "QuantifierResult", "baseline_with_error", "classify", "convexity_gap",
     "measure_m", "monotonicity_gap_strong", "monotonicity_gap_weak",

@@ -340,9 +340,11 @@ def radial_profile(state, s, channel=None, also=()):
       widens its scan to its envelope radius, where the smaller of the
       masses (if past the sign radius) and the envelope's bound is
       taken.  All signals share one scan, on the first signal's grid
-      (see :func:`~phasenorm.quadrature.locate_sign_changes`), each cut at
-      its own radius; a widened scan runs on the grid of the first
-      signal that widens.
+      over its envelope radius (see
+      :func:`~phasenorm.quadrature.locate_sign_changes`), each cut at its
+      own radius.  A signal whose radius lies past that bracket is left
+      to a later round, so no scan runs past its grid's end; a widened
+      scan runs on the grid of the first signal that widens.
     * ``abs_error_bound`` is twice the tail beyond the scan, plus the
       root placement, 4 b w (h + sup) per cut (b its radius, the right
       end of its final bracket, w that bracket's width, h the larger
@@ -401,6 +403,10 @@ def _exact_l1(state, searches, tols):
     found = [None] * len(searches)
     pending = list(range(len(searches)))
     while pending:
+        # a signal whose scan radius lies past the first one's envelope
+        # radius, the scan's bracket, is left to a later round
+        later = [i for i in pending if radii[i] > envelopes[pending[0]][0]]
+        pending = [i for i in pending if i not in later]
         group = [searches[i] for i in pending]
         # a bracket closes once its placement term is within one mass's rounding
         every = quadrature.locate_sign_changes(
@@ -432,7 +438,7 @@ def _exact_l1(state, searches, tols):
                         * max(1.0, float(np.max(np.abs(rows)))))
             found[i] = IntegralEstimate(
                 value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding, len(edge))
-        pending = widened
+        pending = widened + later
     return tuple(found)
 
 

@@ -164,8 +164,3 @@ def min_quadrature_variance(state):
     det / ((a + b)/2 + hypot((a - b)/2, c)), the minor eigenvalue of the covariance."""
     (a, c), (_, b) = state.cov.tolist()
     return (a * b - c * c) / (0.5 * (a + b) + math.hypot(0.5 * (a - b), c))
-
-
-def is_quantum_gaussian(state):
-    """Sub-vacuum quadrature variance witness (min eigenvalue < 1/4)."""
-    return min_quadrature_variance(state) < SUB_VACUUM

@@ -19,8 +19,8 @@ their sign changes by a scan and ladder refinement (a first point
 interpolated through three scan nodes, then regula falsi points, each
 flanked by geometric rungs, one call of f per round); a bracket closes at
 width 1e-12, or sooner once its placement term meets a closing bound the
-caller gives.  An f that returns one row per signal has the sign changes
-of every row found by one scan and one ladder.
+caller gives.  The scan takes an f of one row per signal and finds every
+row's sign changes by one scan and one ladder.
 Along a ray of a planar profile the log-magnitude of each Gaussian term
 is quadratic in the radius, so its sign change is found in closed form;
 for p = 1 with a shared center Imhof's angular form needs no ray at all.
@@ -151,20 +151,25 @@ class SignChanges(list):
 
 
 def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
-    """Find radii where f changes sign on ``bracket``, each to 1e-12 or to ``close``.
+    """Find where each row of f changes sign on ``bracket``, each cut to 1e-12 or to ``close``.
 
-    Sign changes are bracketed on a uniform grid of
-    min(max(513, 32 (degree_hint + 1) + 1), 40001) samples over
-    ``bracket``, cut after its first node at or beyond ``stop`` if given,
-    and refined by the ladder (all open brackets in one call of f per
-    round), whose first point takes a third scan node.  Nodes where f is
-    exactly zero are returned as cuts directly.
+    ``f`` returns one row per signal (shape (signals, points) for a 1-D
+    array of radii), and one :class:`SignChanges` is returned per row.
+    The rows share one scan, a uniform grid of min(max(513, 32 (degree_hint
+    + 1) + 1), 40001) samples over ``bracket`` for the first row's
+    degree_hint; each row is cut after its first node at or beyond its
+    ``stop`` if given (at the bracket's end for a stop past it), and every
+    round of the ladder refines the brackets of all rows in one call of f,
+    whose first point takes a third scan node.  ``degree_hint``, ``stop``
+    and the two parts of ``close`` may each hold one value per row.  A row
+    finds, bit for bit, the cuts it finds alone on the same grid.
+    Nodes where a row is exactly zero are returned as cuts directly.
     Sign flips whose flanking magnitudes are both below SIGN_SCAN_FLOOR
-    times the scan maximum are ignored: such crossings are floating-point
-    noise where f has decayed away, and missing a cut there perturbs no
-    integral of |f|^p (cuts only restore smoothness at genuine kinks).  Two
-    sign changes within one scan step are not seen.
-    Raises :class:`RootBudgetExceeded` above degree_hint + 16 changes.
+    times the row's scan maximum are ignored: such crossings are
+    floating-point noise where f has decayed away, and missing a cut there
+    perturbs no integral of |f|^p (cuts only restore smoothness at genuine
+    kinks).  Two sign changes within one scan step are not seen.
+    Raises :class:`RootBudgetExceeded` above degree_hint + 16 changes in a row.
 
     ``close``, if given, is a pair (bound, sup): a bracket [a, b] then
     also closes once its placement term 4 b (b - a) (max(|f(a)|, |f(b)|)
@@ -172,37 +177,16 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     within sup of f, that term bounds the change of the integrals of
     2r g over the intervals on either side of the root when the root
     moves within the bracket.  Without ``close`` every bracket is refined
-    to ROOT_XTOL.
-
-    Returns a :class:`SignChanges` list, whose final bracket widths and end
-    values bound the placement error of each root.
-
-    ``f`` may instead return one row per signal (shape (signals, points)
-    for a 1-D array of radii).  Then one :class:`SignChanges` is returned
-    per row, and ``degree_hint``, ``stop`` and the two parts of ``close``
-    may each hold one value per row.  The rows share one scan, on the grid
-    of the first row's degree_hint over ``bracket``, continued with the
-    same step past its end up to the largest stop; each row is cut at its
-    own stop and keeps its own floor, budget and closing bound, and every
-    round of the ladder refines the brackets of all rows in one call of f.
-    A row finds, bit for bit, the cuts it finds alone on the same grid.
+    to ROOT_XTOL.  The final bracket widths and end values of each
+    :class:`SignChanges` bound the placement error of its roots.
     """
     lo, hi = bracket
     hints = np.atleast_1d(degree_hint)
     count = min(max(513, 32 * (int(hints[0]) + 1) + 1), 40001)
     xs = np.linspace(lo, hi, count)
-    ends = count
-    if stop is not None:
-        stops = np.atleast_1d(np.asarray(stop, dtype=float))
-        step = (hi - lo) / (count - 1)
-        if stops.max() > hi and step > 0.0:
-            extra = math.ceil((float(stops.max()) - hi) / step)
-            xs = np.append(xs, hi + step * np.arange(1, extra + 1))
-        ends = np.searchsorted(xs, stops) + 1
-        xs = xs[:ends.max()]
-    ys = f(xs)
-    single = np.ndim(ys) == 1
-    rows = np.atleast_2d(ys)
+    ends = count if stop is None else np.minimum(np.searchsorted(xs, stop) + 1, count)
+    xs = xs[:np.max(ends)]
+    rows = f(xs)
     ends = np.full(len(rows), ends)
     # node j of row i is scanned while j < ends[i]; the rest reads as zero
     live = np.arange(len(xs)) < ends[:, None]
@@ -223,8 +207,7 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     near[idx == 0] = min(2, len(xs) - 1)
     bound, sup = (-np.inf, 0.0) if close is None else close
     roots, widths, heights = _ladder_brackets(
-        (lambda r: f(r)[None]) if single else f,
-        xs[idx], xs[idx + 1], rows[owner, idx], rows[owner, idx + 1], owner,
+        f, xs[idx], xs[idx + 1], rows[owner, idx], rows[owner, idx + 1], owner,
         xs[near], np.where(near < ends[owner], rows[owner, near], np.nan),
         np.full(len(rows), bound)[owner], np.full(len(rows), sup)[owner])
     found, start = [], 0
@@ -236,7 +219,7 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
         found.append(SignChanges(np.concatenate([roots[part], zeros]),
                                  np.concatenate([widths[part], none]),
                                  np.concatenate([heights[part], none])))
-    return found[0] if single else found
+    return found
 
 
 def _first_points(a, b, ya, yb, xn, yn):
@@ -447,7 +430,8 @@ def integrate_radial_abs_pow(profile, p, tol):
         ests = tuple(_checked(est, t) for est, t in zip(profile.l1(tols), tols, strict=True))
         return ests if isinstance(tol, tuple) else ests[0]
     est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
-        locate_sign_changes(profile.evaluator, (0.0, radius), profile.degree_hint)))
+        locate_sign_changes(lambda r: profile.evaluator(r)[None], (0.0, radius),
+                            profile.degree_hint)[0]))
     return _checked(est, tol)
 
 

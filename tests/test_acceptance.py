@@ -16,12 +16,12 @@ import pytest
 from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        FunctionalSpec, GaussianState, NOGO_INSTANCE,
                        apply_channel_fock, baseline_with_error,
-                       is_quantum_gaussian, make_squeezed_thermal,
-                       make_thermal, make_thermal_fock, norm_value,
-                       number_state, wigner_negativity, wigner_s_fock,
-                       wigner_s_gaussian)
+                       make_squeezed_thermal, make_thermal, make_thermal_fock,
+                       min_quadrature_variance, norm_value, number_state,
+                       wigner_negativity, wigner_s_fock, wigner_s_gaussian)
 import phasenorm.cli
 from phasenorm.cli import find_crossing, main, run_mixtures, run_sweep
+from phasenorm.gaussian import SUB_VACUUM
 from phasenorm.verify import run_suite
 
 BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0
@@ -70,8 +70,8 @@ def test_criterion_1_baseline_closed_form_vs_quadrature():
 def test_criterion_2_figure1_reproduction():
     start = time.perf_counter()
     onset = 0.5 * math.log(3.0)
-    onset_ok = (not is_quantum_gaussian(make_squeezed_thermal(1.0, onset - 1e-6))
-                and is_quantum_gaussian(make_squeezed_thermal(1.0, onset + 1e-6))
+    onset_ok = (not min_quadrature_variance(make_squeezed_thermal(1.0, onset - 1e-6)) < SUB_VACUUM
+                and min_quadrature_variance(make_squeezed_thermal(1.0, onset + 1e-6)) < SUB_VACUUM
                 and abs(onset - 0.5493) < 1e-4)
 
     r_star, m_lo, m_hi, _ = find_crossing(1.0, tol=1e-5)

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from phasenorm import (CG, IDENTITY, Amplifier, Attenuator, ChannelSpec, Displacement,
                        FunctionalSpec, GaussianState, Rotation, apply_channel_gaussian,
-                       is_quantum_gaussian, make_coherent,
-                       make_squeezed_thermal, make_thermal,
+                       make_coherent, make_squeezed_thermal, make_thermal,
                        min_quadrature_variance, norm_value, wigner_s_gaussian)
-from phasenorm.gaussian import PHYS_EPS, wigner_term
+from phasenorm.gaussian import PHYS_EPS, SUB_VACUUM, wigner_term
 from phasenorm.quadrature import EPS
 
 VAC = np.diag([0.25, 0.25])
@@ -178,17 +177,18 @@ class TestWigner:
 
 
 class TestVarianceWitness:
+    # the Gaussian witness: a minor quadrature variance below the vacuum's
     def test_vacuum_not_quantum(self):
-        assert not is_quantum_gaussian(GaussianState())
+        assert not min_quadrature_variance(GaussianState()) < SUB_VACUUM
 
     def test_above_onset_quantum(self):
-        assert is_quantum_gaussian(make_squeezed_thermal(1.0, 0.7))
+        assert min_quadrature_variance(make_squeezed_thermal(1.0, 0.7)) < SUB_VACUUM
 
     def test_below_onset_not_quantum(self):
-        assert not is_quantum_gaussian(make_squeezed_thermal(1.0, 0.5))
+        assert not min_quadrature_variance(make_squeezed_thermal(1.0, 0.5)) < SUB_VACUUM
 
     def test_thermal_not_quantum(self):
-        assert not is_quantum_gaussian(make_thermal(2.0))
+        assert not min_quadrature_variance(make_thermal(2.0)) < SUB_VACUUM
 
 
 def accepted(build):

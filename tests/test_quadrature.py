@@ -9,11 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import phasenorm.quadrature
-from phasenorm import (CG, FunctionalSpec, GaussianState, GaussianTerm,
-                       IntegralEstimate, PlanarProfile, RadialProfile, RootBudgetExceeded,
-                       ToleranceNotReached, integrate_plane_abs_pow, integrate_radial_abs_pow,
-                       locate_sign_changes, make_mixture, make_squeezed_thermal, measure_m,
-                       number_state, radial_profile)
+from phasenorm import (CG, FunctionalSpec, GaussianState, IntegralEstimate, RootBudgetExceeded,
+                       ToleranceNotReached, make_mixture, make_squeezed_thermal, measure_m,
+                       number_state)
+from phasenorm.fock import radial_profile
+from phasenorm.gaussian import wigner_term
+from phasenorm.quadrature import (GaussianTerm, PlanarProfile, RadialProfile,
+                                  integrate_plane_abs_pow, integrate_radial_abs_pow,
+                                  locate_sign_changes)
 
 # frozen closed-form oracles (piecewise integration via u = 2 rho^2)
 ABS_W1_INTEGRAL = 4.0 * math.exp(-0.5) - 1.0          # 1.4261226388505319
@@ -119,20 +122,21 @@ class TestRadial:
 class TestSignChanges:
     def test_fock1_root_at_half(self):
         f = lambda r: -2.0 * (1.0 - 4.0 * np.asarray(r) ** 2) * np.exp(-2.0 * np.asarray(r) ** 2)
-        roots = locate_sign_changes(f, (0.0, 3.0), 1)
+        roots, = locate_sign_changes(lambda r: f(r)[None], (0.0, 3.0), 1)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_vacuum_difference_root(self):
-        roots = locate_sign_changes(vacuum_diff_profile().evaluator, (0.0, 4.0), 2)
+        f = vacuum_diff_profile().evaluator
+        roots, = locate_sign_changes(lambda r: f(r)[None], (0.0, 4.0), 2)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(VACUUM_DIFF_ROOT, abs=1e-10)
 
     def test_strictly_positive_gives_empty(self):
-        assert locate_sign_changes(lambda r: np.exp(-np.asarray(r)), (0.0, 5.0), 0) == []
+        assert locate_sign_changes(lambda r: np.exp(-r)[None], (0.0, 5.0), 0) == [[]]
 
     def test_identically_zero_gives_empty(self):
-        assert locate_sign_changes(lambda r: np.zeros_like(np.asarray(r)), (0.0, 5.0), 0) == []
+        assert locate_sign_changes(lambda r: np.zeros((1, len(r))), (0.0, 5.0), 0) == [[]]
 
     def test_ladder_refines_in_few_calls(self):
         # the scan plus the ladder rounds, 4 calls of f; bisection took 34 calls
@@ -143,14 +147,14 @@ class TestSignChanges:
             r = np.asarray(r)
             return -2.0 * (1.0 - 4.0 * r**2) * np.exp(-2.0 * r**2)
 
-        roots = locate_sign_changes(f, (0.0, 3.0), 1)
+        roots, = locate_sign_changes(lambda r: f(r)[None], (0.0, 3.0), 1)
         assert roots == [pytest.approx(0.5, abs=1e-10)]
         assert len(calls) <= 8
         assert roots.widths[0] <= phasenorm.quadrature.ROOT_XTOL
 
     def test_brackets_close_on_every_root(self):
         # several roots refined together; each final bracket holds its root
-        roots = locate_sign_changes(lambda r: np.cos(3.0 * np.asarray(r)), (0.0, 6.0), 6)
+        roots, = locate_sign_changes(lambda r: np.cos(3.0 * r)[None], (0.0, 6.0), 6)
         want = (np.arange(6) + 0.5) * math.pi / 3.0
         assert np.max(np.abs(np.array(roots) - want)) <= 1e-12
         assert np.all(roots.widths <= phasenorm.quadrature.ROOT_XTOL)
@@ -159,7 +163,7 @@ class TestSignChanges:
     def test_root_budget(self):
         with pytest.raises(RootBudgetExceeded):
             # budget 2 + 16 = 18 against the 38 roots of cos 40r on [0, 3]
-            locate_sign_changes(lambda r: np.cos(40.0 * np.asarray(r)), (0.0, 3.0), 2)
+            locate_sign_changes(lambda r: np.cos(40.0 * r)[None], (0.0, 3.0), 2)
 
 
 def iso_term(amp, variance):
@@ -174,6 +178,13 @@ class TestPlanar:
             profile = PlanarProfile((GaussianTerm(amp, np.zeros(2), cov),))
             est = integrate_plane_abs_pow(profile, 1.0, 1e-8)
             assert est.value == pytest.approx(1.0, abs=1e-8)
+        # at p != 1 one term takes the rays, uncut: it integrates to
+        # (2 sqrt(det C))^(1 - p) / p
+        term = wigner_term(make_squeezed_thermal(1.0, 0.6, 0.4), 0.0)
+        for p in (1.5, 3.0):
+            est = integrate_plane_abs_pow(PlanarProfile((term,)), p, 1e-10)
+            want = (2.0 * math.sqrt(np.linalg.det(term.cov))) ** (1.0 - p) / p
+            assert abs(est.value - want) <= est.abs_error_bound
 
     def test_matches_radial_on_isotropic_difference(self):
         # same integrand as the vacuum/C_g difference
@@ -201,6 +212,14 @@ class TestPlanar:
         ))
         est = integrate_plane_abs_pow(profile, 1.0, 1e-7)
         assert est.value == pytest.approx(2.0, abs=1e-6)
+        # a pair that is positive everywhere: no ray's quadratic has a root,
+        # and the value is m_1 - m_2 with the masses m_i = 2 |A_i| sqrt(det C_i)
+        profile = PlanarProfile((
+            GaussianTerm(2.0, np.zeros(2), np.diag([0.5, 0.5])),
+            GaussianTerm(-0.3, np.array([0.05, -0.02]), np.diag([0.2, 0.3])),
+        ))
+        est = integrate_plane_abs_pow(profile, 1.0, 1e-9)
+        assert abs(est.value - (2.0 - 0.6 * math.sqrt(0.06))) <= est.abs_error_bound
 
     def test_l2_power(self):
         # int (W_a - W_b)^2 = 1/(4a) - 1/(a+b) + 1/(4b) for isotropic terms
@@ -363,7 +382,7 @@ def test_scan_stops_on_the_grid_of_its_bracket():
         seen.append(np.array(r))
         return np.cos(3.0 * np.asarray(r))
 
-    roots = locate_sign_changes(f, (0.0, 6.0), 6, stop=2.0)
+    roots, = locate_sign_changes(lambda r: f(r)[None], (0.0, 6.0), 6, stop=2.0)
     full = np.linspace(0.0, 6.0, 513)  # max(513, 32 (6 + 1) + 1) nodes
     assert np.array_equal(seen[0], full[full < 2.0 + full[1]])
     assert np.allclose(roots, [math.pi / 6, math.pi / 2], atol=1e-12)
@@ -378,12 +397,13 @@ CLOSING = st.floats(-16.0, -3.0).map(lambda e: 10.0 ** e)
 @example([((3.0, 0.5 * math.pi, 0.0), 4.0, -math.inf), ((2.0, 0.0, -0.3), 7.5, -math.inf)])
 def test_rows_find_the_cuts_they_find_alone(rows):
     # rows sin(w r + phi) + c share one scan and one ladder; each keeps its
-    # own stop (inside the bracket or past it, where the grid continues),
-    # floor and closing bound, so one row's brackets stay wide while
-    # another's shrink and every row's cuts are still bit for bit those of
-    # a call of its own on the same grid.  One degree_hint for every call
-    # gives the same grid and the same root budget.  No cut is missed: the
-    # roots are at least 2 acos(0.9) / 8 apart, far wider than a scan step.
+    # own stop (inside the bracket, or past it, where it is cut at the
+    # bracket's end), floor and closing bound, so one row's brackets stay
+    # wide while another's shrink and every row's cuts are still bit for
+    # bit those of a call of its own on the same grid.  One degree_hint for
+    # every call gives the same grid and the same root budget.  No cut is
+    # missed: the roots are at least 2 acos(0.9) / 8 apart, far wider than
+    # a scan step.
     hint = 30
     step = 6.0 / (32 * (hint + 1))
     fs = [lambda r, w=w, phi=phi, c=c: np.sin(w * r + phi) + c for (w, phi, c), _, _ in rows]
@@ -393,7 +413,8 @@ def test_rows_find_the_cuts_they_find_alone(rows):
                                 stop=stops, close=(bounds, 0.0))
     assert len(joint) == len(rows)
     for ((w, phi, c), stop, bound), f, got in zip(rows, fs, joint):
-        alone = locate_sign_changes(f, (0.0, 6.0), hint, stop=stop, close=(bound, 0.0))
+        alone, = locate_sign_changes(lambda r, f=f: f(r)[None], (0.0, 6.0), hint, stop=stop,
+                                     close=(bound, 0.0))
         assert list(got) == list(alone)
         assert np.array_equal(got.widths, alone.widths)
         assert np.array_equal(got.heights, alone.heights)
@@ -402,12 +423,13 @@ def test_rows_find_the_cuts_they_find_alone(rows):
         miss = [np.abs((phase - t + math.pi) % (2.0 * math.pi) - math.pi) / w
                 for t in (math.asin(-c), math.pi - math.asin(-c))]
         assert np.all(np.minimum(*miss) <= got.widths + 1e-12)
-        # a row is scanned up to its first node at or past its stop
-        end = phi + w * step * math.ceil(stop / step)
+        # a row is scanned up to its first node at or past its stop, at
+        # most up to the bracket's end
+        end = phi + w * step * min(math.ceil(stop / step), 32 * (hint + 1))
         roots = sum(math.floor((end - t) / (2.0 * math.pi)) - math.floor((phi - t) / (2.0 * math.pi))
                     for t in (math.asin(-c), math.pi - math.asin(-c)))
         assert len(got) == roots
-        assert all(0.0 < r < stop + step for r in got)
+        assert all(0.0 < r < stop + step and r <= 6.0 for r in got)
 
 
 def test_first_point_from_three_nodes():
@@ -437,7 +459,7 @@ def test_kinked_neighbour_still_finds_the_root():
     xs = np.linspace(0.0, 3.0, 513)
     step = xs[1]
     kink, depth = xs[200] - 0.5 * step, 0.8 * step
-    roots = locate_sign_changes(lambda r: np.abs(np.asarray(r) - kink) - depth, (0.0, 3.0), 1)
+    roots, = locate_sign_changes(lambda r: np.abs(r - kink)[None] - depth, (0.0, 3.0), 1)
     assert np.allclose(roots, [kink - depth, kink + depth], rtol=0.0, atol=1e-12)
     assert np.all(roots.widths <= phasenorm.quadrature.ROOT_XTOL)
 
@@ -458,7 +480,7 @@ def test_closing_bound_stops_each_row_at_its_placement_term():
         lefts = np.array(got) - widths
         assert np.all(g(lefts) * g(np.array(got)) <= 0.0)
         closed_early += int(np.sum(widths > phasenorm.quadrature.ROOT_XTOL))
-        alone = locate_sign_changes(g, (0.0, 6.0), 6, close=(bound, sup))
+        alone, = locate_sign_changes(lambda r, g=g: g(r)[None], (0.0, 6.0), 6, close=(bound, sup))
         assert list(got) == list(alone)
     assert closed_early
 

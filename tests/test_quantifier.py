@@ -14,14 +14,17 @@ import phasenorm.quantifier
 from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        Amplifier, Attenuator, ChannelSpec, Displacement,
                        FunctionalSpec, GaussianState, IDENTITY, IntegralEstimate,
-                       NOGO_INSTANCE, RadialProfile, Rotation,
+                       NOGO_INSTANCE, Rotation,
                        ToleranceNotReached, UnsupportedInputError,
-                       apply_channel_fock, baseline_with_error, classify,
-                       convexity_gap, integrate_radial_abs_pow, make_coherent,
+                       apply_channel_fock, apply_channel_gaussian,
+                       baseline_with_error, classify, convexity_gap, make_coherent,
                        make_mixture, make_squeezed_thermal, make_thermal,
                        make_thermal_fock, measure_m, monotonicity_gap_strong,
                        monotonicity_gap_weak, norm_value, number_state,
-                       radial_profile, wigner_negativity, wigner_s_fock)
+                       wigner_negativity, wigner_s_fock)
+from phasenorm.fock import radial_profile
+from phasenorm.gaussian import wigner_term
+from phasenorm.quadrature import RadialProfile, integrate_radial_abs_pow
 
 TOL = 1e-6
 
@@ -92,9 +95,35 @@ def mpmath_squeezed_norm(nbar, r):
                     - mp.quad(lambda rho: rho * diff(rho), [cut, mp.inf],
                               method="gauss-legendre"))
 
-        # W is even in both axes: four quarter turns
+        # W is even in both axes: four quarter turns; the ray integral is smooth in phi
         scale = mp.sqrt(var_out[0] * var_out[1])
-        return float(4 * scale / mp.pi * mp.quad(ray, [0, mp.pi / 2]))
+        return float(4 * scale / mp.pi * mp.quad(ray, [0, mp.pi / 2], method="gauss-legendre"))
+
+
+def mpmath_rotated_norm(nbar, r, angle):
+    """N of the squeezed thermal state (nbar, r) under a rotation by ``angle``
+    at (s, p) = (0, 1), by mpmath at 30 digits.
+
+    A rotation keeps det, so both terms have the amplitude A = 1/(2 v), v =
+    (2 nbar + 1)/4, and a ray of rates k_1, k_2 integrates in closed form to
+    A |1/k_1 - 1/k_2| / 2.  The angle integral is split where k_1 = k_2:
+    k_2 - k_1 = (p cos 2 phi + q sin 2 phi) / 2, as C_2^-1 - C_1^-1 = [[p, q],
+    [q, -p]] is traceless.
+    """
+    with mp.workdps(30):
+        v = (2 * mp.mpf(nbar) + 1) / 4
+        a, b = v * mp.exp(-2 * mp.mpf(r)), v * mp.exp(2 * mp.mpf(r))
+        c, s = mp.cos(angle), mp.sin(angle)
+        p, q = s * s * (1 / b - 1 / a), c * s * (1 / a - 1 / b)
+
+        def ray(phi):
+            k1 = (mp.cos(phi) ** 2 / a + mp.sin(phi) ** 2 / b) / 2
+            k2 = k1 + (p * mp.cos(2 * phi) + q * mp.sin(2 * phi)) / 2
+            return abs(1 / k1 - 1 / k2) / 2
+
+        zero = mp.atan2(q, p) / 2 + mp.pi / 4
+        cuts = sorted((zero + k * mp.pi / 2) % mp.pi for k in range(2))
+        return float(2 / (2 * v) / mp.pi * mp.quad(ray, [0] + cuts + [mp.pi]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,10 +170,22 @@ class TestNorm:
         assert res1.n_value == pytest.approx(N_FOCK1, abs=1e-6)
         assert res2.n_value == pytest.approx(N_FOCK2, abs=1e-6)
 
-    @pytest.mark.parametrize("nbar,r", [(0.5, 0.3), (1.0, 1.0), (0.0, 1.5)])
-    def test_squeezed_thermal_matches_mpmath(self, nbar, r):
-        value, err = norm_value(make_squeezed_thermal(nbar, r), CG, FunctionalSpec(), TOL)
-        assert abs(value - mpmath_squeezed_norm(nbar, r)) <= err
+    @pytest.mark.parametrize("nbar,r,angle", [
+        (0.5, 0.3, None), (1.0, 1.0, None), (0.0, 1.5, None),
+        (1.0, 0.3, 1.2), (0.0, 1.0, math.pi / 2)],
+        ids=["0.5-0.3", "1.0-1.0", "0.0-1.5", "rotation-1.0-0.3", "rotation-0.0-1.0"])
+    def test_squeezed_thermal_matches_mpmath(self, nbar, r, angle):
+        # under CG, or under a rotation by angle: that keeps det, so the two
+        # amplitudes are equal and Imhof's form takes its ell = 0 closed form
+        state = make_squeezed_thermal(nbar, r)
+        if angle is None:
+            channel, oracle = CG, mpmath_squeezed_norm(nbar, r)
+        else:
+            channel, oracle = ChannelSpec((Rotation(angle),)), mpmath_rotated_norm(nbar, r, angle)
+            out = apply_channel_gaussian(state, channel)
+            assert wigner_term(out, 0.0).amp == wigner_term(state, 0.0).amp
+        value, err = norm_value(state, channel, FunctionalSpec(), TOL)
+        assert abs(value - oracle) <= err
 
     @pytest.mark.parametrize("nbar,r,want", [
         (1.0, 5.0, 1.95531253895219), (1.0, 10.0, 1.99958808143489),
@@ -653,3 +694,12 @@ def test_shared_route_matches_each_signal_alone(state, channel, s, tol):
     res = measure_m(state, channel, fn, tol)
     assert res.n_value == norm_value(state, channel, fn, tol)[0]
     assert abs(res.witness_value - wigner_negativity(state, min(tol, 1e-6))) <= 1e-12
+
+
+def test_witness_past_the_norms_bracket_scans_alone():
+    # at tol 1e-5 the witness's scan radius (its tol is 1e-6) lies past the
+    # norm's envelope radius, the shared scan's bracket, so it scans in a
+    # round of its own and reads bit for bit as it does alone
+    state = number_state(3)
+    res = measure_m(state, ChannelSpec((Attenuator(0.6),)), FunctionalSpec(), 1e-5)
+    assert res.witness_value == wigner_negativity(state, 1e-6)
