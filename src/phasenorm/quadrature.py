@@ -5,8 +5,8 @@ d^2alpha/pi measure.  Two integrators are provided:
 
 * :func:`integrate_radial_abs_pow` for rotation-symmetric profiles
   (photon-number-diagonal states), computing  int_0^inf 2 rho |f(rho)|^p drho;
-* :func:`integrate_plane_abs_pow` for one- or two-term signed-Gaussian
-  profiles, in polar coordinates.
+* :func:`integrate_plane_abs_pow` for one or two signed Gaussian terms,
+  in polar coordinates.
 
 Both share the same machinery: the improper integral is truncated at a
 radius where the profile's declared Gaussian decay certifies a tail bound
@@ -34,6 +34,7 @@ hook, the planar angle) the panel part of the error is an estimate.
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,7 +82,9 @@ class IntegralEstimate:
     panel and GL16 on its two halves, is an estimate and can undershoot
     the true error of a feature narrower than the nodes see.  On the planar
     p = 1 route it is the only estimate, that of the angle integral of the
-    shares of mass; the rest is closed form with a rounding bound.
+    shares of mass; the rest is closed form with a rounding bound, and both
+    planar routes add the rounding each term carries from a covariance's
+    conversion to axes (see :class:`~phasenorm.gaussian.GaussianState`).
 
     On the exact radial route (p = 1, a profile with an ``l1`` hook) the
     bound is the one the profile's producer certifies, given a complete
@@ -116,24 +119,20 @@ class RadialProfile:
     l1: object = None
 
 
-@dataclass(frozen=True)
-class GaussianTerm:
-    """One signed Gaussian: amp * exp(-(z-mean)^T cov^{-1} (z-mean)/2)."""
+class GaussianTerm(NamedTuple):
+    """``weight`` times the unit-mass Gaussian of center ``mean`` = (x, y) and
+    ``variances`` along the axes at ``theta`` and theta + pi/2, with its
+    ``rounding`` (see :class:`~phasenorm.gaussian.GaussianState`)."""
 
-    amp: float
-    mean: np.ndarray
-    cov: np.ndarray
+    weight: float
+    mean: tuple
+    theta: float
+    variances: tuple
+    rounding: float = 0.0
 
-
-@dataclass(frozen=True)
-class PlanarProfile:
-    """Sum of one or two signed 2-D Gaussians; the terms double as the decay hint."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        if not 1 <= len(self.terms) <= 2:
-            raise ValueError(f"a planar profile has one or two terms, got {len(self.terms)}")
+    @property
+    def amp(self):  # the peak value
+        return self.weight / (2.0 * math.sqrt(self.variances[0] * self.variances[1]))
 
 
 class SignChanges(list):
@@ -307,11 +306,11 @@ def _adaptive_panels(g, edges, budget, max_panels):
     """
 
     def rules(spans):
-        # GL16 on each (a, b) of spans, summed rule by rule
+        # GL16 on each (a, b) of spans, a row each of one batch-invariant sum
         mid = np.array([0.5 * (a + b) for a, b in spans])
-        half = [0.5 * (b - a) for a, b in spans]
-        ys = g((mid[:, None] + np.array(half)[:, None] * LEG_NODES).ravel())
-        return [h * float(np.dot(LEG_WEIGHTS, ys[16 * i:16 * i + 16])) for i, h in enumerate(half)]
+        half = np.array([0.5 * (b - a) for a, b in spans])
+        ys = g((mid[:, None] + half[:, None] * LEG_NODES).ravel())
+        return (half * (ys.reshape(-1, 16) * LEG_WEIGHTS).sum(axis=1)).tolist()
 
     def halves(a, b):
         return [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
@@ -441,15 +440,11 @@ def symmetric_inverse(a, c, b):
     return b / det, -c / det, a / det
 
 
-def _principal_axes(a, c, b):
-    """Unit (minor, major) axes of [[a, c], [c, b]], ordered and signed as eigh's:
-    the major one at atan2(2c, a - b)/2, each with its larger component > 0."""
-    if c == 0.0:
-        return ((1.0, 0.0), (0.0, 1.0)) if a <= b else ((0.0, 1.0), (1.0, 0.0))
-    psi = 0.5 * math.atan2(2.0 * c, a - b)
-    cos, sin = math.cos(psi), math.sin(psi)
-    return tuple((x, y) if (x if abs(x) >= abs(y) else y) > 0.0 else (-x, -y)
-                 for x, y in ((-sin, cos), (cos, sin)))
+def covariance_entries(theta, v0, v1):
+    """(a, c, b) of R diag(v0, v1) R^T, R the rotation by theta, to the sign of a zero c."""
+    cos, sin = math.cos(theta), math.sin(theta)
+    cc, ss, cs = cos * cos, sin * sin, cos * sin
+    return cc * v0 + ss * v1, cs * (v0 - v1) + (cc - ss) * 0.0, ss * v0 + cc * v1
 
 
 def _form(a, c, b, u, v):
@@ -470,38 +465,37 @@ def _quadratic_roots(qa, qb, qc):
     return [q / qa, qc / q]
 
 
-def _pencil(cov1, cov2):
-    """(nu, lambda, slack), lambda = 1 + nu the roots of det(C_2 - lambda C_1) for
-    C = (a, c, b): nu from C_2 - C_1 (a weak channel keeps its digits) but
-    lambda < 1/2 from C_2, each from its quadratic's sum and product (no
-    overflow).  slack = eps sum_k |d lambda_k| / lambda_k, the whitened
-    change of C_2 that their rounding makes."""
-    (a1, c1, b1), (a2, c2, b2) = cov1, cov2
-    da, dc, db, det1, det2 = a2 - a1, c2 - c1, b2 - b1, a1 * b1 - c1 * c1, a2 * b2 - c2 * c2
-    common = 4.0 + 0.5 * (a1 * b1 + c1 * c1 + det1) / det1  # det1's rounding over eps
-
-    def roots(x, y, x_sum, y_err):  # of t^2 - (x t - y) / det1, with their errors over eps
-        total, product = x / det1, y / det1
-        product_err = abs(product) * common + y_err / det1
-        ratio = 4.0 * (product / total) / total if total else -math.inf
-        disc = 1.0 - ratio if 1.0 - ratio > 8.0 * EPS * (1.0 + abs(ratio)) else 0.0
-        big = 0.5 * total * (1.0 + math.sqrt(disc)) if total else math.sqrt(max(-product, 0.0))
-        if not big:
-            return [(0.0, 0.0)] * 2
-        big_err = abs(total) * common + 1.5 * x_sum / det1 + product_err / abs(big)
-        small = product / big
-        return sorted([(big, big_err), (small, (product_err + abs(small) * big_err) / abs(big))])
-
-    pairs = [(nu, 1.0 + nu, err) for nu, err in roots(
-        a1 * db + da * b1 - 2.0 * c1 * dc, da * db - dc * dc,
-        abs(a1 * db) + abs(da * b1) + 2.0 * abs(c1 * dc), 2.0 * (abs(da * db) + dc * dc))]
-    if pairs[0][0] < -0.5:  # 1 + nu cancels: lambda from C_2 itself
-        direct = roots(a1 * b2 + a2 * b1 - 2.0 * c1 * c2, det2, abs(a1 * b2) + abs(a2 * b1)
-                       + 2.0 * abs(c1 * c2), 0.5 * (a2 * b2 + c2 * c2 + det2))
-        pairs = [(lam - 1.0, lam, err) if lam < 0.5 else pair
-                 for pair, (lam, err) in zip(pairs, direct)]
-    nus, lams, errs = zip(*pairs)
-    return nus, lams, EPS * sum(err / lam for err, lam in zip(errs, lams))
+def _pencil(first, second):
+    """(nu, lambda, ln(lambda_0 lambda_1)/2, slack), lambda = 1 + nu the
+    eigenvalues of C_1^{-1/2} C_2 C_1^{-1/2}, slack = sum_k |d lambda_k| /
+    lambda_k.  On shared axes (a fold without rotation) or with an isotropic
+    term, lambda_i = w_i/u_i and nu_i = (w_i - u_i)/u_i, exact.  Else C_2 is
+    turned by phi = theta_2 - theta_1 into the first's axes and whitened:
+    lambda from it (the smaller as det / the larger), nu for lambda >= 1/2
+    from it minus I built on w_j - u_i (a weak channel keeps its digits),
+    slack from Weyl's bound on entries within eps (9 + |phi|) (the
+    variances' sum) each and 5 eps of the solve."""
+    (u0, u1), (w0, w1) = first.variances, second.variances
+    if second.theta == first.theta or u0 == u1 or w0 == w1:
+        nus, lams = ((w0 - u0) / u0, (w1 - u1) / u1), (w0 / u0, w1 / u1)
+        return nus, lams, 0.5 * sum(math.log(lam) if lam < 0.5 else math.log1p(nu)
+                                    for nu, lam in zip(nus, lams)), 0.0
+    phi = second.theta - first.theta
+    cos, sin = math.cos(phi), math.sin(phi)
+    cc, ss, root = cos * cos, sin * sin, math.sqrt(u0 * u1)
+    off = cos * sin * (w0 - w1) / root
+    grown = ((cc * (w0 - u0) + ss * (w1 - u0)) / u0, (ss * (w0 - u1) + cc * (w1 - u1)) / u1)
+    half, rad = 0.5 * (grown[0] + grown[1]), math.hypot(0.5 * (grown[0] - grown[1]), off)
+    far = half + math.copysign(rad, half)  # the nu of larger size
+    nus = sorted([far, (grown[0] * grown[1] - off * off) / far if far else 0.0])
+    det = w0 / u0 * (w1 / u1)
+    big = 0.5 * ((cc * w0 + ss * w1) / u0 + (ss * w0 + cc * w1) / u1) + rad
+    lams = (det / big, big)
+    weyl = EPS * (9.0 + abs(phi)) * (u0 + u1 + w0 + w1) * (1.0 / u0 + 1.0 / u1 + 1.0 / root)
+    solve = 5.0 * EPS * (abs(grown[0]) + abs(grown[1]) + 2.0 * abs(off))
+    slack = sum(6.0 * EPS + weyl / big if lam < 0.5 else (weyl + solve) / lam for lam in lams)
+    nus = tuple(lam - 1.0 if lam < 0.5 else nu for nu, lam in zip(nus, lams))
+    return nus, lams, 0.5 * math.log(det), slack
 
 
 def _seeds(mu, ell):
@@ -532,35 +526,31 @@ def _seeds(mu, ell):
     return seeds
 
 
-def _co_centred_l1(amps, covs, tol):
-    """int d^2z/pi |sum_i A_i exp(-z^T C_i^{-1} z/2)| of co-centred terms in
-    Imhof's angular form, unchecked.  With masses m_i = 2 |A_i| sqrt(det C_i)
-    it is sum m_i for one term or two of one sign, and for A_1 > 0 > A_2
-    2 (m_1 P_1 - m_2 P_2) - (m_1 - m_2): f > 0 where z^T (C_1^{-1} -
-    C_2^{-1}) z < 2 ell, ell = ln(A_1/|A_2|), and P_i = (2/pi) int_0^{pi/2}
+def _co_centred_l1(terms, weights, tol):
+    """int d^2z/pi |sum_i w_i G_i| of co-centred unit-mass Gaussians G_i in
+    Imhof's angular form, unchecked.  With masses m_i = |w_i| it is sum m_i
+    for one term or two of one sign, and for w_1 > 0 > w_2 2 (m_1 P_1 - m_2
+    P_2) - (m_1 - m_2): f > 0 where z^T (C_1^{-1} - C_2^{-1}) z < 2 ell, ell
+    = ln(m_1/m_2) + ln(lambda_0 lambda_1)/2, and P_i = (2/pi) int_0^{pi/2}
     frac(mu_0 cos^2 + mu_1 sin^2) dpsi is term i's share there (frac below),
-    mu = nu / lambda for term 1 and nu for term 2 (:func:`_pencil`).  Constant
+    mu = nu / lambda for term 1 and nu for term 2 (:func:`_pencil`); constant
     shares are closed form, the others share the panels of :func:`_seeds`.
-    The bound adds to the panel estimate m_2 slack / 2 and eps (a b + c^2 +
-    det) / (2 det) of each mass (the pencil's and each det's rounding as
-    total variations of the Gaussians) and a few eps of the masses.
-    """
-    terms = [(amp, cov, cov[0] * cov[2] - cov[1] * cov[1]) for amp, cov in zip(amps, covs) if amp]
-    terms.sort(key=lambda term: term[0] < 0.0)  # the positive term first
-    if not all(cov[0] > 0.0 and det > 0.0 for _, cov, det in terms):
-        raise ValueError("a profile term does not decay along every ray")
-    masses = [2.0 * abs(amp) * math.sqrt(det) for amp, _, det in terms]
-    slacks = EPS * sum(m * (a * b + c * c + det) / (2.0 * det)
-                       for m, (_, (a, c, b), det) in zip(masses, terms))
-    if len(terms) < 2 or terms[0][0] * terms[1][0] > 0.0:
-        return IntegralEstimate(sum(masses), 4.0 * EPS * sum(masses) + slacks, 0)
-    (pos, cov1, _), (neg, cov2, _) = terms
-    (m1, m2), (nus, lams, slack) = masses, _pencil(cov1, cov2)
-    ell = math.log1p((pos + neg) / -neg) if 0.5 <= pos / -neg <= 2.0 else math.log(pos / -neg)
+    The bound adds m_2 slack / 2, each rounding times its mass and a few eps."""
+    pos = [(w, t) for w, t in zip(weights, terms) if w > 0.0]
+    neg = [(-w, t) for w, t in zip(weights, terms) if w < 0.0]
+    carried = sum(m * t.rounding for m, t in pos + neg)
+    if not (pos and neg):
+        total = sum(m for m, _ in pos + neg)
+        return IntegralEstimate(total, 4.0 * EPS * total + carried, 0)
+    (m1, first), (m2, second) = pos[0], neg[0]
+    nus, lams, half_log_det, slack = _pencil(first, second)
+    ell = (math.log1p((m1 - m2) / m2) if 0.5 <= m1 / m2 <= 2.0 else math.log(m1 / m2))
+    ell += half_log_det
     # varying shares: q / ell = base + slope sin^2 psi, weight -+ 4 m / pi for -expm1 or exp
-    value, rows, edges = m2 - m1, [], set()
+    value, rows, edges = m2 - m1, [], []
     for mu, weight in (((nus[0] / lams[0], nus[1] / lams[1]), m1), (nus, -m2)):
-        mu = sorted(mu, key=abs)
+        if abs(mu[1]) < abs(mu[0]):
+            mu = mu[::-1]
         # frac at both ends: the share of a whitened ray's mass with rho^2 q < 2 ell
         share, end = ((-math.expm1(-ell / q) if ell > 0.0 else math.exp(-ell / q))
                       if q * ell > 0.0 else float(q < 0.0 or ell > 0.0) for q in mu)
@@ -571,7 +561,8 @@ def _co_centred_l1(amps, covs, tol):
         else:
             rows.append((mu[0] / ell, (mu[1] - mu[0]) / ell,
                          math.copysign(4.0 / math.pi, -ell) * weight))
-            edges.update([0.0, 0.5 * math.pi] + _seeds(mu, ell))
+            edges += _seeds(mu, ell)
+    edges = sorted(set(edges + [0.0, 0.5 * math.pi])) if rows else []
     rows = np.array(rows).reshape(-1, 3).T
     base, slope, exp = rows[0, :, None], rows[1, :, None], np.expm1 if ell > 0.0 else np.exp
 
@@ -579,42 +570,45 @@ def _co_centred_l1(amps, covs, tol):
         # q / ell clipped below: q beyond ell's sign reads as frac's limit there
         return rows[2] @ exp(-1.0 / np.maximum(base + slope * np.sin(psi) ** 2, EPS))
 
-    panels, panel_err, count = _adaptive_panels(h, sorted(edges), 0.5 * tol, MAX_OUTER)
-    rounding = EPS * (m1 + m2) * (16.0 + 2.0 * count) + slacks + 0.5 * m2 * slack
+    panels, panel_err, count = _adaptive_panels(h, edges, 0.5 * tol, MAX_OUTER)
+    rounding = EPS * (m1 + m2) * (16.0 + 2.0 * count) + carried + 0.5 * m2 * slack
     return IntegralEstimate(value + panels, panel_err + rounding, count)
 
 
-def integrate_plane_abs_pow(profile, p, tol):
-    """int d^2z/pi |f(z)|^p for a one- or two-term signed-Gaussian profile.
+def integrate_plane_abs_pow(terms, p, tol):
+    """int d^2z/pi |f(z)|^p for f the sum of one or two :class:`GaussianTerm`.
 
-    Every 2x2 quantity is closed form.  At p = 1 with a shared center the
-    integral takes Imhof's angular form (Biometrika 48, 419, 1961,
-    :func:`_co_centred_l1`).  Else adaptive panels integrate the angle about
-    the center in the scaled principal axes of the summed covariances ([0,
-    pi] when shared); along a ray a term is amp_i exp(g_i + b_i r - a_i
+    At p = 1 with a shared center the integral takes Imhof's angular form
+    (Biometrika 48, 419, 1961, :func:`_co_centred_l1`) in the terms' axes.
+    Else adaptive panels integrate the angle about the center in the scaled
+    principal axes of the summed covariances (each (a, c, b) from its axes;
+    [0, pi] when shared); along a ray a term is amp_i exp(g_i + b_i r - a_i
     r^2), a_i = P_i cos^2 + Q_i sin^2 + 2 R_i cos sin (which keeps squeezed
     terms' digits), so a sign change solves a quadratic and edges the radial
-    core.  The bound is then prefactor * (outer_err + phi_range *
-    inner_tol), inner_tol a ray's share; a ray that misses it stops the
-    plane with (nan, inf, panels so far) attached.  ``subdivisions`` counts
-    angular and radial panels.  The bound is at most ``tol`` or
-    :class:`ToleranceNotReached` is raised; a term that does not decay
-    along some ray raises ValueError.
-    """
+    core.  The bound is then prefactor * (outer_err + phi_range * inner_tol),
+    inner_tol a ray's share, plus each term's ``rounding`` times |weight| and
+    p (sum |amp_i|)^(p - 1) (|f|^p's change for f's); a ray that misses its
+    share stops the plane with (nan, inf, panels so far) attached.
+    ``subdivisions`` counts angular and radial panels.  The bound is at most
+    ``tol`` or :class:`ToleranceNotReached` is raised; other than one or two
+    terms, or a variance not finite and > 0 (no decay), raises ValueError."""
     _checked_input(p, tol, False)
-    terms = profile.terms
-    means = [t.mean.tolist() for t in terms]
-    covs = [(a, c, b) for (a, c), (_, b) in (t.cov.tolist() for t in terms)]
-    center = [sum(m[j] for m in means) / len(terms) for j in range(2)]
-    offsets = [(center[0] - m[0], center[1] - m[1]) for m in means]
+    if not (1 <= len(terms) <= 2 and all(0.0 < v < math.inf for t in terms for v in t.variances)):
+        raise ValueError("a planar profile is one or two terms decaying along every ray")
+    (x0, y0), (x1, y1) = terms[0].mean, terms[-1].mean
+    center = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    offsets = [(center[0] - x, center[1] - y) for x, y in (t.mean for t in terms)]
     symmetric = all(math.hypot(*o) < 1e-13 for o in offsets)
     if p == 1.0 and symmetric:
         # an offset below 1e-13 enters as the term's value at the center
-        amps = [t.amp * math.exp(-0.5 * _form(*symmetric_inverse(*cov), o, o)) if any(o) else t.amp
-                for t, cov, o in zip(terms, covs, offsets)]
-        return _checked(_co_centred_l1(amps, covs, tol), tol)
-    u, v = _principal_axes(*(sum(col) for col in zip(*covs)))
-    aligned = [(_form(*cov, u, u), _form(*cov, u, v), _form(*cov, v, v)) for cov in covs]
+        weights = [t.weight * math.exp(-0.5 * _form(*symmetric_inverse(
+            *covariance_entries(t.theta, *t.variances)), o, o)) if any(o) else t.weight
+            for t, o in zip(terms, offsets)]
+        return _checked(_co_centred_l1(terms, weights, tol), tol)
+    a, c, b = map(sum, zip(*(covariance_entries(t.theta, *t.variances) for t in terms)))
+    psi = 0.5 * math.atan2(-2.0 * c, b - a)
+    u, v = (math.cos(psi), math.sin(psi)), (-math.sin(psi), math.cos(psi))
+    aligned = [covariance_entries(t.theta - psi, *t.variances) for t in terms]
     s1 = math.sqrt(max(al[0] for al in aligned))
     s2 = math.sqrt(max(al[2] for al in aligned))
     phi_range = math.pi if symmetric else 2.0 * math.pi
@@ -687,5 +681,7 @@ def integrate_plane_abs_pow(profile, p, tol):
     outer_val, outer_err, outer_count = _adaptive_panels(
         outer, [0.0, phi_range], outer_budget, MAX_OUTER)
     bound = outer_err + phi_range * inner_tol + EPS * outer_count * abs(outer_val)
-    return _checked(IntegralEstimate(prefactor * outer_val, prefactor * bound,
+    carried = p * sum(map(abs, amps)) ** (p - 1.0) * sum(
+        abs(t.weight) * t.rounding for t in terms)
+    return _checked(IntegralEstimate(prefactor * outer_val, prefactor * bound + carried,
                                      outer_count + panels), tol)

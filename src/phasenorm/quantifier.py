@@ -22,8 +22,8 @@ from .fock import (FockDiagonalState, UnsupportedInputError, apply_channel_fock,
                    loss_kraus_decomposition, mix_states, radial_profile)
 from .gaussian import (SUB_VACUUM, GaussianState, apply_channel_gaussian,
                        min_quadrature_variance, wigner_term)
-from .quadrature import (GaussianTerm, IntegralEstimate, PlanarProfile, ToleranceNotReached,
-                         integrate_plane_abs_pow, integrate_radial_abs_pow)
+from .quadrature import (IntegralEstimate, ToleranceNotReached, integrate_plane_abs_pow,
+                         integrate_radial_abs_pow)
 
 DEFAULT_TOL = 1e-6
 NEGATIVITY_WITNESS_MIN = 1e-3  # the Fig. 2 witness threshold, far above quadrature noise
@@ -76,7 +76,7 @@ class QuantifierResult:
     negativity; at p = 1 it shares the norm's kernel passes (see
     :func:`measure_m`), and ``n_value`` is then still, bit for bit,
     :func:`norm_value`'s.  For a Gaussian state it is the smallest
-    quadrature variance, in closed form.
+    quadrature variance, the smaller stored axis plus the noise.
     """
 
     n_value: float
@@ -122,9 +122,9 @@ def _pow_and_error(integral, p):
 
 def _integral_once(state, channel, fn, quad_tol):
     if isinstance(state, GaussianState):
-        out = wigner_term(apply_channel_gaussian(state, channel), fn.s)
-        terms = (wigner_term(state, fn.s), GaussianTerm(-out.amp, out.mean, out.cov))
-        return integrate_plane_abs_pow(PlanarProfile(terms), fn.p, quad_tol)
+        out = apply_channel_gaussian(state, channel)
+        terms = (wigner_term(state, fn.s), wigner_term(out, fn.s, -1.0))
+        return integrate_plane_abs_pow(terms, fn.p, quad_tol)
     if isinstance(state, FockDiagonalState):
         return integrate_radial_abs_pow(radial_profile(state, fn.s, channel), fn.p, quad_tol)
     raise TypeError(f"unsupported state type {type(state).__name__}")

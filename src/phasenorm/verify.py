@@ -19,8 +19,7 @@ from .fock import (amplify_fock, apply_channel_fock, attenuate_fock,
 from .gaussian import (GaussianState, apply_channel_gaussian, make_coherent,
                        make_squeezed_thermal, make_thermal, wigner_s_gaussian,
                        wigner_term)
-from .quadrature import (PlanarProfile, RadialProfile, integrate_plane_abs_pow,
-                         integrate_radial_abs_pow)
+from .quadrature import RadialProfile, integrate_plane_abs_pow, integrate_radial_abs_pow
 from .quantifier import (NOGO_INSTANCE, FunctionalSpec, baseline_with_error,
                          convexity_gap, measure_m, monotonicity_gap_strong,
                          monotonicity_gap_weak, norm_value)
@@ -292,8 +291,7 @@ def check_normalization(tol):
                                       float(rng.uniform(0, 1.5)),
                                       float(rng.uniform(0, math.pi)))
         for s in (0.0, -1.0):
-            est = integrate_plane_abs_pow(PlanarProfile((wigner_term(state, s),)),
-                                          1.0, 1e-8)
+            est = integrate_plane_abs_pow((wigner_term(state, s),), 1.0, 1e-8)
             worst = max(worst, abs(est.value - 1.0))
     return CheckResult("oracles", "wigner_normalization", worst <= 1e-8 + 1e-9, worst,
                        "max |int W^(s) - 1| over nonnegative-W states, both engines")

@@ -28,7 +28,7 @@ BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0
 # sha256 of `mixtures --count 100 --seed 42 --include-corners` and of the
 # stdout of `verify --suite all`, both at their default tol 1e-6
 MIXTURES_SHA256 = "81d1b1fcc36fb6ec52337bba0ad81addc0ed8166081244a6dd83e7f4976e15d5"
-VERIFY_SHA256 = "1f8d6ba7a0918f6ddd8d2b6d8830d6702b3fc4da65cc2425fd6d110821033ab1"
+VERIFY_SHA256 = "549aa095ec8f2e73a7b99b1bae18099311c5cc99c3099f7283e410c8566c93cf"
 
 
 def timed(fn, *args, **kwargs):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,13 @@ class TestConstructors:
         with pytest.raises(ValueError):
             GaussianState(np.zeros(2), np.diag([-0.5, -0.5]))
 
+    def test_diagonal_covariance_round_trips(self):
+        # c = 0 converts exactly to axes at theta 0, with no rounding carried
+        for cov in (np.diag([0.5, 0.3]), np.diag([0.3, 0.5]), VAC):
+            state = GaussianState(np.zeros(2), cov)
+            assert (state.theta, state.rounding) == (0.0, 0.0)
+            assert np.array_equal(state.cov, cov)
+
 
 class TestChannels:
     def test_attenuator_fixes_vacuum(self):
@@ -110,6 +118,8 @@ class TestChannels:
                                           rng.uniform(0, math.pi))
             out = apply_channel_gaussian(state, CG)
             assert np.max(np.abs(out.cov - state.cov - np.diag([0.5, 0.5]))) <= 1e-15
+            # the shift is the noise C_g adds, on the same axes
+            assert (out.theta, out.axes, out.noise) == (state.theta, state.axes, 0.5)
             assert np.array_equal(out.mean, state.mean)
 
     def test_displacement_and_rotation(self):
@@ -242,3 +252,35 @@ def test_closed_forms_match_linalg(nbar, r, theta, scale, mean, elements, s):
     assert np.max(np.abs(out.mean - want_mean)) <= 1e-14 * max(1.0, np.max(np.abs(want_mean)))
 
     assert norm_value(state, IDENTITY, FunctionalSpec(), 1e-6)[0] == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.0, math.pi, exclude_max=True))
+def test_covariance_and_axes_build_the_same_state(nbar, r, theta):
+    # make_squeezed_thermal builds from its axes; its .cov keeps the bits of
+    # the rotation of diag(minor, major) by theta as a 2x2 (a, c, b) with
+    # c = 0, so states built from that covariance see the same input
+    axes = make_squeezed_thermal(nbar, r, theta)
+    v = (2.0 * nbar + 1.0) / 4.0
+    minor, major, c = v * math.exp(-2.0 * r), v * math.exp(2.0 * r), 0.0
+    cos, sin = math.cos(theta), math.sin(theta)
+    cc, ss, cs = cos * cos, sin * sin, cos * sin
+    rotated = (cc * minor - 2.0 * cs * c + ss * major, cs * (minor - major) + (cc - ss) * c,
+               ss * minor + 2.0 * cs * c + cc * major)
+    a, c, b = (x.hex() for x in rotated)
+    assert [x.hex() for x in axes.cov.ravel().tolist()] == [a, c, c, b]
+    # the conversion back to axes is within the rounding it carries: twice
+    # that total variation bounds the relative change of the minor variance,
+    # against that eigenvalue of the covariance as given, at 30 digits; a
+    # diagonal covariance converts exactly and gives itself back
+    converted = GaussianState(axes.mean, axes.cov)
+    assert axes.rounding == 0.0 and (converted.rounding > 0.0) == (axes.cov[0, 1] != 0.0)
+    with mp.workdps(30):
+        a, c, b = (mp.mpf(x) for x in (axes.cov[0, 0], axes.cov[0, 1], axes.cov[1, 1]))
+        exact = float(min(mp.eig(mp.matrix([[a, c], [c, b]]))[0], key=mp.re).real)
+    assert abs(min_quadrature_variance(converted) - exact) <= 2.0 * converted.rounding * exact
+    if converted.rounding == 0.0:
+        assert np.array_equal(converted.cov, axes.cov)
+    n_axes, err_axes = norm_value(axes, CG, FunctionalSpec(), 1e-6)
+    n_cov, err_cov = norm_value(converted, CG, FunctionalSpec(), 1e-6)
+    assert abs(n_axes - n_cov) <= err_axes + err_cov

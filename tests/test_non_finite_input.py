@@ -14,7 +14,7 @@ from phasenorm import (Amplifier, Attenuator, Displacement, FockDiagonalState,
 from phasenorm.fock import (amplify_fock, number_state, radial_profile, sign_search,
                             wigner_mass_outside, wigner_s_fock)
 from phasenorm.gaussian import wigner_s_gaussian, wigner_term
-from phasenorm.quadrature import PlanarProfile, integrate_plane_abs_pow, integrate_radial_abs_pow
+from phasenorm.quadrature import integrate_plane_abs_pow, integrate_radial_abs_pow
 
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
 FINITE = st.floats(-10.0, 10.0)
@@ -54,7 +54,7 @@ def test_non_finite_input_rejected(kind, bad, index, values):
 NON_FINITE = (math.nan, math.inf, -math.inf)
 RADIAL = radial_profile(number_state(1), 0.0)
 TWO_SIGNALS = radial_profile(number_state(1), 0.0, also=((0.0, None),))
-PLANAR = PlanarProfile((wigner_term(GaussianState(), 0.0),))
+PLANAR = (wigner_term(GaussianState(), 0.0),)
 
 # orderings, norm orders, tolerances and gains; a tolerance must also be > 0
 CALLS = {

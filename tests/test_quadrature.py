@@ -9,12 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import phasenorm.quadrature
-from phasenorm import (CG, FunctionalSpec, GaussianState, IntegralEstimate, RootBudgetExceeded,
-                       ToleranceNotReached, make_mixture, make_squeezed_thermal, measure_m,
-                       number_state)
+from phasenorm import (CG, Amplifier, Attenuator, ChannelSpec, IntegralEstimate,
+                       RootBudgetExceeded, Rotation, ToleranceNotReached, apply_channel_gaussian,
+                       make_mixture, make_squeezed_thermal, measure_m, number_state)
 from phasenorm.fock import radial_profile
 from phasenorm.gaussian import wigner_term
-from phasenorm.quadrature import (GaussianTerm, PlanarProfile, RadialProfile,
+from phasenorm.quadrature import (EPS, GaussianTerm, RadialProfile,
                                   integrate_plane_abs_pow, integrate_radial_abs_pow,
                                   locate_sign_changes)
 
@@ -166,29 +166,53 @@ class TestSignChanges:
             locate_sign_changes(lambda r: np.cos(40.0 * r)[None], (0.0, 3.0), 2)
 
 
+def term(amp, var1, var2=None, angle=0.0, mean=(0.0, 0.0)):
+    """amp exp(-(z-mean)^T C^{-1} (z-mean)/2), C with the variances var1 and var2
+    (var1 if None) along the axes at angle and angle + pi/2."""
+    var2 = var1 if var2 is None else var2
+    return GaussianTerm(2.0 * amp * math.sqrt(var1 * var2), mean, angle, (var1, var2))
+
+
 def iso_term(amp, variance):
-    return GaussianTerm(amp, np.zeros(2), np.diag([variance, variance]))
+    return term(amp, variance)
+
+
+def cov_of(t):
+    """The covariance of a term, by matrix algebra (oracle)."""
+    c, s = math.cos(t.theta), math.sin(t.theta)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag(t.variances) @ rot.T
 
 
 class TestPlanar:
     def test_squeezed_normalization(self):
         for r in (0.0, 0.6, 1.4):
-            cov = np.diag([0.75 * math.exp(-2 * r), 0.75 * math.exp(2 * r)])
-            amp = 1.0 / (2.0 * math.sqrt(np.linalg.det(cov)))
-            profile = PlanarProfile((GaussianTerm(amp, np.zeros(2), cov),))
+            variances = (0.75 * math.exp(-2 * r), 0.75 * math.exp(2 * r))
+            profile = (GaussianTerm(1.0, (0.0, 0.0), 0.0, variances),)
             est = integrate_plane_abs_pow(profile, 1.0, 1e-8)
             assert est.value == pytest.approx(1.0, abs=1e-8)
         # at p != 1 one term takes the rays, uncut: it integrates to
         # (2 sqrt(det C))^(1 - p) / p
         term = wigner_term(make_squeezed_thermal(1.0, 0.6, 0.4), 0.0)
         for p in (1.5, 3.0):
-            est = integrate_plane_abs_pow(PlanarProfile((term,)), p, 1e-10)
-            want = (2.0 * math.sqrt(np.linalg.det(term.cov))) ** (1.0 - p) / p
+            est = integrate_plane_abs_pow((term,), p, 1e-10)
+            want = (2.0 * math.sqrt(np.linalg.det(cov_of(term)))) ** (1.0 - p) / p
             assert abs(est.value - want) <= est.abs_error_bound
+
+    def test_per_ray_route_scales_the_carried_rounding(self):
+        # a term's rounding is a total variation of f; at p != 1 it moves
+        # int |f|^p by up to p max|f|^(p - 1) times that
+        vacuum = iso_term(2.0, 0.25)
+        for p in (1.5, 2.0, 3.0):
+            plain = integrate_plane_abs_pow((vacuum,), p, 1e-6)
+            carried = integrate_plane_abs_pow((vacuum._replace(rounding=1e-9),), p, 1e-6)
+            assert carried.value == plain.value
+            extra = carried.abs_error_bound - plain.abs_error_bound
+            assert extra == pytest.approx(p * 2.0 ** (p - 1.0) * 1e-9, rel=1e-6)
 
     def test_matches_radial_on_isotropic_difference(self):
         # same integrand as the vacuum/C_g difference
-        profile = PlanarProfile((iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75)))
+        profile = (iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75))
         plane = integrate_plane_abs_pow(profile, 1.0, 1e-8)
         radial = integrate_radial_abs_pow(vacuum_diff_profile(), 1.0, 1e-8)
         assert plane.value == pytest.approx(radial.value, abs=1e-8)
@@ -197,67 +221,50 @@ class TestPlanar:
     def test_shifted_centers(self):
         # displaced copy of the isotropic difference: value must not change
         mean = np.array([1.5, -0.5])
-        profile = PlanarProfile((
-            GaussianTerm(2.0, mean, np.diag([0.25, 0.25])),
-            GaussianTerm(-2.0 / 3.0, mean, np.diag([0.75, 0.75])),
-        ))
+        profile = (term(2.0, 0.25, mean=mean), term(-2.0 / 3.0, 0.75, mean=mean))
         est = integrate_plane_abs_pow(profile, 1.0, 1e-8)
         assert est.value == pytest.approx(VACUUM_CG_L1, abs=1e-7)
 
     def test_unequal_centers(self):
         # two unit-mass Gaussians far apart: |difference| integrates to ~2
-        profile = PlanarProfile((
-            GaussianTerm(2.0, np.array([-4.0, 0.0]), np.diag([0.25, 0.25])),
-            GaussianTerm(-2.0, np.array([4.0, 0.0]), np.diag([0.25, 0.25])),
-        ))
+        profile = (term(2.0, 0.25, mean=(-4.0, 0.0)), term(-2.0, 0.25, mean=(4.0, 0.0)))
         est = integrate_plane_abs_pow(profile, 1.0, 1e-7)
         assert est.value == pytest.approx(2.0, abs=1e-6)
         # a pair that is positive everywhere: no ray's quadratic has a root,
         # and the value is m_1 - m_2 with the masses m_i = 2 |A_i| sqrt(det C_i)
-        profile = PlanarProfile((
-            GaussianTerm(2.0, np.zeros(2), np.diag([0.5, 0.5])),
-            GaussianTerm(-0.3, np.array([0.05, -0.02]), np.diag([0.2, 0.3])),
-        ))
+        profile = (term(2.0, 0.5), term(-0.3, 0.2, 0.3, mean=(0.05, -0.02)))
         est = integrate_plane_abs_pow(profile, 1.0, 1e-9)
         assert abs(est.value - (2.0 - 0.6 * math.sqrt(0.06))) <= est.abs_error_bound
 
     def test_l2_power(self):
         # int (W_a - W_b)^2 = 1/(4a) - 1/(a+b) + 1/(4b) for isotropic terms
-        profile = PlanarProfile((iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75)))
+        profile = (iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75))
         est = integrate_plane_abs_pow(profile, 2.0, 1e-8)
         assert est.value == pytest.approx(1.0 / 3.0, abs=1e-7)
 
     def test_zero_profile(self):
-        profile = PlanarProfile((iso_term(2.0, 0.25), iso_term(-2.0, 0.25)))
+        profile = (iso_term(2.0, 0.25), iso_term(-2.0, 0.25))
         est = integrate_plane_abs_pow(profile, 1.0, 1e-9)
         assert est.value == 0.0
         assert est.abs_error_bound <= 1e-9
 
     def test_term_without_decay_rejected(self):
-        # an indefinite covariance would give negative closed-form rays
-        profile = PlanarProfile((iso_term(1.0, 1.0),
-                                 GaussianTerm(-0.5, np.zeros(2), np.array([[1.0, 2.0],
-                                                                           [2.0, 1.0]]))))
+        # [[1, 2], [2, 1]]: a negative variance would give negative closed-form rays
+        profile = (iso_term(1.0, 1.0), GaussianTerm(-0.5, (0.0, 0.0), math.pi / 4.0, (3.0, -1.0)))
         with pytest.raises(ValueError):
             integrate_plane_abs_pow(profile, 1.0, 1e-6)
 
     def test_one_or_two_terms(self):
         with pytest.raises(ValueError):
-            PlanarProfile(())
+            integrate_plane_abs_pow((), 1.0, 1e-6)
         with pytest.raises(ValueError):
-            PlanarProfile((iso_term(2.0, 0.25),) * 3)
+            integrate_plane_abs_pow((iso_term(2.0, 0.25),) * 3, 1.0, 1e-6)
 
 
 def squeezed_difference(center_out=(0.0, 0.0)):
     """A squeezed, rotated Gaussian minus its broadened copy."""
-    c, s = math.cos(0.4), math.sin(0.4)
-    rot = np.array([[c, -s], [s, c]])
-    cov = rot @ np.diag([0.1, 2.5]) @ rot.T
-    cov_out = cov + 0.5 * np.eye(2)
-    return PlanarProfile((
-        GaussianTerm(1.0 / (2.0 * math.sqrt(np.linalg.det(cov))), np.zeros(2), cov),
-        GaussianTerm(-1.0 / (2.0 * math.sqrt(np.linalg.det(cov_out))),
-                     np.array(center_out), cov_out)))
+    return (GaussianTerm(1.0, (0.0, 0.0), 0.4, (0.1, 2.5)),
+            GaussianTerm(-1.0, center_out, 0.4, (0.6, 3.0)))
 
 
 @pytest.mark.parametrize("profile,p", [
@@ -285,16 +292,14 @@ def test_off_center_cuts_keep_radial_panels_few():
 
 def overlap(t1, t2):
     """int d^2z/pi of the product of two Gaussian terms, in closed form."""
-    prec = np.linalg.inv(t1.cov) + np.linalg.inv(t2.cov)
-    delta = t1.mean - t2.mean
-    quad = delta @ np.linalg.solve(t1.cov + t2.cov, delta)
+    prec = np.linalg.inv(cov_of(t1)) + np.linalg.inv(cov_of(t2))
+    delta = np.subtract(t1.mean, t2.mean)
+    quad = delta @ np.linalg.solve(cov_of(t1) + cov_of(t2), delta)
     return 2.0 * t1.amp * t2.amp / math.sqrt(np.linalg.det(prec)) * math.exp(-0.5 * quad)
 
 
 def random_term(sign, amp, var1, var2, angle, x, y):
-    c, s = math.cos(angle), math.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    return GaussianTerm(sign * amp, np.array([x, y]), rot @ np.diag([var1, var2]) @ rot.T)
+    return term(sign * amp, var1, var2, angle, (x, y))
 
 
 TERMS = st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 2.0), st.floats(0.1, 2.0),
@@ -309,7 +314,7 @@ def test_l2_matches_pairwise_overlaps(first, second):
     t1, t2 = random_term(1.0, *first), random_term(-1.0, *second)
     want = overlap(t1, t1) + 2.0 * overlap(t1, t2) + overlap(t2, t2)
     tol = 1e-8
-    est = integrate_plane_abs_pow(PlanarProfile((t1, t2)), 2.0, tol)
+    est = integrate_plane_abs_pow((t1, t2), 2.0, tol)
     assert abs(est.value - want) <= 10 * tol
 
 
@@ -330,7 +335,7 @@ def test_even_p_radial_route_runs_no_sign_scan(monkeypatch):
     assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
-VACUUM_PAIR = PlanarProfile((iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75)))
+VACUUM_PAIR = (iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75))
 FOCK1 = radial_profile(number_state(1), 0.0)
 
 
@@ -503,7 +508,7 @@ def one_rule_per_call(g, edges, budget, max_panels):
     def gl16(a, b):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        return half * float(np.dot(quad.LEG_WEIGHTS, g(mid + half * quad.LEG_NODES)))
+        return half * float((g(mid + half * quad.LEG_NODES) * quad.LEG_WEIGHTS).sum())
 
     def make(a, b, coarse=None):
         whole = gl16(a, b) if coarse is None else coarse
@@ -611,7 +616,7 @@ def co_centred_l1_on_grid(terms, count=4096):
     it is within 2e-15 for the variances and amplitude ratios drawn below."""
     phi = np.arange(count) * (math.pi / count)
     u = np.array([np.cos(phi), np.sin(phi)])
-    rates = [0.5 * np.einsum("in,ij,jn->n", u, np.linalg.inv(t.cov), u) for t in terms]
+    rates = [0.5 * np.einsum("in,ij,jn->n", u, np.linalg.inv(cov_of(t)), u) for t in terms]
     return 2.0 * ray_l1([t.amp for t in terms], rates).mean()
 
 
@@ -620,32 +625,72 @@ COVS = st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.0, math.p
 SIGNED = st.tuples(st.floats(0.2, 5.0), st.sampled_from([-1.0, 1.0]))
 
 
-def rotated_cov(var1, var2, angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c * c * var1 + s * s * var2, c * s * (var1 - var2)],
-                     [c * s * (var1 - var2), s * s * var1 + c * c * var2]])
-
-
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(COVS, COVS, SIGNED, SIGNED,
        st.sampled_from(["pair", "one", "indefinite", "identity"]), st.sampled_from([1e-6, 1e-9]))
 def test_co_centred_route_matches_the_rays_on_a_fine_grid(cov1, cov2, amp1, amp2, kind, tol):
     # Imhof's angular form against the closed-form rays: rotated axes that
     # differ, amplitudes of either sign (same-sign pairs too), one term,
-    # indefinite pencils (lambda_1 < 1 < lambda_2) and the identity channel
-    mean = np.array([0.3, -0.8])
-    first = GaussianTerm(amp1[0] * amp1[1], mean, rotated_cov(*cov1))
+    # indefinite pencils (lambda_1 < 1 < lambda_2, on shared axes) and the
+    # identity channel
+    mean = (0.3, -0.8)
+    first = term(amp1[0] * amp1[1], *cov1, mean=mean)
     if kind == "identity":
         est = integrate_plane_abs_pow(
-            PlanarProfile((first, GaussianTerm(-first.amp, mean, first.cov))), 1.0, tol)
+            (first, first._replace(weight=-first.weight)), 1.0, tol)
         assert est.value == 0.0 and est.abs_error_bound <= tol
         return
     if kind == "indefinite":
         # the second covariance is wider along one axis of the first, narrower along the other
         var1, var2, angle = cov1
         cov2 = (var1 * (1.0 + cov2[0]), var2 / (1.0 + cov2[1]), angle)
-    second = GaussianTerm(amp2[0] * amp2[1], mean, rotated_cov(*cov2))
+    second = term(amp2[0] * amp2[1], *cov2, mean=mean)
     terms = (first,) if kind == "one" else (first, second)
     assume(kind == "one" or abs(math.log(abs(first.amp / second.amp))) > 0.1)
-    est = integrate_plane_abs_pow(PlanarProfile(terms), 1.0, tol)
+    est = integrate_plane_abs_pow(terms, 1.0, tol)
     assert abs(est.value - co_centred_l1_on_grid(terms)) <= est.abs_error_bound + GRID_ORACLE_ERR
+
+
+ORACLE_SLOP = 1e-28
+LOSS_AND_GAIN = st.lists(st.one_of(st.floats(0.05, 1.0).map(Attenuator),
+                                   st.floats(1.0, 3.0).map(Amplifier)), min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, math.pi), LOSS_AND_GAIN,
+       st.one_of(st.none(), st.floats(0.05, 3.0)), st.sampled_from([0.0, -1.0]))
+def test_pencil_matches_mpmath_roots(nbar, r, theta, chain, angle, s):
+    # the pencil of a state's W^(s) and its output's against the roots of
+    # det(C_2 - lambda C_1) at 60 digits (30 of them left at a double root),
+    # each C exactly R diag(v) R^T from the term's axes.  Co-axial terms (no
+    # rotation) take the quotients of their variances, to their last digits;
+    # turned ones are within the slack charged for them: each |d lambda_k| /
+    # lambda_k is at most its sum
+    state = make_squeezed_thermal(nbar, r, theta)
+    rotation = () if angle is None else (Rotation(angle),)
+    out = apply_channel_gaussian(state, ChannelSpec(tuple(chain) + rotation))
+    first, second = wigner_term(state, s), wigner_term(out, s, -1.0)
+    nus, lams, half_log_det, slack = phasenorm.quadrature._pencil(first, second)
+    with mp.workdps(60):
+        (a1, c1, b1), (a2, c2, b2) = (
+            (mp.cos(t.theta) ** 2 * t.variances[0] + mp.sin(t.theta) ** 2 * t.variances[1],
+             mp.cos(t.theta) * mp.sin(t.theta) * (mp.mpf(t.variances[0]) - t.variances[1]),
+             mp.sin(t.theta) ** 2 * t.variances[0] + mp.cos(t.theta) ** 2 * t.variances[1])
+            for t in (first, second))
+        half_sum, det1 = (a1 * b2 + a2 * b1 - 2 * c1 * c2) / 2, a1 * b1 - c1 * c1
+        spread = mp.sqrt(max(half_sum ** 2 - det1 * (a2 * b2 - c2 * c2), 0))
+        roots = [(half_sum - spread) / det1, (half_sum + spread) / det1]
+        exact = [(float(x - 1), float(x)) for x in roots]
+        exact_log = float(mp.log(roots[0] * roots[1]) / 2)
+    # a double root leaves the oracle 30 digits: ORACLE_SLOP lambda
+    pairs = zip(sorted(zip(nus, lams), key=lambda pair: pair[1]), exact)
+    if slack == 0.0:  # shared axes, or an isotropic term
+        for (nu, lam), (exact_nu, exact_lam) in pairs:
+            assert abs(lam - exact_lam) <= 4.0 * EPS * exact_lam
+            assert abs(nu - exact_nu) <= 4.0 * EPS * abs(exact_nu) + ORACLE_SLOP * exact_lam
+    else:
+        assert angle is not None
+        for (nu, lam), (exact_nu, exact_lam) in pairs:
+            assert abs(lam - exact_lam) <= slack * exact_lam
+            assert abs(nu - exact_nu) <= slack * exact_lam
+    assert abs(half_log_det - exact_log) <= 4.0 * EPS + slack

@@ -412,20 +412,49 @@ class TestMeasure:
 
     @pytest.mark.parametrize("r", range(6, 21))
     def test_ill_conditioned_squeezing_is_never_misreported(self, r):
-        # a rotated covariance whose det is lost to rounding is rejected when
-        # built; an accepted one agrees with the exactly diagonal state
-        reference = measure_m(make_squeezed_thermal(1.0, float(r)), CG, FunctionalSpec(), TOL)
-        assert abs(reference.n_value - imhof_squeezed_norm(1.0, float(r))) <= reference.err
+        # a state built from its axes carries no covariance, so it builds at
+        # any angle and N lies within err of the Imhof oracle
+        oracle = imhof_squeezed_norm(1.0, float(r))
+        for theta in (0.0, 0.3, 0.7, math.pi / 4):
+            res = measure_m(make_squeezed_thermal(1.0, float(r), theta), CG, FunctionalSpec(), TOL)
+            assert abs(res.n_value - oracle) <= res.err, theta
+
+    @pytest.mark.parametrize("r", range(6, 21))
+    def test_ill_conditioned_covariance_is_never_misreported(self, r):
+        # the same states given as covariances: the conversion's rounding
+        # rides in err, so N lies within it of the oracle, or the norm raises
+        # with its estimate attached (r = 7 at 0.3), or a det lost to
+        # rounding breaks the uncertainty relation when built
+        oracle = imhof_squeezed_norm(1.0, float(r))
         for theta in (0.3, 0.7, math.pi / 4):
             try:
-                state = make_squeezed_thermal(1.0, float(r), theta)
+                state = GaussianState(np.zeros(2), make_squeezed_thermal(1.0, float(r), theta).cov)
             except ValueError:
                 continue
             try:
-                res = measure_m(state, CG, FunctionalSpec(), TOL)
-            except (ValueError, ToleranceNotReached):
-                continue
-            assert abs(res.n_value - reference.n_value) <= res.err + reference.err, theta
+                n_value, err = norm_value(state, CG, FunctionalSpec(), TOL)
+            except ToleranceNotReached as exc:
+                n_value, err = exc.estimate.value, exc.estimate.abs_error_bound
+            assert abs(n_value - oracle) <= err, theta
+
+    @pytest.mark.parametrize("r", [3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("theta", [0.3, 0.7])
+    def test_converted_covariance_at_p2_within_err(self, r, theta):
+        # the per-ray route carries the conversion's rounding through |f|^p:
+        # N at p = 2 lies within err of the L2 norm of the covariance as
+        # given, sum of the overlaps 1/(2 sqrt(det(C_i + C_j))), C_2 = C + I/2
+        cov = make_squeezed_thermal(1.0, r, theta).cov
+        state = GaussianState(np.zeros(2), cov)
+        assert state.rounding > 0.0
+        n_value, err = norm_value(state, CG, FunctionalSpec(p=2.0), TOL)
+        with mp.workdps(50):
+            a, c, b = (mp.mpf(x) for x in (cov[0, 0], cov[0, 1], cov[1, 1]))
+
+            def overlap(shift):
+                return 1 / (2 * mp.sqrt((2 * a + shift) * (2 * b + shift) - 4 * c * c))
+
+            oracle = float(mp.sqrt(overlap(0) - 2 * overlap(0.5) + overlap(1)))
+        assert abs(n_value - oracle) <= err
 
     def test_gaussian_route_calls_no_linalg(self, monkeypatch):
         # every 2x2 quantity of the route is closed form: the state checks,
@@ -440,6 +469,32 @@ class TestMeasure:
             # a tol no other test uses, so the baseline is computed here too
             res = measure_m(state, CG, FunctionalSpec(), 6.5e-7)
             assert res.err <= 2 * 6.5e-7
+
+    def test_gaussian_route_builds_no_covariance(self, monkeypatch):
+        # at p = 1 a co-centred state goes from its axes through the channel
+        # to the pencil in scalars: no covariance array and no (a, c, b) is
+        # derived, while both layer hooks a tracer wraps are still called
+        rotated = GaussianState(np.array([0.4, -0.3]), make_squeezed_thermal(0.8, 1.1, 0.6).cov)
+        states = (rotated, make_squeezed_thermal(0.8, 1.1, 0.6), make_coherent(1 - 2j),
+                  GaussianState())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a covariance was built on the p = 1 route")
+
+        monkeypatch.setattr(GaussianState, "cov", property(refuse))
+        monkeypatch.setattr(phasenorm.quadrature, "covariance_entries", refuse)
+        reached = []
+        for name in ("apply_channel_gaussian", "integrate_plane_abs_pow"):
+            def counted(*args, _name=name, _layer=getattr(phasenorm.quantifier, name)):
+                reached.append(_name)
+                return _layer(*args)
+            monkeypatch.setattr(phasenorm.quantifier, name, counted)
+        for state in states:
+            # a tol no other test uses, so the baseline is computed here too
+            res = measure_m(state, CG, FunctionalSpec(), 6.3e-7)
+            assert res.err <= 2 * 6.3e-7
+        assert sorted(reached) == sorted(["apply_channel_gaussian", "integrate_plane_abs_pow"]
+                                         * (len(states) + 1))
 
     def test_fock_mixture_nogo(self):
         res = measure_m(make_mixture([0.38, 0.57, 0.05]), CG, FunctionalSpec(), TOL)
