@@ -9,8 +9,7 @@ engine and against the ordering-shift identity of the classicalization
 channel (its output Wigner function equals the input W^(s-2)).
 :func:`radial_profile` applies a channel through that identity instead,
 as an ordering shift, and owns the exact p = 1 route of the quantifier's
-integrals; these laws serve loss monotonicity, the Kraus branches and the
-oracles.
+integrals; these laws serve the Kraus branches and the oracles.
 
 Amplification grows the cutoff; the mass pushed beyond the chosen cutoff is
 bounded exactly from the transition columns and carried in the state's
@@ -565,7 +564,7 @@ def loss_kraus_decomposition(state, transmittivity):
 
 
 def mix_states(states, weights):
-    """Convex combination of diagonal states (weight-averaged weights)."""
+    """Convex combination of diagonal states, one weight each (else ValueError)."""
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > USER_NORM_EPS:
         raise ValueError("mixture weights must be a probability vector")
@@ -573,7 +572,7 @@ def mix_states(states, weights):
     n_max = max(s.cutoff for s in states)
     w = np.zeros(n_max + 1)
     tail = 0.0
-    for lam, s in zip(weights, states):
+    for lam, s in zip(weights, states, strict=True):
         w[: len(s.weights)] += lam * s.weights
         tail += lam * s.tail_mass_bound
     return FockDiagonalState(w, tail)

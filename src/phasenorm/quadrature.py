@@ -80,11 +80,14 @@ class IntegralEstimate:
     it.  Rounding of the panel sum of g = |f|^p >= 0 is eps |value| per
     panel.  The panel part, the summed difference between GL16 on each
     panel and GL16 on its two halves, is an estimate and can undershoot
-    the true error of a feature narrower than the nodes see.  On the planar
-    p = 1 route it is the only estimate, that of the angle integral of the
-    shares of mass; the rest is closed form with a rounding bound, and both
-    planar routes add the rounding each term carries from a covariance's
-    conversion to axes (see :class:`~phasenorm.gaussian.GaussianState`).
+    the true error of a feature narrower than the nodes see: on the planar
+    per-ray route (p != 1) nbar 1 squeezed by r = 6 under C_g reads N =
+    0.5751669 +- 5.2e-7 at p = 2, tol 1e-6, for a closed form of 0.5757457
+    (ROADMAP.md item 9).  On the planar p = 1 route it is the only
+    estimate, that of the angle integral of the shares of mass; the rest
+    is closed form with a rounding bound, and both planar routes add the
+    rounding each term carries from a covariance's conversion to axes (see
+    :class:`~phasenorm.gaussian.GaussianState`).
 
     On the exact radial route (p = 1, a profile with an ``l1`` hook) the
     bound is the one the profile's producer certifies, given a complete
@@ -590,7 +593,8 @@ def integrate_plane_abs_pow(terms, p, tol):
     p (sum |amp_i|)^(p - 1) (|f|^p's change for f's); a ray that misses its
     share stops the plane with (nan, inf, panels so far) attached.
     ``subdivisions`` counts angular and radial panels.  The bound is at most
-    ``tol`` or :class:`ToleranceNotReached` is raised; other than one or two
+    ``tol`` or :class:`ToleranceNotReached` is raised, an estimate strong
+    squeezing defeats (see :class:`IntegralEstimate`); other than one or two
     terms, or a variance not finite and > 0 (no decay), raises ValueError."""
     _checked_input(p, tol, False)
     if not (1 <= len(terms) <= 2 and all(0.0 < v < math.inf for t in terms for v in t.variances)):

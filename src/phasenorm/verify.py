@@ -219,11 +219,9 @@ def check_cross_engine_thermal(tol):
 
 
 def check_baseline_closed_form(tol):
-    baseline_with_error(CG, W1, tol)  # runs the internal closed-form assertion
-    quad, _ = norm_value(GaussianState(), CG, W1, min(tol, 1e-8))
-    dev = abs(quad - 4.0 * math.sqrt(3.0) / 9.0)
+    dev = abs(baseline_with_error(CG, W1, tol)[0] - 4.0 * math.sqrt(3.0) / 9.0)
     return CheckResult("oracles", "baseline_closed_form", dev <= 1e-7, dev,
-                       "|quadrature - 4 sqrt(3)/9| for the vacuum under C_g")
+                       "|baseline - 4 sqrt(3)/9| for the vacuum under C_g")
 
 
 def check_thermal_closed_form(tol):

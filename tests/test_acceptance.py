@@ -15,13 +15,14 @@ import pytest
 
 from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        FunctionalSpec, GaussianState, NOGO_INSTANCE,
-                       apply_channel_fock, baseline_with_error,
+                       baseline_with_error,
                        make_squeezed_thermal, make_thermal, make_thermal_fock,
                        min_quadrature_variance, norm_value, number_state,
-                       wigner_negativity, wigner_s_fock, wigner_s_gaussian)
+                       wigner_negativity)
 import phasenorm.cli
 from phasenorm.cli import find_crossing, main, run_mixtures, run_sweep
-from phasenorm.gaussian import SUB_VACUUM
+from phasenorm.fock import apply_channel_fock, wigner_s_fock
+from phasenorm.gaussian import SUB_VACUUM, wigner_s_gaussian
 from phasenorm.verify import run_suite
 
 BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0

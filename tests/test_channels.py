@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from phasenorm import (CG, IDENTITY, Amplifier, Attenuator, ChannelSpec, Displacement,
-                       Rotation)
+from phasenorm import CG, Amplifier, Attenuator, ChannelSpec, Displacement, Rotation
+from phasenorm.channels import IDENTITY
 
 
 def test_cg_is_half_attenuator_then_double_amplifier():

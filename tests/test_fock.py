@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasenorm.fock import (MASS_EPS, leading_cutoff, sign_search, term_l1_bound,
-                            wigner_mass_outside)
+from phasenorm.fock import (MASS_EPS, amplify_fock, apply_channel_fock, attenuate_fock,
+                            leading_cutoff, mean_photons, sign_search, term_l1_bound,
+                            wigner_mass_outside, wigner_s_fock)
 from phasenorm import (CG, FockDiagonalState, GaussianState,
-                       UnsupportedInputError, amplify_fock, apply_channel_fock,
-                       attenuate_fock, Attenuator, ChannelSpec, Displacement,
+                       UnsupportedInputError, Attenuator, ChannelSpec, Displacement,
                        loss_kraus_decomposition, make_mixture, make_thermal,
-                       make_thermal_fock, mean_photons, number_state,
-                       wigner_s_fock, wigner_s_gaussian)
+                       make_thermal_fock, mix_states, number_state)
+from phasenorm.gaussian import wigner_s_gaussian
 
 
 class TestConstruction:
@@ -31,6 +31,12 @@ class TestConstruction:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             make_mixture([0.5, 0.4])
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.25, 0.25, 0.25, 0.25]],
+                             ids=["short", "long"])
+    def test_mix_states_weight_count_must_match(self, weights):
+        with pytest.raises(ValueError):
+            mix_states([number_state(0), number_state(1), number_state(2)], weights)
 
     def test_slightly_off_normalization_accepted(self):
         state = make_mixture([0.5, 0.5 + 5e-10])

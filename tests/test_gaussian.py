@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasenorm import (CG, IDENTITY, Amplifier, Attenuator, ChannelSpec, Displacement,
+from phasenorm import (CG, Amplifier, Attenuator, ChannelSpec, Displacement,
                        FunctionalSpec, GaussianState, Rotation, apply_channel_gaussian,
                        make_coherent, make_squeezed_thermal, make_thermal,
-                       min_quadrature_variance, norm_value, wigner_s_gaussian)
-from phasenorm.gaussian import PHYS_EPS, SUB_VACUUM, wigner_term
+                       min_quadrature_variance, norm_value)
+from phasenorm.channels import IDENTITY
+from phasenorm.gaussian import PHYS_EPS, SUB_VACUUM, wigner_s_gaussian, wigner_term
 from phasenorm.quadrature import EPS
 
 VAC = np.diag([0.25, 0.25])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasenorm import backend, number_state, wigner_s_fock
+from phasenorm import backend, number_state
+from phasenorm.fock import wigner_s_fock
 
 
 def _reference_series(weights, tau, u, pref):

@@ -1,22 +1,23 @@
 """The package's public names: adding or removing one is a deliberate edit here.
 
 The integrator layer (profiles, integrators, the sign scan) is not among
-them; it lives in ``phasenorm.quadrature`` and ``phasenorm.fock``.
+them; it lives in ``phasenorm.quadrature`` and ``phasenorm.fock``.  Nor
+are the oracles the quantifier does not call (the Fock transition laws,
+the pointwise Wigner functions, ``IDENTITY``, ``mean_photons``) or
+``KERNEL_BACKEND``; each is imported from its own module.
 """
 
 import phasenorm
 
 PUBLIC = {
-    "KERNEL_BACKEND",
     # channels
-    "CG", "IDENTITY", "Amplifier", "Attenuator", "ChannelSpec", "Displacement", "Rotation",
+    "CG", "Amplifier", "Attenuator", "ChannelSpec", "Displacement", "Rotation",
     # Fock engine
-    "FockDiagonalState", "UnsupportedInputError", "amplify_fock", "apply_channel_fock",
-    "attenuate_fock", "loss_kraus_decomposition", "make_mixture", "make_thermal_fock",
-    "mean_photons", "mix_states", "number_state", "wigner_s_fock",
+    "FockDiagonalState", "UnsupportedInputError", "loss_kraus_decomposition", "make_mixture",
+    "make_thermal_fock", "mix_states", "number_state",
     # Gaussian engine
     "GaussianState", "apply_channel_gaussian", "make_coherent", "make_squeezed_thermal",
-    "make_thermal", "min_quadrature_variance", "wigner_s_gaussian",
+    "make_thermal", "min_quadrature_variance",
     # integration results and errors
     "IntegralEstimate", "RootBudgetExceeded", "ToleranceNotReached",
     # quantifier
@@ -27,7 +28,7 @@ PUBLIC = {
 
 
 def test_all_is_the_public_names():
-    assert len(phasenorm.__all__) == len(PUBLIC) == 43
+    assert len(phasenorm.__all__) == len(PUBLIC) == 35
     assert set(phasenorm.__all__) == PUBLIC
 
 

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phasenorm.fock
@@ -13,16 +13,17 @@ import phasenorm.quadrature
 import phasenorm.quantifier
 from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
                        Amplifier, Attenuator, ChannelSpec, Displacement,
-                       FunctionalSpec, GaussianState, IDENTITY, IntegralEstimate,
+                       FunctionalSpec, GaussianState, IntegralEstimate,
                        NOGO_INSTANCE, Rotation,
                        ToleranceNotReached, UnsupportedInputError,
-                       apply_channel_fock, apply_channel_gaussian,
+                       apply_channel_gaussian,
                        baseline_with_error, classify, convexity_gap, make_coherent,
                        make_mixture, make_squeezed_thermal, make_thermal,
                        make_thermal_fock, measure_m, monotonicity_gap_strong,
                        monotonicity_gap_weak, norm_value, number_state,
-                       wigner_negativity, wigner_s_fock)
-from phasenorm.fock import radial_profile
+                       wigner_negativity)
+from phasenorm.channels import IDENTITY
+from phasenorm.fock import apply_channel_fock, radial_profile, wigner_s_fock
 from phasenorm.gaussian import wigner_term
 from phasenorm.quadrature import RadialProfile, integrate_radial_abs_pow
 
@@ -49,6 +50,14 @@ class TestBaseline:
         value, err = baseline_with_error(CG, FunctionalSpec(), 1e-7)
         assert value == BASELINE_CG
         assert err <= 1e-7
+
+    def test_same_pair_at_every_tol(self):
+        # Imhof's closed form for the isotropic pair: no tolerance tightens it
+        pairs = {baseline_with_error(CG, FunctionalSpec(), tol)
+                 for tol in (1e-3, 1e-6, 1e-7, 1e-10, 1e-13)}
+        assert len(pairs) == 1
+        value, err = pairs.pop()
+        assert value == BASELINE_CG and err <= 1e-14
 
     def test_husimi_baseline(self):
         # closed form: two isotropic Gaussians with variances 1/2 and 1
@@ -566,6 +575,14 @@ class TestConvexity:
             convexity_gap([GaussianState(), make_coherent(1)], [0.5, 0.5],
                           CG, FunctionalSpec(), TOL)
 
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.25, 0.25, 0.25, 0.25]],
+                             ids=["short", "long"])
+    def test_weight_count_must_match(self, weights):
+        # a short list used to drop |2> and return 0.3508
+        with pytest.raises(ValueError):
+            convexity_gap([number_state(0), number_state(1), number_state(2)], weights,
+                          CG, FunctionalSpec(), TOL)
+
 
 class TestMonotonicity:
     def test_vacuum_fixed_point(self):
@@ -591,6 +608,52 @@ class TestMonotonicity:
     def test_transmittivity_validated(self):
         with pytest.raises(ValueError):
             monotonicity_gap_weak(number_state(1), 1.0)
+
+
+WEAK_GAP_T = st.floats(0.05, 0.95)
+WEAK_GAP_FN = st.builds(FunctionalSpec, st.floats(-1.0, 0.0), st.sampled_from([1.0, 2.0]))
+WEAK_GAP_CHANNELS = [CG, ChannelSpec((Attenuator(0.6),)),
+                     ChannelSpec((Attenuator(0.8), Amplifier(1.7)))]
+
+
+def assert_weak_gap_matches(state, attenuated, t, channel, fn):
+    # the gap never builds E_t(rho); the oracle does.  Summed err: the
+    # gap's two norms (each within tol) and the oracle's two
+    gap = monotonicity_gap_weak(state, t, channel, fn, TOL)
+    n_in, err_in = norm_value(state, channel, fn, TOL)
+    n_out, err_out = norm_value(attenuated, channel, fn, TOL)
+    assert abs(gap - (n_in - n_out)) <= 2.0 * TOL + err_in + err_out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=7).filter(lambda w: sum(w) > 0.1),
+       WEAK_GAP_T, st.sampled_from(WEAK_GAP_CHANNELS), WEAK_GAP_FN)
+@example([0.2, 0.5, 0.3], 1e-6, CG, FunctionalSpec(-0.5, 2.0))
+@example([0.2, 0.5, 0.3], 1.0 - 1e-6, CG, FunctionalSpec(-0.5, 2.0))
+@example([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 1e-6, CG, FunctionalSpec())
+@example([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 1.0 - 1e-6, CG, FunctionalSpec())
+def test_weak_gap_matches_the_attenuated_fock_state(weights, t, channel, fn):
+    state = make_mixture(np.array(weights) / sum(weights))
+    lossy = ChannelSpec((Attenuator(t),))
+    assert_weak_gap_matches(state, apply_channel_fock(state, lossy), t, channel, fn)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.2), st.floats(0.0, math.pi),
+       st.complex_numbers(max_magnitude=1.5), WEAK_GAP_T,
+       st.sampled_from(WEAK_GAP_CHANNELS + [ChannelSpec((Rotation(0.4), Attenuator(0.7),
+                                                         Displacement(0.3 + 0.2j)))]),
+       WEAK_GAP_FN)
+@example(1.0, 0.7, 0.3, 0.5 - 1j, 1e-6, CG, FunctionalSpec(-0.5, 2.0))
+@example(1.0, 0.7, 0.3, 0.5 - 1j, 1.0 - 1e-6, CG, FunctionalSpec(-0.5, 2.0))
+@example(0.0, 1.2, 1.0, 0j, 1e-6, CG, FunctionalSpec())
+@example(0.0, 1.2, 1.0, 0j, 1.0 - 1e-6, CG, FunctionalSpec())
+def test_weak_gap_matches_the_attenuated_gaussian_state(nbar, r, theta, delta, t,
+                                                        channel, fn):
+    state = apply_channel_gaussian(make_squeezed_thermal(nbar, r, theta),
+                                   ChannelSpec((Displacement(delta),)))
+    lossy = ChannelSpec((Attenuator(t),))
+    assert_weak_gap_matches(state, apply_channel_gaussian(state, lossy), t, channel, fn)
 
 
 class TestFunctionalSpec:
