@@ -444,16 +444,17 @@ def _exact_l1(state, searches, tols):
 # ---------------------------------------------------------------- channels
 
 def _binomial_columns(n_max, t):
-    """Matrix B[m, n] = C(n, m) t^m (1-t)^{n-m}, m <= n (else 0)."""
-    B = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        col = np.empty(n + 1)
-        col[0] = (1.0 - t) ** n
-        if n:
-            ms = np.arange(n)
-            col[1:] = col[0] * np.cumprod((n - ms) / (ms + 1.0) * (t / (1.0 - t)))
-        B[: n + 1, n] = col
-    return B
+    """Matrix B[m, n] = C(n, m) t^m (1-t)^{n-m}, m <= n (else 0), for 0 < t < 1.
+
+    Each entry is built in log space, so no partial product overflows or
+    underflows for t near 0 or 1.
+    """
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+    m, n = np.ogrid[:n_max + 1, :n_max + 1]
+    rest = np.maximum(n - m, 0)
+    log_b = (log_factorial[n] - log_factorial[m] - log_factorial[rest]
+             + m * math.log(t) + rest * math.log1p(-t))
+    return np.where(m <= n, np.exp(log_b), 0.0)
 
 
 def attenuate_fock(state, transmittivity):

@@ -15,12 +15,12 @@ smooth on each panel (no cut for even integer p: f^p is smooth), and
 panels are refined worst-first with fixed-order Gauss-Legendre rules
 until the accumulated error estimate fits the tolerance, each refinement
 step's GL16 rules in one call of the integrand.  Radial profiles find
-their sign changes by a scan and ladder refinement (a first point
-interpolated through three scan nodes, then regula falsi points, each
-flanked by geometric rungs, one call of f per round); a bracket closes at
-width 1e-12, or sooner once its placement term meets a closing bound the
-caller gives.  The scan takes an f of one row per signal and finds every
-row's sign changes by one scan and one ladder.
+their sign changes by a scan and ladder refinement (a first point from
+the polynomial through the 8 scan nodes around each bracket, then regula
+falsi points, each flanked by geometric rungs, one call of f per round);
+a bracket closes at width 1e-12, or sooner once its placement term meets
+a closing bound the caller gives.  The scan takes an f of one row per
+signal and finds every row's sign changes by one scan and one ladder.
 Along a ray of a planar profile the log-magnitude of each Gaussian term
 is quadratic in the radius, so its sign change is found in closed form;
 for p = 1 with a shared center Imhof's angular form needs no ray at all.
@@ -47,6 +47,19 @@ LADDER = 0.5 * ROOT_XTOL * 4.0 ** np.arange(20)  # rungs around the regula falsi
 # rung at least as wide as its bracket, clip to the bracket's ends
 LADDER_OFFSETS = [np.concatenate([[-np.inf], -LADDER[:k][::-1], [0.0], LADDER[:k], [np.inf]])
                   for k in range(len(LADDER) + 1)]
+# 645120 = 2^7 7! times the matrix taking the values at the nodes v = -7,
+# -5, ..., 7 to the monomial coefficients in v of their interpolant
+WINDOW_COEFFICIENTS = np.array([
+    [-1575, 15435, -77175, 385875, 385875, -77175, 15435, -1575],
+    [225, -3087, 25725, -385875, 385875, -25725, 3087, -225],
+    [1813, -17465, 81837, -66185, -66185, 81837, -17465, 1813],
+    [-259, 3493, -27279, 66185, -66185, 27279, -3493, 259],
+    [-245, 2065, -4725, 2905, 2905, -4725, 2065, -245],
+    [35, -413, 1575, -2905, 2905, -1575, 413, -35],
+    [7, -35, 63, -35, -35, 63, -35, 7],
+    [-1, 7, -21, 35, -35, 21, -7, 1]], dtype=float)
+WINDOW = len(WINDOW_COEFFICIENTS)  # scan nodes of a bracket's first point
+NEWTON_STEPS = 3  # on their interpolant, from the regula falsi point
 MIN_PANEL_WIDTH = 1e-13
 EPS = float(np.finfo(float).eps)
 SIGN_SCAN_FLOOR = 1e-13  # relative magnitude below which sign flips are noise
@@ -162,9 +175,10 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     degree_hint; each row is cut after its first node at or beyond its
     ``stop`` if given (at the bracket's end for a stop past it), and every
     round of the ladder refines the brackets of all rows in one call of f,
-    whose first point takes a third scan node.  ``degree_hint``, ``stop``
-    and the two parts of ``close`` may each hold one value per row.  A row
-    finds, bit for bit, the cuts it finds alone on the same grid.
+    the first from the row's scan nodes around each bracket (see
+    :func:`_window_roots`).  ``degree_hint``, ``stop`` and the two parts
+    of ``close`` may each hold one value per row.  A row finds, bit for
+    bit, the cuts it finds alone on the same grid.
     Nodes where a row is exactly zero are returned as cuts directly.
     Sign flips whose flanking magnitudes are both below SIGN_SCAN_FLOOR
     times the row's scan maximum are ignored: such crossings are
@@ -203,14 +217,10 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     if np.any(changes > budget):
         i = int(np.argmax(changes > budget))
         raise RootBudgetExceeded(f"found {changes[i]} sign changes, budget {budget[i]}")
-    # the third node: the left neighbour, else the right one, whose value
-    # reads nan outside the row's scan
-    near = idx - 1
-    near[idx == 0] = min(2, len(xs) - 1)
     bound, sup = (-np.inf, 0.0) if close is None else close
     roots, widths, heights = _ladder_brackets(
         f, xs[idx], xs[idx + 1], rows[owner, idx], rows[owner, idx + 1], owner,
-        xs[near], np.where(near < ends[owner], rows[owner, near], np.nan),
+        _window_roots(rows, owner, idx, ends[owner], xs[idx], xs[idx + 1]),
         np.full(len(rows), bound)[owner], np.full(len(rows), sup)[owner])
     found, start = [], 0
     for n, zero in zip(brackets, zmask):
@@ -224,32 +234,49 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     return found
 
 
-def _first_points(a, b, ya, yb, xn, yn):
-    """The ladder's first point in each bracket [a, b], from a third node.
+def _window_roots(rows, owner, idx, ends, a, b):
+    """The ladder's first point in each scan bracket [a, b] = [x_idx, x_idx+1].
 
-    Inverse quadratic interpolation through (a, ya), (b, yb) and the node
-    (xn, yn) gives the point; where it is not finite or leaves the open
-    bracket (yn nan marks a missing node) regula falsi does.  Written
-    about b with the Lagrange weights at y = 0, so the point keeps the
-    bracket's precision rather than that of the radii.
+    The root of the interpolant through the WINDOW scan nodes of row owner
+    around the bracket, the window shifted to stay within the row's live
+    nodes [0, ends), is polished by NEWTON_STEPS Newton steps from the
+    regula falsi point.  Where that point is not finite or leaves the open
+    bracket (as a kink in the window can make it), or the row has fewer
+    than WINDOW live nodes, regula falsi gives the point.  Each bracket's
+    sums run over its own window alone, so a row's points do not depend
+    on the other rows.
     """
+    ya, yb = rows[owner, idx], rows[owner, idx + 1]
     width, gap = b - a, ya - yb
+    falsi = b + yb * width / gap
+    start = np.clip(idx - WINDOW // 2 + 1, 0, np.maximum(ends - WINDOW, 0))
+    nodes = np.minimum(start[:, None] + np.arange(WINDOW), ends[:, None] - 1)
+    window = rows[owner[:, None], nodes]
+    # the bracket is [left, left + 2] in v = 2j - 7 at window node j
+    left = 2.0 * (idx - start) - (WINDOW - 1)
+    v = left + 2.0 * ya / gap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        low, high = ya - yn, yb - yn
-        inverse = b + (xn - b) * (ya * yb / (low * high)) - width * (yb * yn / (gap * low))
+        # the coefficients in v of 645120 times the interpolant
+        coef = (window[:, None, :] * WINDOW_COEFFICIENTS).sum(axis=2)
+        for _ in range(NEWTON_STEPS):
+            powers = v[:, None] ** np.arange(WINDOW)
+            value = (coef * powers).sum(axis=1)
+            slope = (coef[:, 1:] * np.arange(1, WINDOW) * powers[:, :-1]).sum(axis=1)
+            v = v - value / slope
+        point = a + 0.5 * (v - left) * width
     # nan fails both comparisons
-    return np.where((inverse > a) & (inverse < b), inverse, b + yb * width / gap)
+    return np.where((point > a) & (point < b) & (ends >= WINDOW), point, falsi)
 
 
-def _ladder_brackets(f, a, b, fa, fb, owner, xn, yn, bound, sup):
+def _ladder_brackets(f, a, b, fa, fb, owner, first, bound, sup):
     """Refine sign-change brackets [a, b] simultaneously.
 
     Each round evaluates, in one call of f, a point c of every open
     bracket and the rungs c -+ LADDER narrower than the widest open
     bracket, clipped to it: NumPy's per-call overhead dominates the
     kernel, so these points cost about what c alone does.  The first
-    round's c comes from the third node (xn, yn) (see
-    :func:`_first_points`), later rounds' from regula falsi.
+    round's c is bracket i's ``first[i]``, later rounds' come from regula
+    falsi.
     ``f`` returns one row per signal and bracket i reads row owner[i].  A
     rung at least as wide as its bracket clips to the bracket's ends, as
     the infinite offsets do, so every bracket takes the points it takes
@@ -276,10 +303,7 @@ def _ladder_brackets(f, a, b, fa, fb, owner, xn, yn, bound, sup):
             break
         lo, hi, ylo, yhi = a[open_, None], b[open_, None], ya[open_, None], yb[open_, None]
         width = hi - lo
-        if step:
-            c = hi - yhi * width / (yhi - ylo)
-        else:
-            c = _first_points(lo, hi, ylo, yhi, xn[open_, None], yn[open_, None])
+        c = hi - yhi * width / (yhi - ylo) if step else first[open_, None]
         offsets = LADDER_OFFSETS[np.searchsorted(LADDER, width.max())]
         xs = np.minimum(np.maximum(c + offsets, lo), hi)
         rows = np.arange(len(open_))

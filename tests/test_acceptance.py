@@ -29,7 +29,7 @@ BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0
 # sha256 of `mixtures --count 100 --seed 42 --include-corners` and of the
 # stdout of `verify --suite all`, both at their default tol 1e-6
 MIXTURES_SHA256 = "81d1b1fcc36fb6ec52337bba0ad81addc0ed8166081244a6dd83e7f4976e15d5"
-VERIFY_SHA256 = "549aa095ec8f2e73a7b99b1bae18099311c5cc99c3099f7283e410c8566c93cf"
+VERIFY_SHA256 = "cb45a88ca598c9c71da0ff2e2aa229cb46e5c7bc168d3a6a2c15daa67fb4cdca"
 
 
 def timed(fn, *args, **kwargs):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasenorm.fock
 from phasenorm.fock import (MASS_EPS, amplify_fock, apply_channel_fock, attenuate_fock,
                             leading_cutoff, mean_photons, sign_search, term_l1_bound,
                             wigner_mass_outside, wigner_s_fock)
 from phasenorm import (CG, FockDiagonalState, GaussianState,
                        UnsupportedInputError, Attenuator, ChannelSpec, Displacement,
                        loss_kraus_decomposition, make_mixture, make_thermal,
-                       make_thermal_fock, mix_states, number_state)
+                       make_thermal_fock, mix_states, monotonicity_gap_strong, number_state)
 from phasenorm.gaussian import wigner_s_gaussian
 
 
@@ -149,6 +150,24 @@ class TestAttenuator:
             out = attenuate_fock(state, float(rng.uniform(0.05, 0.95)))
             assert out.weights.sum() == pytest.approx(state.weights.sum(), abs=1e-12)
             assert np.all(out.weights >= 0)
+
+    @pytest.mark.parametrize("t", [1e-6, 0.5, 1.0 - 1e-6])
+    def test_binomial_columns_match_mpmath(self, t):
+        # a product started at (1 - t)^n and grown by the ratios
+        # t/(1 - t) (n - m)/(m + 1) overflowed at t = 1 - 1e-6: column sums
+        # inf at n = 52-53, nan at n = 60 and 200
+        columns = phasenorm.fock._binomial_columns(200, t)
+        assert np.all(np.abs(columns.sum(axis=0) - 1.0) <= 1e-12)
+        for n in (53, 60, 200):
+            want = np.array([float(mp.binomial(n, m) * mp.mpf(t) ** m * (1 - mp.mpf(t)) ** (n - m))
+                             for m in range(n + 1)])
+            assert np.all(np.abs(columns[:n + 1, n] - want) <= 1e-12 * want + 1e-300)
+            assert not np.any(columns[n + 1:, n])
+
+    def test_near_unit_transmittivity(self):
+        out = attenuate_fock(number_state(53), 1.0 - 1e-6)
+        assert out.weights[-1] == pytest.approx((1.0 - 1e-6) ** 53, rel=1e-12)
+        assert math.isfinite(monotonicity_gap_strong(number_state(60), 1.0 - 1e-6))
 
 
 class TestAmplifier:

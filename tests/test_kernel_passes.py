@@ -14,6 +14,7 @@ import pytest
 
 import phasenorm.backend
 from phasenorm import CG, make_mixture, make_thermal_fock, measure_m, number_state
+from phasenorm.cli import sample_triplets
 
 
 @pytest.mark.parametrize("state,most", [(number_state(40), 5), (number_state(2), 5),
@@ -21,8 +22,8 @@ from phasenorm import CG, make_mixture, make_thermal_fock, measure_m, number_sta
                          ids=["number40", "number2", "thermal"])
 def test_measure_m_kernel_passes(state, most, monkeypatch):
     # one scan, at most three ladder rounds and one mass pass for the norm
-    # and the witness together: at most 5 passes for each state (4 now, see
-    # test_measure_m_runs_four_passes).  A route of its own for
+    # and the witness together: at most 5 passes for each state (3 now, see
+    # test_measure_m_runs_three_passes).  A route of its own for
     # the witness took 10, 10 and 7, one recurrence per ordering 15, 15
     # and 12, and one refinement point per bracket and round 31 and 25 for
     # the number states
@@ -41,11 +42,12 @@ def test_measure_m_kernel_passes(state, most, monkeypatch):
 @pytest.mark.parametrize("state", [number_state(40), make_thermal_fock(0.5, 120),
                                    make_mixture([0.3, 0.3, 0.4])],
                          ids=["number40", "thermal", "mixture"])
-def test_measure_m_runs_four_passes(state, monkeypatch):
-    # the scan, two ladder rounds and the mass pass.  The first round's
-    # points come from three scan nodes, and a bracket closes once its
-    # placement term is within one mass's rounding; regula falsi points
-    # refined to ROOT_XTOL took a third round, 5 passes
+def test_measure_m_runs_three_passes(state, monkeypatch):
+    # the scan, one ladder round and the mass pass.  The first round's
+    # points come from the interpolant of 8 scan nodes around each bracket,
+    # and a bracket closes once its placement term is within one mass's
+    # rounding; the inverse quadratic through three nodes took two rounds,
+    # 4 passes, and regula falsi points refined to ROOT_XTOL three, 5
     passes = []
     series = phasenorm.backend.wigner_series
 
@@ -55,7 +57,24 @@ def test_measure_m_runs_four_passes(state, monkeypatch):
 
     monkeypatch.setattr(phasenorm.backend, "wigner_series", counted)
     measure_m(state, CG, tol=1e-6)
-    assert len(passes) == 4
+    assert len(passes) == 3
+
+
+def test_figure2_states_run_three_passes(monkeypatch):
+    # every state of the Fig. 2 rows (the CLI's 100 triplets at seed 42 and
+    # the three corners) closes its cuts in one ladder round
+    counts = []
+    series = phasenorm.backend.wigner_series
+
+    def counted(*args):
+        counts[-1] += 1
+        return series(*args)
+
+    monkeypatch.setattr(phasenorm.backend, "wigner_series", counted)
+    for triplet in sample_triplets(100, 42) + [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]:
+        counts.append(0)
+        measure_m(make_mixture(list(triplet)), CG, tol=1e-6)
+    assert len(counts) == 103 and set(counts) == {3}
 
 
 @pytest.mark.parametrize("state,scan_terms", [(make_thermal_fock(0.5, 120), 25),

@@ -68,7 +68,7 @@ def test_gaussian_layers_are_reached(reached):
 
 
 @pytest.mark.parametrize("state,points,term_points", [
-    (number_state(40), 14_210, 582_610), (make_thermal_fock(0.5, 120), 1_970, 40_410)],
+    (number_state(40), 9_512, 389_992), (make_thermal_fock(0.5, 120), 1_920, 39_410)],
     ids=["number40", "thermal"])
 def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
     # the tracer unpacks ``weights, _, u, _ = args`` and counts len(u)
@@ -77,8 +77,10 @@ def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
     # sums are those of one recurrence per ordering, so stacking the terms
     # moves neither; the witness riding in the norm's passes moved them
     # from 14,259 / 584,619 and 2,559 / 51,988 (its ladder points now
-    # evaluate the norm's terms and the norm's the witness's), and closing
-    # the cuts in two ladder rounds from 16,282 / 667,562 and 2,004 / 41,090
+    # evaluate the norm's terms and the norm's the witness's), closing
+    # the cuts in two ladder rounds from 16,282 / 667,562 and 2,004 / 41,090,
+    # and in one round, from the interpolant of 8 scan nodes, from 14,210 /
+    # 582,610 and 1,970 / 40,410
     calls = []
     series = backend.wigner_series
 

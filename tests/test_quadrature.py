@@ -437,30 +437,74 @@ def test_rows_find_the_cuts_they_find_alone(rows):
         assert all(0.0 < r < stop + step and r <= 6.0 for r in got)
 
 
-def test_first_point_from_three_nodes():
-    # f = x^2 - 2 on [1.4, 1.45] with the left neighbour 1.35: the inverse
-    # interpolant misses sqrt 2 by 8.4e-6, regula falsi by 1.8e-4
-    a, b, node = np.array([1.4]), np.array([1.45]), np.array([1.35])
-    c = phasenorm.quadrature._first_points(a, b, a**2 - 2.0, b**2 - 2.0, node, node**2 - 2.0)
-    falsi = b - (b**2 - 2.0) * (b - a) / (b**2 - a**2)
-    assert a[0] < c[0] < b[0]
-    assert abs(c[0] - math.sqrt(2.0)) < 0.1 * abs(falsi[0] - math.sqrt(2.0))
+def window_points(f, xs, ends=None):
+    """The first points of the scan brackets of one row f on the grid xs, and
+    regula falsi's, with the row read only up to node ``ends``."""
+    ends = len(xs) if ends is None else ends
+    row = f(xs)
+    idx = np.nonzero((np.sign(row[:-1]) * np.sign(row[1:]) < 0.0)
+                     & (np.arange(1, len(xs)) < ends))[0]
+    a, b, ya, yb = xs[idx], xs[idx + 1], row[idx], row[idx + 1]
+    first = phasenorm.quadrature._window_roots(row[None], np.zeros(len(idx), dtype=int), idx,
+                                               np.full(len(idx), ends), a, b)
+    return first, b + yb * (b - a) / (ya - yb)
 
 
-@pytest.mark.parametrize("yn", [-1.0 + 1e-12, -1.0, math.nan],
-                         ids=["leaves", "not_finite", "no_node"])
-def test_first_point_falls_back_to_regula_falsi(yn):
-    # a node value at (or next to) the left end's puts the interpolant far
-    # outside [a, b] (or makes it infinite); regula falsi takes its place
-    c = phasenorm.quadrature._first_points(
-        np.array([0.0]), np.array([1.0]), np.array([-1.0]), np.array([3.0]),
-        np.array([-0.5]), np.array([yn]))
-    assert c[0] == 0.25
+def test_first_point_from_the_window_interpolant():
+    # f = x^2 - 2 on a 513-node grid of step 0.05: the interpolant of the 8
+    # nodes around [1.4, 1.45] lands on sqrt 2, regula falsi misses by 1.8e-4
+    (first,), (falsi,) = window_points(lambda x: x**2 - 2.0, np.linspace(0.0, 25.6, 513))
+    assert abs(first - math.sqrt(2.0)) < 1e-12
+    assert abs(falsi - math.sqrt(2.0)) > 1e-4
+
+
+def test_window_shifts_inward_at_the_ends_of_a_row():
+    # a bracket at node 0, and one whose right node is the row's last live
+    # node, take the 8 nodes next to them; the nodes past a row's end read
+    # nan, and a window across them would give no point
+    xs = np.linspace(0.0, 3.0, 513)
+    (first,), _ = window_points(lambda x: np.exp(3.0 * x) - 1.01, xs)
+    assert xs[0] < first < xs[1] and abs(first - math.log(1.01) / 3.0) < 1e-12
+    root = xs[299] + 0.3 * xs[1]
+    row = lambda x: np.where(x < xs[300] + 0.5 * xs[1], np.cos(x) - math.cos(root), np.nan)
+    (first,), _ = window_points(row, xs, ends=301)
+    assert abs(first - root) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["leaves", "not_finite", "no_node", "zeroed"])
+def test_first_point_falls_back_to_regula_falsi(case):
+    # a slope that steps by 20 inside the bracket puts the polished point
+    # outside it, window nodes of -1e307 overflow the interpolant, and a
+    # row scanned to 5 nodes has no window: regula falsi takes the point's
+    # place.  A row that reads zero on every window node but the bracket's
+    # two has regula falsi's point as its interpolant's root.  The ladder
+    # still closes on the root (a scan with -1e307 in it sees no other
+    # sign change above its floor)
+    xs = np.linspace(0.0, 3.0, 513)
+    step = xs[1]
+    root, ends = xs[2 if case == "no_node" else 200] + 0.4 * step, None
+    g = lambda r: (root - r) * np.exp(3.0 * r)
+    if case == "leaves":
+        kink = root + 0.45 * step
+        f = lambda r: np.where(r < kink, r - root, kink - root + 20.0 * (r - kink))
+    elif case == "not_finite":
+        f = lambda r: np.where(r > xs[202] + 0.5 * step, -1e307, g(r))
+    elif case == "no_node":
+        f, ends = g, 5
+    else:
+        f = lambda r: np.where(np.abs(r - root) < step, g(r), 0.0)
+    (first,), (falsi,) = window_points(f, xs, ends)
+    assert first == pytest.approx(falsi, rel=0.0, abs=1e-15)
+    if case != "not_finite":
+        roots, = locate_sign_changes(lambda r: f(np.asarray(r))[None], (0.0, 3.0), 1,
+                                     stop=None if ends is None else xs[ends - 1])
+        assert np.min(np.abs(np.array(roots) - root)) < 1e-12
 
 
 def test_kinked_neighbour_still_finds_the_root():
-    # a kink between the left neighbour and the bracket gives the node the
-    # left end's value, so the first point falls back to regula falsi
+    # a kink between the left neighbour and the bracket bends the window's
+    # interpolant, whose point misses by 0.06 steps; the ladder still
+    # closes on the root
     xs = np.linspace(0.0, 3.0, 513)
     step = xs[1]
     kink, depth = xs[200] - 0.5 * step, 0.8 * step
@@ -471,9 +515,12 @@ def test_kinked_neighbour_still_finds_the_root():
 
 def test_closing_bound_stops_each_row_at_its_placement_term():
     # a bracket closes once 4 b w (h + sup) <= bound, each row with its own
-    # bound and sup; without a bound every bracket shrinks to ROOT_XTOL
+    # bound and sup; without a bound every bracket shrinks to ROOT_XTOL.
+    # The window's first point lands within ROOT_XTOL of these roots, so a
+    # bound of 1e-9 closed none early; at 1e-3 the scan bracket of cos 3r's
+    # first root closes before any round and its other five are refined
     rows = [lambda r: np.cos(3.0 * r), lambda r: np.sin(2.0 * r) - 0.3]
-    bounds, sups = [1e-9, 1e-14], [0.0, 1e-6]
+    bounds, sups = [1e-3, 1e-14], [0.0, 1e-6]
     joint = locate_sign_changes(lambda r: np.array([g(r) for g in rows]), (0.0, 6.0),
                                 [6, 4], close=(bounds, sups))
     closed_early = 0

@@ -179,8 +179,11 @@ class TestNorm:
         assert res1.n_value == pytest.approx(N_FOCK1, abs=1e-6)
         assert res2.n_value == pytest.approx(N_FOCK2, abs=1e-6)
 
+    # the three CG cases nest mpmath quadratures in mpmath_squeezed_norm
     @pytest.mark.parametrize("nbar,r,angle", [
-        (0.5, 0.3, None), (1.0, 1.0, None), (0.0, 1.5, None),
+        pytest.param(0.5, 0.3, None, marks=pytest.mark.slow),
+        pytest.param(1.0, 1.0, None, marks=pytest.mark.slow),
+        pytest.param(0.0, 1.5, None, marks=pytest.mark.slow),
         (1.0, 0.3, 1.2), (0.0, 1.0, math.pi / 2)],
         ids=["0.5-0.3", "1.0-1.0", "0.0-1.5", "rotation-1.0-0.3", "rotation-0.0-1.0"])
     def test_squeezed_thermal_matches_mpmath(self, nbar, r, angle):
