@@ -21,12 +21,15 @@ s <= 0, which keeps the upward recurrence well conditioned at any cutoff
 and radius (no overflow, no cancellation blow-up).
 
 NumPy's per-call overhead, not arithmetic, sets the cost of a step, so
-the terms share one recurrence: a step is seven whole-array calls plus
-two row fills per term.  The recurrence runs in buffers allocated once
-per call, so no step allocates.  Every point goes through the same
-operations in the same order whatever the number of terms, so a call on
-several terms returns, bit for bit, the concatenation of the one-term
-calls.
+the terms share one recurrence: a step is five whole-array calls for the
+recurrence and two that add the step's term to the sum, plus two row
+fills per term.  A step whose shared weight is exactly 0 adds +-0 to
+every point, so it skips those two calls (a number state's steps all do
+but one); the sum keeps every value, up to the sign of an exact zero.
+The recurrence runs in buffers allocated once per call, so no step
+allocates.  Every point goes through the same operations in the same
+order whatever the number of terms, so a call on several terms returns,
+bit for bit, the concatenation of the one-term calls.
 """
 
 import numpy as np
@@ -56,6 +59,7 @@ def wigner_series(weights, tau, u, pref):
     u = u.reshape(shape)
     w = weights if weights.ndim == 1 else weights[:, :, None]
     h_prev, h_cur, lag = np.zeros(shape), pref.reshape(shape).copy(), np.empty(shape)
+    zero = (weights == 0.0).tolist() if weights.ndim == 1 else [False] * len(weights)
     # the two recurrence buffers swap roles each step; each keeps its rows
     prev, cur = (h_prev, list(zip(taus, h_prev, lag))), (h_cur, list(zip(taus, h_cur, lag)))
     acc = w[0] * h_cur
@@ -72,6 +76,7 @@ def wigner_series(weights, tau, u, pref):
         np.subtract(h, lag, h)
         np.divide(h, n + 1.0, h)
         prev, cur = cur, prev
-        np.multiply(w[n + 1], h, lag)
-        np.add(acc, lag, acc)
+        if not zero[n + 1]:
+            np.multiply(w[n + 1], h, lag)
+            np.add(acc, lag, acc)
     return acc.reshape(-1)

@@ -15,12 +15,15 @@ smooth on each panel (no cut for even integer p: f^p is smooth), and
 panels are refined worst-first with fixed-order Gauss-Legendre rules
 until the accumulated error estimate fits the tolerance, each refinement
 step's GL16 rules in one call of the integrand.  Radial profiles find
-their sign changes by a scan and ladder refinement (a first point from
-the polynomial through the 8 scan nodes around each bracket, then regula
-falsi points, each flanked by geometric rungs, one call of f per round);
-a bracket closes at width 1e-12, or sooner once its placement term meets
-a closing bound the caller gives.  The scan takes an f of one row per
-signal and finds every row's sign changes by one scan and one ladder.
+their sign changes by a scan and ladder refinement, one call of f per
+round: a first point from the polynomial through the 8 scan nodes around
+each bracket, flanked by 5 geometric rungs a side up to 3.3e-8, then
+regula falsi points flanked by the rungs narrower than the widest open
+bracket, each round's choice also reading the values already known at
+the brackets' ends.  A bracket closes at width 1e-12, or sooner once its
+placement term meets a closing bound the caller gives.  The scan takes an
+f of one row per signal and finds every row's sign changes by one scan
+and one ladder.
 Along a ray of a planar profile the log-magnitude of each Gaussian term
 is quadratic in the radius, so its sign change is found in closed form;
 for p = 1 with a shared center Imhof's angular form needs no ray at all.
@@ -38,15 +41,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-LEG_NODES, LEG_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the 16-point Gauss-Legendre rule on [-1, 1], the doubles numpy's
+# leggauss(16) returns, written out so import loads no numpy.polynomial
+_GL16_HALF = ((0.09501250983763744, 0.18945061045506864),
+              (0.2816035507792589, 0.18260341504492364),
+              (0.45801677765722737, 0.16915651939500265),
+              (0.6178762444026438, 0.1495959888165767),
+              (0.755404408355003, 0.12462897125553407),
+              (0.8656312023878318, 0.0951585116824926),
+              (0.9445750230732326, 0.062253523938647456),
+              (0.9894009349916499, 0.027152459411754176))
+LEG_NODES = np.array([-x for x, _ in _GL16_HALF[::-1]] + [x for x, _ in _GL16_HALF])
+LEG_WEIGHTS = np.array([w for _, w in _GL16_HALF[::-1]] + [w for _, w in _GL16_HALF])
 
 ROOT_XTOL = 1e-12
 ROOT_MAX_STEPS = 200
 LADDER = 0.5 * ROOT_XTOL * 4.0 ** np.arange(20)  # rungs around the regula falsi point
-# a round's offsets with the k narrowest rungs; the infinite ones, and every
-# rung at least as wide as its bracket, clip to the bracket's ends
-LADDER_OFFSETS = [np.concatenate([[-np.inf], -LADDER[:k][::-1], [0.0], LADDER[:k], [np.inf]])
+FIRST_LADDER = LADDER[:10:2]  # the first round's rungs, 0.5e-12 16^j up to 3.3e-8
+# a later round's offsets with the k narrowest rungs (every rung at least
+# as wide as its bracket clips to the bracket's ends), and the first round's
+LADDER_OFFSETS = [np.concatenate([-LADDER[:k][::-1], [0.0], LADDER[:k]])
                   for k in range(len(LADDER) + 1)]
+FIRST_OFFSETS = np.concatenate([-FIRST_LADDER[::-1], [0.0], FIRST_LADDER])
 # 645120 = 2^7 7! times the matrix taking the values at the nodes v = -7,
 # -5, ..., 7 to the monomial coefficients in v of their interpolant
 WINDOW_COEFFICIENTS = np.array([
@@ -272,15 +288,16 @@ def _ladder_brackets(f, a, b, fa, fb, owner, first, bound, sup):
     """Refine sign-change brackets [a, b] simultaneously.
 
     Each round evaluates, in one call of f, a point c of every open
-    bracket and the rungs c -+ LADDER narrower than the widest open
-    bracket, clipped to it: NumPy's per-call overhead dominates the
-    kernel, so these points cost about what c alone does.  The first
-    round's c is bracket i's ``first[i]``, later rounds' come from regula
-    falsi.
-    ``f`` returns one row per signal and bracket i reads row owner[i].  A
-    rung at least as wide as its bracket clips to the bracket's ends, as
-    the infinite offsets do, so every bracket takes the points it takes
-    in a call of its row alone.
+    bracket and rungs c -+ d around it, clipped to the bracket.  The first
+    round's c is bracket i's ``first[i]``, a point that lands close to the
+    root, and its rungs are FIRST_LADDER, the same 11 points per bracket
+    whatever the other brackets are.  Later rounds' c come from regula
+    falsi, with the rungs of LADDER narrower than the widest open bracket;
+    a rung at least as wide as its bracket clips to the bracket's ends, so
+    every bracket takes the points it takes in a call of its row alone.
+    ``f`` returns one row per signal and bracket i reads row owner[i].
+    The bracket's ends join the points with the values already known;
+    only a rung clipped to an end evaluates it again.
     The narrowest pair of neighbours whose values change sign becomes the
     bracket; c within 0.5 ROOT_XTOL of the root closes it.  A bracket
     closes at width ROOT_XTOL, at an exact zero or once its placement term
@@ -303,11 +320,15 @@ def _ladder_brackets(f, a, b, fa, fb, owner, first, bound, sup):
             break
         lo, hi, ylo, yhi = a[open_, None], b[open_, None], ya[open_, None], yb[open_, None]
         width = hi - lo
-        c = hi - yhi * width / (yhi - ylo) if step else first[open_, None]
-        offsets = LADDER_OFFSETS[np.searchsorted(LADDER, width.max())]
+        if step:
+            c = hi - yhi * width / (yhi - ylo)
+            offsets = LADDER_OFFSETS[np.searchsorted(LADDER, width.max())]
+        else:
+            c, offsets = first[open_, None], FIRST_OFFSETS
         xs = np.minimum(np.maximum(c + offsets, lo), hi)
         rows = np.arange(len(open_))
         ys = f(xs.ravel()).reshape(-1, *xs.shape)[owner[open_], rows]
+        xs, ys = np.concatenate([lo, xs, hi], axis=1), np.concatenate([ylo, ys, yhi], axis=1)
         gap = np.where(ys[:, :-1] * ys[:, 1:] < 0.0, xs[:, 1:] - xs[:, :-1], np.inf)
         zero = ys == 0.0
         hit = zero.any(axis=1)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import phasenorm.backend
-from phasenorm import CG, make_mixture, make_thermal_fock, measure_m, number_state
+from phasenorm import CG, make_mixture, make_thermal_fock, measure_m, number_state, quadrature
 from phasenorm.cli import sample_triplets
 
 
@@ -58,6 +58,38 @@ def test_measure_m_runs_three_passes(state, monkeypatch):
     monkeypatch.setattr(phasenorm.backend, "wigner_series", counted)
     measure_m(state, CG, tol=1e-6)
     assert len(passes) == 3
+
+
+@pytest.mark.parametrize("state", [number_state(40), make_thermal_fock(0.5, 120),
+                                   make_mixture([0.3, 0.3, 0.4])],
+                         ids=["number40", "thermal", "mixture"])
+def test_first_round_evaluates_eleven_points_per_bracket(state, monkeypatch):
+    # the first ladder round evaluates, for each open bracket, its first
+    # point and 5 rungs a side, all strictly inside the bracket; the
+    # bracket's ends keep the scan's values and are not evaluated again
+    rounds = []
+    ladder = quadrature._ladder_brackets
+
+    def spied(f, a, b, *args):
+        points = []
+
+        def recorded(xs):
+            points.append(np.array(xs))
+            return f(xs)
+
+        rounds.append((a.copy(), b.copy(), points))
+        return ladder(recorded, a, b, *args)
+
+    monkeypatch.setattr(quadrature, "_ladder_brackets", spied)
+    measure_m(state, CG, tol=1e-6)
+    assert rounds
+    for a, b, points in rounds:
+        # one group of 11 increasing points per open bracket (the signals'
+        # brackets may share a scan step), each strictly inside a bracket
+        first = points[0].reshape(-1, 11)
+        assert len(first) <= len(a) and np.all(np.diff(first, axis=1) > 0.0)
+        inside = (first[:, :1] > a) & (first[:, -1:] < b)
+        assert inside.any(axis=1).all()
 
 
 def test_figure2_states_run_three_passes(monkeypatch):

@@ -91,6 +91,19 @@ def test_stacked_call_is_the_concatenated_single_calls(orderings, cutoff, shared
     assert np.array_equal(stacked, np.concatenate(singles))
 
 
+@pytest.mark.parametrize("n", [0, 5, 40])
+@pytest.mark.parametrize("s", [0.0, -1.0, -3.0])
+def test_zero_weight_steps_change_no_bit(n, s):
+    # a number state's shared weights are 0 but one, so its steps skip the
+    # accumulation a weight column never skips; the sums agree bit for bit,
+    # at radius 0, across the oscillations and far past them
+    weights = number_state(n).weights
+    tau, u, pref = _kernel_arguments(s, np.linspace(0.0, 40.0, 201))
+    skipped = backend.wigner_series(weights, tau, u, pref)
+    summed = backend.wigner_series(weights[:, None], tau, u, pref)
+    assert skipped.tobytes() == summed.tobytes()
+
+
 @pytest.mark.parametrize("n", [256, 320])
 @pytest.mark.parametrize("s", [0.0, -1.0, -3.0])
 def test_high_cutoff_matches_mpmath(n, s):

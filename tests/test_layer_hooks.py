@@ -68,7 +68,7 @@ def test_gaussian_layers_are_reached(reached):
 
 
 @pytest.mark.parametrize("state,points,term_points", [
-    (number_state(40), 9_512, 389_992), (make_thermal_fock(0.5, 120), 1_920, 39_410)],
+    (number_state(40), 4_976, 204_016), (make_thermal_fock(0.5, 120), 1_864, 38_290)],
     ids=["number40", "thermal"])
 def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
     # the tracer unpacks ``weights, _, u, _ = args`` and counts len(u)
@@ -79,8 +79,10 @@ def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
     # from 14,259 / 584,619 and 2,559 / 51,988 (its ladder points now
     # evaluate the norm's terms and the norm's the witness's), closing
     # the cuts in two ladder rounds from 16,282 / 667,562 and 2,004 / 41,090,
-    # and in one round, from the interpolant of 8 scan nodes, from 14,210 /
-    # 582,610 and 1,970 / 40,410
+    # in one round, from the interpolant of 8 scan nodes, from 14,210 /
+    # 582,610 and 1,970 / 40,410, and with that round's 11 points per
+    # bracket, the ends not evaluated again, from 9,512 / 389,992 and
+    # 1,920 / 39,410
     calls = []
     series = backend.wigner_series
 

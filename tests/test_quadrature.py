@@ -1,6 +1,10 @@
 import dataclasses
 import heapq
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -22,6 +26,23 @@ from phasenorm.quadrature import (EPS, GaussianTerm, RadialProfile,
 ABS_W1_INTEGRAL = 4.0 * math.exp(-0.5) - 1.0          # 1.4261226388505319
 VACUUM_CG_L1 = 4.0 * math.sqrt(3.0) / 9.0             # 0.7698003589195010
 VACUUM_DIFF_ROOT = math.sqrt(3.0 * math.log(3.0) / 4.0)  # 0.9077219929594507
+
+
+def test_gl16_table_is_numpys_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert phasenorm.quadrature.LEG_NODES.tobytes() == nodes.tobytes()
+    assert phasenorm.quadrature.LEG_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_import_loads_no_numpy_polynomial():
+    # the GL16 table is written out: numpy.polynomial costs about 5 ms and
+    # 1 MB of resident memory at import
+    done = subprocess.run(
+        [sys.executable, "-c", "import phasenorm, sys; "
+         "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial imported'"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def vacuum_diff_profile():
@@ -544,6 +565,21 @@ def test_closing_bound_keeps_n_within_err(weights):
     # brackets that close on the masses' rounding move N at rounding level,
     # inside the err of the route at either tolerance
     state = make_mixture(np.array(weights) / sum(weights))
+    loose, tight = measure_m(state, CG, tol=1e-6), measure_m(state, CG, tol=1e-10)
+    assert abs(loose.n_value - tight.n_value) <= loose.err + tight.err
+
+
+@pytest.mark.xfail(strict=True, reason="the scan misses a close pair of sign changes at "
+                   "tol 1e-6; its completeness is not yet certified (ROADMAP item 2)")
+def test_scan_misses_no_close_pair_of_cuts():
+    # a cutoff-36 mixture whose exact p = 1 route reads N = 0.66458262 at
+    # tol 1e-6 but 0.66458352 at 1e-10, each with err below 1e-12: the
+    # 1e-6 scan steps over a close pair of cuts
+    weights = np.array([0.90625, 0, 0.65625, 0, 0.046875, 0, 0.953125, 0.1796875, 0.625,
+                        0.73828125, 0.33203125, 0.671875, 0.4375, 0.25, 0.5, 0.5, 0.25, 0,
+                        0.7890625, 0.8125, 0, 0, 1, 0.125, 0.5625, 0.46875, 0.0625, 0.75,
+                        0.9375, 0.9765625, 0, 0.8984375, 0, 1, 0, 0.015625, 0.5])
+    state = make_mixture(weights / weights.sum())
     loose, tight = measure_m(state, CG, tol=1e-6), measure_m(state, CG, tol=1e-10)
     assert abs(loose.n_value - tight.n_value) <= loose.err + tight.err
 
