@@ -270,8 +270,8 @@ def _validate(parser, args):
         if args.nbar < 0:
             parser.error("--nbar must be >= 0")
     elif args.command == "mixtures":
-        if args.count < 1:
-            parser.error("--count must be >= 1")
+        if args.count < 1 or args.seed < 0:
+            parser.error("--count must be >= 1 and --seed >= 0")
 
 
 def main(argv=None):

@@ -204,6 +204,15 @@ class TestMixturesCommand:
     def test_bad_count_usage_error(self):
         assert run_cli("mixtures", "--count", "0", "--out", "/tmp/x.csv").returncode == 2
 
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        # NumPy's Philox rejects it only once the scan starts, as a runtime error
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["mixtures", "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--seed >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def tied(x, y):
     """True when x and y, each printed to 7 significant digits, cannot be ordered.

@@ -197,11 +197,62 @@ class TestAmplifier:
         assert out.tail_mass_bound <= 1e-10
         assert out.weights.sum() + out.tail_mass_bound == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 40, 1100])
+    @pytest.mark.parametrize("gain", [1.5, 2.0, 10.0])
+    def test_amplifier_columns_match_mpmath(self, n, gain):
+        # at m ~ 1e4 (n = 1100, g = 10) differences of ln k! would lose 4e-11
+        # of an entry; m_max lies six standard deviations past the mean
+        m_max = math.ceil(gain * (n + 1) + 6.0 * math.sqrt(gain * (gain - 1.0) * (n + 1))
+                          + 20.0 * gain)
+        columns = phasenorm.fock._amplifier_columns(n, m_max, gain)
+        with mp.workdps(30):
+            g = mp.mpf(gain)
+            want = np.array([float(mp.binomial(m, n) * g ** -(n + 1) * (1 - 1 / g) ** (m - n))
+                             for m in range(n, m_max + 1)])
+        assert np.all(np.abs(columns[n:, n] - want) <= 1e-12 * want + 1e-300)
+        assert not np.any(columns[:n, n])
+
+    @pytest.mark.parametrize("n,gain", [(1100, 2.0), (320, 10.0)])
+    def test_high_photon_numbers_stay_finite(self, n, gain):
+        # a column product started at g^-(n+1) and grown by ratios underflowed,
+        # then overflowed: |1030> at g = 2 and |310> at g = 10 raised ValueError
+        out = amplify_fock(number_state(n), gain)
+        assert np.all(np.isfinite(out.weights)) and out.tail_mass_bound <= 1e-10
+        assert abs(mean_photons(out) - (gain * n + gain - 1.0)) <= 1e-6
+
     def test_auto_margin_is_minimal(self):
         # one photon number less would leave the last weight truncated too,
         # above the bound (5.6e-11 kept, 1.08e-10 without the last weight)
         out = amplify_fock(number_state(2), 2.0)
         assert out.tail_mass_bound <= 1e-10 < out.tail_mass_bound + out.weights[-1]
+
+
+def amplify_by_columns(weights, gain, out_cutoff):
+    """The amplifier law column by column, each a product grown from (1/g)^(n+1),
+    which is exact while it stays in range: output weights and truncated mass."""
+    out, truncated = np.zeros(out_cutoff + 1), 0.0
+    for n, p in enumerate(weights):
+        ms = np.arange(n + 1, out_cutoff + 1)
+        ratios = ms / (ms - n) * (1.0 - 1.0 / gain)
+        col = (1.0 / gain) ** (n + 1) * np.cumprod(np.append(1.0, ratios))
+        out[n:] += p * col
+        truncated += p * max(0.0, 1.0 - float(col.sum()))
+    return out, truncated
+
+
+@pytest.mark.parametrize("state", [number_state(0), number_state(7), make_thermal_fock(1.0, 60),
+                                   make_mixture([0.1, 0.0, 0.3, 0.2, 0.0, 0.4])],
+                         ids=["vacuum", "n7", "thermal", "mixture"])
+@pytest.mark.parametrize("gain", [1.01, 2.0, 7.0])
+def test_amplifier_matches_column_products(state, gain):
+    out = amplify_fock(state, gain)
+    want, truncated = amplify_by_columns(state.weights, gain, out.cutoff)
+    assert np.all(np.abs(out.weights - want) <= 1e-13)
+    assert abs(out.tail_mass_bound - state.tail_mass_bound - truncated) <= 1e-12
+    # the cutoff is the smallest from ceil(g (N + 1)) on that certifies 1e-10
+    assert truncated <= 1e-10
+    base = math.ceil(gain * (state.cutoff + 1))
+    assert out.cutoff == base or amplify_by_columns(state.weights, gain, out.cutoff - 1)[1] > 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -299,6 +350,20 @@ class TestLossKraus:
                 recombined[: len(s.weights)] += p * s.weights
             assert np.allclose(recombined, attenuate_fock(state, lam).weights,
                                atol=1e-12)
+
+    def test_branches_are_the_per_k_formula(self):
+        # past 128 weights NumPy sums pairwise, on a strided diagonal as on a copy
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0, 1, size=200)
+        state = make_mixture(w / w.sum())
+        B = phasenorm.fock._binomial_columns(state.cutoff, 0.37)
+        branches = loss_kraus_decomposition(state, 0.37)
+        assert len(branches) == state.cutoff + 1
+        for k, (pk, branch) in enumerate(branches):
+            ms = np.arange(state.cutoff - k + 1)
+            w_k = state.weights[ms + k] * B[ms, ms + k]
+            assert pk == float(w_k.sum())
+            assert np.array_equal(branch.weights, w_k / pk)
 
     def test_truncated_tail_rejected(self):
         lossy = amplify_fock(make_thermal_fock(1.0, cutoff=30), 1.5)
