@@ -534,6 +534,22 @@ def test_kinked_neighbour_still_finds_the_root():
     assert np.all(roots.widths <= phasenorm.quadrature.ROOT_XTOL)
 
 
+def test_exact_zero_scan_node_is_a_cut():
+    # the first row is exactly zero at scan node 256 of 513, r = 1.5: that
+    # node is returned as a cut of width 0 beside the laddered root 0.7,
+    # while the second row, with no zero node, keeps its three brackets
+    xs = np.linspace(0.0, 3.0, 513)
+    assert xs[256] == 1.5
+    first, second = locate_sign_changes(
+        lambda r: np.array([(r - 1.5) * (r - 0.7), np.cos(3.0 * r)]), (0.0, 3.0), [2, 3])
+    assert list(first) == [0.7, 1.5]
+    assert first.widths[1] == 0.0 and first.heights[1] == 0.0
+    assert len(second) == 3
+    for k, (root, width) in enumerate(zip(second, second.widths)):
+        assert abs(root - (k + 0.5) * math.pi / 3.0) <= width
+        assert 0.0 < width <= phasenorm.quadrature.ROOT_XTOL
+
+
 def test_closing_bound_stops_each_row_at_its_placement_term():
     # a bracket closes once 4 b w (h + sup) <= bound, each row with its own
     # bound and sup; without a bound every bracket shrinks to ROOT_XTOL.
