@@ -111,17 +111,19 @@ def _wigner_terms(weights, terms, radius):
     One kernel pass for every term: ``weights`` is one vector w_i = w for
     all of them or one column w_i per term, and ``radius`` a 1-D array.
     """
-    points = len(radius)
-    u, pref = np.empty(len(terms) * points), np.empty(len(terms) * points)
-    for i, (s, k) in enumerate(terms):
+    u, pref = np.empty((2, len(terms), len(radius)))
+    scaled = {}  # terms of one k share -4 rho^2 and -2 rho^2
+    for (s, k), u_i, pref_i in zip(terms, u, pref):
         if not -math.inf < s < 1.0:
             raise ValueError(f"ordering parameter must be finite and < 1, got {s}")
-        block = slice(i * points, (i + 1) * points)
-        rho2 = (radius if k == 1.0 else radius / math.sqrt(k)) ** 2
-        np.divide(-4.0 * rho2, (1.0 - s) ** 2, u[block])
-        np.multiply(2.0 / (1.0 - s), np.exp(-2.0 * rho2 / (1.0 - s)), pref[block])
+        if k not in scaled:
+            rho2 = (radius if k == 1.0 else radius / math.sqrt(k)) ** 2
+            scaled[k] = -4.0 * rho2, -2.0 * rho2
+        np.divide(scaled[k][0], (1.0 - s) ** 2, u_i)
+        np.exp(np.divide(scaled[k][1], 1.0 - s, pref_i), pref_i)
+        np.multiply(2.0 / (1.0 - s), pref_i, pref_i)
     tau = [(s + 1.0) / (s - 1.0) for s, _ in terms]
-    return backend.wigner_series(weights, tau, u, pref).reshape(len(terms), points)
+    return backend.wigner_series(weights, tau, u.reshape(-1), pref.reshape(-1)).reshape(u.shape)
 
 
 def _masses_outside(weights, terms, radius):
@@ -130,10 +132,11 @@ def _masses_outside(weights, terms, radius):
     See :func:`wigner_mass_outside`; each term's row takes its own weight
     column P_m - tau_i P_{m+1}.
     """
-    upper = np.cumsum(weights[::-1])[::-1]
-    shifted = np.append(upper[1:], 0.0)
-    columns = np.column_stack([upper - (s + 1.0) / (s - 1.0) * shifted for s, _ in terms])
-    return _wigner_terms(columns, terms, radius) / np.array([[2.0 / (1.0 - s)] for s, _ in terms])
+    upper = np.add.accumulate(weights[::-1])[::-1]
+    taus = np.array([(s + 1.0) / (s - 1.0) for s, _ in terms])
+    columns = upper[:, None] - taus * np.concatenate((upper[1:], [0.0]))[:, None]
+    rows = _wigner_terms(columns, terms, radius)
+    return np.divide(rows, [[2.0 / (1.0 - s)] for s, _ in terms], rows)
 
 
 def wigner_s_fock(state, s, radius):
@@ -412,30 +415,30 @@ def _exact_l1(state, searches, tols):
             [search.degree for search in group], stop=np.array([radii[i] for i in pending]),
             close=([2.0 * EPS * (search.mass_degree + 1) for search in group],
                    [search.dropped[1] for search in group]))
-        edges = [np.array([0.0] + list(cuts)) for cuts in every]
         # one mass pass gives T at every signal's cuts and, per term, at its scan radius
-        masses = _signal_masses(state, group, [np.append(e, radii[i])
-                                               for e, i in zip(edges, pending)])
+        points = [np.array([0.0] + cuts + [radii[i]]) for cuts, i in zip(every, pending)]
+        masses = _signal_masses(state, group, points)
         widened = []
-        for i, search, cuts, edge, rows in zip(pending, group, every, edges, masses):
+        for i, search, cuts, at, rows in zip(pending, group, every, points, masses):
             tol, (envelope, envelope_tail), radius = tols[i], envelopes[i], radii[i]
-            tail = float(np.sum(np.abs(rows[:, -1]))) if radius >= search.sign_radius else math.inf
+            tail = float(abs(rows[:, -1]).sum()) if radius >= search.sign_radius else math.inf
             if tail > 0.1 * tol and radius < envelope:
                 radii[i] = envelope
                 widened.append(i)
                 continue
             if radius == envelope:
                 tail = min(tail, envelope_tail)
-            mass = np.append(np.sum(rows[:, :-1], axis=0), 0.0)
-            value = float(np.sum(np.abs(np.diff(mass))))
+            mass = np.add.reduce(rows, axis=0)
+            mass[-1] = 0.0  # T at infinity in place of T at the scan radius
+            value = float(np.add.reduce(np.abs(mass[1:] - mass[:-1])))
             # moving a cut inside its bracket changes the two masses beside it by
             # at most the integral of 2r |f| over the bracket, and |f| <= |g| + sup
             l1, sup = search.dropped
-            placement = float(np.sum(4.0 * edge[1:] * cuts.widths * (cuts.heights + sup)))
-            rounding = (2.0 * EPS * (search.mass_degree + 1) * (len(edge) + 1)
-                        * max(1.0, float(np.max(np.abs(rows)))))
+            placement = float(np.add.reduce(4.0 * at[1:-1] * cuts.widths * (cuts.heights + sup)))
+            rounding = (2.0 * EPS * (search.mass_degree + 1) * len(at)
+                        * max(1.0, float(np.maximum.reduce(np.abs(rows), axis=None))))
             found[i] = IntegralEstimate(
-                value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding, len(edge))
+                value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding, len(at) - 1)
         pending = widened + later
     return tuple(found)
 
@@ -496,16 +499,22 @@ def amplify_fock(state, gain):
     """Quantum-limited amplifier; output cutoff ceil(gain*(N+1)) + margin.
 
     The margin is the smallest certifying truncated mass <= 1e-10: a trial
-    margin, doubled from 16 up to 2^20, sizes :func:`_amplifier_columns`,
-    whose row cumsum gives the truncated mass sum_n p_n (1 - CDF_n(M)) at
-    every cutoff M, and the first M >= the base that certifies is taken.
+    margin, doubled up to 2^20 from the power of two (at least 16) past each
+    weight's reach g (n + 1) + 1.25 sqrt(2 ln(p_n / 1e-10)) sigma_n, sigma_n^2
+    = g (g - 1) (n + 1), sizes :func:`_amplifier_columns`, whose row cumsum
+    gives the truncated mass sum_n p_n (1 - CDF_n(M)) at every cutoff M; the
+    first M >= the base that certifies is taken.
     """
     if not 1.0 <= gain < math.inf:
         raise ValueError(f"gain must be finite and >= 1, got {gain}")
     if gain == 1.0:
         return state
     base = math.ceil(gain * (state.cutoff + 1))
-    for trial in (1 << j for j in range(4, 21)):
+    n = np.arange(1.0, state.cutoff + 2.0)
+    reach = 1.25 * np.sqrt(2.0 * gain * (gain - 1.0) * n * np.log(
+        np.maximum(state.weights, TAIL_BOUND_MAX) / TAIL_BOUND_MAX)) + gain * n - base
+    first = int(np.clip(np.ceil(np.log2(max(1.0, reach.max()))), 4, 20))
+    for trial in (1 << j for j in range(first, 21)):
         A = _amplifier_columns(state.cutoff, base + trial, gain)
         truncated = np.maximum(1.0 - np.cumsum(A, axis=0), 0.0) @ state.weights
         fits = np.flatnonzero(truncated[base:] <= TAIL_BOUND_MAX)

@@ -75,6 +75,7 @@ WINDOW_COEFFICIENTS = np.array([
     [7, -35, 63, -35, -35, 63, -35, 7],
     [-1, 7, -21, 35, -35, 21, -7, 1]], dtype=float)
 WINDOW = len(WINDOW_COEFFICIENTS)  # scan nodes of a bracket's first point
+POWERS = np.arange(WINDOW)  # a window's node offsets, and its interpolant's exponents
 NEWTON_STEPS = 3  # on their interpolant, from the regula falsi point
 MIN_PANEL_WIDTH = 1e-13
 EPS = float(np.finfo(float).eps)
@@ -112,7 +113,7 @@ class IntegralEstimate:
     the true error of a feature narrower than the nodes see: on the planar
     per-ray route (p != 1) nbar 1 squeezed by r = 6 under C_g reads N =
     0.5751669 +- 5.2e-7 at p = 2, tol 1e-6, for a closed form of 0.5757457
-    (ROADMAP.md item 9).  On the planar p = 1 route it is the only
+    (ROADMAP.md item 4).  On the planar p = 1 route it is the only
     estimate, that of the angle integral of the shares of mass; the rest
     is closed form with a rounding bound, and both planar routes add the
     rounding each term carries from a covariance's conversion to axes (see
@@ -175,8 +176,9 @@ class SignChanges(list):
     """
 
     def __init__(self, roots, widths, heights):
-        order = np.argsort(roots, kind="stable")
-        super().__init__(float(r) for r in np.asarray(roots)[order])
+        roots = np.asarray(roots, dtype=float)
+        order = roots.argsort(kind="stable")
+        super().__init__(roots[order].tolist())
         self.widths = np.asarray(widths, dtype=float)[order]
         self.heights = np.asarray(heights, dtype=float)[order]
 
@@ -213,40 +215,49 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     :class:`SignChanges` bound the placement error of its roots.
     """
     lo, hi = bracket
-    hints = np.atleast_1d(degree_hint)
+    hints = np.asarray(degree_hint).reshape(-1)
     count = min(max(513, 32 * (int(hints[0]) + 1) + 1), 40001)
-    xs = np.linspace(lo, hi, count)
-    ends = count if stop is None else np.minimum(np.searchsorted(xs, stop) + 1, count)
-    xs = xs[:np.max(ends)]
+    # np.linspace(lo, hi, count), bit for bit: its last node is hi itself
+    xs = np.arange(count) * ((hi - lo) / (count - 1)) + lo
+    xs[-1] = hi
+    reach = np.minimum(xs.searchsorted(np.inf if stop is None else stop) + 1, count)
+    xs = xs[:reach.max()]
     rows = f(xs)
-    ends = np.full(len(rows), ends)
+    ends = reach + np.zeros(len(rows), dtype=reach.dtype)
     # node j of row i is scanned while j < ends[i]; the rest reads as zero
-    live = np.arange(len(xs)) < ends[:, None]
-    mag = np.where(live, np.abs(rows), 0.0)
-    floor = SIGN_SCAN_FLOOR * mag.max(axis=1, keepdims=True)
-    owner, idx = np.nonzero((rows[:, :-1] * rows[:, 1:] < 0.0) & live[:, 1:]
-                            & (np.maximum(mag[:, :-1], mag[:, 1:]) > floor))
-    zmask = ((rows[:, 1:-1] == 0.0) & live[:, 2:]
-             & (np.maximum(mag[:, :-2], mag[:, 2:]) > floor))
-    brackets = np.bincount(owner, minlength=len(rows))
-    changes, budget = brackets + zmask.sum(axis=1), np.resize(hints, len(rows)) + 16
-    if np.any(changes > budget):
+    mag = np.abs(rows)
+    for row, end in zip(mag, ends.tolist()):
+        row[end:] = 0.0
+    floor = SIGN_SCAN_FLOOR * np.maximum.reduce(mag, axis=1, keepdims=True)
+    flips = (rows[:, :-1] * rows[:, 1:] < 0.0) & (np.maximum(mag[:, :-1], mag[:, 1:]) > floor)
+    zmask = rows[:, 1:-1] == 0.0
+    if zmask.any():
+        zmask &= np.maximum(mag[:, :-2], mag[:, 2:]) > floor
+    # a step j, j + 1 is scanned while j + 1 < ends, a node j + 1 while j + 2 < ends
+    for flip, zero, end in zip(flips, zmask, ends.tolist()):
+        flip[end - 1:] = False
+        zero[max(end - 2, 0):] = False
+    owner, idx = flips.nonzero()
+    brackets, zeros = np.bincount(owner, minlength=len(rows)), np.add.reduce(zmask, axis=1)
+    changes, budget = brackets + zeros, hints + 16
+    if (changes > budget).any():
         i = int(np.argmax(changes > budget))
-        raise RootBudgetExceeded(f"found {changes[i]} sign changes, budget {budget[i]}")
-    bound, sup = (-np.inf, 0.0) if close is None else close
+        raise RootBudgetExceeded(
+            f"found {changes[i]} sign changes, budget {budget[i % len(budget)]}")
+    limits = np.empty((2, len(rows)))  # the rows' closing bounds and sups
+    limits[0], limits[1] = (-np.inf, 0.0) if close is None else close
+    a, b = xs[idx], xs[idx + 1]
     roots, widths, heights = _ladder_brackets(
-        f, xs[idx], xs[idx + 1], rows[owner, idx], rows[owner, idx + 1], owner,
-        _window_roots(rows, owner, idx, ends[owner], xs[idx], xs[idx + 1]),
-        np.full(len(rows), bound)[owner], np.full(len(rows), sup)[owner])
+        f, a, b, rows[owner, idx], rows[owner, idx + 1], owner,
+        _window_roots(rows, owner, idx, ends[owner], a, b), *limits[:, owner])
     found, start = [], 0
-    for n, zero in zip(brackets, zmask):
+    for n, z, zero in zip(brackets.tolist(), zeros.tolist(), zmask):
         part = slice(start, start + n)
         start = part.stop
-        zeros = xs[1:-1][zero]
-        none = np.zeros(len(zeros))
-        found.append(SignChanges(np.concatenate([roots[part], zeros]),
-                                 np.concatenate([widths[part], none]),
-                                 np.concatenate([heights[part], none])))
+        cuts = roots[part], widths[part], heights[part]
+        if z:  # nodes where the row is exactly zero are cuts of width 0
+            cuts = map(np.concatenate, zip(cuts, (xs[1:-1][zero], np.zeros(z), np.zeros(z))))
+        found.append(SignChanges(*cuts))
     return found
 
 
@@ -265,20 +276,20 @@ def _window_roots(rows, owner, idx, ends, a, b):
     ya, yb = rows[owner, idx], rows[owner, idx + 1]
     width, gap = b - a, ya - yb
     falsi = b + yb * width / gap
-    start = np.clip(idx - WINDOW // 2 + 1, 0, np.maximum(ends - WINDOW, 0))
-    nodes = np.minimum(start[:, None] + np.arange(WINDOW), ends[:, None] - 1)
+    start = np.minimum(np.maximum(idx - (WINDOW // 2 - 1), 0), np.maximum(ends - WINDOW, 0))
+    nodes = np.minimum(start[:, None] + POWERS, ends[:, None] - 1)
     window = rows[owner[:, None], nodes]
     # the bracket is [left, left + 2] in v = 2j - 7 at window node j
     left = 2.0 * (idx - start) - (WINDOW - 1)
     v = left + 2.0 * ya / gap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the coefficients in v of 645120 times the interpolant
-        coef = (window[:, None, :] * WINDOW_COEFFICIENTS).sum(axis=2)
+        # the coefficients in v of 645120 times the interpolant, and of its slope
+        coef = np.add.reduce(window[:, None, :] * WINDOW_COEFFICIENTS, axis=2)
+        slope = coef[:, 1:] * POWERS[1:]
         for _ in range(NEWTON_STEPS):
-            powers = v[:, None] ** np.arange(WINDOW)
-            value = (coef * powers).sum(axis=1)
-            slope = (coef[:, 1:] * np.arange(1, WINDOW) * powers[:, :-1]).sum(axis=1)
-            v = v - value / slope
+            powers = v[:, None] ** POWERS
+            v = v - (np.add.reduce(coef * powers, axis=1)
+                     / np.add.reduce(slope * powers[:, :-1], axis=1))
         point = a + 0.5 * (v - left) * width
     # nan fails both comparisons
     return np.where((point > a) & (point < b) & (ends >= WINDOW), point, falsi)
@@ -314,7 +325,7 @@ def _ladder_brackets(f, a, b, fa, fb, owner, first, bound, sup):
         placement = 4.0 * hi * width * (np.maximum(np.abs(ylo), np.abs(yhi)) + sup[i])
         return (width > ROOT_XTOL) & ~(placement <= bound[i])
 
-    open_ = np.nonzero(still_open(a, b, ya, yb, slice(None)))[0]
+    open_ = still_open(a, b, ya, yb, slice(None)).nonzero()[0]
     for step in range(ROOT_MAX_STEPS):
         if not len(open_):
             break
@@ -322,7 +333,7 @@ def _ladder_brackets(f, a, b, fa, fb, owner, first, bound, sup):
         width = hi - lo
         if step:
             c = hi - yhi * width / (yhi - ylo)
-            offsets = LADDER_OFFSETS[np.searchsorted(LADDER, width.max())]
+            offsets = LADDER_OFFSETS[LADDER.searchsorted(np.maximum.reduce(width, axis=None))]
         else:
             c, offsets = first[open_, None], FIRST_OFFSETS
         xs = np.minimum(np.maximum(c + offsets, lo), hi)
@@ -331,7 +342,7 @@ def _ladder_brackets(f, a, b, fa, fb, owner, first, bound, sup):
         xs, ys = np.concatenate([lo, xs, hi], axis=1), np.concatenate([ylo, ys, yhi], axis=1)
         gap = np.where(ys[:, :-1] * ys[:, 1:] < 0.0, xs[:, 1:] - xs[:, :-1], np.inf)
         zero = ys == 0.0
-        hit = zero.any(axis=1)
+        hit = np.logical_or.reduce(zero, axis=1)
         left = np.where(hit, zero.argmax(axis=1), gap.argmin(axis=1))
         right = left + ~hit
         lo, ylo, hi, yhi = xs[rows, left], ys[rows, left], xs[rows, right], ys[rows, right]

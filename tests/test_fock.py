@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -225,6 +226,43 @@ class TestAmplifier:
         # above the bound (5.6e-11 kept, 1.08e-10 without the last weight)
         out = amplify_fock(number_state(2), 2.0)
         assert out.tail_mass_bound <= 1e-10 < out.tail_mass_bound + out.weights[-1]
+
+    @pytest.mark.parametrize("n, gain, cutoff, tail, digest", [
+        (300, 10.0, 4184, 9.847800352957847e-11,
+         "375a0116db6bcdd7176202bac22c21c33253ba09eb139bf1dee9850b500f156c"),
+        (1000, 2.0, 2306, 8.853184851886908e-11,
+         "1a59286460c1d2a85405af9170826deb5ccf27a9cfc16566d63f8fa00f661801"),
+        (40, 2.0, 159, 8.762257586170108e-11,
+         "164f246b0b2591e150826ce0e27c7de47fe0e75104e6a8b9541d1209845619c8")],
+        ids=["300-g10", "1000-g2", "40-g2"])
+    def test_first_trial_margin_from_the_spread(self, n, gain, cutoff, tail, digest, monkeypatch):
+        # these laws need margins of 6.8-8.5 sigma, sigma^2 = g (g - 1) (n + 1),
+        # which trials doubled from 16 reached in 4 to 8 matrix builds; the
+        # cutoff, the weights' bytes and the tail are those of that search
+        builds = self.counted_builds(monkeypatch)
+        out = amplify_fock(number_state(n), gain)
+        assert len(builds) <= 2
+        assert out.cutoff == cutoff
+        assert hashlib.sha256(out.weights.tobytes()).hexdigest() == digest
+        assert abs(out.tail_mass_bound - tail) <= 1e-15 * tail
+
+    def test_light_top_weights_keep_the_smallest_trial(self, monkeypatch):
+        # thermal nbar 3 at cutoff 120 certifies at the base: its top weights are
+        # far below the bound, so one build with the smallest margin, 16, serves
+        builds = self.counted_builds(monkeypatch)
+        out = amplify_fock(make_thermal_fock(3.0, 120), 2.0)
+        assert builds == [(120, 242 + 16, 2.0)] and out.cutoff == 242
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        builds, columns = [], phasenorm.fock._amplifier_columns
+
+        def counted(*args):
+            builds.append(args)
+            return columns(*args)
+
+        monkeypatch.setattr(phasenorm.fock, "_amplifier_columns", counted)
+        return builds
 
 
 def amplify_by_columns(weights, gain, out_cutoff):
