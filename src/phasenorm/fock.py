@@ -347,10 +347,10 @@ def radial_profile(state, s, channel=None, also=()):
       to a later round, so no scan runs past its grid's end; a widened
       scan runs on the grid of the first signal that widens.
     * ``abs_error_bound`` is twice the tail beyond the scan, plus the
-      root placement, 4 b w (h + sup) per cut (b its radius, the right
-      end of its final bracket, w that bracket's width, h the larger
-      |g| at its ends, with g the searched truncation of f, and sup the
-      dropped terms' sup; exact for f monotone on the bracket), plus
+      root placement, :func:`~phasenorm.quadrature.placement_terms` 4 b w
+      (h + sup) per cut (b the right end of its final bracket, w that
+      bracket's width, h the larger |g| at its ends, with g the searched
+      truncation of f, and sup the dropped terms' sup), plus
       the rounding of the masses, 2 eps (mass_degree + 1) max(1, |T|)
       per mass, plus four times the dropped terms' l1, at most tol/10:
       on a mass interval where g keeps one sign, int |f| - |int f| <= 2
@@ -416,10 +416,10 @@ def _exact_l1(state, searches, tols):
             close=([2.0 * EPS * (search.mass_degree + 1) for search in group],
                    [search.dropped[1] for search in group]))
         # one mass pass gives T at every signal's cuts and, per term, at its scan radius
-        points = [np.array([0.0] + cuts + [radii[i]]) for cuts, i in zip(every, pending)]
+        points = [np.concatenate(([0.0], c, [radii[i]])) for (c, _, _), i in zip(every, pending)]
         masses = _signal_masses(state, group, points)
         widened = []
-        for i, search, cuts, at, rows in zip(pending, group, every, points, masses):
+        for i, search, (cuts, *brackets), rows in zip(pending, group, every, masses):
             tol, (envelope, envelope_tail), radius = tols[i], envelopes[i], radii[i]
             tail = float(abs(rows[:, -1]).sum()) if radius >= search.sign_radius else math.inf
             if tail > 0.1 * tol and radius < envelope:
@@ -434,11 +434,11 @@ def _exact_l1(state, searches, tols):
             # moving a cut inside its bracket changes the two masses beside it by
             # at most the integral of 2r |f| over the bracket, and |f| <= |g| + sup
             l1, sup = search.dropped
-            placement = float(np.add.reduce(4.0 * at[1:-1] * cuts.widths * (cuts.heights + sup)))
-            rounding = (2.0 * EPS * (search.mass_degree + 1) * len(at)
+            placement = float(np.add.reduce(quadrature.placement_terms(cuts, *brackets, sup)))
+            rounding = (2.0 * EPS * (search.mass_degree + 1) * (len(cuts) + 2)
                         * max(1.0, float(np.maximum.reduce(np.abs(rows), axis=None))))
             found[i] = IntegralEstimate(
-                value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding, len(at) - 1)
+                value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding, len(cuts) + 1)
         pending = widened + later
     return tuple(found)
 
@@ -487,23 +487,30 @@ def _amplifier_columns(n_max, m_max, gain):
         1 / 360 - inv * (1 / 1260 - inv * (1 / 1680 - inv / 1188)))) / k)
     h[1:16] = [math.log(math.factorial(j) / j ** j) + j for j in range(1, min(m_max, 15) + 1)]
     m, n = np.ogrid[:m_max + 1, :n_max + 1]
-    rest, d = m - n, n - m * p
-    with np.errstate(divide="ignore", invalid="ignore"):  # n = 0, n = m and n > m are set below
-        log_b = (h[m] - h[n] - h[np.abs(rest)]
-                 - n * np.log1p(d / (m * p)) - rest * np.log1p(-d / (m * q)))
-    return np.exp(np.select([rest < 0, n == 0, rest == 0],
-                            [-math.inf, m * math.log(q), m * math.log(p)], log_b)) * p
+    # ln b term by term in one buffer and one scratch: |m - n| = m - n where m >= n,
+    # the entries m < n, n = 0 and m = n are set below, and -d / (m q) is d / (m (-q))
+    rest, log_b = np.abs(m - n), h[m] - h[n]
+    scratch = np.take(h, rest)
+    log_b -= scratch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for scale, factor in ((m * p, n), (m * -q, rest)):
+            np.divide(np.subtract(n, m * p, out=scratch), scale, out=scratch)
+            log_b -= np.multiply(np.log1p(scratch, out=scratch), factor, out=scratch)
+    np.fill_diagonal(log_b, np.arange(n_max + 1) * math.log(p))
+    log_b[:, 0] = m[:, 0] * math.log(q)
+    log_b[m < n] = -math.inf
+    return np.multiply(np.exp(log_b, out=log_b), p, out=log_b)
 
 
 def amplify_fock(state, gain):
     """Quantum-limited amplifier; output cutoff ceil(gain*(N+1)) + margin.
 
     The margin is the smallest certifying truncated mass <= 1e-10: a trial
-    margin, doubled up to 2^20 from the power of two (at least 16) past each
-    weight's reach g (n + 1) + 1.25 sqrt(2 ln(p_n / 1e-10)) sigma_n, sigma_n^2
-    = g (g - 1) (n + 1), sizes :func:`_amplifier_columns`, whose row cumsum
-    gives the truncated mass sum_n p_n (1 - CDF_n(M)) at every cutoff M; the
-    first M >= the base that certifies is taken.
+    margin from the ceiling (at least 16) of the weights' reach g (n + 1) +
+    1.25 sqrt(2 ln(p_n / 1e-10)) sigma_n past the base, sigma_n^2 = g (g -
+    1) (n + 1), doubled while at most 2^20, sizes :func:`_amplifier_columns`,
+    whose row cumsum gives the truncated mass sum_n p_n (1 - CDF_n(M)) at
+    every cutoff M; the first M >= the base that certifies is taken.
     """
     if not 1.0 <= gain < math.inf:
         raise ValueError(f"gain must be finite and >= 1, got {gain}")
@@ -513,15 +520,17 @@ def amplify_fock(state, gain):
     n = np.arange(1.0, state.cutoff + 2.0)
     reach = 1.25 * np.sqrt(2.0 * gain * (gain - 1.0) * n * np.log(
         np.maximum(state.weights, TAIL_BOUND_MAX) / TAIL_BOUND_MAX)) + gain * n - base
-    first = int(np.clip(np.ceil(np.log2(max(1.0, reach.max()))), 4, 20))
-    for trial in (1 << j for j in range(first, 21)):
+    trial = max(16, math.ceil(reach.max()))
+    while trial <= 1 << 20:
         A = _amplifier_columns(state.cutoff, base + trial, gain)
-        truncated = np.maximum(1.0 - np.cumsum(A, axis=0), 0.0) @ state.weights
+        mass = np.cumsum(A, axis=0)  # 1 - mass floored at 0 in place: one full-size copy
+        truncated = np.maximum(np.subtract(1.0, mass, out=mass), 0.0, out=mass) @ state.weights
         fits = np.flatnonzero(truncated[base:] <= TAIL_BOUND_MAX)
         if len(fits):
             cut = base + int(fits[0])
             return FockDiagonalState(A[:cut + 1] @ state.weights,
                                      state.tail_mass_bound + float(truncated[cut]))
+        trial *= 2
     raise RuntimeError("amplifier tail does not certify; gain too large?")
 
 

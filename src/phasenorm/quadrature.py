@@ -21,9 +21,9 @@ each bracket, flanked by 5 geometric rungs a side up to 3.3e-8, then
 regula falsi points flanked by the rungs narrower than the widest open
 bracket, each round's choice also reading the values already known at
 the brackets' ends.  A bracket closes at width 1e-12, or sooner once its
-placement term meets a closing bound the caller gives.  The scan takes an
-f of one row per signal and finds every row's sign changes by one scan
-and one ladder.
+:func:`placement_terms` value meets a closing bound the caller gives.  The
+scan takes an f of one row per signal and returns every row's (cuts,
+widths, heights) arrays from one scan and one ladder.
 Along a ray of a planar profile the log-magnitude of each Gaussian term
 is quadratic in the radius, so its sign change is found in closed form;
 for p = 1 with a shared center Imhof's angular form needs no ray at all.
@@ -168,26 +168,20 @@ class GaussianTerm(NamedTuple):
         return self.weight / (2.0 * math.sqrt(self.variances[0] * self.variances[1]))
 
 
-class SignChanges(list):
-    """Sorted sign-change radii with their final brackets.
-
-    ``widths[i]`` is the width of the bracket left around root i (0 for an
-    exact zero) and ``heights[i]`` the larger |f| at its two ends.
-    """
-
-    def __init__(self, roots, widths, heights):
-        roots = np.asarray(roots, dtype=float)
-        order = roots.argsort(kind="stable")
-        super().__init__(roots[order].tolist())
-        self.widths = np.asarray(widths, dtype=float)[order]
-        self.heights = np.asarray(heights, dtype=float)[order]
+def placement_terms(right, width, height, sup):
+    """4 right width (height + sup), elementwise: for f monotone on a cut's bracket
+    (``height`` the larger |f| at its ends) and g within ``sup`` of f, the most the
+    integrals of 2r g on either side move as the cut moves within the bracket."""
+    return 4.0 * right * width * (height + sup)
 
 
 def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     """Find where each row of f changes sign on ``bracket``, each cut to 1e-12 or to ``close``.
 
     ``f`` returns one row per signal (shape (signals, points) for a 1-D
-    array of radii), and one :class:`SignChanges` is returned per row.
+    array of radii); per row (cuts, widths, heights) is returned, arrays of
+    the increasing cuts, their final brackets' widths (0 for an exact
+    zero) and the larger |f| at those brackets' ends.
     The rows share one scan, a uniform grid of min(max(513, 32 (degree_hint
     + 1) + 1), 40001) samples over ``bracket`` for the first row's
     degree_hint; each row is cut after its first node at or beyond its
@@ -197,7 +191,7 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     :func:`_window_roots`).  ``degree_hint``, ``stop`` and the two parts
     of ``close`` may each hold one value per row.  A row finds, bit for
     bit, the cuts it finds alone on the same grid.
-    Nodes where a row is exactly zero are returned as cuts directly.
+    Nodes where a row is exactly zero are merged in as cuts directly.
     Sign flips whose flanking magnitudes are both below SIGN_SCAN_FLOOR
     times the row's scan maximum are ignored: such crossings are
     floating-point noise where f has decayed away, and missing a cut there
@@ -206,13 +200,9 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     Raises :class:`RootBudgetExceeded` above degree_hint + 16 changes in a row.
 
     ``close``, if given, is a pair (bound, sup): a bracket [a, b] then
-    also closes once its placement term 4 b (b - a) (max(|f(a)|, |f(b)|)
-    + sup) is at most bound.  For f monotone on the bracket and any g
-    within sup of f, that term bounds the change of the integrals of
-    2r g over the intervals on either side of the root when the root
-    moves within the bracket.  Without ``close`` every bracket is refined
-    to ROOT_XTOL.  The final bracket widths and end values of each
-    :class:`SignChanges` bound the placement error of its roots.
+    also closes once its :func:`placement_terms` of (b, b - a, max(|f(a)|,
+    |f(b)|), sup) is at most bound; without it every bracket is refined
+    to ROOT_XTOL.  A row's arrays give the placement terms of its cuts.
     """
     lo, hi = bracket
     hints = np.asarray(degree_hint).reshape(-1)
@@ -247,17 +237,16 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     limits = np.empty((2, len(rows)))  # the rows' closing bounds and sups
     limits[0], limits[1] = (-np.inf, 0.0) if close is None else close
     a, b = xs[idx], xs[idx + 1]
-    roots, widths, heights = _ladder_brackets(
+    laddered = np.array(_ladder_brackets(
         f, a, b, rows[owner, idx], rows[owner, idx + 1], owner,
-        _window_roots(rows, owner, idx, ends[owner], a, b), *limits[:, owner])
+        _window_roots(rows, owner, idx, ends[owner], a, b), *limits[:, owner]))
     found, start = [], 0
     for n, z, zero in zip(brackets.tolist(), zeros.tolist(), zmask):
-        part = slice(start, start + n)
-        start = part.stop
-        cuts = roots[part], widths[part], heights[part]
-        if z:  # nodes where the row is exactly zero are cuts of width 0
-            cuts = map(np.concatenate, zip(cuts, (xs[1:-1][zero], np.zeros(z), np.zeros(z))))
-        found.append(SignChanges(*cuts))
+        cuts, start = laddered[:, start:start + n], start + n
+        if z:  # nodes where the row is exactly zero are cuts of width 0, merged in order
+            cuts = np.concatenate([cuts, (xs[1:-1][zero], np.zeros(z), np.zeros(z))], axis=1)
+            cuts = cuts[:, cuts[0].argsort(kind="stable")]
+        found.append(tuple(cuts))
     return found
 
 
@@ -312,7 +301,7 @@ def _ladder_brackets(f, a, b, fa, fb, owner, first, bound, sup):
     The narrowest pair of neighbours whose values change sign becomes the
     bracket; c within 0.5 ROOT_XTOL of the root closes it.  A bracket
     closes at width ROOT_XTOL, at an exact zero or once its placement term
-    4 b (b - a) (max |f| at the ends + sup) is at most ``bound`` (all per
+    (b, b - a, max |f| at the ends, ``sup``) is at most ``bound`` (all per
     bracket), after at most ROOT_MAX_STEPS rounds.  Returns the roots
     (right ends), the final widths and max(|f|) at the final ends.
     """
@@ -322,7 +311,7 @@ def _ladder_brackets(f, a, b, fa, fb, owner, first, bound, sup):
     def still_open(lo, hi, ylo, yhi, i):
         # which of the brackets [lo, hi] (numbers i) stay open
         width = hi - lo
-        placement = 4.0 * hi * width * (np.maximum(np.abs(ylo), np.abs(yhi)) + sup[i])
+        placement = placement_terms(hi, width, np.maximum(np.abs(ylo), np.abs(yhi)), sup[i])
         return (width > ROOT_XTOL) & ~(placement <= bound[i])
 
     open_ = still_open(a, b, ya, yb, slice(None)).nonzero()[0]
@@ -489,7 +478,7 @@ def integrate_radial_abs_pow(profile, p, tol):
         return ests if isinstance(tol, tuple) else ests[0]
     est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
         locate_sign_changes(lambda r: profile.evaluator(r)[None], (0.0, radius),
-                            profile.degree_hint)[0]))
+                            profile.degree_hint)[0][0]))
     return _checked(est, tol)
 
 

@@ -51,6 +51,6 @@ def test_three_row_scan_bits():
     found = locate_sign_changes(f, (0.0, 6.0), [12, 4, 3], stop=[5.0, 9.0, 3.5],
                                 close=([1e-9, 0.0, 1e-12], [0.0, 1e-3, 0.0]))
     values = []
-    for cuts in found:
-        values += list(cuts) + cuts.widths.tolist() + cuts.heights.tolist() + [len(cuts)]
+    for cuts, widths, heights in found:
+        values += list(cuts) + widths.tolist() + heights.tolist() + [len(cuts)]
     assert _digest(values) == SCAN_SHA256

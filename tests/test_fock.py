@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -227,21 +228,24 @@ class TestAmplifier:
         out = amplify_fock(number_state(2), 2.0)
         assert out.tail_mass_bound <= 1e-10 < out.tail_mass_bound + out.weights[-1]
 
-    @pytest.mark.parametrize("n, gain, cutoff, tail, digest", [
-        (300, 10.0, 4184, 9.847800352957847e-11,
+    @pytest.mark.parametrize("n, gain, reach, cutoff, tail, digest", [
+        (300, 10.0, 1397, 4184, 9.847800352957847e-11,
          "375a0116db6bcdd7176202bac22c21c33253ba09eb139bf1dee9850b500f156c"),
-        (1000, 2.0, 2306, 8.853184851886908e-11,
+        (1000, 2.0, 380, 2306, 8.853184851886908e-11,
          "1a59286460c1d2a85405af9170826deb5ccf27a9cfc16566d63f8fa00f661801"),
-        (40, 2.0, 159, 8.762257586170108e-11,
+        (40, 2.0, 77, 159, 8.762257586170108e-11,
          "164f246b0b2591e150826ce0e27c7de47fe0e75104e6a8b9541d1209845619c8")],
         ids=["300-g10", "1000-g2", "40-g2"])
-    def test_first_trial_margin_from_the_spread(self, n, gain, cutoff, tail, digest, monkeypatch):
-        # these laws need margins of 6.8-8.5 sigma, sigma^2 = g (g - 1) (n + 1),
-        # which trials doubled from 16 reached in 4 to 8 matrix builds; the
-        # cutoff, the weights' bytes and the tail are those of that search
+    def test_first_trial_margin_from_the_spread(self, n, gain, reach, cutoff, tail, digest,
+                                                monkeypatch):
+        # these laws need margins of 6.8-8.5 sigma, sigma^2 = g (g - 1) (n + 1);
+        # the first trial, the ceiling of the top weight's reach past the base,
+        # certifies in one build no larger than that, and the cutoff, the
+        # weights' bytes and the tail are those of trials doubled from 16
         builds = self.counted_builds(monkeypatch)
         out = amplify_fock(number_state(n), gain)
-        assert len(builds) <= 2
+        base = math.ceil(gain * (n + 1))
+        assert len(builds) == 1 and builds[0][1] <= base + reach
         assert out.cutoff == cutoff
         assert hashlib.sha256(out.weights.tobytes()).hexdigest() == digest
         assert abs(out.tail_mass_bound - tail) <= 1e-15 * tail
@@ -252,6 +256,18 @@ class TestAmplifier:
         builds = self.counted_builds(monkeypatch)
         out = amplify_fock(make_thermal_fock(3.0, 120), 2.0)
         assert builds == [(120, 242 + 16, 2.0)] and out.cutoff == 242
+
+    def test_columns_peak_within_three_and_a_half_results(self):
+        # ln b is built in one buffer and one scratch, and the special entries,
+        # exp and the 1/g factor are written in place: about three result-sized
+        # arrays are alive at once
+        tracemalloc.start()
+        try:
+            columns = phasenorm.fock._amplifier_columns(300, 3600, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * columns.nbytes
 
     @staticmethod
     def counted_builds(monkeypatch):
