@@ -4,15 +4,16 @@ seeded Fock-mixture scan, and the verification suites.
 All CSV artifacts are deterministic: quadrature is deterministic, the
 simplex sampler uses a counter-based Philox generator, and floats are
 written with fixed 7-significant-digit formatting, so identical flags
-yield byte-identical files.  Exit codes: 0 success, 1 runtime failure
-(a quadrature that misses its tolerance or root budget, or a parameter
-out of a state's or a search's domain, among them), 2 usage error.
+yield byte-identical files; each CSV's header is its row class's field
+names in order.  Exit codes: 0 success, 1 runtime failure (a quadrature
+that misses its tolerance or root budget, or a parameter out of a state's
+or a search's domain, among them), 2 usage error.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,8 +24,6 @@ from .quadrature import RootBudgetExceeded, ToleranceNotReached
 from .quantifier import DEFAULT_TOL, FunctionalSpec, baseline_with_error, measure_m
 from .verify import run_suite
 
-SWEEP_HEADER = "r,n_value,err,baseline,m_value,quantum_by_variance,classification"
-MIXTURE_HEADER = "p0,p1,p2,n_value,m_value,wigner_negativity,classification,seed_index"
 CROSSING_R_HI = 2.0  # upper end of the crossing bracket
 
 
@@ -32,8 +31,21 @@ def _fmt(x):
     return f"{x:.7g}"
 
 
+class _Row:
+    """A dataclass row of a CSV: the header is its field names in order, and
+    the row prints its float fields with ``_fmt`` and the others with ``str``."""
+
+    @classmethod
+    def header(cls):
+        return ",".join(f.name for f in fields(cls))
+
+    def csv(self):
+        return ",".join((_fmt if f.type is float else str)(getattr(self, f.name))
+                        for f in fields(self))
+
+
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Row):
     r: float
     n_value: float
     err: float
@@ -42,14 +54,9 @@ class SweepRow:
     quantum_by_variance: int
     classification: str
 
-    def csv(self):
-        return ",".join([_fmt(self.r), _fmt(self.n_value), _fmt(self.err),
-                         _fmt(self.baseline), _fmt(self.m_value),
-                         str(self.quantum_by_variance), self.classification])
-
 
 @dataclass(frozen=True)
-class MixtureRow:
+class MixtureRow(_Row):
     p0: float
     p1: float
     p2: float
@@ -58,12 +65,6 @@ class MixtureRow:
     wigner_negativity: float
     classification: str
     seed_index: int
-
-    def csv(self):
-        return ",".join([_fmt(self.p0), _fmt(self.p1), _fmt(self.p2),
-                         _fmt(self.n_value), _fmt(self.m_value),
-                         _fmt(self.wigner_negativity), self.classification,
-                         str(self.seed_index)])
 
 
 def run_sweep(nbar, r_min, r_max, steps, tol=DEFAULT_TOL):
@@ -147,27 +148,26 @@ def find_crossing(nbar, tol=1e-5):
     return 0.5 * (lo + hi), m_lo, m_hi, onset
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row.csv() + "\n")
-
-
 def _cmd_baseline(args):
     value, err = baseline_with_error(CG, FunctionalSpec(args.s, args.p), args.tol)
     print(f"baseline,{_fmt(value)},{err:.3g}")
     return 0
 
 
-def _cmd_sweep(args):
-    rows = run_sweep(args.nbar, args.r_min, args.r_max, args.steps, args.tol)
+def _cmd_table(args):
+    if args.command == "sweep":
+        kind, rows = SweepRow, run_sweep(args.nbar, args.r_min, args.r_max, args.steps,
+                                         args.tol)
+    else:
+        kind, rows = MixtureRow, run_mixtures(args.count, args.seed, args.include_corners,
+                                              args.tol)
     try:
-        _write_rows(args.out, SWEEP_HEADER, rows)
+        with open(args.out, "w", newline="") as fh:
+            fh.writelines(line + "\n" for line in [kind.header()] + [r.csv() for r in rows])
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
-    print(f"sweep,{len(rows)} rows,{args.out}")
+    print(f"{args.command},{len(rows)} rows,{args.out}")
     return 0
 
 
@@ -180,17 +180,6 @@ def _cmd_crossing(args):
         return 1
     print(f"onset,{_fmt(onset)}")
     print(f"crossing,{_fmt(r_star)},{_fmt(m_lo)},{_fmt(m_hi)}")
-    return 0
-
-
-def _cmd_mixtures(args):
-    rows = run_mixtures(args.count, args.seed, args.include_corners, args.tol)
-    try:
-        _write_rows(args.out, MIXTURE_HEADER, rows)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"mixtures,{len(rows)} rows,{args.out}")
     return 0
 
 
@@ -225,7 +214,7 @@ def build_parser():
     p.add_argument("--steps", type=int, default=61)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("crossing", help="bisect for M = 0 above the onset")
     p.add_argument("--nbar", type=float, default=1.0)
@@ -239,7 +228,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--include-corners", action="store_true",
                    help="append the pure |0>, |1>, |2> corner rows")
-    p.set_defaults(func=_cmd_mixtures)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="run the axiom/oracle check batteries")
     p.add_argument("--suite", choices=("axioms", "oracles", "all"), default="all")

@@ -640,10 +640,13 @@ def integrate_plane_abs_pow(terms, p, tol):
     ``subdivisions`` counts angular and radial panels.  The bound is at most
     ``tol`` or :class:`ToleranceNotReached` is raised, an estimate strong
     squeezing defeats (see :class:`IntegralEstimate`); other than one or two
-    terms, or a variance not finite and > 0 (no decay), raises ValueError."""
+    terms, a weight, mean or theta not finite, or a variance not finite and
+    > 0 (no decay), raises ValueError."""
     _checked_input(p, tol, False)
     if not (1 <= len(terms) <= 2 and all(0.0 < v < math.inf for t in terms for v in t.variances)):
         raise ValueError("a planar profile is one or two terms decaying along every ray")
+    if not all(math.isfinite(x) for t in terms for x in (t.weight, *t.mean, t.theta)):
+        raise ValueError("a planar term's weight, mean and theta must be finite")
     (x0, y0), (x1, y1) = terms[0].mean, terms[-1].mean
     center = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
     offsets = [(center[0] - x, center[1] - y) for x, y in (t.mean for t in terms)]

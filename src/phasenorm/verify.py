@@ -82,6 +82,13 @@ def _classical_battery():
     ]
 
 
+def _random_mixture(rng, smallest):
+    """A diagonal state on |0>..|cut>, cut drawn from [smallest, 6), uniform weights."""
+    cut = int(rng.integers(smallest, 6))
+    w = rng.uniform(size=cut + 1)
+    return make_mixture(w / w.sum())
+
+
 # ------------------------------------------------------------------ axioms
 
 def check_classical_bound(tol):
@@ -123,11 +130,7 @@ def check_convexity(tol):
     worst = math.inf
     for _ in range(50):
         k = int(rng.integers(2, 5))
-        states = []
-        for _ in range(k):
-            cut = int(rng.integers(1, 6))
-            w = rng.uniform(0.0, 1.0, size=cut + 1)
-            states.append(make_mixture(w / w.sum()))
+        states = [_random_mixture(rng, 1) for _ in range(k)]
         lam = rng.uniform(0.0, 1.0, size=k)
         lam = lam / lam.sum()
         gap = convexity_gap(states, lam, CG, W1, tol)
@@ -274,13 +277,14 @@ def check_channel_composition(tol):
 def check_normalization(tol):
     # signed normalization equals the abs integral only for W >= 0, so the
     # battery uses states with nonnegative W^(s): classicalized mixtures,
-    # thermal states, and (planar route) arbitrary Gaussian states
+    # thermal states, and (planar route) arbitrary Gaussian states.  The
+    # Gaussian half integrates one term at p = 1, which the planar route
+    # returns as the term's closed-form mass, exactly 1.0: it checks that
+    # dispatch, not a quadrature
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(4):
-        cut = int(rng.integers(1, 6))
-        w = rng.uniform(0.0, 1.0, size=cut + 1)
-        state = apply_channel_fock(make_mixture(w / w.sum()), CG)
+        state = apply_channel_fock(_random_mixture(rng, 1), CG)
         for s in (0.0, -1.0, -2.0):
             est = integrate_radial_abs_pow(radial_profile(state, s), 1.0, 1e-8)
             worst = max(worst, abs(est.value - 1.0))
@@ -299,9 +303,7 @@ def check_amplifier_mean_photons(tol):
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(8):
-        cut = int(rng.integers(0, 6))
-        w = rng.uniform(0.0, 1.0, size=cut + 1)
-        state = make_mixture(w / w.sum())
+        state = _random_mixture(rng, 0)
         g = float(rng.uniform(1.0, 3.0))
         out = amplify_fock(state, g)
         expected = g * mean_photons(state) + (g - 1.0)
@@ -314,13 +316,11 @@ def check_kraus_recombination(tol):
     rng = np.random.default_rng(19)
     worst = 0.0
     for _ in range(8):
-        cut = int(rng.integers(0, 6))
-        w = rng.uniform(0.0, 1.0, size=cut + 1)
-        state = make_mixture(w / w.sum())
+        state = _random_mixture(rng, 0)
         lam = float(rng.uniform(0.1, 0.9))
         branches = loss_kraus_decomposition(state, lam)
         psum = sum(pk for pk, _ in branches)
-        recombined = np.zeros(cut + 1)
+        recombined = np.zeros(len(state.weights))
         for pk, rk in branches:
             recombined[: len(rk.weights)] += pk * rk.weights
         direct = attenuate_fock(state, lam)

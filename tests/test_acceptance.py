@@ -3,7 +3,8 @@
 Every tolerance and runtime limit is pinned here; run with ``pytest -s
 tests/test_acceptance.py`` to see the per-criterion lines.  The last test
 pins the bytes of the Fig. 2 CSV and of the ``verify`` report, printed by
-the CLI from the rows and results the criteria compute.
+the CLI from the rows and results the criteria compute, and the bytes of the
+Fig. 1 CSV at the ``sweep`` defaults.
 """
 
 import hashlib
@@ -26,8 +27,10 @@ from phasenorm.gaussian import SUB_VACUUM, wigner_s_gaussian
 from phasenorm.verify import run_suite
 
 BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0
-# sha256 of `mixtures --count 100 --seed 42 --include-corners` and of the
-# stdout of `verify --suite all`, both at their default tol 1e-6
+# sha256 of `sweep` at its defaults, of `mixtures --count 100 --seed 42
+# --include-corners` and of the stdout of `verify --suite all`, all at their
+# default tol 1e-6
+SWEEP_SHA256 = "2e1ffb4ef12709083b10ea05f3594a1ebf7f82a1d0ca58e5dca150b127c15697"
 MIXTURES_SHA256 = "81d1b1fcc36fb6ec52337bba0ad81addc0ed8166081244a6dd83e7f4976e15d5"
 VERIFY_SHA256 = "cb45a88ca598c9c71da0ff2e2aa229cb46e5c7bc168d3a6a2c15daa67fb4cdca"
 
@@ -36,6 +39,12 @@ def timed(fn, *args, **kwargs):
     start = time.perf_counter()
     out = fn(*args, **kwargs)
     return out, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def figure1_rows():
+    """The Fig. 1 rows at the CLI's defaults, and their runtime."""
+    return timed(run_sweep, 1.0, 0.0, 1.5, 61, tol=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +77,9 @@ def test_criterion_1_baseline_closed_form_vs_quadrature():
            f"runtime {elapsed:.2f}s < 1s")
 
 
-def test_criterion_2_figure1_reproduction():
-    start = time.perf_counter()
+def test_criterion_2_figure1_reproduction(figure1_rows):
+    rows, sweep_elapsed = figure1_rows
+    start = time.perf_counter() - sweep_elapsed
     onset = 0.5 * math.log(3.0)
     onset_ok = (not min_quadrature_variance(make_squeezed_thermal(1.0, onset - 1e-6)) < SUB_VACUUM
                 and min_quadrature_variance(make_squeezed_thermal(1.0, onset + 1e-6)) < SUB_VACUUM
@@ -78,7 +88,6 @@ def test_criterion_2_figure1_reproduction():
     r_star, m_lo, m_hi, _ = find_crossing(1.0, tol=1e-5)
     crossing_ok = 0.90 <= r_star <= 1.00
 
-    rows = run_sweep(1.0, 0.0, 1.5, 61, tol=1e-6)
     window = [row for row in rows if 0.60 - 1e-12 <= row.r <= 0.90 + 1e-12]
     nogo_ok = len(window) > 0 and all(
         row.classification == NOGO_INSTANCE for row in window)
@@ -172,20 +181,36 @@ def test_criterion_7_csv_determinism(tmp_path):
            "; ".join(f"{tag}: byte-identical={same}" for tag, same in pairs))
 
 
-def test_outputs_match_pinned_digests(figure2_rows, suite_results, tmp_path, capsys,
-                                      monkeypatch):
+def served(rows, *expected):
+    """A stand-in for ``run_sweep``/``run_mixtures`` that returns ``rows`` for
+    the CLI's call with exactly the ``expected`` arguments."""
+    def run(*args):
+        assert args == expected
+        return rows
+    return run
+
+
+def test_outputs_match_pinned_digests(figure1_rows, figure2_rows, suite_results, tmp_path,
+                                      capsys, monkeypatch):
     # the CLI formats and writes the rows and results computed above, so
-    # every byte of both outputs is pinned without computing them again
+    # every byte of the three outputs is pinned without computing them again;
+    # the stand-ins check that the CLI asks for those rows at its defaults
     axioms, _, oracles = suite_results
-    monkeypatch.setattr(phasenorm.cli, "run_mixtures", lambda *args: figure2_rows[0])
+    monkeypatch.setattr(phasenorm.cli, "run_sweep",
+                        served(figure1_rows[0], 1.0, 0.0, 1.5, 61, 1e-6))
+    monkeypatch.setattr(phasenorm.cli, "run_mixtures",
+                        served(figure2_rows[0], 100, 42, True, 1e-6))
     monkeypatch.setattr(phasenorm.cli, "run_suite", lambda *args: axioms + oracles)
-    path = tmp_path / "mixtures.csv"
+    sweep, mixtures = tmp_path / "sweep.csv", tmp_path / "mixtures.csv"
+    assert main(["sweep", "--out", str(sweep)]) == 0
     assert main(["mixtures", "--count", "100", "--seed", "42", "--include-corners",
-                 "--out", str(path)]) == 0
+                 "--out", str(mixtures)]) == 0
     capsys.readouterr()
     assert main(["verify", "--suite", "all"]) == 0
-    digests = {"mixtures": hashlib.sha256(path.read_bytes()).hexdigest(),
+    digests = {"sweep": hashlib.sha256(sweep.read_bytes()).hexdigest(),
+               "mixtures": hashlib.sha256(mixtures.read_bytes()).hexdigest(),
                "verify": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
     report("outputs byte-identical to the pinned digests",
-           digests == {"mixtures": MIXTURES_SHA256, "verify": VERIFY_SHA256},
-           f"mixtures sha256 {digests['mixtures']}; verify sha256 {digests['verify']}")
+           digests == {"sweep": SWEEP_SHA256, "mixtures": MIXTURES_SHA256,
+                       "verify": VERIFY_SHA256},
+           "; ".join(f"{name} sha256 {digest}" for name, digest in digests.items()))

@@ -1,6 +1,7 @@
 """Every constructor, and every public evaluator and integrator, rejects NaN
-and infinities, wherever they sit; the integrators also reject a tuple of
-tolerances that does not fit a p = 1 hook's signals."""
+and infinities, wherever they sit (a planar term's weight, mean and theta
+among them); the integrators also reject a tuple of tolerances that does not
+fit a p = 1 hook's signals."""
 
 import math
 
@@ -71,6 +72,12 @@ CALLS = {
                          NON_FINITE + (-1.0,)),
     "plane_p": (lambda bad: integrate_plane_abs_pow(PLANAR, bad, 1e-6), NON_FINITE),
     "plane_tol": (lambda bad: integrate_plane_abs_pow(PLANAR, 1.0, bad), NON_FINITE + (-1.0,)),
+    "plane_weight": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(weight=bad),),
+                                                         1.0, 1e-6), NON_FINITE),
+    "plane_mean": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(mean=(0.0, bad)),),
+                                                       1.0, 1e-6), NON_FINITE),
+    "plane_theta": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(theta=bad),),
+                                                        1.0, 1e-6), NON_FINITE),
 }
 
 
