@@ -7,9 +7,10 @@ C(m, n) (1/g)^{n+1} (1-1/g)^{m-n}, m >= n; both are matrices built entry
 by entry in log space, so no photon number or gain overflows them.  The
 test suite validates both against the Gaussian covariance engine and the
 ordering-shift identity of the classicalization channel (its output
-Wigner function is the input W^(s-2)).  :func:`radial_profile` applies a
-channel through that identity and owns the exact p = 1 route of the
-quantifier's integrals; the laws serve the Kraus branches and the oracles.
+Wigner function is the input W^(s-2)).  :func:`radial_profile` and
+:func:`radial_l1` apply a channel through that identity, the latter the
+exact p = 1 route of the quantifier's integrals; the laws serve the Kraus
+branches and the oracles.
 
 Amplification grows the cutoff; the mass beyond it is bounded exactly
 from the matrix's column sums and carried in ``tail_mass_bound``, never
@@ -31,7 +32,7 @@ MASS_EPS = 1e-12        # invariant slack on sum(weights) + tail == 1
 USER_NORM_EPS = 1e-9    # acceptance slack for user-supplied weights
 TAIL_BOUND_MAX = 1e-10  # certified truncation mass per channel application
 # dropped-weight bound per unit tol on the exact p = 1 route: err gains
-# four times it (see radial_profile), so at most tol/10
+# four times it (see radial_l1), so at most tol/10
 LEADING_SHARE = 0.025
 
 
@@ -308,29 +309,50 @@ def _signal_terms(s, channel):
     return terms
 
 
-def radial_profile(state, s, channel=None, also=()):
+def radial_profile(state, s, channel=None):
     """RadialProfile of W^(s), or of W^(s)_rho - W^(s)_C(rho) given a ``channel``.
 
     The channel acts as an ordering shift: W^(s) of the output is
     W^(s')(rho / sqrt k) / k of the input with s' = (s - 4y)/k from its
-    fold (for C_g the shift s -> s - 2), and its mass outside r is T_s'(r
-    / sqrt k); theta drops out, since a diagonal state is rotation
-    invariant, and a displacement is rejected.  The evaluator, decay and
-    degree_hint keep every weight and serve the panel routes.
+    fold (for C_g the shift s -> s - 2); theta drops out, since a diagonal
+    state is rotation invariant, and a displacement is rejected.  The
+    evaluator, decay and degree_hint keep every weight and serve the panel
+    route (p != 1); p = 1 takes :func:`radial_l1`.
+    """
+    full = sign_search(state, _signal_terms(s, channel), state.cutoff)
+    return RadialProfile(lambda r: _signal(full.terms, _wigner_terms(full.weights, full.terms, r)),
+                         full.decay, full.degree)
 
-    ``also`` holds further signals, (s, channel) pairs built the same way
-    (the Wigner-negativity witness is (0.0, None)).  The ``l1`` hook takes
-    one tol per signal, the profile's own first, and returns one estimate
-    per signal, all from one set of kernel passes: every evaluation of
-    the signals and every mass pass takes all their terms in one call.
-    A term two signals share is one row of the mass pass, and of the
-    search pass when their leading cutoffs agree (W^(0) of the norm at s
-    = 0 is the witness).
 
-    ``l1`` is the exact p = 1 route.  For each signal f, the integral of
-    |f| is sum_i |T(c_i) - T(c_{i+1})| over its sign cuts 0 = c_0 < c_i <
-    inf, with T the summed :func:`wigner_mass_outside` of its terms; no
-    panel runs.  Per signal, with its own tol:
+def _signal_masses(state, searches, points):
+    """Each search's signed rows T_{s_i}(r / sqrt k_i) at its own points, in one pass."""
+    terms = list(dict.fromkeys(term for search in searches for term in search.terms))
+    masses = _masses_outside(state.weights, terms, np.concatenate(points))
+    signs = np.array([[1.0], [-1.0]])
+    rows, start = [], 0
+    for search, at in zip(searches, points):
+        cols = slice(start, start + len(at))
+        start = cols.stop
+        pick = [terms.index(term) for term in search.terms]
+        rows.append(signs[:len(pick)] * masses[pick, cols])
+    return rows
+
+
+def radial_l1(state, signals, tols):
+    """int d^2alpha/pi |f| for each signal f, the exact p = 1 route: one checked estimate each.
+
+    ``signals`` holds (s, channel) pairs, each f = W^(s), or W^(s)_rho -
+    W^(s)_C(rho) given a channel, built as in :func:`radial_profile`;
+    ``tols`` is a tuple of one tolerance per signal, each finite and > 0
+    (else ValueError).  Every evaluation of the signals and every mass pass
+    takes all their terms in one call.  A term two signals share is one
+    row of the mass pass, and of the search pass when their leading
+    cutoffs agree (W^(0) of the norm at s = 0 is the witness).
+
+    For each signal f, the integral of |f| is sum_i |T(c_i) - T(c_{i+1})|
+    over its sign cuts 0 = c_0 < c_i < inf, with T the summed
+    :func:`wigner_mass_outside` of its terms; no panel runs.  Per signal,
+    with its own tol:
 
     * The cuts are searched on the leading weights p_0..p_N_eff
       (:func:`leading_cutoff` with budget LEADING_SHARE tol over its
@@ -365,38 +387,16 @@ def radial_profile(state, s, channel=None, also=()):
 
     The bound is certified given a complete scan: two cuts within one
     scan step go unseen.  A signal's cuts, value and bound do not depend
-    on the other signals, except through the grid.
+    on the other signals, except through the grid.  Each estimate is
+    checked against its tol in order, and the first above it raises
+    :class:`~phasenorm.quadrature.ToleranceNotReached` with it attached.
     """
-    signals = [_signal_terms(s, channel)] + [_signal_terms(*signal) for signal in also]
-    full = sign_search(state, signals[0], state.cutoff)
-
-    def l1(tols):
-        leads = [leading_cutoff(state, [o for o, _ in terms], LEADING_SHARE * tol)
-                 for terms, tol in zip(signals, tols, strict=True)]
-        searches = [full if (terms, lead) == (signals[0], state.cutoff)
-                    else sign_search(state, terms, lead) for terms, lead in zip(signals, leads)]
-        return _exact_l1(state, searches, tols)
-
-    return RadialProfile(lambda r: _signal(full.terms, _wigner_terms(full.weights, full.terms, r)),
-                         full.decay, full.degree, l1)
-
-
-def _signal_masses(state, searches, points):
-    """Each search's signed rows T_{s_i}(r / sqrt k_i) at its own points, in one pass."""
-    terms = list(dict.fromkeys(term for search in searches for term in search.terms))
-    masses = _masses_outside(state.weights, terms, np.concatenate(points))
-    signs = np.array([[1.0], [-1.0]])
-    rows, start = [], 0
-    for search, at in zip(searches, points):
-        cols = slice(start, start + len(at))
-        start = cols.stop
-        pick = [terms.index(term) for term in search.terms]
-        rows.append(signs[:len(pick)] * masses[pick, cols])
-    return rows
-
-
-def _exact_l1(state, searches, tols):
-    """The unchecked estimates of the exact p = 1 route (see :func:`radial_profile`)."""
+    signals = [_signal_terms(s, channel) for s, channel in signals]
+    if not (isinstance(tols, tuple) and len(tols) == len(signals)
+            and all(0.0 < tol < math.inf for tol in tols)):
+        raise ValueError(f"need a tuple of one finite tol > 0 per signal, got {tols!r}")
+    searches = [sign_search(state, terms, leading_cutoff(
+        state, [o for o, _ in terms], LEADING_SHARE * tol)) for terms, tol in zip(signals, tols)]
     envelopes = [tail_radius(search.decay, 1.0, tol * 0.1)
                  for search, tol in zip(searches, tols)]
     radii = [min(search.reach(tol), envelope)
@@ -440,7 +440,7 @@ def _exact_l1(state, searches, tols):
             found[i] = IntegralEstimate(
                 value, 2.0 * (tail + l1) + 2.0 * l1 + placement + rounding, len(cuts) + 1)
         pending = widened + later
-    return tuple(found)
+    return tuple(quadrature.checked(est, tol) for est, tol in zip(found, tols))
 
 
 # ---------------------------------------------------------------- channels

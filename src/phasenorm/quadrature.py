@@ -27,15 +27,14 @@ widths, heights) arrays from one scan and one ladder.
 Along a ray of a planar profile the log-magnitude of each Gaussian term
 is quadratic in the radius, so its sign change is found in closed form;
 for p = 1 with a shared center Imhof's angular form needs no ray at all.
-
-A radial profile may carry an ``l1`` hook, its producer's exact route
-at p = 1; :func:`phasenorm.fock.radial_profile` states that route's
-error contract.  On every other route (p != 1, a profile without the
-hook, the planar angle) the panel part of the error is an estimate.
+On these routes the panel part of the error is an estimate; the exact
+p = 1 route of diagonal states, :func:`phasenorm.fock.radial_l1`, runs
+no panel and ends, as every route here does, in :func:`checked`.
 """
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,10 +118,9 @@ class IntegralEstimate:
     rounding each term carries from a covariance's conversion to axes (see
     :class:`~phasenorm.gaussian.GaussianState`).
 
-    On the exact radial route (p = 1, a profile with an ``l1`` hook) the
-    bound is the one the profile's producer certifies, given a complete
-    sign scan (see :func:`phasenorm.fock.radial_profile`).  Every route
-    returns a bound within tol or raises it attached.
+    On the exact p = 1 route of diagonal states the bound is certified,
+    given a complete sign scan (see :func:`phasenorm.fock.radial_l1`).
+    Every route returns a bound within tol or raises it attached.
     """
 
     value: float
@@ -138,18 +136,12 @@ class RadialProfile:
     (log_amplitude, rate) pairs certifying |f(rho)| <= sum_i exp(log_a_i -
     rate_i * rho^2) for every rho >= 0; it drives the truncation radius.
     ``degree_hint`` bounds the number of sign changes (used to choose the
-    root-scan sampling density).  ``l1``, when given, is its producer's
-    exact route at p = 1 (see :func:`phasenorm.fock.radial_profile`): it
-    maps a tuple of tolerances, one per signal the profile carries (else
-    ValueError), to a tuple of unchecked :class:`IntegralEstimate`.
-    The first signal is f; ``evaluator``, ``decay`` and ``degree_hint``
-    describe it alone.
+    root-scan sampling density).
     """
 
     evaluator: object
     decay: tuple
     degree_hint: int
-    l1: object = None
 
 
 class GaussianTerm(NamedTuple):
@@ -392,18 +384,15 @@ def _adaptive_panels(g, edges, budget, max_panels):
     return total, err, count
 
 
-def _checked_input(p, tol, several):
-    """``tol``'s tolerances as a tuple; ValueError unless 1 <= p < inf, each is finite
-    and > 0, and ``tol`` is a tuple only where ``several`` are taken."""
-    tols = tol if isinstance(tol, tuple) else (tol,)
+def _checked_input(p, tol):
+    """ValueError unless 1 <= p < inf and ``tol`` is a number, finite and > 0."""
     if not 1.0 <= p < math.inf:
         raise ValueError(f"norm order must be finite and >= 1, got {p}")
-    if tols is tol and not several or not all(0.0 < t < math.inf for t in tols):
-        raise ValueError(f"tol must be finite and > 0 (a tuple needs the p = 1 hook), got {tol!r}")
-    return tols
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise ValueError(f"tol must be a number, finite and > 0, got {tol!r}")
 
 
-def _checked(est, tol):
+def checked(est, tol):
     """``est`` when its bound is at most ``tol``; else raise it attached."""
     if not est.abs_error_bound <= tol:
         raise ToleranceNotReached(
@@ -457,29 +446,17 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
 def integrate_radial_abs_pow(profile, p, tol):
     """int d^2alpha/pi |f(|alpha|)|^p  =  int_0^inf 2 rho |f(rho)|^p drho.
 
-    Two routes, chosen by the input:
-
-    * p = 1 and a profile with an ``l1`` hook: the hook's estimate, with
-      the error contract of its producer (see
-      :func:`phasenorm.fock.radial_profile`).
-    * otherwise: the integrand is cut at every sign change of f so
-      |f|^p is smooth on each panel, and adaptive GL16 panels run up to
-      the envelope radius; ``abs_error_bound`` is the panel estimate plus
-      the certified tail plus rounding.
-
-    The bound is at most ``tol`` or :class:`ToleranceNotReached` is raised
-    with the best estimate attached.  At p = 1 ``tol`` may be a tuple, one
-    tolerance per signal of the hook, and the estimates are returned each
-    checked against its own; a number is one tolerance, a mismatch ValueError.
+    The integrand is cut at every sign change of f so |f|^p is smooth on
+    each panel, and adaptive GL16 panels run up to the envelope radius;
+    ``abs_error_bound`` is the panel estimate plus the certified tail plus
+    rounding.  The bound is at most ``tol`` or :class:`ToleranceNotReached`
+    is raised with the best estimate attached.
     """
-    tols = _checked_input(p, tol, p == 1.0 and profile.l1 is not None)
-    if p == 1.0 and profile.l1 is not None:
-        ests = tuple(_checked(est, t) for est, t in zip(profile.l1(tols), tols, strict=True))
-        return ests if isinstance(tol, tuple) else ests[0]
+    _checked_input(p, tol)
     est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
         locate_sign_changes(lambda r: profile.evaluator(r)[None], (0.0, radius),
                             profile.degree_hint)[0][0]))
-    return _checked(est, tol)
+    return checked(est, tol)
 
 
 def symmetric_inverse(a, c, b):
@@ -642,11 +619,13 @@ def integrate_plane_abs_pow(terms, p, tol):
     squeezing defeats (see :class:`IntegralEstimate`); other than one or two
     terms, a weight, mean or theta not finite, or a variance not finite and
     > 0 (no decay), raises ValueError."""
-    _checked_input(p, tol, False)
+    _checked_input(p, tol)
     if not (1 <= len(terms) <= 2 and all(0.0 < v < math.inf for t in terms for v in t.variances)):
         raise ValueError("a planar profile is one or two terms decaying along every ray")
-    if not all(math.isfinite(x) for t in terms for x in (t.weight, *t.mean, t.theta)):
-        raise ValueError("a planar term's weight, mean and theta must be finite")
+    for t in terms:  # four explicit tests a term: a generator over them costs three times more
+        if not (math.isfinite(t.weight) and math.isfinite(t.mean[0])
+                and math.isfinite(t.mean[1]) and math.isfinite(t.theta)):
+            raise ValueError("a planar term's weight, mean and theta must be finite")
     (x0, y0), (x1, y1) = terms[0].mean, terms[-1].mean
     center = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
     offsets = [(center[0] - x, center[1] - y) for x, y in (t.mean for t in terms)]
@@ -656,7 +635,7 @@ def integrate_plane_abs_pow(terms, p, tol):
         weights = [t.weight * math.exp(-0.5 * _form(*symmetric_inverse(
             *covariance_entries(t.theta, *t.variances)), o, o)) if any(o) else t.weight
             for t, o in zip(terms, offsets)]
-        return _checked(_co_centred_l1(terms, weights, tol), tol)
+        return checked(_co_centred_l1(terms, weights, tol), tol)
     a, c, b = map(sum, zip(*(covariance_entries(t.theta, *t.variances) for t in terms)))
     psi = 0.5 * math.atan2(-2.0 * c, b - a)
     u, v = (math.cos(psi), math.sin(psi)), (-math.sin(psi), math.cos(psi))
@@ -735,5 +714,5 @@ def integrate_plane_abs_pow(terms, p, tol):
     bound = outer_err + phi_range * inner_tol + EPS * outer_count * abs(outer_val)
     carried = p * sum(map(abs, amps)) ** (p - 1.0) * sum(
         abs(t.weight) * t.rounding for t in terms)
-    return _checked(IntegralEstimate(prefactor * outer_val, prefactor * bound + carried,
-                                     outer_count + panels), tol)
+    return checked(IntegralEstimate(prefactor * outer_val, prefactor * bound + carried,
+                                    outer_count + panels), tol)

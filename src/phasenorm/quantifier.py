@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .channels import CG, Amplifier, Attenuator, ChannelSpec, Displacement, Rotation
 from .fock import (FockDiagonalState, UnsupportedInputError, loss_kraus_decomposition,
-                   mix_states, radial_profile)
+                   mix_states, radial_l1, radial_profile)
 from .fock import apply_channel_fock  # noqa: F401  unused; tracers hook this binding
 from .gaussian import (SUB_VACUUM, GaussianState, apply_channel_gaussian,
                        min_quadrature_variance, wigner_term)
@@ -65,7 +65,7 @@ class QuantifierResult:
     is certified depends on the route (see
     :class:`~phasenorm.quadrature.IntegralEstimate`): on the exact Fock route
     at p = 1 all of it, given a complete sign scan (its contract is stated
-    at :func:`~phasenorm.fock.radial_profile`); on the panel routes only
+    at :func:`~phasenorm.fock.radial_l1`); on the panel routes only
     the envelope tail.
     ``m_value`` is exactly ``n_value - baseline``.
 
@@ -124,6 +124,8 @@ def _integral_once(state, channel, fn, quad_tol):
         terms = (wigner_term(state, fn.s), wigner_term(out, fn.s, -1.0))
         return integrate_plane_abs_pow(terms, fn.p, quad_tol)
     if isinstance(state, FockDiagonalState):
+        if fn.p == 1.0:
+            return radial_l1(state, ((fn.s, channel),), (quad_tol,))[0]
         return integrate_radial_abs_pow(radial_profile(state, fn.s, channel), fn.p, quad_tol)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
@@ -179,7 +181,7 @@ def wigner_negativity(state, tol=DEFAULT_TOL, integral=None):
     if not isinstance(state, FockDiagonalState):
         raise UnsupportedInputError("Wigner negativity is computed for diagonal states")
     if integral is None:
-        integral = integrate_radial_abs_pow(radial_profile(state, 0.0), 1.0, tol)
+        integral, = radial_l1(state, ((0.0, None),), (tol,))
     value = integral.value - (1.0 - state.tail_mass_bound)
     if value < -2.0 * tol:
         raise RuntimeError(f"negativity {value} below -2*tol; quadrature inconsistent")
@@ -197,8 +199,8 @@ def _witness(state, tol, integral):
 def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
     """The measure M = N(state) - N(vacuum) with witness classification.
 
-    A Fock state at p = 1 takes both of its integrals from one exact
-    route (see :func:`~phasenorm.fock.radial_profile`): the norm's
+    A Fock state at p = 1 takes both of its integrals from one call of the
+    exact route (see :func:`~phasenorm.fock.radial_l1`): the norm's
     difference W^(s) - W^(s')(./sqrt k)/k and the witness's W^(0), each
     at its own tolerance, share the scan, every ladder round and the mass
     passes.  At s = 0 W^(0) is the norm's first term, one row of the mass
@@ -215,8 +217,8 @@ def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
     _checked_tol(tol)
     integral = None
     if isinstance(state, FockDiagonalState) and fn.p == 1.0:
-        profile = radial_profile(state, fn.s, channel, also=((0.0, None),))
-        norm, integral = integrate_radial_abs_pow(profile, 1.0, (tol, min(tol, WITNESS_TOL)))
+        norm, integral = radial_l1(state, ((fn.s, channel), (0.0, None)),
+                                   (tol, min(tol, WITNESS_TOL)))
         n_value, n_err = norm.value, norm.abs_error_bound
     else:
         n_value, n_err = norm_value(state, channel, fn, tol)

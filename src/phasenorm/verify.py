@@ -15,7 +15,7 @@ from .channels import (CG, Amplifier, Attenuator, ChannelSpec, Displacement,
                        Rotation)
 from .fock import (amplify_fock, apply_channel_fock, attenuate_fock,
                    loss_kraus_decomposition, make_mixture, make_thermal_fock,
-                   mean_photons, number_state, radial_profile, wigner_s_fock)
+                   mean_photons, number_state, radial_l1, radial_profile, wigner_s_fock)
 from .gaussian import (GaussianState, apply_channel_gaussian, make_coherent,
                        make_squeezed_thermal, make_thermal, wigner_s_gaussian,
                        wigner_term)
@@ -286,7 +286,7 @@ def check_normalization(tol):
     for _ in range(4):
         state = apply_channel_fock(_random_mixture(rng, 1), CG)
         for s in (0.0, -1.0, -2.0):
-            est = integrate_radial_abs_pow(radial_profile(state, s), 1.0, 1e-8)
+            est, = radial_l1(state, ((s, None),), (1e-8,))
             worst = max(worst, abs(est.value - 1.0))
     for _ in range(4):
         state = make_squeezed_thermal(float(rng.uniform(0, 2)),

@@ -13,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(ROOT.glob("src/phasenorm/*.py"))
-ALLOWED = {("quadrature.py", "_checked"), ("quadrature.py", "ray_panels"),
+ALLOWED = {("quadrature.py", "checked"), ("quadrature.py", "ray_panels"),
            ("quantifier.py", "norm_value")}
 
 

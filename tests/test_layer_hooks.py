@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasenorm import (CG, backend, make_squeezed_thermal, make_thermal_fock, number_state,
-                       quadrature, quantifier)
+from phasenorm import (CG, FunctionalSpec, backend, make_squeezed_thermal, make_thermal_fock,
+                       number_state, quadrature, quantifier)
 
 # every attribute the tracer replaces, in its order
 HOOKS = [
@@ -27,8 +27,8 @@ HOOKS = [
     (quantifier, "apply_channel_gaussian"), (quadrature, "locate_sign_changes"),
     (backend, "wigner_series"),
 ]
-FOCK_LAYERS = {"quantifier.integrate_radial_abs_pow", "quantifier.wigner_negativity",
-               "quadrature.locate_sign_changes", "backend.wigner_series"}
+FOCK_LAYERS = {"quantifier.wigner_negativity", "quadrature.locate_sign_changes",
+               "backend.wigner_series"}
 GAUSSIAN_LAYERS = {"quantifier.integrate_plane_abs_pow", "quantifier.apply_channel_gaussian"}
 
 
@@ -60,6 +60,9 @@ def test_every_hook_exists():
 def test_fock_layers_are_reached(state, reached):
     quantifier.measure_m(state)
     assert {name for name in FOCK_LAYERS if reached[name]} == FOCK_LAYERS
+    # the exact route at p = 1 takes no integrator; the panel route (p != 1) does
+    quantifier.norm_value(state, CG, FunctionalSpec(p=2.0), 1e-6)
+    assert reached["quantifier.integrate_radial_abs_pow"]
 
 
 def test_gaussian_layers_are_reached(reached):

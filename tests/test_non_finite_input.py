@@ -1,7 +1,7 @@
 """Every constructor, and every public evaluator and integrator, rejects NaN
 and infinities, wherever they sit (a planar term's weight, mean and theta
-among them); the integrators also reject a tuple of tolerances that does not
-fit a p = 1 hook's signals."""
+among them); the integrators take one number tol, and the exact p = 1 route
+one tol per signal."""
 
 import math
 
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from phasenorm import (Amplifier, Attenuator, Displacement, FockDiagonalState,
                        FunctionalSpec, GaussianState, Rotation)
-from phasenorm.fock import (amplify_fock, number_state, radial_profile, sign_search,
-                            wigner_mass_outside, wigner_s_fock)
+from phasenorm.fock import (amplify_fock, number_state, radial_l1, radial_profile,
+                            sign_search, wigner_mass_outside, wigner_s_fock)
 from phasenorm.gaussian import wigner_s_gaussian, wigner_term
 from phasenorm.quadrature import integrate_plane_abs_pow, integrate_radial_abs_pow
 
@@ -54,7 +54,7 @@ def test_non_finite_input_rejected(kind, bad, index, values):
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 RADIAL = radial_profile(number_state(1), 0.0)
-TWO_SIGNALS = radial_profile(number_state(1), 0.0, also=((0.0, None),))
+TWO_SIGNALS = ((0.0, None), (0.0, None))
 PLANAR = (wigner_term(GaussianState(), 0.0),)
 
 # orderings, norm orders, tolerances and gains; a tolerance must also be > 0
@@ -68,8 +68,9 @@ CALLS = {
     "amplify_fock": (lambda bad: amplify_fock(number_state(1), bad), NON_FINITE),
     "radial_p": (lambda bad: integrate_radial_abs_pow(RADIAL, bad, 1e-6), NON_FINITE),
     "radial_tol": (lambda bad: integrate_radial_abs_pow(RADIAL, 1.0, bad), NON_FINITE + (-1.0,)),
-    "radial_tol_entry": (lambda bad: integrate_radial_abs_pow(TWO_SIGNALS, 1.0, (1e-6, bad)),
+    "radial_tol_entry": (lambda bad: radial_l1(number_state(1), TWO_SIGNALS, (1e-6, bad)),
                          NON_FINITE + (-1.0,)),
+    "radial_l1_s": (lambda bad: radial_l1(number_state(1), ((bad, None),), (1e-6,)), NON_FINITE),
     "plane_p": (lambda bad: integrate_plane_abs_pow(PLANAR, bad, 1e-6), NON_FINITE),
     "plane_tol": (lambda bad: integrate_plane_abs_pow(PLANAR, 1.0, bad), NON_FINITE + (-1.0,)),
     "plane_weight": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(weight=bad),),
@@ -89,12 +90,13 @@ def test_non_finite_argument_rejected(name, bad):
         CALLS[name][0](bad)
 
 
-# a tuple tol holds one tolerance per signal of a p = 1 hook, and nothing else
+# a tuple tol holds one tolerance per signal of the exact p = 1 route,
+# radial_l1, and the integrators take none
 @pytest.mark.parametrize("call", [
     lambda: integrate_radial_abs_pow(RADIAL, 2.0, (1e-6,)),
-    lambda: integrate_radial_abs_pow(TWO_SIGNALS, 1.0, 1e-6),
-    lambda: integrate_radial_abs_pow(TWO_SIGNALS, 1.0, (1e-6,)),
-    lambda: integrate_radial_abs_pow(TWO_SIGNALS, 1.0, (1e-6, 1e-6, 1e-6)),
+    lambda: radial_l1(number_state(1), TWO_SIGNALS, 1e-6),
+    lambda: radial_l1(number_state(1), TWO_SIGNALS, (1e-6,)),
+    lambda: radial_l1(number_state(1), TWO_SIGNALS, (1e-6, 1e-6, 1e-6)),
     lambda: integrate_plane_abs_pow(PLANAR, 1.0, (1e-6,)),
 ], ids=["off_hook_route", "number_for_two", "one_for_two", "three_for_two", "plane"])
 def test_tuple_tol_must_match_the_hook(call):

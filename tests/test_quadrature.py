@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import math
 import os
@@ -17,7 +16,7 @@ from phasenorm import (CG, Amplifier, Attenuator, ChannelSpec, Displacement, Fun
                        IntegralEstimate, RootBudgetExceeded, Rotation, ToleranceNotReached,
                        apply_channel_gaussian, make_mixture, make_squeezed_thermal, measure_m,
                        norm_value, number_state)
-from phasenorm.fock import radial_profile
+from phasenorm.fock import radial_l1, radial_profile
 from phasenorm.gaussian import wigner_term
 from phasenorm.quadrature import (EPS, GaussianTerm, RadialProfile,
                                   integrate_plane_abs_pow, integrate_radial_abs_pow,
@@ -46,6 +45,12 @@ def test_import_loads_no_numpy_polynomial():
     assert done.returncode == 0, done.stderr
 
 
+def exact_l1(state, tol, s=0.0):
+    """The exact p = 1 route's checked estimate of int |W^(s)| d^2alpha/pi."""
+    est, = radial_l1(state, ((s, None),), (tol,))
+    return est
+
+
 def vacuum_diff_profile():
     f = lambda r: 2.0 * np.exp(-2.0 * np.asarray(r) ** 2) \
         - (2.0 / 3.0) * np.exp(-2.0 * np.asarray(r) ** 2 / 3.0)
@@ -55,12 +60,12 @@ def vacuum_diff_profile():
 
 class TestRadial:
     def test_vacuum_normalization(self):
-        est = integrate_radial_abs_pow(radial_profile(number_state(0), 0.0), 1.0, 1e-10)
+        est = exact_l1(number_state(0), 1e-10)
         assert abs(est.value - 1.0) <= 1e-10
         assert est.abs_error_bound <= 1e-10
 
     def test_abs_wigner_fock1(self):
-        est = integrate_radial_abs_pow(radial_profile(number_state(1), 0.0), 1.0, 1e-9)
+        est = exact_l1(number_state(1), 1e-9)
         assert est.value == pytest.approx(ABS_W1_INTEGRAL, abs=1e-9)
 
     def test_vacuum_cg_difference(self):
@@ -68,10 +73,9 @@ class TestRadial:
         assert est.value == pytest.approx(VACUUM_CG_L1, abs=1e-7)
 
     def test_error_bound_is_honest_along_tolerance_ladder(self):
-        profile = radial_profile(number_state(2), 0.0)
-        reference = integrate_radial_abs_pow(profile, 1.0, 1e-12).value
+        reference = exact_l1(number_state(2), 1e-12).value
         for tol in (1e-4, 5e-5, 1e-6, 1e-8):
-            est = integrate_radial_abs_pow(profile, 1.0, tol)
+            est = exact_l1(number_state(2), tol)
             assert est.abs_error_bound <= tol
             assert abs(est.value - reference) <= est.abs_error_bound
 
@@ -81,7 +85,7 @@ class TestRadial:
 
     def test_mass_route_is_exact(self):
         # one sign cut at rho = 1/2, two mass intervals
-        est = integrate_radial_abs_pow(radial_profile(number_state(1), 0.0), 1.0, 1e-9)
+        est = exact_l1(number_state(1), 1e-9)
         assert est.value == pytest.approx(ABS_W1_INTEGRAL, abs=1e-14)
         assert est.subdivisions == 2
 
@@ -94,14 +98,14 @@ class TestRadial:
 
             cuts = [0, (2 - mp.sqrt(2)) / 4, (2 + mp.sqrt(2)) / 4, mp.inf]
             want = float(sum(abs(mp.quad(w2, [a, b])) for a, b in zip(cuts, cuts[1:])))
-        est = integrate_radial_abs_pow(radial_profile(number_state(2), 0.0), 1.0, 1e-9)
+        est = exact_l1(number_state(2), 1e-9)
         assert est.value == pytest.approx(want, abs=1e-14)
 
     def test_mass_route_floor_raises_with_estimate(self):
         # the tail is below tol/10 by construction; rounding of the masses
         # (about 1e-15 here) is what cannot reach 1e-16
         with pytest.raises(ToleranceNotReached) as excinfo:
-            integrate_radial_abs_pow(radial_profile(number_state(1), 0.0), 1.0, 1e-16)
+            exact_l1(number_state(1), 1e-16)
         est = excinfo.value.estimate
         assert est.value == pytest.approx(ABS_W1_INTEGRAL, abs=1e-14)
         assert est.abs_error_bound > 1e-16
@@ -112,14 +116,14 @@ class TestRadial:
         # placement term can cover it, and it pushes err above tol
         monkeypatch.setattr(phasenorm.quadrature, "ROOT_MAX_STEPS", 0)
         with pytest.raises(ToleranceNotReached) as excinfo:
-            integrate_radial_abs_pow(radial_profile(number_state(1), 0.0), 1.0, 1e-6)
+            exact_l1(number_state(1), 1e-6)
         est = excinfo.value.estimate
         miss = abs(est.value - ABS_W1_INTEGRAL)
         assert 1e-6 < miss <= est.abs_error_bound
 
-    @pytest.mark.parametrize("p,mass", [(1.0, True), (1.0, False), (3.0, True)],
+    @pytest.mark.parametrize("p,exact", [(1.0, True), (1.0, False), (3.0, False)],
                              ids=["p1_mass", "p1_no_mass", "p3_mass"])
-    def test_panels_run_only_without_the_exact_route(self, p, mass, monkeypatch):
+    def test_panels_run_only_without_the_exact_route(self, p, exact, monkeypatch):
         calls = []
         panels = phasenorm.quadrature._adaptive_panels
 
@@ -128,15 +132,15 @@ class TestRadial:
             return panels(*args, **kwargs)
 
         monkeypatch.setattr(phasenorm.quadrature, "_adaptive_panels", counted)
-        profile = radial_profile(number_state(3), -0.5)
-        if not mass:
-            profile = dataclasses.replace(profile, l1=None)
-        integrate_radial_abs_pow(profile, p, 1e-8)
-        assert bool(calls) == (p != 1.0 or not mass)
+        if exact:
+            exact_l1(number_state(3), 1e-8, s=-0.5)
+        else:
+            integrate_radial_abs_pow(radial_profile(number_state(3), -0.5), p, 1e-8)
+        assert bool(calls) != exact
 
     def test_unreachable_tolerance_carries_estimate(self):
         with pytest.raises(ToleranceNotReached) as excinfo:
-            integrate_radial_abs_pow(radial_profile(number_state(1), 0.0), 1.0, 1e-30)
+            exact_l1(number_state(1), 1e-30)
         est = excinfo.value.estimate
         assert est.value == pytest.approx(ABS_W1_INTEGRAL, abs=1e-9)
 
@@ -174,6 +178,24 @@ class TestSignChanges:
         (roots, widths, _), = locate_sign_changes(lambda r: f(r)[None], (0.0, 3.0), 1)
         assert list(roots) == [pytest.approx(0.5, abs=1e-10)]
         assert len(calls) <= 8
+        assert widths[0] <= phasenorm.quadrature.ROOT_XTOL
+
+    def test_wide_bracket_takes_every_rung(self):
+        # a step 0.14 of a 0.5 scan step past a node: the window interpolant
+        # of the +-1 nodes puts the first point mid-bracket, 0.18 from the
+        # root, so the second round's widest bracket (0.25) is past the
+        # widest rung and that round evaluates all 2 len(LADDER) + 1 points
+        root = 50.0 + math.sqrt(2.0) / 20.0
+        sizes = []
+
+        def f(r):
+            sizes.append(np.size(r))
+            return np.tanh(1e3 * (np.asarray(r) - root))[None]
+
+        (cuts, widths, _), = locate_sign_changes(f, (0.0, 256.0), 0)
+        ladder = phasenorm.quadrature.LADDER
+        assert sizes[2] == 2 * len(ladder) + 1
+        assert len(cuts) == 1 and abs(cuts[0] - root) <= phasenorm.quadrature.ROOT_XTOL
         assert widths[0] <= phasenorm.quadrature.ROOT_XTOL
 
     def test_brackets_close_on_every_root(self):
@@ -366,7 +388,7 @@ FOCK1 = radial_profile(number_state(1), 0.0)
 @pytest.mark.parametrize("integrate,p,reference", [
     (lambda p, tol: integrate_plane_abs_pow(VACUUM_PAIR, p, tol), 1.0, VACUUM_CG_L1),
     (lambda p, tol: integrate_plane_abs_pow(VACUUM_PAIR, p, tol), 2.0, 1.0 / 3.0),
-    (lambda p, tol: integrate_radial_abs_pow(FOCK1, p, tol), 1.0, ABS_W1_INTEGRAL),
+    (lambda p, tol: exact_l1(number_state(1), tol), 1.0, ABS_W1_INTEGRAL),
     (lambda p, tol: integrate_radial_abs_pow(FOCK1, p, tol), 3.0, None),
 ], ids=["planar_exact_p1", "planar_rays_p2", "radial_exact_p1", "radial_panels_p3"])
 def test_every_route_raises_an_honest_estimate(integrate, p, reference):
