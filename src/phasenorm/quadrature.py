@@ -472,11 +472,6 @@ def covariance_entries(theta, v0, v1):
     return cc * v0 + ss * v1, cs * (v0 - v1) + (cc - ss) * 0.0, ss * v0 + cc * v1
 
 
-def _form(a, c, b, u, v):
-    """u^T [[a, c], [c, b]] v."""
-    return a * u[0] * v[0] + c * (u[0] * v[1] + u[1] * v[0]) + b * u[1] * v[1]
-
-
 def _quadratic_roots(qa, qb, qc):
     """Real roots of qa x^2 + qb x + qc = 0, free of cancellation."""
     if qa == 0.0:
@@ -551,9 +546,10 @@ def _seeds(mu, ell):
     return seeds
 
 
-def _co_centred_l1(terms, weights, tol):
-    """int d^2z/pi |sum_i w_i G_i| of co-centred unit-mass Gaussians G_i in
-    Imhof's angular form, unchecked.  With masses m_i = |w_i| it is sum m_i
+def _co_centred_l1(terms, tol):
+    """int d^2z/pi |sum_i w_i G_i| of co-centred unit-mass Gaussians G_i,
+    w_i the terms' ``weight``, in Imhof's angular form, unchecked (centres
+    within 1e-13 of their midpoint count as one).  With m_i = |w_i| it is sum m_i
     for one term or two of one sign, and for w_1 > 0 > w_2 2 (m_1 P_1 - m_2
     P_2) - (m_1 - m_2): f > 0 where z^T (C_1^{-1} - C_2^{-1}) z < 2 ell, ell
     = ln(m_1/m_2) + ln(lambda_0 lambda_1)/2, and P_i = (2/pi) int_0^{pi/2}
@@ -561,8 +557,8 @@ def _co_centred_l1(terms, weights, tol):
     mu = nu / lambda for term 1 and nu for term 2 (:func:`_pencil`); constant
     shares are closed form, the others share the panels of :func:`_seeds`.
     The bound adds m_2 slack / 2, each rounding times its mass and a few eps."""
-    pos = [(w, t) for w, t in zip(weights, terms) if w > 0.0]
-    neg = [(-w, t) for w, t in zip(weights, terms) if w < 0.0]
+    pos = [(t.weight, t) for t in terms if t.weight > 0.0]
+    neg = [(-t.weight, t) for t in terms if t.weight < 0.0]
     carried = sum(m * t.rounding for m, t in pos + neg)
     if not (pos and neg):
         total = sum(m for m, _ in pos + neg)
@@ -603,8 +599,10 @@ def _co_centred_l1(terms, weights, tol):
 def integrate_plane_abs_pow(terms, p, tol):
     """int d^2z/pi |f(z)|^p for f the sum of one or two :class:`GaussianTerm`.
 
-    At p = 1 with a shared center the integral takes Imhof's angular form
-    (Biometrika 48, 419, 1961, :func:`_co_centred_l1`) in the terms' axes.
+    At p = 1 with a shared center (each within 1e-13 of the midpoint, taken
+    as co-centred on the terms' own weights) the integral takes Imhof's
+    angular form (Biometrika 48, 419, 1961, :func:`_co_centred_l1`) in the
+    terms' axes.
     Else adaptive panels integrate the angle about the center in the scaled
     principal axes of the summed covariances (each (a, c, b) from its axes;
     [0, pi] when shared); along a ray a term is amp_i exp(g_i + b_i r - a_i
@@ -631,11 +629,8 @@ def integrate_plane_abs_pow(terms, p, tol):
     offsets = [(center[0] - x, center[1] - y) for x, y in (t.mean for t in terms)]
     symmetric = all(math.hypot(*o) < 1e-13 for o in offsets)
     if p == 1.0 and symmetric:
-        # an offset below 1e-13 enters as the term's value at the center
-        weights = [t.weight * math.exp(-0.5 * _form(*symmetric_inverse(
-            *covariance_entries(t.theta, *t.variances)), o, o)) if any(o) else t.weight
-            for t, o in zip(terms, offsets)]
-        return checked(_co_centred_l1(terms, weights, tol), tol)
+        # an offset below 1e-13 is taken as co-centred, on the terms' own weights
+        return checked(_co_centred_l1(terms, tol), tol)
     a, c, b = map(sum, zip(*(covariance_entries(t.theta, *t.variances) for t in terms)))
     psi = 0.5 * math.atan2(-2.0 * c, b - a)
     u, v = (math.cos(psi), math.sin(psi)), (-math.sin(psi), math.cos(psi))

@@ -144,7 +144,7 @@ def norm_value(state, channel, fn, tol):
     for _ in range(4):
         est = _integral_once(state, channel, fn, quad_tol)
         value, err = _pow_and_error(est, fn.p)
-        if err <= tol or fn.p == 1.0:
+        if err <= tol:
             return value, err
         # integral tolerance that maps to a norm error of tol
         quad_tol = 0.9 * ((value + tol) ** fn.p - value**fn.p)

@@ -17,9 +17,8 @@ from .fock import (amplify_fock, apply_channel_fock, attenuate_fock,
                    loss_kraus_decomposition, make_mixture, make_thermal_fock,
                    mean_photons, number_state, radial_l1, radial_profile, wigner_s_fock)
 from .gaussian import (GaussianState, apply_channel_gaussian, make_coherent,
-                       make_squeezed_thermal, make_thermal, wigner_s_gaussian,
-                       wigner_term)
-from .quadrature import RadialProfile, integrate_plane_abs_pow, integrate_radial_abs_pow
+                       make_squeezed_thermal, make_thermal, wigner_s_gaussian)
+from .quadrature import RadialProfile, integrate_radial_abs_pow
 from .quantifier import (NOGO_INSTANCE, FunctionalSpec, baseline_with_error,
                          convexity_gap, measure_m, monotonicity_gap_strong,
                          monotonicity_gap_weak, norm_value)
@@ -276,11 +275,10 @@ def check_channel_composition(tol):
 
 def check_normalization(tol):
     # signed normalization equals the abs integral only for W >= 0, so the
-    # battery uses states with nonnegative W^(s): classicalized mixtures,
-    # thermal states, and (planar route) arbitrary Gaussian states.  The
-    # Gaussian half integrates one term at p = 1, which the planar route
-    # returns as the term's closed-form mass, exactly 1.0: it checks that
-    # dispatch, not a quadrature
+    # battery uses classicalized mixtures, whose W^(s) is nonnegative, on the
+    # Fock engine's exact p = 1 route.  It has no planar half: one Gaussian
+    # term at p = 1 is returned as its closed-form mass, exactly 1.0, which
+    # checks a dispatch (see tests/test_quadrature.py), not a quadrature
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(4):
@@ -288,15 +286,8 @@ def check_normalization(tol):
         for s in (0.0, -1.0, -2.0):
             est, = radial_l1(state, ((s, None),), (1e-8,))
             worst = max(worst, abs(est.value - 1.0))
-    for _ in range(4):
-        state = make_squeezed_thermal(float(rng.uniform(0, 2)),
-                                      float(rng.uniform(0, 1.5)),
-                                      float(rng.uniform(0, math.pi)))
-        for s in (0.0, -1.0):
-            est = integrate_plane_abs_pow((wigner_term(state, s),), 1.0, 1e-8)
-            worst = max(worst, abs(est.value - 1.0))
     return CheckResult("oracles", "wigner_normalization", worst <= 1e-8 + 1e-9, worst,
-                       "max |int W^(s) - 1| over nonnegative-W states, both engines")
+                       "max |int W^(s) - 1| over classicalized Fock mixtures")
 
 
 def check_amplifier_mean_photons(tol):

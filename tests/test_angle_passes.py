@@ -14,6 +14,7 @@ import pytest
 import phasenorm.quadrature
 from phasenorm import (CG, Amplifier, Attenuator, ChannelSpec, FunctionalSpec, GaussianState,
                        make_squeezed_thermal, make_thermal, norm_value)
+from phasenorm.quadrature import GaussianTerm
 
 
 @pytest.mark.parametrize("state,sizes,panels", [
@@ -47,18 +48,32 @@ def test_planar_route_calls(state, sizes, panels, monkeypatch):
 @pytest.mark.parametrize("r,value", [(0.8, 1.76167815), (3.0, 1.95261645)])
 def test_near_co_centred_pair_takes_imhof_route(r, value, monkeypatch):
     # loss 1/49 then gain 49 folds to k = 0.9999999999999999, so a displaced
-    # state and its output lie about 1e-16 apart: the offset enters as a weight
+    # state and its output lie about 1e-16 apart: an offset below 1e-13 is
+    # taken as co-centred, on the terms' own weights
     channel = ChannelSpec((Attenuator(1 / 49), Amplifier(49.0)))
     assert channel.fold()[0] < 1.0
-    calls = {"_co_centred_l1": 0, "_form": 0}
-    for name in calls:
-        def counted(*args, name=name, original=getattr(phasenorm.quadrature, name)):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(phasenorm.quadrature, name, counted)
+    calls = []
+    original = phasenorm.quadrature._co_centred_l1
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(phasenorm.quadrature, "_co_centred_l1", counted)
     state = make_squeezed_thermal(1.0, r, 0.3)
     n, err = norm_value(GaussianState((1.0, 0.5), state.cov), channel, FunctionalSpec(), 1e-6)
-    assert calls == {"_co_centred_l1": 1, "_form": 1}
+    assert calls == [1]
     assert abs(n - value) <= err + 5e-9
     n0, err0 = norm_value(state, channel, FunctionalSpec(), 1e-6)
     assert abs(n - n0) <= err + err0
+
+
+def test_rotated_pencil_charges_half_the_slack_per_negative_mass(monkeypatch):
+    # with the panels stubbed to nothing the bound is the rounding alone:
+    # 64 eps (16 eps times the masses 1 + 3) plus m_2 slack / 2 = 1.5 slack
+    first = GaussianTerm(1.0, (0.0, 0.0), 0.0, (0.01, 1.0))
+    second = GaussianTerm(-3.0, (0.0, 0.0), 0.7, (0.05, 2.0))
+    assert phasenorm.quadrature._pencil(first, second)[3] == 1.9480596729713613e-14
+    monkeypatch.setattr(phasenorm.quadrature, "_adaptive_panels", lambda *args: (0.0, 0.0, 0))
+    est = phasenorm.quadrature._co_centred_l1((first, second), 1e-6)
+    assert est.abs_error_bound == 4.3431749809772426e-14

@@ -28,6 +28,20 @@ VACUUM_CG_L1 = 4.0 * math.sqrt(3.0) / 9.0             # 0.7698003589195010
 VACUUM_DIFF_ROOT = math.sqrt(3.0 * math.log(3.0) / 4.0)  # 0.9077219929594507
 
 
+def test_quadratic_with_zero_roots_has_the_double_root():
+    assert phasenorm.quadrature._quadratic_roots(1.0, 0.0, 0.0) == [0.0]
+
+
+def test_refinement_stops_at_the_narrowest_panel():
+    # no budget is met on a step, so bisection runs down to MIN_PANEL_WIDTH
+    def step(x):
+        return (x > 0.3).astype(float)
+
+    quad = phasenorm.quadrature
+    assert quad._adaptive_panels(step, [0.0, 1.0], 1e-300, quad.MAX_PANELS) == (
+        0.7000000000000002, 1.5209809684091432e-15, 45)
+
+
 def test_gl16_table_is_numpys_rule():
     nodes, weights = np.polynomial.legendre.leggauss(16)
     assert phasenorm.quadrature.LEG_NODES.tobytes() == nodes.tobytes()
@@ -293,6 +307,13 @@ class TestPlanar:
         est = integrate_plane_abs_pow(profile, 1.0, 1e-9)
         assert est.value == 0.0
         assert est.abs_error_bound <= 1e-9
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_no_live_term_reads_zero(self, p):
+        # zero weights at distinct centres take the per-ray route with no ray to run
+        profile = (term(0.0, 0.25), term(0.0, 0.25, mean=(1.0, 0.0)))
+        est = integrate_plane_abs_pow(profile, p, 1e-6)
+        assert est == IntegralEstimate(0.0, 2.5e-07, 1)
 
     def test_term_without_decay_rejected(self):
         # [[1, 2], [2, 1]]: a negative variance would give negative closed-form rays

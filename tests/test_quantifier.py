@@ -549,6 +549,10 @@ class TestNegativity:
         with pytest.raises(UnsupportedInputError):
             wigner_negativity(GaussianState(), TOL)
 
+    def test_integral_below_the_stored_mass_raises(self):
+        with pytest.raises(RuntimeError, match="below -2\\*tol"):
+            wigner_negativity(number_state(0), 1e-6, IntegralEstimate(0.5, 0.0, 1))
+
 
 class TestConvexity:
     def test_single_state_zero_gap(self):
