@@ -1,11 +1,11 @@
 """Truncated photon-number-diagonal states and their exact channel laws.
 
-The attenuator acts through the binomial transition law P(m|n) = C(n, m)
-t^m (1-t)^{n-m} (each photon survives with probability t), the
-quantum-limited amplifier through the negative-binomial law P(m|n) =
-C(m, n) (1/g)^{n+1} (1-1/g)^{m-n}, m >= n; both are matrices built entry
-by entry in log space, so no photon number or gain overflows them.  The
-test suite validates both against the Gaussian covariance engine and the
+Both channels act through one binomial law b(k; n, p) = C(n, k) p^k
+(1-p)^{n-k}, built in log space so no photon number or gain overflows it:
+the attenuator through P(m|n) = b(m; n, t) (each photon survives with
+probability t), the quantum-limited amplifier through P(m|n) = b(n; m,
+1/g)/g = C(m, n) (1/g)^{n+1} (1-1/g)^{m-n}, m >= n.  The test suite
+validates both against the Gaussian covariance engine and the
 ordering-shift identity of the classicalization channel (its output
 Wigner function is the input W^(s-2)).  :func:`radial_profile` and
 :func:`radial_l1` apply a channel through that identity, the latter the
@@ -106,24 +106,29 @@ def mean_photons(state):
 
 # ------------------------------------------------------------------ Wigner
 
+def _tau(s):
+    """tau = (s + 1)/(s - 1) of an ordering s, which must be finite and < 1."""
+    if not -math.inf < s < 1.0:
+        raise ValueError(f"ordering parameter must be finite and < 1, got {s}")
+    return (s + 1.0) / (s - 1.0)
+
+
 def _wigner_terms(weights, terms, radius):
     """Rows sum_m w_i[m] W_m^(s_i)(radius / sqrt k_i), one per term (s_i, k_i).
 
     One kernel pass for every term: ``weights`` is one vector w_i = w for
     all of them or one column w_i per term, and ``radius`` a 1-D array.
     """
+    tau = [_tau(s) for s, _ in terms]
     u, pref = np.empty((2, len(terms), len(radius)))
     scaled = {}  # terms of one k share -4 rho^2 and -2 rho^2
     for (s, k), u_i, pref_i in zip(terms, u, pref):
-        if not -math.inf < s < 1.0:
-            raise ValueError(f"ordering parameter must be finite and < 1, got {s}")
         if k not in scaled:
             rho2 = (radius if k == 1.0 else radius / math.sqrt(k)) ** 2
             scaled[k] = -4.0 * rho2, -2.0 * rho2
         np.divide(scaled[k][0], (1.0 - s) ** 2, u_i)
         np.exp(np.divide(scaled[k][1], 1.0 - s, pref_i), pref_i)
         np.multiply(2.0 / (1.0 - s), pref_i, pref_i)
-    tau = [(s + 1.0) / (s - 1.0) for s, _ in terms]
     return backend.wigner_series(weights, tau, u.reshape(-1), pref.reshape(-1)).reshape(u.shape)
 
 
@@ -134,7 +139,7 @@ def _masses_outside(weights, terms, radius):
     column P_m - tau_i P_{m+1}.
     """
     upper = np.add.accumulate(weights[::-1])[::-1]
-    taus = np.array([(s + 1.0) / (s - 1.0) for s, _ in terms])
+    taus = np.array([_tau(s) for s, _ in terms])
     columns = upper[:, None] - taus * np.concatenate((upper[1:], [0.0]))[:, None]
     rows = _wigner_terms(columns, terms, radius)
     return np.divide(rows, [[2.0 / (1.0 - s)] for s, _ in terms], rows)
@@ -163,8 +168,6 @@ def wigner_mass_outside(state, s, radius):
     where P_m = sum_{n>=m} p_n, divided by beta; the exact p = 1 route
     passes each of its terms such a weight column, all in one call.
     """
-    if not -math.inf < s < 1.0:
-        raise ValueError(f"ordering parameter must be finite and < 1, got {s}")
     rho = np.asarray(radius, dtype=float)
     out = _masses_outside(state.weights, ((s, 1.0),), rho.reshape(-1))[0]
     return float(out[0]) if rho.ndim == 0 else out.reshape(rho.shape)
@@ -230,8 +233,7 @@ def sign_search(state, terms, lead):
     top, n = state.cutoff, lead
     decay, radii, reaches = [], [], []
     for s, k in terms:
-        if not -math.inf < s < 1.0:
-            raise ValueError(f"ordering parameter must be finite and < 1, got {s}")
+        _tau(s)
         root = math.sqrt(k)
         rho_t = math.sqrt((n + 0.75) * max(1.0 - s * s, 0.0))
         log_a, rate = math.log(2.0 / (1.0 - s)), 2.0 / (1.0 - s)
@@ -392,9 +394,9 @@ def radial_l1(state, signals, tols):
     :class:`~phasenorm.quadrature.ToleranceNotReached` with it attached.
     """
     signals = [_signal_terms(s, channel) for s, channel in signals]
-    if not (isinstance(tols, tuple) and len(tols) == len(signals)
-            and all(0.0 < tol < math.inf for tol in tols)):
+    if not (isinstance(tols, tuple) and len(tols) == len(signals)):
         raise ValueError(f"need a tuple of one finite tol > 0 per signal, got {tols!r}")
+    tols = tuple(map(quadrature.checked_tol, tols))
     searches = [sign_search(state, terms, leading_cutoff(
         state, [o for o, _ in terms], LEADING_SHARE * tol)) for terms, tol in zip(signals, tols)]
     envelopes = [tail_radius(search.decay, 1.0, tol * 0.1)
@@ -445,42 +447,19 @@ def radial_l1(state, signals, tols):
 
 # ---------------------------------------------------------------- channels
 
-def _binomial_columns(n_max, t):
-    """Matrix B[m, n] = C(n, m) t^m (1-t)^{n-m}, m <= n (else 0), for 0 < t < 1.
+def _binomial_law(n_max, m_max, p, q):
+    """Matrix L[m, n] = b(n; m, p) = C(m, n) p^n q^(m-n), m >= n (else 0), q = 1 - p.
 
-    Each entry is built in log space, so no partial product overflows or
-    underflows for t near 0 or 1.
+    The attenuator's B[m, n] = b(m; n, t) is L.T at (t, 1 - t), the amplifier's
+    A[m, n] = b(n; m, 1/g)/g is L/g at (1/g, (g - 1)/g).  Built in log space in
+    Loader's saddle-point form (2000): with d = n - m p and h(k) = ln(k!/k^k) +
+    k (its Stirling series past k = 15), ln b = h(m) - h(n) - h(m-n) - n ln(1 +
+    d/(m p)) - (m-n) ln(1 - d/(m q)).  No large logarithms cancel: entries keep
+    1e-12 of their value up to m ~ 1e4, where differences of ln k! lose 4e-11,
+    and row m = 1e4 sums to 1 within 1e-15.  It holds (m_max + 1)(n_max + 1)
+    doubles: about 2 MB at the package's cutoffs (<= 250), 22 MB for |1100>
+    amplified at g = 2 and, as the attenuator's (N + 1)^2, 72 MB at N = 3000.
     """
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
-    m, n = np.ogrid[:n_max + 1, :n_max + 1]
-    rest = np.maximum(n - m, 0)
-    log_b = (log_factorial[n] - log_factorial[m] - log_factorial[rest]
-             + m * math.log(t) + rest * math.log1p(-t))
-    return np.where(m <= n, np.exp(log_b), 0.0)
-
-
-def attenuate_fock(state, transmittivity):
-    """Quantum-limited attenuator on a diagonal state; cutoff unchanged."""
-    if not 0.0 < transmittivity <= 1.0:
-        raise ValueError(f"transmittivity must be in (0, 1], got {transmittivity}")
-    if transmittivity == 1.0:
-        return state
-    B = _binomial_columns(state.cutoff, transmittivity)
-    return FockDiagonalState(B @ state.weights, state.tail_mass_bound)
-
-
-def _amplifier_columns(n_max, m_max, gain):
-    """Matrix A[m, n] = C(m, n) g^-(n+1) (1-1/g)^(m-n), m >= n (else 0), for g > 1.
-
-    Built in log space in Loader's saddle-point form (2000) of A = b(n; m,
-    1/g) / g, b the binomial law: with d = n - m/g, q = 1 - 1/g and h(k) =
-    ln(k!/k^k) + k (its Stirling series past k = 15), ln b = h(m) - h(n) -
-    h(m-n) - n ln(1 + g d/m) - (m-n) ln(1 - d/(m q)).  No large logarithms
-    cancel: entries keep 1e-13 of their value at m ~ 1e4, where differences
-    of ln k! lose 4e-11.  It holds (m_max + 1)(n_max + 1) doubles: about
-    2 MB at the package's cutoffs (<= 250), 22 MB for |1100> at g = 2.
-    """
-    p, q = 1.0 / gain, (gain - 1.0) / gain
     k = np.arange(1.0, m_max + 1.0)
     inv = 1.0 / (k * k)
     h = np.append(0.0, 0.5 * np.log(2.0 * math.pi * k) + (1 / 12 - inv * (
@@ -499,7 +478,17 @@ def _amplifier_columns(n_max, m_max, gain):
     np.fill_diagonal(log_b, np.arange(n_max + 1) * math.log(p))
     log_b[:, 0] = m[:, 0] * math.log(q)
     log_b[m < n] = -math.inf
-    return np.multiply(np.exp(log_b, out=log_b), p, out=log_b)
+    return np.exp(log_b, out=log_b)
+
+
+def attenuate_fock(state, transmittivity):
+    """Quantum-limited attenuator on a diagonal state; cutoff unchanged."""
+    if not 0.0 < transmittivity <= 1.0:
+        raise ValueError(f"transmittivity must be in (0, 1], got {transmittivity}")
+    if transmittivity == 1.0:
+        return state
+    B = _binomial_law(state.cutoff, state.cutoff, transmittivity, 1.0 - transmittivity).T
+    return FockDiagonalState(B @ state.weights, state.tail_mass_bound)
 
 
 def amplify_fock(state, gain):
@@ -508,7 +497,7 @@ def amplify_fock(state, gain):
     The margin is the smallest certifying truncated mass <= 1e-10: a trial
     margin from the ceiling (at least 16) of the weights' reach g (n + 1) +
     1.25 sqrt(2 ln(p_n / 1e-10)) sigma_n past the base, sigma_n^2 = g (g -
-    1) (n + 1), doubled while at most 2^20, sizes :func:`_amplifier_columns`,
+    1) (n + 1), doubled while at most 2^20, sizes :func:`_binomial_law`,
     whose row cumsum gives the truncated mass sum_n p_n (1 - CDF_n(M)) at
     every cutoff M; the first M >= the base that certifies is taken.
     """
@@ -522,7 +511,8 @@ def amplify_fock(state, gain):
         np.maximum(state.weights, TAIL_BOUND_MAX) / TAIL_BOUND_MAX)) + gain * n - base
     trial = max(16, math.ceil(reach.max()))
     while trial <= 1 << 20:
-        A = _amplifier_columns(state.cutoff, base + trial, gain)
+        A = _binomial_law(state.cutoff, base + trial, 1.0 / gain, (gain - 1.0) / gain)
+        np.multiply(A, 1.0 / gain, out=A)
         mass = np.cumsum(A, axis=0)  # 1 - mass floored at 0 in place: one full-size copy
         truncated = np.maximum(np.subtract(1.0, mass, out=mass), 0.0, out=mass) @ state.weights
         fits = np.flatnonzero(truncated[base:] <= TAIL_BOUND_MAX)
@@ -567,7 +557,8 @@ def loss_kraus_decomposition(state, transmittivity):
         raise UnsupportedInputError(
             "Kraus decomposition requires a state without truncated tail mass")
     # diagonal k of B p holds p_{m+k} B[m, m+k], m = 0..N-k
-    weighted = _binomial_columns(state.cutoff, transmittivity) * state.weights
+    B = _binomial_law(state.cutoff, state.cutoff, transmittivity, 1.0 - transmittivity).T
+    weighted = B * state.weights
     branches = []
     for k in range(state.cutoff + 1):
         w = np.diagonal(weighted, k)

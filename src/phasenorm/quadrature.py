@@ -34,7 +34,6 @@ no panel and ends, as every route here does, in :func:`checked`.
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -384,12 +383,21 @@ def _adaptive_panels(g, edges, budget, max_panels):
     return total, err, count
 
 
+def checked_tol(tol):
+    """``tol`` when it is a real number, finite and > 0; else ValueError naming it."""
+    try:
+        if 0.0 < tol < math.inf:
+            return tol
+    except TypeError:  # a string, None, a complex or a sequence
+        pass
+    raise ValueError(f"tol must be a number, finite and > 0, got {tol!r}")
+
+
 def _checked_input(p, tol):
-    """ValueError unless 1 <= p < inf and ``tol`` is a number, finite and > 0."""
+    """ValueError unless 1 <= p < inf and ``tol`` passes :func:`checked_tol`."""
     if not 1.0 <= p < math.inf:
         raise ValueError(f"norm order must be finite and >= 1, got {p}")
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
-        raise ValueError(f"tol must be a number, finite and > 0, got {tol!r}")
+    checked_tol(tol)
 
 
 def checked(est, tol):

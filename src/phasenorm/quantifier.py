@@ -23,8 +23,8 @@ from .fock import (FockDiagonalState, UnsupportedInputError, loss_kraus_decompos
 from .fock import apply_channel_fock  # noqa: F401  unused; tracers hook this binding
 from .gaussian import (SUB_VACUUM, GaussianState, apply_channel_gaussian,
                        min_quadrature_variance, wigner_term)
-from .quadrature import (IntegralEstimate, ToleranceNotReached, integrate_plane_abs_pow,
-                         integrate_radial_abs_pow)
+from .quadrature import (IntegralEstimate, ToleranceNotReached, checked_tol,
+                         integrate_plane_abs_pow, integrate_radial_abs_pow)
 
 DEFAULT_TOL = 1e-6
 NEGATIVITY_WITNESS_MIN = 1e-3  # the Fig. 2 witness threshold, far above quadrature noise
@@ -87,13 +87,6 @@ class QuantifierResult:
     classification: str
 
 
-def _checked_tol(tol):
-    """``tol`` when it is finite and > 0, else ValueError naming it."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    return tol
-
-
 def classify(m_value, err, witness_quantum):
     """Classification rule shared by the library and the CSV artifacts.
 
@@ -138,9 +131,9 @@ def norm_value(state, channel, fn, tol):
     exceeds tol, :class:`~phasenorm.quadrature.ToleranceNotReached` is
     raised with ``IntegralEstimate(N, err, subdivisions)`` of the last
     integral as its ``estimate`` (an integral that misses raises its own).
-    A ``tol`` that is not finite and > 0 raises ValueError.
+    A ``tol`` that is not a number, finite and > 0, raises ValueError.
     """
-    quad_tol = _checked_tol(tol)
+    quad_tol = checked_tol(tol)
     for _ in range(4):
         est = _integral_once(state, channel, fn, quad_tol)
         value, err = _pow_and_error(est, fn.p)
@@ -164,7 +157,7 @@ def baseline_with_error(channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
     Under ``CG`` at (s, p) = (0, 1) the planar route's closed form for an
     isotropic pair gives 4 sqrt(3)/9 to the bit, err 7.1e-15, at every tol.
     """
-    return _vacuum_norm(channel, fn, _checked_tol(tol))
+    return _vacuum_norm(channel, fn, checked_tol(tol))
 
 
 def wigner_negativity(state, tol=DEFAULT_TOL, integral=None):
@@ -177,7 +170,7 @@ def wigner_negativity(state, tol=DEFAULT_TOL, integral=None):
     when given: the estimate at ``tol`` that route returned for W^(0)
     beside another signal (see :func:`measure_m`).
     """
-    _checked_tol(tol)
+    checked_tol(tol)
     if not isinstance(state, FockDiagonalState):
         raise UnsupportedInputError("Wigner negativity is computed for diagonal states")
     if integral is None:
@@ -214,7 +207,7 @@ def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
     adds 2 ``tail_mass_bound`` of a Fock state, its stored tail's mass in it
     and its image: a bound on the tail's pull on N for s <= -1, else an estimate.
     """
-    _checked_tol(tol)
+    checked_tol(tol)
     integral = None
     if isinstance(state, FockDiagonalState) and fn.p == 1.0:
         norm, integral = radial_l1(state, ((fn.s, channel), (0.0, None)),
@@ -263,7 +256,7 @@ def monotonicity_gap_weak(state, transmittivity, channel=CG, fn=FunctionalSpec()
     """
     if not 0.0 < transmittivity < 1.0:
         raise ValueError("transmittivity must be in (0, 1)")
-    t = transmittivity
+    t, tol = transmittivity, checked_tol(tol)
     k2, y2, phi, d = ChannelSpec((Attenuator(t),)).then(channel).fold()
     k, y = k2 / t, (y2 - (1.0 - t) / 4.0) / t
     # C' is attenuator k/g then amplifier g; a physical C gives k/g <= 1 <= g

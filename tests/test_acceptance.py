@@ -32,7 +32,7 @@ BASELINE_CG = 4.0 * math.sqrt(3.0) / 9.0
 # default tol 1e-6
 SWEEP_SHA256 = "2e1ffb4ef12709083b10ea05f3594a1ebf7f82a1d0ca58e5dca150b127c15697"
 MIXTURES_SHA256 = "81d1b1fcc36fb6ec52337bba0ad81addc0ed8166081244a6dd83e7f4976e15d5"
-VERIFY_SHA256 = "cb45a88ca598c9c71da0ff2e2aa229cb46e5c7bc168d3a6a2c15daa67fb4cdca"
+VERIFY_SHA256 = "39c9a3aa8b2db867e8567b178b222dccd57717ed34b1cc389a5cd8f56deaf10f"
 
 
 def timed(fn, *args, **kwargs):

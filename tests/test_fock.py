@@ -157,14 +157,22 @@ class TestAttenuator:
     def test_binomial_columns_match_mpmath(self, t):
         # a product started at (1 - t)^n and grown by the ratios
         # t/(1 - t) (n - m)/(m + 1) overflowed at t = 1 - 1e-6: column sums
-        # inf at n = 52-53, nan at n = 60 and 200
-        columns = phasenorm.fock._binomial_columns(200, t)
+        # inf at n = 52-53, nan at n = 60 and 200; differences of ln k! then
+        # missed this bound at n = 1100 by up to 1.9 times
+        columns = phasenorm.fock._binomial_law(1100, 1100, t, 1.0 - t).T
         assert np.all(np.abs(columns.sum(axis=0) - 1.0) <= 1e-12)
-        for n in (53, 60, 200):
-            want = np.array([float(mp.binomial(n, m) * mp.mpf(t) ** m * (1 - mp.mpf(t)) ** (n - m))
-                             for m in range(n + 1)])
-            assert np.all(np.abs(columns[:n + 1, n] - want) <= 1e-12 * want + 1e-300)
-            assert not np.any(columns[n + 1:, n])
+        with mp.workdps(30):
+            for n in (53, 60, 200, 1100):
+                want = np.array([float(mp.binomial(n, m) * mp.mpf(t) ** m
+                                       * (1 - mp.mpf(t)) ** (n - m)) for m in range(n + 1)])
+                assert np.all(np.abs(columns[:n + 1, n] - want) <= 1e-12 * want + 1e-300)
+                assert not np.any(columns[n + 1:, n])
+
+    def test_high_photon_numbers_keep_their_mass(self):
+        # with differences of ln k! the output of |3000> lost 1.2e-12 of its mass
+        # and the state raised ValueError
+        out = attenuate_fock(number_state(3000), 0.5)
+        assert abs(out.weights.sum() - 1.0) <= MASS_EPS
 
     def test_near_unit_transmittivity(self):
         out = attenuate_fock(number_state(53), 1.0 - 1e-6)
@@ -211,7 +219,8 @@ class TestAmplifier:
         # of an entry; m_max lies six standard deviations past the mean
         m_max = math.ceil(gain * (n + 1) + 6.0 * math.sqrt(gain * (gain - 1.0) * (n + 1))
                           + 20.0 * gain)
-        columns = phasenorm.fock._amplifier_columns(n, m_max, gain)
+        columns = phasenorm.fock._binomial_law(n, m_max, 1.0 / gain, (gain - 1.0) / gain)
+        columns *= 1.0 / gain
         with mp.workdps(30):
             g = mp.mpf(gain)
             want = np.array([float(mp.binomial(m, n) * g ** -(n + 1) * (1 - 1 / g) ** (m - n))
@@ -260,15 +269,15 @@ class TestAmplifier:
         # far below the bound, so one build with the smallest margin, 16, serves
         builds = self.counted_builds(monkeypatch)
         out = amplify_fock(make_thermal_fock(3.0, 120), 2.0)
-        assert builds == [(120, 242 + 16, 2.0)] and out.cutoff == 242
+        assert builds == [(120, 242 + 16, 0.5, 0.5)] and out.cutoff == 242
 
     def test_columns_peak_within_three_and_a_half_results(self):
-        # ln b is built in one buffer and one scratch, and the special entries,
-        # exp and the 1/g factor are written in place: about three result-sized
-        # arrays are alive at once
+        # ln b is built in one buffer and one scratch, and the special entries
+        # and exp are written in place: about three result-sized arrays are
+        # alive at once (the amplifier's 1/g factor is written in place too)
         tracemalloc.start()
         try:
-            columns = phasenorm.fock._amplifier_columns(300, 3600, 10.0)
+            columns = phasenorm.fock._binomial_law(300, 3600, 0.1, 0.9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -276,13 +285,13 @@ class TestAmplifier:
 
     @staticmethod
     def counted_builds(monkeypatch):
-        builds, columns = [], phasenorm.fock._amplifier_columns
+        builds, columns = [], phasenorm.fock._binomial_law
 
         def counted(*args):
             builds.append(args)
             return columns(*args)
 
-        monkeypatch.setattr(phasenorm.fock, "_amplifier_columns", counted)
+        monkeypatch.setattr(phasenorm.fock, "_binomial_law", counted)
         return builds
 
 
@@ -415,7 +424,7 @@ class TestLossKraus:
         rng = np.random.default_rng(5)
         w = rng.uniform(0, 1, size=200)
         state = make_mixture(w / w.sum())
-        B = phasenorm.fock._binomial_columns(state.cutoff, 0.37)
+        B = phasenorm.fock._binomial_law(state.cutoff, state.cutoff, 0.37, 1.0 - 0.37).T
         branches = loss_kraus_decomposition(state, 0.37)
         assert len(branches) == state.cutoff + 1
         for k, (pk, branch) in enumerate(branches):

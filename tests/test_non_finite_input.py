@@ -1,7 +1,8 @@
 """Every constructor, and every public evaluator and integrator, rejects NaN
 and infinities, wherever they sit (a planar term's weight, mean and theta
-among them); the integrators take one number tol, and the exact p = 1 route
-one tol per signal."""
+among them); the integrators and the quantifier's entry points take one
+number tol, and the exact p = 1 route one tol per signal, each checked by
+``quadrature.checked_tol``, so a tol that is no number raises ValueError too."""
 
 import math
 
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasenorm import (Amplifier, Attenuator, Displacement, FockDiagonalState,
-                       FunctionalSpec, GaussianState, Rotation)
+from phasenorm import (CG, Amplifier, Attenuator, Displacement, FockDiagonalState,
+                       FunctionalSpec, GaussianState, Rotation, baseline_with_error,
+                       convexity_gap, measure_m, monotonicity_gap_strong,
+                       monotonicity_gap_weak, norm_value, wigner_negativity)
 from phasenorm.fock import (amplify_fock, number_state, radial_l1, radial_profile,
                             sign_search, wigner_mass_outside, wigner_s_fock)
 from phasenorm.gaussian import wigner_s_gaussian, wigner_term
-from phasenorm.quadrature import integrate_plane_abs_pow, integrate_radial_abs_pow
+from phasenorm.quadrature import checked_tol, integrate_plane_abs_pow, integrate_radial_abs_pow
 
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
 FINITE = st.floats(-10.0, 10.0)
@@ -53,6 +56,8 @@ def test_non_finite_input_rejected(kind, bad, index, values):
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
+NOT_A_NUMBER = ("1e-6", None, 1e-6 + 0j, (1e-6,), [1e-6])
+BAD_TOLS = NON_FINITE + (-1.0,) + NOT_A_NUMBER
 RADIAL = radial_profile(number_state(1), 0.0)
 TWO_SIGNALS = ((0.0, None), (0.0, None))
 PLANAR = (wigner_term(GaussianState(), 0.0),)
@@ -67,18 +72,29 @@ CALLS = {
     "wigner_s_gaussian": (lambda bad: wigner_s_gaussian(GaussianState(), bad, 0j), NON_FINITE),
     "amplify_fock": (lambda bad: amplify_fock(number_state(1), bad), NON_FINITE),
     "radial_p": (lambda bad: integrate_radial_abs_pow(RADIAL, bad, 1e-6), NON_FINITE),
-    "radial_tol": (lambda bad: integrate_radial_abs_pow(RADIAL, 1.0, bad), NON_FINITE + (-1.0,)),
+    "radial_tol": (lambda bad: integrate_radial_abs_pow(RADIAL, 1.0, bad), BAD_TOLS),
     "radial_tol_entry": (lambda bad: radial_l1(number_state(1), TWO_SIGNALS, (1e-6, bad)),
-                         NON_FINITE + (-1.0,)),
+                         BAD_TOLS),
     "radial_l1_s": (lambda bad: radial_l1(number_state(1), ((bad, None),), (1e-6,)), NON_FINITE),
     "plane_p": (lambda bad: integrate_plane_abs_pow(PLANAR, bad, 1e-6), NON_FINITE),
-    "plane_tol": (lambda bad: integrate_plane_abs_pow(PLANAR, 1.0, bad), NON_FINITE + (-1.0,)),
+    "plane_tol": (lambda bad: integrate_plane_abs_pow(PLANAR, 1.0, bad), BAD_TOLS),
     "plane_weight": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(weight=bad),),
                                                          1.0, 1e-6), NON_FINITE),
     "plane_mean": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(mean=(0.0, bad)),),
                                                        1.0, 1e-6), NON_FINITE),
     "plane_theta": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(theta=bad),),
                                                         1.0, 1e-6), NON_FINITE),
+    "norm_value_tol": (lambda bad: norm_value(number_state(1), CG, FunctionalSpec(), bad),
+                       BAD_TOLS),
+    "measure_m_tol": (lambda bad: measure_m(number_state(1), tol=bad), BAD_TOLS),
+    "baseline_tol": (lambda bad: baseline_with_error(tol=bad), BAD_TOLS),
+    "negativity_tol": (lambda bad: wigner_negativity(number_state(1), bad), BAD_TOLS),
+    "convexity_tol": (lambda bad: convexity_gap([number_state(0), number_state(1)],
+                                                [0.5, 0.5], tol=bad), BAD_TOLS),
+    "weak_gap_tol": (lambda bad: monotonicity_gap_weak(number_state(1), 0.5, tol=bad),
+                     BAD_TOLS),
+    "strong_gap_tol": (lambda bad: monotonicity_gap_strong(number_state(1), 0.5, tol=bad),
+                       BAD_TOLS),
 }
 
 
@@ -102,3 +118,10 @@ def test_non_finite_argument_rejected(name, bad):
 def test_tuple_tol_must_match_the_hook(call):
     with pytest.raises(ValueError):
         call()
+
+
+# one rule for every tol: a real number, finite and > 0, passed through as it came
+@pytest.mark.parametrize("tol", [np.float32(1e-6), np.float64(1e-6), 1, 1e-6])
+def test_number_tol_passes_unchanged(tol):
+    assert checked_tol(tol) is tol
+

@@ -8,7 +8,7 @@ from phasenorm import (Amplifier, ChannelSpec, FockDiagonalState, GaussianState,
                        apply_channel_gaussian, loss_kraus_decomposition,
                        make_thermal_fock, mix_states, number_state)
 from phasenorm.fock import attenuate_fock
-from phasenorm.quadrature import tail_radius
+from phasenorm.quadrature import GaussianTerm, integrate_plane_abs_pow, tail_radius
 
 CALLS = {
     "no_weights": lambda: FockDiagonalState([]),
@@ -25,6 +25,10 @@ CALLS = {
         GaussianState(), ChannelSpec((Amplifier(1e200), Amplifier(1e200)))),
     "tail_of_no_terms": lambda: tail_radius((), 1.0, 1e-7),
     "tail_of_no_decay": lambda: tail_radius(((0.0, 0.0),), 1.0, 1e-7),
+    # variances 1e-300 and 1e300 at theta = 0.3 invert, in double precision,
+    # to a ray form that is not positive along every ray
+    "ill_conditioned_ray": lambda: integrate_plane_abs_pow(
+        (GaussianTerm(1.0, (0.0, 0.0), 0.3, (1e-300, 1e300)),), 2.0, 1e-3),
 }
 
 
@@ -38,3 +42,10 @@ def test_out_of_domain_input_rejected(name):
 def test_zero_nbar_thermal_is_the_vacuum():
     state = make_thermal_fock(0.0)
     assert np.array_equal(state.weights, [1.0]) and state.tail_mass_bound == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_ill_conditioned_ray_names_its_cause():
+    # the ray check in the planar outer integrand, not the variance check at entry
+    with pytest.raises(ValueError, match="a profile term does not decay along every ray"):
+        CALLS["ill_conditioned_ray"]()
