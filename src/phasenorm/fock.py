@@ -505,11 +505,15 @@ def amplify_fock(state, gain):
         raise ValueError(f"gain must be finite and >= 1, got {gain}")
     if gain == 1.0:
         return state
-    base = math.ceil(gain * (state.cutoff + 1))
+    base = gain * (state.cutoff + 1)
     n = np.arange(1.0, state.cutoff + 2.0)
-    reach = 1.25 * np.sqrt(2.0 * gain * (gain - 1.0) * n * np.log(
-        np.maximum(state.weights, TAIL_BOUND_MAX) / TAIL_BOUND_MAX)) + gain * n - base
-    trial = max(16, math.ceil(reach.max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan
+        spread = 1.25 * np.sqrt(2.0 * gain * (gain - 1.0) * n * np.log(
+            np.maximum(state.weights, TAIL_BOUND_MAX) / TAIL_BOUND_MAX))
+        reach = (spread + gain * n - np.ceil(base)).max()
+    if not reach <= 1 << 20:  # past the largest trial: no matrix is built
+        raise RuntimeError("amplifier tail does not certify; gain too large?")
+    base, trial = math.ceil(base), max(16, math.ceil(reach))
     while trial <= 1 << 20:
         A = _binomial_law(state.cutoff, base + trial, 1.0 / gain, (gain - 1.0) / gain)
         np.multiply(A, 1.0 / gain, out=A)

@@ -146,14 +146,13 @@ def apply_channel_gaussian(state, channel):
                  noise, state.rounding)
 
 
-def wigner_term(state, s, weight=1.0):
-    """The :class:`GaussianTerm` of ``weight`` W^(s): the state's variances
-    less s/4 on its axes.  Raises if s is not finite or too large."""
+def wigner_term(state, s):
+    """The :class:`GaussianTerm` of W^(s): the state's variances less s/4 on
+    its axes.  Raises if s is not finite or too large."""
     v0, v1 = (u + state.noise - s / 4.0 for u in state.axes)
     if not (0.0 < v0 < math.inf and 0.0 < v1 < math.inf):
         raise ValueError(f"s = {s} not finite or too large for the state")
-    return GaussianTerm(weight, tuple(state.mean.tolist()), state.theta, (v0, v1),
-                        state.rounding)
+    return GaussianTerm(tuple(state.mean.tolist()), state.theta, (v0, v1), state.rounding)
 
 
 def wigner_s_gaussian(state, s, point):

@@ -5,8 +5,8 @@ d^2alpha/pi measure.  Two integrators are provided:
 
 * :func:`integrate_radial_abs_pow` for rotation-symmetric profiles
   (photon-number-diagonal states), computing  int_0^inf 2 rho |f(rho)|^p drho;
-* :func:`integrate_plane_abs_pow` for one or two signed Gaussian terms,
-  in polar coordinates.
+* :func:`integrate_plane_abs_pow` for the difference of two unit-mass
+  Gaussians, in polar coordinates.
 
 Both share the same machinery: the improper integral is truncated at a
 radius where the profile's declared Gaussian decay certifies a tail bound
@@ -144,11 +144,10 @@ class RadialProfile:
 
 
 class GaussianTerm(NamedTuple):
-    """``weight`` times the unit-mass Gaussian of center ``mean`` = (x, y) and
-    ``variances`` along the axes at ``theta`` and theta + pi/2, with its
-    ``rounding`` (see :class:`~phasenorm.gaussian.GaussianState`)."""
+    """The unit-mass Gaussian of center ``mean`` = (x, y) and ``variances``
+    along the axes at ``theta`` and theta + pi/2, with its ``rounding`` (see
+    :class:`~phasenorm.gaussian.GaussianState`)."""
 
-    weight: float
     mean: tuple
     theta: float
     variances: tuple
@@ -156,7 +155,7 @@ class GaussianTerm(NamedTuple):
 
     @property
     def amp(self):  # the peak value
-        return self.weight / (2.0 * math.sqrt(self.variances[0] * self.variances[1]))
+        return 1.0 / (2.0 * math.sqrt(self.variances[0] * self.variances[1]))
 
 
 def placement_terms(right, width, height, sup):
@@ -554,42 +553,32 @@ def _seeds(mu, ell):
     return seeds
 
 
-def _co_centred_l1(terms, tol):
-    """int d^2z/pi |sum_i w_i G_i| of co-centred unit-mass Gaussians G_i,
-    w_i the terms' ``weight``, in Imhof's angular form, unchecked (centres
-    within 1e-13 of their midpoint count as one).  With m_i = |w_i| it is sum m_i
-    for one term or two of one sign, and for w_1 > 0 > w_2 2 (m_1 P_1 - m_2
-    P_2) - (m_1 - m_2): f > 0 where z^T (C_1^{-1} - C_2^{-1}) z < 2 ell, ell
-    = ln(m_1/m_2) + ln(lambda_0 lambda_1)/2, and P_i = (2/pi) int_0^{pi/2}
-    frac(mu_0 cos^2 + mu_1 sin^2) dpsi is term i's share there (frac below),
-    mu = nu / lambda for term 1 and nu for term 2 (:func:`_pencil`); constant
-    shares are closed form, the others share the panels of :func:`_seeds`.
-    The bound adds m_2 slack / 2, each rounding times its mass and a few eps."""
-    pos = [(t.weight, t) for t in terms if t.weight > 0.0]
-    neg = [(-t.weight, t) for t in terms if t.weight < 0.0]
-    carried = sum(m * t.rounding for m, t in pos + neg)
-    if not (pos and neg):
-        total = sum(m for m, _ in pos + neg)
-        return IntegralEstimate(total, 4.0 * EPS * total + carried, 0)
-    (m1, first), (m2, second) = pos[0], neg[0]
-    nus, lams, half_log_det, slack = _pencil(first, second)
-    ell = (math.log1p((m1 - m2) / m2) if 0.5 <= m1 / m2 <= 2.0 else math.log(m1 / m2))
-    ell += half_log_det
-    # varying shares: q / ell = base + slope sin^2 psi, weight -+ 4 m / pi for -expm1 or exp
-    value, rows, edges = m2 - m1, [], []
-    for mu, weight in (((nus[0] / lams[0], nus[1] / lams[1]), m1), (nus, -m2)):
+def _co_centred_l1(first, second, tol):
+    """int d^2z/pi |G_1 - G_2| of the co-centred unit-mass Gaussians of
+    ``first`` and ``second`` in Imhof's angular form, unchecked (centres
+    within 1e-13 of their midpoint count as one).  It is 2 (P_1 - P_2):
+    f > 0 where z^T (C_1^{-1} - C_2^{-1}) z < 2 ell, ell = ln(lambda_0
+    lambda_1)/2, and P_i = (2/pi) int_0^{pi/2} frac(mu_0 cos^2 + mu_1
+    sin^2) dpsi is term i's share there (frac below), mu = nu / lambda for
+    term 1 and nu for term 2 (:func:`_pencil`); constant shares are closed
+    form, the others share the panels of :func:`_seeds`.  The bound adds
+    slack / 2, both roundings and a few eps."""
+    nus, lams, ell, slack = _pencil(first, second)
+    # varying shares: q / ell = base + slope sin^2 psi, weight -+ 4 / pi for -expm1 or exp
+    value, rows, edges = 0.0, [], []
+    for mu, sign in (((nus[0] / lams[0], nus[1] / lams[1]), 1.0), (nus, -1.0)):
         if abs(mu[1]) < abs(mu[0]):
             mu = mu[::-1]
         # frac at both ends: the share of a whitened ray's mass with rho^2 q < 2 ell
         share, end = ((-math.expm1(-ell / q) if ell > 0.0 else math.exp(-ell / q))
                       if q * ell > 0.0 else float(q < 0.0 or ell > 0.0) for q in mu)
         if share == end:  # frac is monotone in psi: constant
-            value += 2.0 * weight * share
+            value += 2.0 * sign * share
         elif not ell:  # a step where q = 0
-            value += 2.0 * weight * math.atan(math.sqrt(-min(mu) / max(mu))) / (0.5 * math.pi)
+            value += 2.0 * sign * math.atan(math.sqrt(-min(mu) / max(mu))) / (0.5 * math.pi)
         else:
             rows.append((mu[0] / ell, (mu[1] - mu[0]) / ell,
-                         math.copysign(4.0 / math.pi, -ell) * weight))
+                         math.copysign(4.0 / math.pi, -ell) * sign))
             edges += _seeds(mu, ell)
     edges = sorted(set(edges + [0.0, 0.5 * math.pi])) if rows else []
     rows = np.array(rows).reshape(-1, 3).T
@@ -600,45 +589,44 @@ def _co_centred_l1(terms, tol):
         return rows[2] @ exp(-1.0 / np.maximum(base + slope * np.sin(psi) ** 2, EPS))
 
     panels, panel_err, count = _adaptive_panels(h, edges, 0.5 * tol, MAX_OUTER)
-    rounding = EPS * (m1 + m2) * (16.0 + 2.0 * count) + carried + 0.5 * m2 * slack
+    rounding = EPS * 2.0 * (16.0 + 2.0 * count) + (first.rounding + second.rounding) + 0.5 * slack
     return IntegralEstimate(value + panels, panel_err + rounding, count)
 
 
-def integrate_plane_abs_pow(terms, p, tol):
-    """int d^2z/pi |f(z)|^p for f the sum of one or two :class:`GaussianTerm`.
+def integrate_plane_abs_pow(first, second, p, tol):
+    """int d^2z/pi |f(z)|^p for f = G_first - G_second, the difference of the
+    unit-mass Gaussians of two :class:`GaussianTerm`.
 
     At p = 1 with a shared center (each within 1e-13 of the midpoint, taken
-    as co-centred on the terms' own weights) the integral takes Imhof's
-    angular form (Biometrika 48, 419, 1961, :func:`_co_centred_l1`) in the
-    terms' axes.
+    as co-centred) the integral takes Imhof's angular form (Biometrika 48,
+    419, 1961, :func:`_co_centred_l1`) in the terms' axes.
     Else adaptive panels integrate the angle about the center in the scaled
     principal axes of the summed covariances (each (a, c, b) from its axes;
-    [0, pi] when shared); along a ray a term is amp_i exp(g_i + b_i r - a_i
-    r^2), a_i = P_i cos^2 + Q_i sin^2 + 2 R_i cos sin (which keeps squeezed
-    terms' digits), so a sign change solves a quadratic and edges the radial
-    core.  The bound is then prefactor * (outer_err + phi_range * inner_tol),
-    inner_tol a ray's share, plus each term's ``rounding`` times |weight| and
-    p (sum |amp_i|)^(p - 1) (|f|^p's change for f's); a ray that misses its
-    share stops the plane with (nan, inf, panels so far) attached.
+    [0, pi] when shared); along a ray a term is +-amp_i exp(g_i + b_i r -
+    a_i r^2), a_i = P_i cos^2 + Q_i sin^2 + 2 R_i cos sin (which keeps
+    squeezed terms' digits), so the sign change solves a quadratic and edges
+    the radial core.  The bound is then prefactor * (outer_err + phi_range *
+    inner_tol), inner_tol a ray's share, plus the two terms' ``rounding``
+    times p (amp_1 + amp_2)^(p - 1) (|f|^p's change for f's); a ray that
+    misses its share stops the plane with (nan, inf, panels so far) attached.
     ``subdivisions`` counts angular and radial panels.  The bound is at most
     ``tol`` or :class:`ToleranceNotReached` is raised, an estimate strong
-    squeezing defeats (see :class:`IntegralEstimate`); other than one or two
-    terms, a weight, mean or theta not finite, or a variance not finite and
-    > 0 (no decay), raises ValueError."""
+    squeezing defeats (see :class:`IntegralEstimate`); a mean or theta not
+    finite, or a variance not finite and > 0 (no decay), raises ValueError."""
     _checked_input(p, tol)
-    if not (1 <= len(terms) <= 2 and all(0.0 < v < math.inf for t in terms for v in t.variances)):
-        raise ValueError("a planar profile is one or two terms decaying along every ray")
-    for t in terms:  # four explicit tests a term: a generator over them costs three times more
-        if not (math.isfinite(t.weight) and math.isfinite(t.mean[0])
-                and math.isfinite(t.mean[1]) and math.isfinite(t.theta)):
-            raise ValueError("a planar term's weight, mean and theta must be finite")
-    (x0, y0), (x1, y1) = terms[0].mean, terms[-1].mean
+    terms = (first, second)
+    if not all(0.0 < v < math.inf for t in terms for v in t.variances):
+        raise ValueError("a planar profile is two terms decaying along every ray")
+    for t in terms:  # explicit tests a term: a generator over them is slower
+        if not (math.isfinite(t.mean[0]) and math.isfinite(t.mean[1]) and math.isfinite(t.theta)):
+            raise ValueError("a planar term's mean and theta must be finite")
+    (x0, y0), (x1, y1) = first.mean, second.mean
     center = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
-    offsets = [(center[0] - x, center[1] - y) for x, y in (t.mean for t in terms)]
+    offsets = [(center[0] - x, center[1] - y) for x, y in (first.mean, second.mean)]
     symmetric = all(math.hypot(*o) < 1e-13 for o in offsets)
     if p == 1.0 and symmetric:
-        # an offset below 1e-13 is taken as co-centred, on the terms' own weights
-        return checked(_co_centred_l1(terms, tol), tol)
+        # an offset below 1e-13 is taken as co-centred
+        return checked(_co_centred_l1(first, second, tol), tol)
     a, c, b = map(sum, zip(*(covariance_entries(t.theta, *t.variances) for t in terms)))
     psi = 0.5 * math.atan2(-2.0 * c, b - a)
     u, v = (math.cos(psi), math.sin(psi)), (-math.sin(psi), math.cos(psi))
@@ -651,20 +639,18 @@ def integrate_plane_abs_pow(terms, p, tol):
     inner_tol = tol / (4.0 * prefactor * phi_range)
     outer_budget = tol / (2.0 * prefactor)
 
-    # per live term, along the scaled axes: the ray rate a(phi) and the
-    # slope b(phi) = -(U cos + V sin) from the offset
-    amps, gs, rates, slopes = [], [], [], []
-    for t, al, (ox, oy) in zip(terms, aligned, offsets):
-        if t.amp != 0.0:
-            ia, ic, ib = symmetric_inverse(*al)
-            o1, o2 = ox * u[0] + oy * u[1], ox * v[0] + oy * v[1]
-            t1, t2 = ia * o1 + ic * o2, ic * o1 + ib * o2
-            amps.append(t.amp)
-            gs.append(-0.5 * (o1 * t1 + o2 * t2))
-            rates.append((0.5 * s1 * s1 * ia, 0.5 * s2 * s2 * ib, s1 * s2 * ic))
-            slopes.append((s1 * t1, s2 * t2))
+    # per term, along the scaled axes: the signed peak, the ray rate a(phi)
+    # and the slope b(phi) = -(U cos + V sin) from the offset
+    amps, gs, rates, slopes = (first.amp, -second.amp), [], [], []
+    for al, (ox, oy) in zip(aligned, offsets):
+        ia, ic, ib = symmetric_inverse(*al)
+        o1, o2 = ox * u[0] + oy * u[1], ox * v[0] + oy * v[1]
+        t1, t2 = ia * o1 + ic * o2, ic * o1 + ib * o2
+        gs.append(-0.5 * (o1 * t1 + o2 * t2))
+        rates.append((0.5 * s1 * s1 * ia, 0.5 * s2 * s2 * ib, s1 * s2 * ic))
+        slopes.append((s1 * t1, s2 * t2))
     logs = [math.log(abs(amp)) + g for amp, g in zip(amps, gs)]
-    ray_p, ray_q, ray_r = np.array(rates).reshape(-1, 3).T[:, :, None]
+    ray_p, ray_q, ray_r = np.array(rates).T[:, :, None]
     panels = 0  # radial panels over all rays
 
     def ray_panels(a_coef, b_coef):
@@ -684,8 +670,6 @@ def integrate_plane_abs_pow(terms, p, tol):
 
         def find_cuts(radius):
             # where the two log-magnitudes c_i + b_i r - a_i r^2 meet
-            if len(amps) < 2 or amps[0] * amps[1] > 0.0:
-                return []
             return _quadratic_roots(a_coef[1] - a_coef[0], b_coef[0] - b_coef[1],
                                     logs[0] - logs[1])
 
@@ -699,8 +683,6 @@ def integrate_plane_abs_pow(terms, p, tol):
 
     def outer(phis):
         phis = np.atleast_1d(phis)
-        if not amps:
-            return np.zeros(len(phis))
         cos, sin = np.cos(phis), np.sin(phis)
         a_rays = ray_p * (cos * cos) + ray_q * (sin * sin) + ray_r * (cos * sin)
         # a covariance too ill-conditioned for double precision can invert
@@ -715,7 +697,6 @@ def integrate_plane_abs_pow(terms, p, tol):
     outer_val, outer_err, outer_count = _adaptive_panels(
         outer, [0.0, phi_range], outer_budget, MAX_OUTER)
     bound = outer_err + phi_range * inner_tol + EPS * outer_count * abs(outer_val)
-    carried = p * sum(map(abs, amps)) ** (p - 1.0) * sum(
-        abs(t.weight) * t.rounding for t in terms)
+    carried = p * (first.amp + second.amp) ** (p - 1.0) * (first.rounding + second.rounding)
     return checked(IntegralEstimate(prefactor * outer_val, prefactor * bound + carried,
                                     outer_count + panels), tol)

@@ -114,8 +114,8 @@ def _pow_and_error(integral, p):
 def _integral_once(state, channel, fn, quad_tol):
     if isinstance(state, GaussianState):
         out = apply_channel_gaussian(state, channel)
-        terms = (wigner_term(state, fn.s), wigner_term(out, fn.s, -1.0))
-        return integrate_plane_abs_pow(terms, fn.p, quad_tol)
+        first, second = wigner_term(state, fn.s), wigner_term(out, fn.s)
+        return integrate_plane_abs_pow(first, second, fn.p, quad_tol)
     if isinstance(state, FockDiagonalState):
         if fn.p == 1.0:
             return radial_l1(state, ((fn.s, channel),), (quad_tol,))[0]
@@ -181,11 +181,11 @@ def wigner_negativity(state, tol=DEFAULT_TOL, integral=None):
     return value
 
 
-def _witness(state, tol, integral):
+def _witness(state, witness_tol, integral):
     if isinstance(state, GaussianState):
         variance = min_quadrature_variance(state)
         return WITNESS_GAUSSIAN_VARIANCE, variance, variance < SUB_VACUUM
-    neg = wigner_negativity(state, min(tol, WITNESS_TOL), integral)
+    neg = wigner_negativity(state, witness_tol, integral)
     return WITNESS_WIGNER_NEGATIVITY, neg, neg > NEGATIVITY_WITNESS_MIN
 
 
@@ -208,16 +208,16 @@ def measure_m(state, channel=CG, fn=FunctionalSpec(), tol=DEFAULT_TOL):
     and its image: a bound on the tail's pull on N for s <= -1, else an estimate.
     """
     checked_tol(tol)
+    witness_tol = min(tol, WITNESS_TOL)
     integral = None
     if isinstance(state, FockDiagonalState) and fn.p == 1.0:
-        norm, integral = radial_l1(state, ((fn.s, channel), (0.0, None)),
-                                   (tol, min(tol, WITNESS_TOL)))
+        norm, integral = radial_l1(state, ((fn.s, channel), (0.0, None)), (tol, witness_tol))
         n_value, n_err = norm.value, norm.abs_error_bound
     else:
         n_value, n_err = norm_value(state, channel, fn, tol)
     base, base_err = _vacuum_norm(channel, fn, tol)
     err = n_err + base_err + 2.0 * getattr(state, "tail_mass_bound", 0.0)
-    kind, wvalue, wquantum = _witness(state, tol, integral)
+    kind, wvalue, wquantum = _witness(state, witness_tol, integral)
     m_value = n_value - base
     return QuantifierResult(
         n_value=n_value, err=err, baseline=base, m_value=m_value,

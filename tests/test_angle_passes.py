@@ -49,7 +49,7 @@ def test_planar_route_calls(state, sizes, panels, monkeypatch):
 def test_near_co_centred_pair_takes_imhof_route(r, value, monkeypatch):
     # loss 1/49 then gain 49 folds to k = 0.9999999999999999, so a displaced
     # state and its output lie about 1e-16 apart: an offset below 1e-13 is
-    # taken as co-centred, on the terms' own weights
+    # taken as co-centred
     channel = ChannelSpec((Attenuator(1 / 49), Amplifier(49.0)))
     assert channel.fold()[0] < 1.0
     calls = []
@@ -70,10 +70,11 @@ def test_near_co_centred_pair_takes_imhof_route(r, value, monkeypatch):
 
 def test_rotated_pencil_charges_half_the_slack_per_negative_mass(monkeypatch):
     # with the panels stubbed to nothing the bound is the rounding alone:
-    # 64 eps (16 eps times the masses 1 + 3) plus m_2 slack / 2 = 1.5 slack
-    first = GaussianTerm(1.0, (0.0, 0.0), 0.0, (0.01, 1.0))
-    second = GaussianTerm(-3.0, (0.0, 0.0), 0.7, (0.05, 2.0))
+    # 32 eps (16 eps times the two unit masses) plus the negative mass times
+    # slack / 2
+    first = GaussianTerm((0.0, 0.0), 0.0, (0.01, 1.0))
+    second = GaussianTerm((0.0, 0.0), 0.7, (0.05, 2.0))
     assert phasenorm.quadrature._pencil(first, second)[3] == 1.9480596729713613e-14
     monkeypatch.setattr(phasenorm.quadrature, "_adaptive_panels", lambda *args: (0.0, 0.0, 0))
-    est = phasenorm.quadrature._co_centred_l1((first, second), 1e-6)
-    assert est.abs_error_bound == 4.3431749809772426e-14
+    est = phasenorm.quadrature._co_centred_l1(first, second, 1e-6)
+    assert est.abs_error_bound == 1.6845725722457808e-14

@@ -187,9 +187,11 @@ class TestAmplifier:
         assert np.allclose(out.weights, 0.5 * 0.5**m, rtol=1e-12, atol=1e-300)
 
     def test_reach_past_the_largest_trial_raises_at_once(self):
-        # the vacuum's reach at gain 1e6 is about 8.5e6 > 2^20: no matrix is built
-        with pytest.raises(RuntimeError, match="does not certify"):
-            amplify_fock(number_state(0), 1e6)
+        # the vacuum's reach at gain 1e6 is about 8.5e6 > 2^20: no matrix is
+        # built; at 1e155 g (g - 1) overflows, at 1.7e308 so does g (n + 1)
+        for n, gain in ((0, 1e6), (0, 1e155), (1, 1.7e308)):
+            with pytest.raises(RuntimeError, match="does not certify"):
+                amplify_fock(number_state(n), gain)
 
     def test_unit_gain_identity(self):
         state = number_state(3)

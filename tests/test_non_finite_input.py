@@ -1,6 +1,6 @@
 """Every constructor, and every public evaluator and integrator, rejects NaN
-and infinities, wherever they sit (a planar term's weight, mean and theta
-among them); the integrators and the quantifier's entry points take one
+and infinities, wherever they sit (a planar term's variances, mean and
+theta among them); the integrators and the quantifier's entry points take one
 number tol, and the exact p = 1 route one tol per signal, each checked by
 ``quadrature.checked_tol``, so a tol that is no number raises ValueError too."""
 
@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasenorm import (CG, Amplifier, Attenuator, Displacement, FockDiagonalState,
-                       FunctionalSpec, GaussianState, Rotation, baseline_with_error,
-                       convexity_gap, measure_m, monotonicity_gap_strong,
+                       FunctionalSpec, GaussianState, Rotation, apply_channel_gaussian,
+                       baseline_with_error, convexity_gap, measure_m, monotonicity_gap_strong,
                        monotonicity_gap_weak, norm_value, wigner_negativity)
 from phasenorm.fock import (amplify_fock, number_state, radial_l1, radial_profile,
                             sign_search, wigner_mass_outside, wigner_s_fock)
@@ -60,7 +60,8 @@ NOT_A_NUMBER = ("1e-6", None, 1e-6 + 0j, (1e-6,), [1e-6])
 BAD_TOLS = NON_FINITE + (-1.0,) + NOT_A_NUMBER
 RADIAL = radial_profile(number_state(1), 0.0)
 TWO_SIGNALS = ((0.0, None), (0.0, None))
-PLANAR = (wigner_term(GaussianState(), 0.0),)
+PLANAR = (wigner_term(GaussianState(), 0.0),
+          wigner_term(apply_channel_gaussian(GaussianState(), CG), 0.0))
 
 # orderings, norm orders, tolerances and gains; a tolerance must also be > 0
 CALLS = {
@@ -76,14 +77,14 @@ CALLS = {
     "radial_tol_entry": (lambda bad: radial_l1(number_state(1), TWO_SIGNALS, (1e-6, bad)),
                          BAD_TOLS),
     "radial_l1_s": (lambda bad: radial_l1(number_state(1), ((bad, None),), (1e-6,)), NON_FINITE),
-    "plane_p": (lambda bad: integrate_plane_abs_pow(PLANAR, bad, 1e-6), NON_FINITE),
-    "plane_tol": (lambda bad: integrate_plane_abs_pow(PLANAR, 1.0, bad), BAD_TOLS),
-    "plane_weight": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(weight=bad),),
-                                                         1.0, 1e-6), NON_FINITE),
-    "plane_mean": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(mean=(0.0, bad)),),
-                                                       1.0, 1e-6), NON_FINITE),
-    "plane_theta": (lambda bad: integrate_plane_abs_pow((PLANAR[0]._replace(theta=bad),),
-                                                        1.0, 1e-6), NON_FINITE),
+    "plane_p": (lambda bad: integrate_plane_abs_pow(*PLANAR, bad, 1e-6), NON_FINITE),
+    "plane_tol": (lambda bad: integrate_plane_abs_pow(*PLANAR, 1.0, bad), BAD_TOLS),
+    "plane_variance": (lambda bad: integrate_plane_abs_pow(
+        PLANAR[0]._replace(variances=(0.25, bad)), PLANAR[1], 1.0, 1e-6), NON_FINITE),
+    "plane_mean": (lambda bad: integrate_plane_abs_pow(PLANAR[0]._replace(mean=(0.0, bad)),
+                                                       PLANAR[1], 1.0, 1e-6), NON_FINITE),
+    "plane_theta": (lambda bad: integrate_plane_abs_pow(PLANAR[0]._replace(theta=bad),
+                                                        PLANAR[1], 1.0, 1e-6), NON_FINITE),
     "norm_value_tol": (lambda bad: norm_value(number_state(1), CG, FunctionalSpec(), bad),
                        BAD_TOLS),
     "measure_m_tol": (lambda bad: measure_m(number_state(1), tol=bad), BAD_TOLS),
@@ -113,7 +114,7 @@ def test_non_finite_argument_rejected(name, bad):
     lambda: radial_l1(number_state(1), TWO_SIGNALS, 1e-6),
     lambda: radial_l1(number_state(1), TWO_SIGNALS, (1e-6,)),
     lambda: radial_l1(number_state(1), TWO_SIGNALS, (1e-6, 1e-6, 1e-6)),
-    lambda: integrate_plane_abs_pow(PLANAR, 1.0, (1e-6,)),
+    lambda: integrate_plane_abs_pow(*PLANAR, 1.0, (1e-6,)),
 ], ids=["off_hook_route", "number_for_two", "one_for_two", "three_for_two", "plane"])
 def test_tuple_tol_must_match_the_hook(call):
     with pytest.raises(ValueError):

@@ -28,7 +28,8 @@ CALLS = {
     # variances 1e-300 and 1e300 at theta = 0.3 invert, in double precision,
     # to a ray form that is not positive along every ray
     "ill_conditioned_ray": lambda: integrate_plane_abs_pow(
-        (GaussianTerm(1.0, (0.0, 0.0), 0.3, (1e-300, 1e300)),), 2.0, 1e-3),
+        GaussianTerm((0.0, 0.0), 0.3, (1e-300, 1e300)),
+        GaussianTerm((0.0, 0.0), 0.0, (0.25, 0.25)), 2.0, 1e-3),
 }
 
 

@@ -226,15 +226,14 @@ class TestSignChanges:
             locate_sign_changes(lambda r: np.cos(40.0 * r)[None], (0.0, 3.0), 2)
 
 
-def term(amp, var1, var2=None, angle=0.0, mean=(0.0, 0.0)):
-    """amp exp(-(z-mean)^T C^{-1} (z-mean)/2), C with the variances var1 and var2
+def term(var1, var2=None, angle=0.0, mean=(0.0, 0.0)):
+    """The unit-mass Gaussian about mean with the variances var1 and var2
     (var1 if None) along the axes at angle and angle + pi/2."""
     var2 = var1 if var2 is None else var2
-    return GaussianTerm(2.0 * amp * math.sqrt(var1 * var2), mean, angle, (var1, var2))
+    return GaussianTerm(mean, angle, (var1, var2))
 
 
-def iso_term(amp, variance):
-    return term(amp, variance)
+VACUUM_PAIR = (term(0.25), term(0.75))  # the vacuum's W and its C_g image's
 
 
 def cov_of(t):
@@ -246,34 +245,30 @@ def cov_of(t):
 
 class TestPlanar:
     def test_squeezed_normalization(self):
-        for r in (0.0, 0.6, 1.4):
-            variances = (0.75 * math.exp(-2 * r), 0.75 * math.exp(2 * r))
-            profile = (GaussianTerm(1.0, (0.0, 0.0), 0.0, variances),)
-            est = integrate_plane_abs_pow(profile, 1.0, 1e-8)
-            assert est.value == pytest.approx(1.0, abs=1e-8)
-        # at p != 1 one term takes the rays, uncut: it integrates to
-        # (2 sqrt(det C))^(1 - p) / p
-        term = wigner_term(make_squeezed_thermal(1.0, 0.6, 0.4), 0.0)
+        # a squeezed term and the vacuum's, 12 apart, barely overlap: each
+        # integrates alone to (2 sqrt(det C))^(1 - p) / p
+        squeezed = wigner_term(make_squeezed_thermal(1.0, 0.6, 0.4), 0.0)
+        pair = (squeezed._replace(mean=(-6.0, 0.0)), term(0.25, mean=(6.0, 0.0)))
         for p in (1.5, 3.0):
-            est = integrate_plane_abs_pow((term,), p, 1e-10)
-            want = (2.0 * math.sqrt(np.linalg.det(cov_of(term)))) ** (1.0 - p) / p
+            est = integrate_plane_abs_pow(*pair, p, 1e-10)
+            want = sum((2.0 * math.sqrt(np.linalg.det(cov_of(t)))) ** (1.0 - p) / p
+                       for t in pair)
             assert abs(est.value - want) <= est.abs_error_bound
 
     def test_per_ray_route_scales_the_carried_rounding(self):
         # a term's rounding is a total variation of f; at p != 1 it moves
-        # int |f|^p by up to p max|f|^(p - 1) times that
-        vacuum = iso_term(2.0, 0.25)
+        # int |f|^p by up to p max|f|^(p - 1) times that, max|f| <= |a_1| + |a_2|
+        vacuum, image = VACUUM_PAIR
         for p in (1.5, 2.0, 3.0):
-            plain = integrate_plane_abs_pow((vacuum,), p, 1e-6)
-            carried = integrate_plane_abs_pow((vacuum._replace(rounding=1e-9),), p, 1e-6)
+            plain = integrate_plane_abs_pow(vacuum, image, p, 1e-6)
+            carried = integrate_plane_abs_pow(vacuum._replace(rounding=1e-9), image, p, 1e-6)
             assert carried.value == plain.value
             extra = carried.abs_error_bound - plain.abs_error_bound
-            assert extra == pytest.approx(p * 2.0 ** (p - 1.0) * 1e-9, rel=1e-6)
+            assert extra == pytest.approx(p * (2.0 + 2.0 / 3.0) ** (p - 1.0) * 1e-9, rel=1e-6)
 
     def test_matches_radial_on_isotropic_difference(self):
         # same integrand as the vacuum/C_g difference
-        profile = (iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75))
-        plane = integrate_plane_abs_pow(profile, 1.0, 1e-8)
+        plane = integrate_plane_abs_pow(*VACUUM_PAIR, 1.0, 1e-8)
         radial = integrate_radial_abs_pow(vacuum_diff_profile(), 1.0, 1e-8)
         assert plane.value == pytest.approx(radial.value, abs=1e-8)
         assert plane.value == pytest.approx(VACUUM_CG_L1, abs=1e-7)
@@ -281,57 +276,35 @@ class TestPlanar:
     def test_shifted_centers(self):
         # displaced copy of the isotropic difference: value must not change
         mean = np.array([1.5, -0.5])
-        profile = (term(2.0, 0.25, mean=mean), term(-2.0 / 3.0, 0.75, mean=mean))
-        est = integrate_plane_abs_pow(profile, 1.0, 1e-8)
+        est = integrate_plane_abs_pow(term(0.25, mean=mean), term(0.75, mean=mean), 1.0, 1e-8)
         assert est.value == pytest.approx(VACUUM_CG_L1, abs=1e-7)
 
     def test_unequal_centers(self):
         # two unit-mass Gaussians far apart: |difference| integrates to ~2
-        profile = (term(2.0, 0.25, mean=(-4.0, 0.0)), term(-2.0, 0.25, mean=(4.0, 0.0)))
-        est = integrate_plane_abs_pow(profile, 1.0, 1e-7)
+        est = integrate_plane_abs_pow(term(0.25, mean=(-4.0, 0.0)), term(0.25, mean=(4.0, 0.0)),
+                                      1.0, 1e-7)
         assert est.value == pytest.approx(2.0, abs=1e-6)
-        # a pair that is positive everywhere: no ray's quadratic has a root,
-        # and the value is m_1 - m_2 with the masses m_i = 2 |A_i| sqrt(det C_i)
-        profile = (term(2.0, 0.5), term(-0.3, 0.2, 0.3, mean=(0.05, -0.02)))
-        est = integrate_plane_abs_pow(profile, 1.0, 1e-9)
-        assert abs(est.value - (2.0 - 0.6 * math.sqrt(0.06))) <= est.abs_error_bound
 
     def test_l2_power(self):
         # int (W_a - W_b)^2 = 1/(4a) - 1/(a+b) + 1/(4b) for isotropic terms
-        profile = (iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75))
-        est = integrate_plane_abs_pow(profile, 2.0, 1e-8)
+        est = integrate_plane_abs_pow(*VACUUM_PAIR, 2.0, 1e-8)
         assert est.value == pytest.approx(1.0 / 3.0, abs=1e-7)
 
     def test_zero_profile(self):
-        profile = (iso_term(2.0, 0.25), iso_term(-2.0, 0.25))
-        est = integrate_plane_abs_pow(profile, 1.0, 1e-9)
+        est = integrate_plane_abs_pow(term(0.25), term(0.25), 1.0, 1e-9)
         assert est.value == 0.0
         assert est.abs_error_bound <= 1e-9
 
-    @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_no_live_term_reads_zero(self, p):
-        # zero weights at distinct centres take the per-ray route with no ray to run
-        profile = (term(0.0, 0.25), term(0.0, 0.25, mean=(1.0, 0.0)))
-        est = integrate_plane_abs_pow(profile, p, 1e-6)
-        assert est == IntegralEstimate(0.0, 2.5e-07, 1)
-
     def test_term_without_decay_rejected(self):
         # [[1, 2], [2, 1]]: a negative variance would give negative closed-form rays
-        profile = (iso_term(1.0, 1.0), GaussianTerm(-0.5, (0.0, 0.0), math.pi / 4.0, (3.0, -1.0)))
+        no_decay = GaussianTerm((0.0, 0.0), math.pi / 4.0, (3.0, -1.0))
         with pytest.raises(ValueError):
-            integrate_plane_abs_pow(profile, 1.0, 1e-6)
-
-    def test_one_or_two_terms(self):
-        with pytest.raises(ValueError):
-            integrate_plane_abs_pow((), 1.0, 1e-6)
-        with pytest.raises(ValueError):
-            integrate_plane_abs_pow((iso_term(2.0, 0.25),) * 3, 1.0, 1e-6)
+            integrate_plane_abs_pow(term(1.0), no_decay, 1.0, 1e-6)
 
 
 def squeezed_difference(center_out=(0.0, 0.0)):
     """A squeezed, rotated Gaussian minus its broadened copy."""
-    return (GaussianTerm(1.0, (0.0, 0.0), 0.4, (0.1, 2.5)),
-            GaussianTerm(-1.0, center_out, 0.4, (0.6, 3.0)))
+    return GaussianTerm((0.0, 0.0), 0.4, (0.1, 2.5)), GaussianTerm(center_out, 0.4, (0.6, 3.0))
 
 
 @pytest.mark.parametrize("profile,p", [
@@ -345,7 +318,7 @@ def test_planar_route_runs_no_sign_scan(profile, p, monkeypatch):
         raise AssertionError("planar route called locate_sign_changes")
 
     monkeypatch.setattr(phasenorm.quadrature, "locate_sign_changes", scan)
-    est = integrate_plane_abs_pow(profile, p, 1e-7)
+    est = integrate_plane_abs_pow(*profile, p, 1e-7)
     assert est.value > 0.0 and est.abs_error_bound <= 1e-7
 
 
@@ -353,7 +326,7 @@ def test_off_center_cuts_keep_radial_panels_few():
     # at p = 1 a cut off the true sign change leaves a kink inside a panel:
     # 802 panels with the closed-form cuts, 2444 with cuts moved by 1 %,
     # 4137 with none; the value converges either way, so only the count shows it
-    est = integrate_plane_abs_pow(squeezed_difference((0.7, -0.3)), 1.0, 1e-7)
+    est = integrate_plane_abs_pow(*squeezed_difference((0.7, -0.3)), 1.0, 1e-7)
     assert est.subdivisions <= 1200
 
 
@@ -365,30 +338,30 @@ def overlap(t1, t2):
     return 2.0 * t1.amp * t2.amp / math.sqrt(np.linalg.det(prec)) * math.exp(-0.5 * quad)
 
 
-def random_term(sign, amp, var1, var2, angle, x, y):
-    return term(sign * amp, var1, var2, angle, (x, y))
+def random_term(var1, var2, angle, x, y):
+    return term(var1, var2, angle, (x, y))
 
 
-TERMS = st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 2.0), st.floats(0.1, 2.0),
-                  st.floats(0.0, math.pi), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+TERMS = st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.0, math.pi),
+                  st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(TERMS, TERMS)
 def test_l2_matches_pairwise_overlaps(first, second):
-    # opposite signs and unequal centers: the ray cuts solve quadratics
-    # with a linear term, the case the shared-center route never sees
-    t1, t2 = random_term(1.0, *first), random_term(-1.0, *second)
-    want = overlap(t1, t1) + 2.0 * overlap(t1, t2) + overlap(t2, t2)
+    # unequal centers: the ray cuts solve quadratics with a linear term,
+    # the case the shared-center route never sees
+    t1, t2 = random_term(*first), random_term(*second)
+    want = overlap(t1, t1) - 2.0 * overlap(t1, t2) + overlap(t2, t2)
     tol = 1e-8
-    est = integrate_plane_abs_pow((t1, t2), 2.0, tol)
+    est = integrate_plane_abs_pow(t1, t2, 2.0, tol)
     assert abs(est.value - want) <= 10 * tol
 
 
 def test_even_p_rays_are_not_cut():
     # |f|^2 = f^2 is smooth at a sign change, so a cut only adds panels:
     # 278 with the closed-form cuts, 206 without
-    est = integrate_plane_abs_pow(squeezed_difference(), 2.0, 1e-7)
+    est = integrate_plane_abs_pow(*squeezed_difference(), 2.0, 1e-7)
     assert est.subdivisions <= 230
 
 
@@ -402,13 +375,12 @@ def test_even_p_radial_route_runs_no_sign_scan(monkeypatch):
     assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
-VACUUM_PAIR = (iso_term(2.0, 0.25), iso_term(-2.0 / 3.0, 0.75))
 FOCK1 = radial_profile(number_state(1), 0.0)
 
 
 @pytest.mark.parametrize("integrate,p,reference", [
-    (lambda p, tol: integrate_plane_abs_pow(VACUUM_PAIR, p, tol), 1.0, VACUUM_CG_L1),
-    (lambda p, tol: integrate_plane_abs_pow(VACUUM_PAIR, p, tol), 2.0, 1.0 / 3.0),
+    (lambda p, tol: integrate_plane_abs_pow(*VACUUM_PAIR, p, tol), 1.0, VACUUM_CG_L1),
+    (lambda p, tol: integrate_plane_abs_pow(*VACUUM_PAIR, p, tol), 2.0, 1.0 / 3.0),
     (lambda p, tol: exact_l1(number_state(1), tol), 1.0, ABS_W1_INTEGRAL),
     (lambda p, tol: integrate_radial_abs_pow(FOCK1, p, tol), 3.0, None),
 ], ids=["planar_exact_p1", "planar_rays_p2", "radial_exact_p1", "radial_panels_p3"])
@@ -432,7 +404,7 @@ def abs_w1_cubed_integral():
 
 
 @pytest.mark.parametrize("integrate,reference", [
-    (lambda tol: integrate_plane_abs_pow(VACUUM_PAIR, 1.0, tol), VACUUM_CG_L1),
+    (lambda tol: integrate_plane_abs_pow(*VACUUM_PAIR, 1.0, tol), VACUUM_CG_L1),
     (lambda tol: integrate_radial_abs_pow(FOCK1, 3.0, tol), abs_w1_cubed_integral()),
 ], ids=["planar_exact_p1", "radial_panels_p3"])
 def test_panel_routes_bound_their_rounding(integrate, reference):
@@ -668,8 +640,8 @@ def test_strongly_squeezed_l2_matches_pairwise_overlaps():
     # nbar 1 squeezed by r = 6 under C_g at p = 2, tol 1e-6, reads N =
     # 0.5751669 +- 5.2e-7 against the closed form 0.5757457
     state = make_squeezed_thermal(1.0, 6.0, 0.0)
-    t1, t2 = wigner_term(state, 0.0), wigner_term(apply_channel_gaussian(state, CG), 0.0, -1.0)
-    want = math.sqrt(overlap(t1, t1) + 2.0 * overlap(t1, t2) + overlap(t2, t2))
+    t1, t2 = wigner_term(state, 0.0), wigner_term(apply_channel_gaussian(state, CG), 0.0)
+    want = math.sqrt(overlap(t1, t1) - 2.0 * overlap(t1, t2) + overlap(t2, t2))
     value, err = norm_value(state, CG, FunctionalSpec(0.0, 2.0), 1e-6)
     assert abs(value - want) <= err
 
@@ -749,7 +721,7 @@ def panel_runs(monkeypatch):
 FOCK6 = radial_profile(number_state(6), 0.0)  # six sign cuts
 # the vacuum pair is no route here: its isotropic terms are closed form
 PANEL_ROUTES = {
-    "squeezed_p1": lambda: integrate_plane_abs_pow(squeezed_difference(), 1.0, 1e-12),
+    "squeezed_p1": lambda: integrate_plane_abs_pow(*squeezed_difference(), 1.0, 1e-12),
     "fock6_p1.5": lambda: integrate_radial_abs_pow(FOCK6, 1.5, 1e-10),
     "fock6_p2": lambda: integrate_radial_abs_pow(FOCK6, 2.0, 1e-12),
     "fock6_p3": lambda: integrate_radial_abs_pow(FOCK6, 3.0, 1e-12),
@@ -779,18 +751,16 @@ def test_batched_rules_match_one_rule_per_call(route, monkeypatch):
 
 
 def ray_l1(amps, rates):
-    """int_0^inf r |sum_i A_i exp(-k_i r^2)| dr along rays with rates k_i
-    (an array per term), in closed form (oracle).
+    """int_0^inf r |A_1 exp(-k_1 r^2) + A_2 exp(-k_2 r^2)| dr along rays with
+    rates k_i (an array per term), A_1 > 0 > A_2, in closed form (oracle).
 
-    With F(R) = sum_i A_i (1 - exp(-k_i R^2)) / (2 k_i), two terms of
-    opposite signs cancel at most once, at r0^2 = ln|A_1/A_2| / (k_1 - k_2)
-    when that is > 0, and the ray integrates to |2 F(r0) - F(inf)|; a ray
-    without a cut gives |F(inf)|.
+    With F(R) = sum_i A_i (1 - exp(-k_i R^2)) / (2 k_i), the terms cancel
+    at most once, at r0^2 = ln|A_1/A_2| / (k_1 - k_2) when that is > 0, and
+    the ray integrates to |2 F(r0) - F(inf)|; a ray without a cut gives
+    |F(inf)|.
     """
     halves = [0.5 * a / k for a, k in zip(amps, rates)]
     whole = sum(halves)
-    if len(amps) == 1 or amps[0] * amps[1] > 0.0:
-        return np.abs(whole)
     with np.errstate(divide="ignore", invalid="ignore"):
         r0sq = math.log(abs(amps[0] / amps[1])) / (rates[0] - rates[1])
     r0sq = np.where(r0sq > 0.0, r0sq, np.inf)
@@ -798,46 +768,44 @@ def ray_l1(amps, rates):
     return np.abs(whole + 2.0 * rest)
 
 
-def co_centred_l1_on_grid(terms, count=4096):
-    """int d^2z/pi |f| of co-centred terms from the closed-form rays at count
-    angles spaced evenly over [0, pi) (f is even): the trapezoid rule of a
-    smooth periodic integrand.  Against Imhof's form in mpmath at 30 digits
-    it is within 2e-15 for the variances and amplitude ratios drawn below."""
+def co_centred_l1_on_grid(first, second, count=4096):
+    """int d^2z/pi |G_1 - G_2| of co-centred terms from the closed-form rays
+    at count angles spaced evenly over [0, pi) (f is even): the trapezoid
+    rule of a smooth periodic integrand.  Against Imhof's form in mpmath at
+    30 digits it is within 2e-15 for the variances drawn below."""
     phi = np.arange(count) * (math.pi / count)
     u = np.array([np.cos(phi), np.sin(phi)])
-    rates = [0.5 * np.einsum("in,ij,jn->n", u, np.linalg.inv(cov_of(t)), u) for t in terms]
-    return 2.0 * ray_l1([t.amp for t in terms], rates).mean()
+    rates = [0.5 * np.einsum("in,ij,jn->n", u, np.linalg.inv(cov_of(t)), u)
+             for t in (first, second)]
+    return 2.0 * ray_l1([first.amp, -second.amp], rates).mean()
 
 
 GRID_ORACLE_ERR = 1e-12
 COVS = st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.0, math.pi))
-SIGNED = st.tuples(st.floats(0.2, 5.0), st.sampled_from([-1.0, 1.0]))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(COVS, COVS, SIGNED, SIGNED,
-       st.sampled_from(["pair", "one", "indefinite", "identity"]), st.sampled_from([1e-6, 1e-9]))
-def test_co_centred_route_matches_the_rays_on_a_fine_grid(cov1, cov2, amp1, amp2, kind, tol):
+@given(COVS, COVS, st.sampled_from(["pair", "indefinite", "identity"]),
+       st.sampled_from([1e-6, 1e-9]))
+def test_co_centred_route_matches_the_rays_on_a_fine_grid(cov1, cov2, kind, tol):
     # Imhof's angular form against the closed-form rays: rotated axes that
-    # differ, amplitudes of either sign (same-sign pairs too), one term,
-    # indefinite pencils (lambda_1 < 1 < lambda_2, on shared axes) and the
-    # identity channel
+    # differ, indefinite pencils (lambda_1 < 1 < lambda_2, on shared axes)
+    # and the identity channel
     mean = (0.3, -0.8)
-    first = term(amp1[0] * amp1[1], *cov1, mean=mean)
+    first = term(*cov1, mean=mean)
     if kind == "identity":
-        est = integrate_plane_abs_pow(
-            (first, first._replace(weight=-first.weight)), 1.0, tol)
+        est = integrate_plane_abs_pow(first, first, 1.0, tol)
         assert est.value == 0.0 and est.abs_error_bound <= tol
         return
     if kind == "indefinite":
         # the second covariance is wider along one axis of the first, narrower along the other
         var1, var2, angle = cov1
         cov2 = (var1 * (1.0 + cov2[0]), var2 / (1.0 + cov2[1]), angle)
-    second = term(amp2[0] * amp2[1], *cov2, mean=mean)
-    terms = (first,) if kind == "one" else (first, second)
-    assume(kind == "one" or abs(math.log(abs(first.amp / second.amp))) > 0.1)
-    est = integrate_plane_abs_pow(terms, 1.0, tol)
-    assert abs(est.value - co_centred_l1_on_grid(terms)) <= est.abs_error_bound + GRID_ORACLE_ERR
+    second = term(*cov2, mean=mean)
+    assume(abs(math.log(first.amp / second.amp)) > 0.1)
+    est = integrate_plane_abs_pow(first, second, 1.0, tol)
+    assert (abs(est.value - co_centred_l1_on_grid(first, second))
+            <= est.abs_error_bound + GRID_ORACLE_ERR)
 
 
 ORACLE_SLOP = 1e-28
@@ -858,7 +826,7 @@ def test_pencil_matches_mpmath_roots(nbar, r, theta, chain, angle, s):
     state = make_squeezed_thermal(nbar, r, theta)
     rotation = () if angle is None else (Rotation(angle),)
     out = apply_channel_gaussian(state, ChannelSpec(tuple(chain) + rotation))
-    first, second = wigner_term(state, s), wigner_term(out, s, -1.0)
+    first, second = wigner_term(state, s), wigner_term(out, s)
     nus, lams, half_log_det, slack = phasenorm.quadrature._pencil(first, second)
     with mp.workdps(60):
         (a1, c1, b1), (a2, c2, b2) = (
