@@ -26,7 +26,8 @@ import numpy as np
 
 from . import backend, quadrature
 from .channels import Amplifier, Attenuator
-from .quadrature import EPS, SIGN_SCAN_FLOOR, IntegralEstimate, RadialProfile, tail_radius
+from .quadrature import (EPS, SIGN_SCAN_FLOOR, WINDOW, IntegralEstimate, RadialProfile,
+                         tail_radius)
 
 MASS_EPS = 1e-12        # invariant slack on sum(weights) + tail == 1
 USER_NORM_EPS = 1e-9    # acceptance slack for user-supplied weights
@@ -206,8 +207,8 @@ def leading_cutoff(state, orderings, budget):
     return max(int(np.argmax(tail <= budget)) - 1, 0)
 
 
-SignSearch = namedtuple("SignSearch",
-                        "terms weights decay degree reach sign_radius dropped mass_degree")
+SignSearch = namedtuple(
+    "SignSearch", "terms weights decay degree reach sign_radius cut_bound dropped mass_degree")
 
 
 def sign_search(state, terms, lead):
@@ -224,7 +225,10 @@ def sign_search(state, terms, lead):
     where the Gaussian factor has fallen to about tol/10.  The ``decay``
     envelope uses |sum_n p_n tau^n L_n| <= (1 + |u|)^N and splits off half
     the exponential rate to absorb the polynomial factor, all in log
-    space.  All of these take N = ``lead``, as does the scan ``degree``;
+    space.  The ``cut_bound`` is a radius past which g, f on the leading
+    weights, keeps one sign (see :func:`_cut_bound`; inf when none is
+    known), so the scan's completeness is assumed only below it.  All of
+    these take N = ``lead``, as does the scan ``degree``;
     the ``mass_degree`` of the masses, which keep every weight, takes the
     cutoff.  ``dropped`` = (l1, sup) bounds the rest: sum_i sum_{n > lead}
     p_n B_{s_i}(n) >= int |f - g| and sum_i 2 sum_{n > lead} p_n / k_i >=
@@ -257,7 +261,43 @@ def sign_search(state, terms, lead):
         tuple(terms), state.weights[:n + 1], tuple(decay), degree,
         lambda t: max(root * (bulk + math.sqrt(half * math.log1p(10 / t)) + 0.5)
                       for root, bulk, half in reaches),
-        max(radii), dropped, mass_degree)
+        max(radii), _cut_bound(terms, n), dropped, mass_degree)
+
+
+def _cut_bound(terms, n):
+    """A radius past which g, the f of ``terms`` on p_0..p_N, keeps one sign; inf if none.
+
+    With x = r^2 / k, beta = 2 / (1 - s), a = 4 / (1 - s)^2 and y = 4x / (1 -
+    s^2), W_n^(s) = beta e^(-beta x) tau^n L_n(y) and tau^n L_n(y) = sum_k C(n,
+    k) tau^(n-k) (a x)^k / k!.
+
+    One term: for -1 < s < 1, W_n^(s) is |tau|^n e^(-(1 + s) y / 2) (-1)^n
+    L_n(y) up to beta, and past the zeros z_i < 4n + 2 of L_n the log-slope of
+    (-1)^n L_n, sum_i 1 / (y - z_i) < n / (y - 4n - 2), is below (1 + s) / 2
+    once x > (1 - s^2)(n + 1/2) + n (1 - s) / 2; for s <= -1 every
+    coefficient is >= 0, so x Q' <= n Q of their polynomial Q, and W_n^(s)
+    falls past x = n (1 - s) / 2.  So past sqrt k sqrt(rho_t^2 + N (1 - s) /
+    2) g is positive and falls, and a scan to there also sees its largest
+    value.
+
+    Two terms (s_1, k_1) and (s_2, k_2), the second subtracted: for s_2 < -1
+    every coefficient of the second is positive, and each of the first is at
+    most its absolute value, a share of the second's of at most (beta_1 k_2 /
+    (beta_2 k_1)) e^(-(beta_1/k_1 - beta_2/k_2) r^2) max(1, |tau_1| / tau_2, k_2
+    a_1 / (k_1 a_2))^N, below 1 once r^2 > x*, so g < 0 past sqrt x* (for
+    C_g at s = 0, x* = 3/4 (ln 3 + N ln 9)).  inf unless s_2 < -1 and
+    beta_1 / k_1 > beta_2 / k_2.
+    """
+    if len(terms) == 1:
+        (s, k), = terms
+        return math.sqrt(k * ((n + 0.75) * max(1.0 - s * s, 0.0) + n * (1.0 - s) / 2.0))
+    (s1, k1), (s2, k2) = terms
+    beta1, beta2 = 2.0 / (1.0 - s1), 2.0 / (1.0 - s2)
+    rate = beta1 / k1 - beta2 / k2
+    if not (s2 < -1.0 and rate > 0.0):
+        return math.inf
+    growth = max(1.0, abs(_tau(s1)) / _tau(s2), k2 * (1.0 - s2) ** 2 / (k1 * (1.0 - s1) ** 2))
+    return math.sqrt(max(math.log(beta1 * k2 / (beta2 * k1)) + n * math.log(growth), 0.0) / rate)
 
 
 def _signal(terms, rows):
@@ -360,17 +400,21 @@ def radial_l1(state, signals, tols):
       (:func:`leading_cutoff` with budget LEADING_SHARE tol over its
       orderings, :func:`sign_search`), while the masses keep every
       weight.
-    * The scan stops at its ``reach``, where every term is of one sign,
-      so the terms' masses there bound the tail; a tail above tol/10
-      widens its scan to its envelope radius, where the smaller of the
-      masses (if past the sign radius) and the envelope's bound is
-      taken.  All signals share one scan, on the first signal's grid
-      over its envelope radius (see
+    * Its radius is its ``reach``, where every term is of one sign, so
+      the terms' masses there bound the tail; a tail above tol/10 widens
+      the radius to the envelope radius, where the smaller of the masses
+      (if past the sign radius) and the envelope's bound is taken.  The
+      scan stops at the radius or, when nearer, WINDOW scan steps past
+      the signal's ``cut_bound`` (:func:`sign_search`), past which no cut
+      of g lies: every bracket keeps the WINDOW scan nodes of its first
+      point, so the cuts are those of a scan out to the radius.  All
+      signals share one scan, on the first signal's grid over its
+      envelope radius (see
       :func:`~phasenorm.quadrature.locate_sign_changes`), each cut at its
-      own radius.  A signal whose radius lies past that bracket is left
-      to a later round, so no scan runs past its grid's end; a widened
-      scan runs on the grid of the first signal that widens.
-    * ``abs_error_bound`` is twice the tail beyond the scan, plus the
+      own stop.  A signal whose radius lies past that bracket is left to
+      a later round, so no scan runs past its grid's end; a widened scan
+      runs on the grid of the first signal that widens.
+    * ``abs_error_bound`` is twice the tail beyond the radius, plus the
       root placement, :func:`~phasenorm.quadrature.placement_terms` 4 b w
       (h + sup) per cut (b the right end of its final bracket, w that
       bracket's width, h the larger |g| at its ends, with g the searched
@@ -387,8 +431,13 @@ def radial_l1(state, signals, tols):
       ends of those brackets, is a lower estimate, in practice exact to
       rounding, and ``subdivisions`` counts the mass intervals.
 
-    The bound is certified given a complete scan: two cuts within one
-    scan step go unseen.  A signal's cuts, value and bound do not depend
+    The bound is certified given a complete scan of [0, cut bound]: no cut
+    lies past the cut bound, and two cuts within one scan step below it go
+    unseen.  The scan's noise floor is relative to the largest |g| it
+    sees: a lone term is positive and falls past its cut bound, so that
+    value, and every cut, is bit for bit the one of a scan out to the
+    radius; a difference keeps it where |g| peaks below its cut bound, as
+    on every state tested.  A signal's cuts, value and bound do not depend
     on the other signals, except through the grid.  Each estimate is
     checked against its tol in order, and the first above it raises
     :class:`~phasenorm.quadrature.ToleranceNotReached` with it attached.
@@ -406,18 +455,22 @@ def radial_l1(state, signals, tols):
     found = [None] * len(searches)
     pending = list(range(len(searches)))
     while pending:
-        # a signal whose scan radius lies past the first one's envelope
+        # a signal whose radius lies past the first one's envelope
         # radius, the scan's bracket, is left to a later round
         later = [i for i in pending if radii[i] > envelopes[pending[0]][0]]
         pending = [i for i in pending if i not in later]
         group = [searches[i] for i in pending]
+        # no cut lies past a cut bound: a scan WINDOW steps past it keeps every
+        # bracket's window, WINDOW nodes of which WINDOW // 2 lie past the bracket
+        step = envelopes[pending[0]][0] / (quadrature.scan_nodes(group[0].degree) - 1)
+        stop = [min(radii[i], searches[i].cut_bound + WINDOW * step) for i in pending]
         # a bracket closes once its placement term is within one mass's rounding
         every = quadrature.locate_sign_changes(
             _search_evaluator(group), (0.0, envelopes[pending[0]][0]),
-            [search.degree for search in group], stop=np.array([radii[i] for i in pending]),
+            [search.degree for search in group], stop=np.array(stop),
             close=([2.0 * EPS * (search.mass_degree + 1) for search in group],
                    [search.dropped[1] for search in group]))
-        # one mass pass gives T at every signal's cuts and, per term, at its scan radius
+        # one mass pass gives T at every signal's cuts and, per term, at its radius
         points = [np.concatenate(([0.0], c, [radii[i]])) for (c, _, _), i in zip(every, pending)]
         masses = _signal_masses(state, group, points)
         widened = []
@@ -431,7 +484,7 @@ def radial_l1(state, signals, tols):
             if radius == envelope:
                 tail = min(tail, envelope_tail)
             mass = np.add.reduce(rows, axis=0)
-            mass[-1] = 0.0  # T at infinity in place of T at the scan radius
+            mass[-1] = 0.0  # T at infinity in place of T at the radius
             value = float(np.add.reduce(np.abs(mass[1:] - mass[:-1])))
             # moving a cut inside its bracket changes the two masses beside it by
             # at most the integral of 2r |f| over the bracket, and |f| <= |g| + sup

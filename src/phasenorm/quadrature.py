@@ -118,7 +118,8 @@ class IntegralEstimate:
     :class:`~phasenorm.gaussian.GaussianState`).
 
     On the exact p = 1 route of diagonal states the bound is certified,
-    given a complete sign scan (see :func:`phasenorm.fock.radial_l1`).
+    given a complete sign scan up to the signal's cut bound, past which no
+    cut lies (see :func:`phasenorm.fock.radial_l1`).
     Every route returns a bound within tol or raises it attached.
     """
 
@@ -165,6 +166,12 @@ def placement_terms(right, width, height, sup):
     return 4.0 * right * width * (height + sup)
 
 
+def scan_nodes(degree_hint):
+    """Nodes of the sign scan's uniform grid for f of ``degree_hint``: min(max(513,
+    32 (degree_hint + 1) + 1), 40001), so the grid's step is bracket width / (nodes - 1)."""
+    return min(max(513, 32 * (int(degree_hint) + 1) + 1), 40001)
+
+
 def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     """Find where each row of f changes sign on ``bracket``, each cut to 1e-12 or to ``close``.
 
@@ -172,15 +179,17 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     array of radii); per row (cuts, widths, heights) is returned, arrays of
     the increasing cuts, their final brackets' widths (0 for an exact
     zero) and the larger |f| at those brackets' ends.
-    The rows share one scan, a uniform grid of min(max(513, 32 (degree_hint
-    + 1) + 1), 40001) samples over ``bracket`` for the first row's
-    degree_hint; each row is cut after its first node at or beyond its
-    ``stop`` if given (at the bracket's end for a stop past it), and every
-    round of the ladder refines the brackets of all rows in one call of f,
-    the first from the row's scan nodes around each bracket (see
-    :func:`_window_roots`).  ``degree_hint``, ``stop`` and the two parts
-    of ``close`` may each hold one value per row.  A row finds, bit for
-    bit, the cuts it finds alone on the same grid.
+    The rows share one scan, a uniform grid of :func:`scan_nodes` samples
+    over ``bracket`` for the first row's degree_hint; each row is cut after
+    its first node at or beyond its ``stop`` if given (at the bracket's end
+    for a stop past it), and every round of the ladder refines the
+    brackets of all rows in one call of f, the first from the row's scan
+    nodes around each bracket (see :func:`_window_roots`), a point that
+    does not depend on the row's stop while the row keeps at least WINDOW
+    nodes and WINDOW // 2 past the bracket's left end.  ``degree_hint``,
+    ``stop`` and the two parts of ``close`` may each hold one value per
+    row.  A row finds, bit for bit, the cuts it finds alone on the same
+    grid.
     Nodes where a row is exactly zero are merged in as cuts directly.
     Sign flips whose flanking magnitudes are both below SIGN_SCAN_FLOOR
     times the row's scan maximum are ignored: such crossings are
@@ -196,7 +205,7 @@ def locate_sign_changes(f, bracket, degree_hint, stop=None, close=None):
     """
     lo, hi = bracket
     hints = np.asarray(degree_hint).reshape(-1)
-    count = min(max(513, 32 * (int(hints[0]) + 1) + 1), 40001)
+    count = scan_nodes(hints[0])
     # np.linspace(lo, hi, count), bit for bit: its last node is hi itself
     xs = np.arange(count) * ((hi - lo) / (count - 1)) + lo
     xs[-1] = hi
@@ -612,7 +621,9 @@ def integrate_plane_abs_pow(first, second, p, tol):
     ``subdivisions`` counts angular and radial panels.  The bound is at most
     ``tol`` or :class:`ToleranceNotReached` is raised, an estimate strong
     squeezing defeats (see :class:`IntegralEstimate`); a mean or theta not
-    finite, or a variance not finite and > 0 (no decay), raises ValueError."""
+    finite, a variance not finite and > 0 (no decay), or, off the co-centred
+    p = 1 route, a variance product past double range, whose term's peak
+    reads 0, raises ValueError."""
     _checked_input(p, tol)
     terms = (first, second)
     if not all(0.0 < v < math.inf for t in terms for v in t.variances):
@@ -627,6 +638,8 @@ def integrate_plane_abs_pow(first, second, p, tol):
     if p == 1.0 and symmetric:
         # an offset below 1e-13 is taken as co-centred
         return checked(_co_centred_l1(first, second, tol), tol)
+    if not (first.amp and second.amp):  # 1 / (2 sqrt(v0 v1)) past double range reads 0
+        raise ValueError("a planar term's variance product overflows double range")
     a, c, b = map(sum, zip(*(covariance_entries(t.theta, *t.variances) for t in terms)))
     psi = 0.5 * math.atan2(-2.0 * c, b - a)
     u, v = (math.cos(psi), math.sin(psi)), (-math.sin(psi), math.cos(psi))

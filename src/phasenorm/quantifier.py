@@ -64,9 +64,10 @@ class QuantifierResult:
     ``err`` can exceed ``tol``, up to 2 tol.  How much of the norm's bound
     is certified depends on the route (see
     :class:`~phasenorm.quadrature.IntegralEstimate`): on the exact Fock route
-    at p = 1 all of it, given a complete sign scan (its contract is stated
-    at :func:`~phasenorm.fock.radial_l1`); on the panel routes only
-    the envelope tail.
+    at p = 1 all of it, given a complete sign scan up to the signal's cut
+    bound, past which no cut lies (its contract is stated at
+    :func:`~phasenorm.fock.radial_l1`); on the panel routes only the
+    envelope tail.
     ``m_value`` is exactly ``n_value - baseline``.
 
     For a Fock state the witness is the Wigner negativity at tolerance

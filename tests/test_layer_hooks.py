@@ -71,7 +71,7 @@ def test_gaussian_layers_are_reached(reached):
 
 
 @pytest.mark.parametrize("state,points,term_points", [
-    (number_state(40), 4_976, 204_016), (make_thermal_fock(0.5, 120), 1_864, 38_290)],
+    (number_state(40), 3_832, 157_112), (make_thermal_fock(0.5, 120), 1_002, 21_050)],
     ids=["number40", "thermal"])
 def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
     # the tracer unpacks ``weights, _, u, _ = args`` and counts len(u)
@@ -85,7 +85,8 @@ def test_kernel_accounting_is_exact(state, points, term_points, monkeypatch):
     # in one round, from the interpolant of 8 scan nodes, from 14,210 /
     # 582,610 and 1,970 / 40,410, and with that round's 11 points per
     # bracket, the ends not evaluated again, from 9,512 / 389,992 and
-    # 1,920 / 39,410
+    # 1,920 / 39,410, and with each signal's scan ending just past its cut
+    # bound instead of at its reach, from 4,976 / 204,016 and 1,864 / 38,290
     calls = []
     series = backend.wigner_series
 

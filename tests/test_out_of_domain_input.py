@@ -4,9 +4,9 @@ ValueError, without a warning on the way."""
 import numpy as np
 import pytest
 
-from phasenorm import (Amplifier, ChannelSpec, FockDiagonalState, GaussianState,
-                       apply_channel_gaussian, loss_kraus_decomposition,
-                       make_thermal_fock, mix_states, number_state)
+from phasenorm import (CG, Amplifier, ChannelSpec, FockDiagonalState, FunctionalSpec,
+                       GaussianState, apply_channel_gaussian, loss_kraus_decomposition,
+                       make_thermal_fock, mix_states, norm_value, number_state)
 from phasenorm.fock import attenuate_fock
 from phasenorm.quadrature import GaussianTerm, integrate_plane_abs_pow, tail_radius
 
@@ -50,3 +50,29 @@ def test_ill_conditioned_ray_names_its_cause():
     # the ray check in the planar outer integrand, not the variance check at entry
     with pytest.raises(ValueError, match="a profile term does not decay along every ray"):
         CALLS["ill_conditioned_ray"]()
+
+
+# covariances whose variance product passes double range: a term's peak
+# 1 / (2 sqrt(v0 v1)) then reads 0
+OVERFLOWING = {"isotropic": np.diag([1e160, 1e160]), "anisotropic": np.diag([1e155, 1e170])}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", sorted(OVERFLOWING))
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_overflowing_planar_term_names_its_cause(p, shape):
+    state = GaussianState(cov=OVERFLOWING[shape])
+    with pytest.raises(ValueError, match="variance product overflows double range"):
+        norm_value(state, CG, FunctionalSpec(0.0, p), 1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_check_spares_finite_products_and_the_co_centred_route():
+    # at 1e150 the product is finite and the per-ray route runs; the
+    # co-centred p = 1 route needs no peak and returns before the check
+    value, err = norm_value(GaussianState(cov=np.diag([1e150, 1e150])), CG,
+                            FunctionalSpec(0.0, 2.0), 1e-6)
+    assert value == 0.0 and err == pytest.approx(4.7e-7, rel=0.01)
+    for cov in OVERFLOWING.values():
+        value, err = norm_value(GaussianState(cov=cov), CG, FunctionalSpec(0.0, 1.0), 1e-6)
+        assert value == 0.0 and err == pytest.approx(7.1e-15, rel=0.01)
