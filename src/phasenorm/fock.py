@@ -26,8 +26,7 @@ import numpy as np
 
 from . import backend, quadrature
 from .channels import Amplifier, Attenuator
-from .quadrature import (EPS, SIGN_SCAN_FLOOR, WINDOW, IntegralEstimate, RadialProfile,
-                         tail_radius)
+from .quadrature import EPS, SIGN_SCAN_FLOOR, WINDOW, IntegralEstimate, tail_radius
 
 MASS_EPS = 1e-12        # invariant slack on sum(weights) + tail == 1
 USER_NORM_EPS = 1e-9    # acceptance slack for user-supplied weights
@@ -352,18 +351,18 @@ def _signal_terms(s, channel):
 
 
 def radial_profile(state, s, channel=None):
-    """RadialProfile of W^(s), or of W^(s)_rho - W^(s)_C(rho) given a ``channel``.
+    """(evaluator, decay, degree_hint) of W^(s), or of W^(s)_rho - W^(s)_C(rho) given a channel.
 
     The channel acts as an ordering shift: W^(s) of the output is
     W^(s')(rho / sqrt k) / k of the input with s' = (s - 4y)/k from its
     fold (for C_g the shift s -> s - 2); theta drops out, since a diagonal
-    state is rotation invariant, and a displacement is rejected.  The
-    evaluator, decay and degree_hint keep every weight and serve the panel
-    route (p != 1); p = 1 takes :func:`radial_l1`.
+    state is rotation invariant, and a displacement is rejected.  The three
+    keep every weight and serve the panel route (p != 1,
+    :func:`~phasenorm.quadrature.integrate_radial_abs_pow`); p = 1 takes :func:`radial_l1`.
     """
     full = sign_search(state, _signal_terms(s, channel), state.cutoff)
-    return RadialProfile(lambda r: _signal(full.terms, _wigner_terms(full.weights, full.terms, r)),
-                         full.decay, full.degree)
+    return (lambda r: _signal(full.terms, _wigner_terms(full.weights, full.terms, r)),
+            full.decay, full.degree)
 
 
 def _signal_masses(state, searches, points):

@@ -128,22 +128,6 @@ class IntegralEstimate:
     subdivisions: int
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Rotation-symmetric integrand rho >= 0 -> f(rho).
-
-    ``evaluator`` must accept an ndarray of radii.  ``decay`` is a tuple of
-    (log_amplitude, rate) pairs certifying |f(rho)| <= sum_i exp(log_a_i -
-    rate_i * rho^2) for every rho >= 0; it drives the truncation radius.
-    ``degree_hint`` bounds the number of sign changes (used to choose the
-    root-scan sampling density).
-    """
-
-    evaluator: object
-    decay: tuple
-    degree_hint: int
-
-
 class GaussianTerm(NamedTuple):
     """The unit-mass Gaussian of center ``mean`` = (x, y) and ``variances``
     along the axes at ``theta`` and theta + pi/2, with its ``rounding`` (see
@@ -459,19 +443,20 @@ def _core_abs_pow(evaluator, decay, p, tol, find_cuts):
     return IntegralEstimate(value, panel_err + tail + EPS * count * abs(value), count)
 
 
-def integrate_radial_abs_pow(profile, p, tol):
+def integrate_radial_abs_pow(evaluator, decay, degree_hint, p, tol):
     """int d^2alpha/pi |f(|alpha|)|^p  =  int_0^inf 2 rho |f(rho)|^p drho.
 
-    The integrand is cut at every sign change of f so |f|^p is smooth on
-    each panel, and adaptive GL16 panels run up to the envelope radius;
-    ``abs_error_bound`` is the panel estimate plus the certified tail plus
-    rounding.  The bound is at most ``tol`` or :class:`ToleranceNotReached`
-    is raised with the best estimate attached.
+    ``evaluator`` takes an ndarray of radii; the (log_a, rate) pairs of
+    ``decay`` certify |f(rho)| <= sum_i exp(log_a_i - rate_i rho^2), rho >= 0;
+    ``degree_hint`` bounds f's sign changes.  f is cut at each so |f|^p is
+    smooth on each panel, and adaptive GL16 panels run up to the envelope
+    radius; ``abs_error_bound`` is the panel estimate plus the certified
+    tail plus rounding.  The bound is at most ``tol`` or
+    :class:`ToleranceNotReached` is raised with the best estimate attached.
     """
     _checked_input(p, tol)
-    est = _core_abs_pow(profile.evaluator, profile.decay, p, tol, lambda radius: (
-        locate_sign_changes(lambda r: profile.evaluator(r)[None], (0.0, radius),
-                            profile.degree_hint)[0][0]))
+    est = _core_abs_pow(evaluator, decay, p, tol, lambda radius: (
+        locate_sign_changes(lambda r: evaluator(r)[None], (0.0, radius), degree_hint)[0][0]))
     return checked(est, tol)
 
 
@@ -664,6 +649,7 @@ def integrate_plane_abs_pow(first, second, p, tol):
         slopes.append((s1 * t1, s2 * t2))
     logs = [math.log(abs(amp)) + g for amp, g in zip(amps, gs)]
     ray_p, ray_q, ray_r = np.array(rates).T[:, :, None]
+    slope_u, slope_v = np.array(slopes).T[:, :, None]
     panels = 0  # radial panels over all rays
 
     def ray_panels(a_coef, b_coef):
@@ -675,7 +661,6 @@ def integrate_plane_abs_pow(first, second, p, tol):
             # term-by-term accumulation (not a BLAS dot): opposite equal
             # terms then cancel bitwise, so an identity-channel difference
             # evaluates to exactly zero instead of FMA rounding noise
-            r = np.atleast_1d(np.asarray(r, dtype=float))
             out = np.zeros_like(r)
             for amp, a, b, g in zip(amps, a_coef, b_coef, gs):
                 out += amp * np.exp(-a * r**2 + b * r + g)
@@ -695,14 +680,12 @@ def integrate_plane_abs_pow(first, second, p, tol):
         return 0.5 * est.value
 
     def outer(phis):
-        phis = np.atleast_1d(phis)
         cos, sin = np.cos(phis), np.sin(phis)
         a_rays = ray_p * (cos * cos) + ray_q * (sin * sin) + ray_r * (cos * sin)
         # a covariance too ill-conditioned for double precision can invert
         # to a form that is not positive along some ray
         if not a_rays.min() > 0.0:
             raise ValueError("a profile term does not decay along every ray")
-        slope_u, slope_v = np.array(slopes).T[:, :, None]
         b_rays = -(slope_u * cos + slope_v * sin)
         return np.array([ray_panels(a, b)
                          for a, b in zip(a_rays.T.tolist(), b_rays.T.tolist())])

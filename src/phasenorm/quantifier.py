@@ -59,10 +59,11 @@ class QuantifierResult:
     """Quantifier value with baseline, measure, witness and classification.
 
     ``err`` is the norm's error bound plus the baseline's, each at most
-    ``tol`` (:func:`norm_value` raises otherwise); the baseline's is 7.1e-15
-    for ``CG`` at (s, p) = (0, 1) (see :func:`baseline_with_error`).  So
-    ``err`` can exceed ``tol``, up to 2 tol.  How much of the norm's bound
-    is certified depends on the route (see
+    ``tol`` (:func:`norm_value` raises otherwise), plus 2 ``tail_mass_bound``
+    of a Fock state (see :func:`measure_m`); the baseline's is 7.1e-15 for
+    ``CG`` at (s, p) = (0, 1) (see :func:`baseline_with_error`).  So ``err``
+    can exceed ``tol``: err <= 2 tol + 2 ``tail_mass_bound``.  How much of
+    the norm's bound is certified depends on the route (see
     :class:`~phasenorm.quadrature.IntegralEstimate`): on the exact Fock route
     at p = 1 all of it, given a complete sign scan up to the signal's cut
     bound, past which no cut lies (its contract is stated at
@@ -120,7 +121,7 @@ def _integral_once(state, channel, fn, quad_tol):
     if isinstance(state, FockDiagonalState):
         if fn.p == 1.0:
             return radial_l1(state, ((fn.s, channel),), (quad_tol,))[0]
-        return integrate_radial_abs_pow(radial_profile(state, fn.s, channel), fn.p, quad_tol)
+        return integrate_radial_abs_pow(*radial_profile(state, fn.s, channel), fn.p, quad_tol)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
@@ -128,22 +129,25 @@ def norm_value(state, channel, fn, tol):
     """(N, err) of one state; the integral's error carried through the p-th root.
 
     When the root inflates err above tol (p > 1) the integral tolerance is
-    tightened and the integral redone, four integrals at most; if err still
+    tightened and the integral redone, four integrals at most, while the
+    tightened tol is a number > 0 (at large p it underflows); if err still
     exceeds tol, :class:`~phasenorm.quadrature.ToleranceNotReached` is
     raised with ``IntegralEstimate(N, err, subdivisions)`` of the last
     integral as its ``estimate`` (an integral that misses raises its own).
     A ``tol`` that is not a number, finite and > 0, raises ValueError.
     """
     quad_tol = checked_tol(tol)
-    for _ in range(4):
+    for count in range(1, 5):
         est = _integral_once(state, channel, fn, quad_tol)
         value, err = _pow_and_error(est, fn.p)
         if err <= tol:
             return value, err
         # integral tolerance that maps to a norm error of tol
         quad_tol = 0.9 * ((value + tol) ** fn.p - value**fn.p)
+        if not 0.0 < quad_tol < math.inf:
+            break
     raise ToleranceNotReached(
-        f"norm error {err:.3e} above tolerance {tol:.3e} after 4 integrals",
+        f"norm error {err:.3e} above tolerance {tol:.3e} after {count} integral(s)",
         IntegralEstimate(value, err, est.subdivisions))
 
 

@@ -18,7 +18,7 @@ from .fock import (amplify_fock, apply_channel_fock, attenuate_fock,
                    mean_photons, number_state, radial_l1, radial_profile, wigner_s_fock)
 from .gaussian import (GaussianState, apply_channel_gaussian, make_coherent,
                        make_squeezed_thermal, make_thermal, wigner_s_gaussian)
-from .quadrature import RadialProfile, integrate_radial_abs_pow
+from .quadrature import integrate_radial_abs_pow
 from .quantifier import (NOGO_INSTANCE, FunctionalSpec, baseline_with_error,
                          convexity_gap, measure_m, monotonicity_gap_strong,
                          monotonicity_gap_weak, norm_value)
@@ -276,9 +276,9 @@ def check_channel_composition(tol):
 def check_normalization(tol):
     # signed normalization equals the abs integral only for W >= 0, so the
     # battery uses classicalized mixtures, whose W^(s) is nonnegative, on the
-    # Fock engine's exact p = 1 route.  It has no planar half: one Gaussian
-    # term at p = 1 is returned as its closed-form mass, exactly 1.0, which
-    # checks a dispatch (see tests/test_quadrature.py), not a quadrature
+    # Fock engine's exact p = 1 route.  It has no planar half: the planar
+    # integrator always takes the difference of two Gaussians, whose
+    # integral of |f| is a distance between them, not a mass
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(4):
@@ -325,11 +325,10 @@ def check_s_shift_quantifier(tol):
     worst = 0.0
     for _, state in _fock_battery():
         out = apply_channel_fock(state, CG)
-        diff = RadialProfile(
-            lambda r, a=state, b=out: wigner_s_fock(a, 0.0, r) - wigner_s_fock(b, 0.0, r),
-            radial_profile(state, 0.0).decay + radial_profile(out, 0.0).decay,
-            degree_hint=state.cutoff + out.cutoff + 2)
-        via_channel = integrate_radial_abs_pow(diff, 1.0, tol).value
+        via_channel = integrate_radial_abs_pow(
+            lambda r: wigner_s_fock(state, 0.0, r) - wigner_s_fock(out, 0.0, r),
+            radial_profile(state, 0.0)[1] + radial_profile(out, 0.0)[1],
+            state.cutoff + out.cutoff + 2, 1.0, tol).value
         shifted, _ = norm_value(state, CG, W1, tol)
         worst = max(worst, abs(shifted - via_channel))
     return CheckResult("oracles", "s_shift_quantifier", worst <= 2.0 * tol + 1e-8,

@@ -23,6 +23,8 @@ class TestConstruction:
     def test_corner_states(self):
         assert np.array_equal(make_mixture([1, 0, 0]).weights, [1, 0, 0])
         assert np.array_equal(make_mixture([0, 1, 0]).weights, [0, 1, 0])
+        mixed = mix_states([number_state(1), number_state(2)], [1.0, 0.0])
+        assert np.array_equal(mixed.weights, [0, 1, 0])
 
     def test_mean_photons(self):
         assert mean_photons(make_mixture([0.2, 0.3, 0.5])) == pytest.approx(1.3)

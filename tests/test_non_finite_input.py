@@ -72,8 +72,8 @@ CALLS = {
     "radial_profile": (lambda bad: radial_profile(number_state(1), bad), NON_FINITE),
     "wigner_s_gaussian": (lambda bad: wigner_s_gaussian(GaussianState(), bad, 0j), NON_FINITE),
     "amplify_fock": (lambda bad: amplify_fock(number_state(1), bad), NON_FINITE),
-    "radial_p": (lambda bad: integrate_radial_abs_pow(RADIAL, bad, 1e-6), NON_FINITE),
-    "radial_tol": (lambda bad: integrate_radial_abs_pow(RADIAL, 1.0, bad), BAD_TOLS),
+    "radial_p": (lambda bad: integrate_radial_abs_pow(*RADIAL, bad, 1e-6), NON_FINITE),
+    "radial_tol": (lambda bad: integrate_radial_abs_pow(*RADIAL, 1.0, bad), BAD_TOLS),
     "radial_tol_entry": (lambda bad: radial_l1(number_state(1), TWO_SIGNALS, (1e-6, bad)),
                          BAD_TOLS),
     "radial_l1_s": (lambda bad: radial_l1(number_state(1), ((bad, None),), (1e-6,)), NON_FINITE),
@@ -110,7 +110,7 @@ def test_non_finite_argument_rejected(name, bad):
 # a tuple tol holds one tolerance per signal of the exact p = 1 route,
 # radial_l1, and the integrators take none
 @pytest.mark.parametrize("call", [
-    lambda: integrate_radial_abs_pow(RADIAL, 2.0, (1e-6,)),
+    lambda: integrate_radial_abs_pow(*RADIAL, 2.0, (1e-6,)),
     lambda: radial_l1(number_state(1), TWO_SIGNALS, 1e-6),
     lambda: radial_l1(number_state(1), TWO_SIGNALS, (1e-6,)),
     lambda: radial_l1(number_state(1), TWO_SIGNALS, (1e-6, 1e-6, 1e-6)),

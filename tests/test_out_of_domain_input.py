@@ -10,6 +10,8 @@ from phasenorm import (CG, Amplifier, ChannelSpec, FockDiagonalState, Functional
 from phasenorm.fock import attenuate_fock
 from phasenorm.quadrature import GaussianTerm, integrate_plane_abs_pow, tail_radius
 
+FLAT = GaussianTerm((0.0, 0.0), 0.0, (0.0, 1.0))
+VACUUM_TERM = GaussianTerm((0.0, 0.0), 0.0, (0.25, 0.25))
 CALLS = {
     "no_weights": lambda: FockDiagonalState([]),
     "negative_weight": lambda: FockDiagonalState([1.5, -0.5]),
@@ -25,6 +27,10 @@ CALLS = {
         GaussianState(), ChannelSpec((Amplifier(1e200), Amplifier(1e200)))),
     "tail_of_no_terms": lambda: tail_radius((), 1.0, 1e-7),
     "tail_of_no_decay": lambda: tail_radius(((0.0, 0.0),), 1.0, 1e-7),
+    # a variance of exactly 0 has no decay: refused at entry, before the
+    # co-centred route (p = 1) or a term's peak (p = 2) divides by it
+    "zero_variance_p1": lambda: integrate_plane_abs_pow(FLAT, VACUUM_TERM, 1.0, 1e-6),
+    "zero_variance_p2": lambda: integrate_plane_abs_pow(FLAT, VACUUM_TERM, 2.0, 1e-6),
     # variances 1e-300 and 1e300 at theta = 0.3 invert, in double precision,
     # to a ray form that is not positive along every ray
     "ill_conditioned_ray": lambda: integrate_plane_abs_pow(
@@ -50,6 +56,13 @@ def test_ill_conditioned_ray_names_its_cause():
     # the ray check in the planar outer integrand, not the variance check at entry
     with pytest.raises(ValueError, match="a profile term does not decay along every ray"):
         CALLS["ill_conditioned_ray"]()
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_decay_rate_names_its_cause():
+    # the rate check itself, not the log of p * rate that follows it
+    with pytest.raises(ValueError, match="positive"):
+        CALLS["tail_of_no_decay"]()
 
 
 # covariances whose variance product passes double range: a term's peak

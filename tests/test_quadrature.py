@@ -18,9 +18,8 @@ from phasenorm import (CG, Amplifier, Attenuator, ChannelSpec, Displacement, Fun
                        norm_value, number_state)
 from phasenorm.fock import radial_l1, radial_profile
 from phasenorm.gaussian import wigner_term
-from phasenorm.quadrature import (EPS, GaussianTerm, RadialProfile,
-                                  integrate_plane_abs_pow, integrate_radial_abs_pow,
-                                  locate_sign_changes)
+from phasenorm.quadrature import (EPS, GaussianTerm, integrate_plane_abs_pow,
+                                  integrate_radial_abs_pow, locate_sign_changes)
 
 # frozen closed-form oracles (piecewise integration via u = 2 rho^2)
 ABS_W1_INTEGRAL = 4.0 * math.exp(-0.5) - 1.0          # 1.4261226388505319
@@ -68,8 +67,7 @@ def exact_l1(state, tol, s=0.0):
 def vacuum_diff_profile():
     f = lambda r: 2.0 * np.exp(-2.0 * np.asarray(r) ** 2) \
         - (2.0 / 3.0) * np.exp(-2.0 * np.asarray(r) ** 2 / 3.0)
-    return RadialProfile(f, ((math.log(2.0), 2.0), (math.log(2.0 / 3.0), 2.0 / 3.0)),
-                         degree_hint=2)
+    return f, ((math.log(2.0), 2.0), (math.log(2.0 / 3.0), 2.0 / 3.0)), 2
 
 
 class TestRadial:
@@ -83,7 +81,7 @@ class TestRadial:
         assert est.value == pytest.approx(ABS_W1_INTEGRAL, abs=1e-9)
 
     def test_vacuum_cg_difference(self):
-        est = integrate_radial_abs_pow(vacuum_diff_profile(), 1.0, 1e-8)
+        est = integrate_radial_abs_pow(*vacuum_diff_profile(), 1.0, 1e-8)
         assert est.value == pytest.approx(VACUUM_CG_L1, abs=1e-7)
 
     def test_error_bound_is_honest_along_tolerance_ladder(self):
@@ -95,7 +93,7 @@ class TestRadial:
 
     def test_norm_order_validated(self):
         with pytest.raises(ValueError):
-            integrate_radial_abs_pow(vacuum_diff_profile(), 0.5, 1e-6)
+            integrate_radial_abs_pow(*vacuum_diff_profile(), 0.5, 1e-6)
 
     def test_mass_route_is_exact(self):
         # one sign cut at rho = 1/2, two mass intervals
@@ -149,7 +147,7 @@ class TestRadial:
         if exact:
             exact_l1(number_state(3), 1e-8, s=-0.5)
         else:
-            integrate_radial_abs_pow(radial_profile(number_state(3), -0.5), p, 1e-8)
+            integrate_radial_abs_pow(*radial_profile(number_state(3), -0.5), p, 1e-8)
         assert bool(calls) != exact
 
     def test_unreachable_tolerance_carries_estimate(self):
@@ -167,7 +165,7 @@ class TestSignChanges:
         assert roots[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_vacuum_difference_root(self):
-        f = vacuum_diff_profile().evaluator
+        f, _, _ = vacuum_diff_profile()
         (roots, _, _), = locate_sign_changes(lambda r: f(r)[None], (0.0, 4.0), 2)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(VACUUM_DIFF_ROOT, abs=1e-10)
@@ -269,7 +267,7 @@ class TestPlanar:
     def test_matches_radial_on_isotropic_difference(self):
         # same integrand as the vacuum/C_g difference
         plane = integrate_plane_abs_pow(*VACUUM_PAIR, 1.0, 1e-8)
-        radial = integrate_radial_abs_pow(vacuum_diff_profile(), 1.0, 1e-8)
+        radial = integrate_radial_abs_pow(*vacuum_diff_profile(), 1.0, 1e-8)
         assert plane.value == pytest.approx(radial.value, abs=1e-8)
         assert plane.value == pytest.approx(VACUUM_CG_L1, abs=1e-7)
 
@@ -371,7 +369,7 @@ def test_even_p_radial_route_runs_no_sign_scan(monkeypatch):
 
     monkeypatch.setattr(phasenorm.quadrature, "locate_sign_changes", scan)
     # int W^2 d^2alpha/pi is the purity, 1 for a number state
-    est = integrate_radial_abs_pow(radial_profile(number_state(2), 0.0), 2.0, 1e-9)
+    est = integrate_radial_abs_pow(*radial_profile(number_state(2), 0.0), 2.0, 1e-9)
     assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -382,7 +380,7 @@ FOCK1 = radial_profile(number_state(1), 0.0)
     (lambda p, tol: integrate_plane_abs_pow(*VACUUM_PAIR, p, tol), 1.0, VACUUM_CG_L1),
     (lambda p, tol: integrate_plane_abs_pow(*VACUUM_PAIR, p, tol), 2.0, 1.0 / 3.0),
     (lambda p, tol: exact_l1(number_state(1), tol), 1.0, ABS_W1_INTEGRAL),
-    (lambda p, tol: integrate_radial_abs_pow(FOCK1, p, tol), 3.0, None),
+    (lambda p, tol: integrate_radial_abs_pow(*FOCK1, p, tol), 3.0, None),
 ], ids=["planar_exact_p1", "planar_rays_p2", "radial_exact_p1", "radial_panels_p3"])
 def test_every_route_raises_an_honest_estimate(integrate, p, reference):
     # 1e-20 is out of reach of double precision on every route; what is
@@ -405,7 +403,7 @@ def abs_w1_cubed_integral():
 
 @pytest.mark.parametrize("integrate,reference", [
     (lambda tol: integrate_plane_abs_pow(*VACUUM_PAIR, 1.0, tol), VACUUM_CG_L1),
-    (lambda tol: integrate_radial_abs_pow(FOCK1, 3.0, tol), abs_w1_cubed_integral()),
+    (lambda tol: integrate_radial_abs_pow(*FOCK1, 3.0, tol), abs_w1_cubed_integral()),
 ], ids=["planar_exact_p1", "radial_panels_p3"])
 def test_panel_routes_bound_their_rounding(integrate, reference):
     # at tol 1e-20 the radial panels run to their cap (8192) and the running
@@ -722,9 +720,9 @@ FOCK6 = radial_profile(number_state(6), 0.0)  # six sign cuts
 # the vacuum pair is no route here: its isotropic terms are closed form
 PANEL_ROUTES = {
     "squeezed_p1": lambda: integrate_plane_abs_pow(*squeezed_difference(), 1.0, 1e-12),
-    "fock6_p1.5": lambda: integrate_radial_abs_pow(FOCK6, 1.5, 1e-10),
-    "fock6_p2": lambda: integrate_radial_abs_pow(FOCK6, 2.0, 1e-12),
-    "fock6_p3": lambda: integrate_radial_abs_pow(FOCK6, 3.0, 1e-12),
+    "fock6_p1.5": lambda: integrate_radial_abs_pow(*FOCK6, 1.5, 1e-10),
+    "fock6_p2": lambda: integrate_radial_abs_pow(*FOCK6, 2.0, 1e-12),
+    "fock6_p3": lambda: integrate_radial_abs_pow(*FOCK6, 3.0, 1e-12),
 }
 
 

@@ -24,7 +24,7 @@ from phasenorm import (CG, CERTIFIED_QUANTUM, CLASSICAL_CONSISTENT,
 from phasenorm.channels import IDENTITY
 from phasenorm.fock import apply_channel_fock, radial_profile, wigner_s_fock
 from phasenorm.gaussian import wigner_term
-from phasenorm.quadrature import RadialProfile, integrate_radial_abs_pow
+from phasenorm.quadrature import integrate_radial_abs_pow
 
 TOL = 1e-6
 
@@ -223,11 +223,10 @@ def channel_route_integral(state, channel, s, tol):
     """int |W^(s)(rho) - W^(s)(channel(rho))| with the output built by the
     Fock transition laws (binomial and negative-binomial columns)."""
     out = apply_channel_fock(state, channel)
-    diff = RadialProfile(
+    return integrate_radial_abs_pow(
         lambda r: wigner_s_fock(state, s, r) - wigner_s_fock(out, s, r),
-        radial_profile(state, s).decay + radial_profile(out, s).decay,
-        degree_hint=state.cutoff + out.cutoff + 2)
-    return integrate_radial_abs_pow(diff, 1.0, tol)
+        radial_profile(state, s)[1] + radial_profile(out, s)[1],
+        state.cutoff + out.cutoff + 2, 1.0, tol)
 
 
 class TestExactRadialRoute:
@@ -263,22 +262,28 @@ class TestExactRadialRoute:
         state = make_mixture(np.random.default_rng(seed).dirichlet(np.ones(cutoff + 1)))
         channel, fn = ChannelSpec(tuple(elements)), FunctionalSpec(s=s)
         value, err = norm_value(state, channel, fn, TOL)
-        oracle = integrate_radial_abs_pow(radial_profile(state, s, channel), 1.0, TOL)
+        oracle = integrate_radial_abs_pow(*radial_profile(state, s, channel), 1.0, TOL)
         assert abs(value - oracle.value) <= err + oracle.abs_error_bound
 
 
 class TestErrorContract:
     @pytest.mark.parametrize("state", [make_squeezed_thermal(1.0, 0.7), make_coherent(1 - 1j),
                                        number_state(2), make_thermal_fock(1.0),
-                                       make_mixture([0.38, 0.57, 0.05])],
-                             ids=["squeezed", "coherent", "fock2", "thermal_fock", "nogo"])
+                                       make_mixture([0.38, 0.57, 0.05]),
+                                       make_thermal_fock(1e9, 10)],
+                             ids=["squeezed", "coherent", "fock2", "thermal_fock", "nogo",
+                                  "huge_tail"])
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     def test_err_is_norm_bound_plus_baseline_bound(self, state, tol):
+        # nbar 1e9 stored to cutoff 10 keeps 1.1e-8 of its mass: its err,
+        # 2.0, is far above 2 tol but within 2 tol + 2 tail_mass_bound
         res = measure_m(state, CG, FunctionalSpec(), tol)
         n_value, n_err = norm_value(state, CG, FunctionalSpec(), tol)
         base, base_err = baseline_with_error(CG, FunctionalSpec(), tol)
+        tail = getattr(state, "tail_mass_bound", 0.0)
         assert (res.n_value, res.baseline) == (n_value, base)
-        assert res.err == n_err + base_err + 2.0 * getattr(state, "tail_mass_bound", 0.0)
+        assert res.err == n_err + base_err + 2.0 * tail
+        assert res.err <= 2.0 * tol + 2.0 * tail
         assert n_err <= tol
         assert base_err <= min(tol, 1e-7)
 
@@ -308,6 +313,21 @@ class TestErrorContract:
         assert len(calls) == 4
         assert est.value == 1.0
         assert est.abs_error_bound == pytest.approx(math.sqrt(1.001) - 1.0, rel=1e-12)
+
+
+    def test_underflowing_retry_tolerance_raises_with_estimate(self, monkeypatch):
+        # at p = 1000 the tightened integral tol 0.9 ((N + tol)^p - N^p)
+        # underflows to 0: the retries stop there instead of passing it on
+        calls = []
+        once = phasenorm.quantifier._integral_once
+        monkeypatch.setattr(phasenorm.quantifier, "_integral_once",
+                            lambda *args: calls.append(args[-1]) or once(*args))
+        with pytest.raises(ToleranceNotReached) as excinfo:
+            norm_value(make_thermal(1.0), CG, FunctionalSpec(p=1000.0), TOL)
+        est = excinfo.value.estimate
+        assert isinstance(est, IntegralEstimate)
+        assert est.abs_error_bound > TOL and est.subdivisions > 0
+        assert calls == [TOL]
 
 
 class TestFockOrderingShift:
@@ -377,7 +397,7 @@ class TestFockOrderingShift:
         rng = np.random.default_rng(seed)
         state = make_mixture(rng.dirichlet(np.full(cutoff + 1, alpha)))
         decay = [(log_a - math.log(k), rate / k)
-                 for log_a, rate in radial_profile(state, s).decay]
+                 for log_a, rate in radial_profile(state, s)[1]]
         log_amp = np.logaddexp.reduce([log_a for log_a, _ in decay])
         rate_min = min(rate for _, rate in decay)
         radius = math.sqrt(max(
